@@ -20,11 +20,9 @@ or, from a shell::
 
     python -m repro run --workload tpcc --partitions 2 --out plan.json
 
-The legacy one-call facade (``Schism``/``run_schism``) still works and now
-shims onto the pipeline.
+A plan deploys as a live, self-adapting system with :func:`start_online`.
 """
 
-from repro.core.schism import Schism, SchismOptions, SchismResult, run_schism, start_online
 from repro.core.strategies import (
     CompositePartitioning,
     FullReplication,
@@ -36,6 +34,7 @@ from repro.core.strategies import (
 from repro.core.cost import CostReport, evaluate_strategy
 from repro.core.validation import validate_strategies
 from repro.engine.database import Database
+from repro.online.controller import start_online
 from repro.pipeline import (
     PartitionPlan,
     PhaseTimings,
@@ -43,6 +42,7 @@ from repro.pipeline import (
     PipelineRun,
     PipelineState,
     PlanDiff,
+    SchismOptions,
 )
 from repro.workload.trace import Transaction, Workload
 from repro.workload.rwsets import extract_access_trace
@@ -65,15 +65,12 @@ __all__ = [
     "PipelineState",
     "PlanDiff",
     "RangePredicatePartitioning",
-    "Schism",
     "SchismOptions",
-    "SchismResult",
     "Transaction",
     "Workload",
     "__version__",
     "evaluate_strategy",
     "extract_access_trace",
-    "run_schism",
     "split_workload",
     "start_online",
     "validate_strategies",

@@ -33,9 +33,9 @@ from pathlib import Path
 from typing import Callable
 
 from repro.core.config import default_options
-from repro.core.schism import start_online
 from repro.experiments.figure4 import FIGURE4_EXPERIMENTS
 from repro.obs import Telemetry, get_telemetry, set_telemetry
+from repro.online.controller import start_online
 from repro.pipeline import PartitionPlan, Pipeline
 from repro.utils.rng import SeededRng
 from repro.workload.rwsets import extract_access_trace
@@ -171,12 +171,8 @@ def _deploy_sqlite(args: argparse.Namespace, plan: PartitionPlan, bundle: Worklo
             on_outcome = None
             if args.resize is not None:
                 from repro.online.controller import MigrationPacer, PacingOptions
-                from repro.online.migration import FileJournalSink
-                from repro.storage import (
-                    StorageMigrationSession,
-                    StorageMigrator,
-                    plan_storage_resize,
-                )
+                from repro.online.migration import FileJournalSink, MigrationSession
+                from repro.storage import StorageMigrator, plan_storage_resize
 
                 journal = plan_storage_resize(
                     cluster,
@@ -199,7 +195,7 @@ def _deploy_sqlite(args: argparse.Namespace, plan: PartitionPlan, bundle: Worklo
                     retry_options=retry_options,
                     seed=args.seed,
                 )
-                session = StorageMigrationSession(migrator, pacer=pacer)
+                session = MigrationSession(migrator, pacer=pacer)
                 tick_lock = threading.Lock()
 
                 def on_commit(_commits: int) -> None:

@@ -1,4 +1,4 @@
-"""Schism's core: partitioning strategies, the cost model, validation, and the pipeline."""
+"""Schism's core: partitioning strategies, the cost model and validation."""
 
 from repro.core.strategies import (
     CompositePartitioning,
@@ -15,7 +15,6 @@ from repro.core.strategies import (
 )
 from repro.core.cost import CostReport, evaluate_strategy
 from repro.core.validation import ValidationResult, validate_strategies
-from repro.core.schism import Schism, SchismOptions, SchismResult, run_schism, start_online
 
 __all__ = [
     "CompositePartitioning",
@@ -26,16 +25,11 @@ __all__ = [
     "PartitioningStrategy",
     "RangePredicatePartitioning",
     "RoundRobinPartitioning",
-    "Schism",
-    "SchismOptions",
-    "SchismResult",
     "TablePolicy",
     "ValidationResult",
     "evaluate_strategy",
     "hash_on",
     "range_on",
     "replicate",
-    "run_schism",
-    "start_online",
     "validate_strategies",
 ]

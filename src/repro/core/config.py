@@ -1,16 +1,11 @@
-"""Pre-baked option bundles for common scenarios.
-
-These helpers keep the examples and experiments short: they return
-:class:`~repro.core.schism.SchismOptions` tuned for small / sampled / large
-runs without the caller having to know every knob.
-"""
+"""The pre-baked option bundle the CLI and the benchmark run with."""
 
 from __future__ import annotations
 
-from repro.core.schism import SchismOptions
 from repro.explain.explainer import ExplainerOptions
 from repro.graph.builder import GraphBuildOptions
 from repro.graph.partitioner import PartitionerOptions
+from repro.pipeline.config import SchismOptions
 
 
 def default_options(num_partitions: int, seed: int = 0) -> SchismOptions:
@@ -20,38 +15,4 @@ def default_options(num_partitions: int, seed: int = 0) -> SchismOptions:
         graph=GraphBuildOptions(seed=seed),
         partitioner=PartitionerOptions(seed=seed),
         explainer=ExplainerOptions(seed=seed),
-    )
-
-
-def sampled_options(
-    num_partitions: int,
-    transaction_fraction: float,
-    tuple_fraction: float,
-    seed: int = 0,
-    max_samples_per_table: int = 250,
-) -> SchismOptions:
-    """Options for the stress-test configurations that sample the trace.
-
-    Mirrors the paper's "TPC-C 2W, sampling" experiment: a small fraction of
-    transactions and tuples, and a capped decision-tree training set per table.
-    """
-    return SchismOptions(
-        num_partitions=num_partitions,
-        graph=GraphBuildOptions(
-            transaction_sample_fraction=transaction_fraction,
-            tuple_sample_fraction=tuple_fraction,
-            seed=seed,
-        ),
-        partitioner=PartitionerOptions(seed=seed),
-        explainer=ExplainerOptions(seed=seed, max_samples_per_table=max_samples_per_table),
-    )
-
-
-def large_graph_options(num_partitions: int, seed: int = 0) -> SchismOptions:
-    """Options for larger graphs: coarser stop, fewer refinement passes."""
-    return SchismOptions(
-        num_partitions=num_partitions,
-        graph=GraphBuildOptions(seed=seed, min_tuple_accesses=2),
-        partitioner=PartitionerOptions(seed=seed, coarsen_target=200, initial_trials=4, refine_passes=2),
-        explainer=ExplainerOptions(seed=seed, max_samples_per_table=1000),
     )

@@ -11,13 +11,9 @@ from the SQL log.
 from repro.engine.database import Database
 from repro.engine.executor import StatementResult
 from repro.engine.storage import TableStorage
-from repro.engine.transactions import LockConflict, LockManager, LockMode
 
 __all__ = [
     "Database",
-    "LockConflict",
-    "LockManager",
-    "LockMode",
     "StatementResult",
     "TableStorage",
 ]

@@ -38,21 +38,14 @@ DEFAULT_GRAPH_SPECS: tuple[tuple[str, int, int], ...] = (
     ("tpce", 30_000, 300_000),
 )
 
-#: smaller laptop-scale specs shared by the benchmark suite
-#: (``benchmarks/bench_figure5_partitioner_scalability.py`` and
-#: ``benchmarks/run_bench.py``) so the two stay in lock-step.
+#: smaller laptop-scale specs for the pytest benchmark
+#: (``benchmarks/bench_figure5_partitioner_scalability.py``).
 BENCH_GRAPH_SPECS: tuple[tuple[str, int, int], ...] = (
     ("epinions", 3_000, 25_000),
     ("tpcc-50w", 8_000, 64_000),
     ("tpce", 10_000, 100_000),
 )
 BENCH_PARTITION_COUNTS: tuple[int, ...] = (2, 8, 32)
-
-#: the large-scale sweep point exercised by ``run_bench.py`` only (not the
-#: pytest benchmarks): an epinions-shaped graph at 50k nodes demonstrating
-#: the array-kernel pipeline beyond laptop scale.
-SCALE_GRAPH_SPEC: tuple[str, int, int] = ("epinions-xl", 50_000, 400_000)
-SCALE_PARTITION_COUNTS: tuple[int, ...] = (8, 32)
 
 
 def synthetic_access_graph(num_nodes: int, num_edges: int, seed: int = 0) -> Graph:

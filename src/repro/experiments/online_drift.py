@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.cost import evaluate_strategy
-from repro.core.schism import start_online
+from repro.online.controller import start_online
 from repro.core.strategies import LookupTablePartitioning
 from repro.online.controller import ElasticOptions, OnlineOptions, OnlineSchism
 from repro.online.monitor import MonitorOptions

@@ -23,9 +23,9 @@ cluster can be audited row by row:
 * **byte determinism** — the whole scenario is a pure function of its seed:
   run twice, the final journal bytes and every counter must match exactly.
 
-Wired into ``python -m repro bench --experiment resilience`` and the
-``run_bench.py`` harness; the chaos-smoke CI job runs it over a seed matrix
-and fails on any lost-update or unreachable-tuple count above zero.
+Wired into ``python -m repro bench --experiment resilience``; the
+chaos-smoke CI job runs it over a seed matrix and fails on any lost-update
+or unreachable-tuple count above zero.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.online.controller import (
     MigrationPacer,
     OnlineOptions,
     PacingOptions,
+    start_online,
 )
 from repro.online.migration import MemoryJournalSink
 from repro.online.monitor import MonitorOptions
@@ -134,8 +135,6 @@ def _run_scenario(
     migration_start: int,
 ) -> ResilienceReport:
     """One deterministic pass of the hostile-resize scenario."""
-    from repro.core.schism import start_online
-
     with trace_span(
         "experiment.resilience", seed=seed, warehouses=warehouses
     ):
@@ -151,8 +150,6 @@ def _run_scenario_traced(
     live_transactions: int,
     migration_start: int,
 ) -> ResilienceReport:
-    from repro.core.schism import start_online
-
     config = TpccConfig(
         warehouses=warehouses,
         districts_per_warehouse=2,

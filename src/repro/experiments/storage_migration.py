@@ -60,7 +60,7 @@ from repro.distributed.faults import (
 )
 from repro.obs import trace_span
 from repro.online.controller import MigrationPacer, PacingOptions
-from repro.online.migration import FileJournalSink
+from repro.online.migration import FileJournalSink, MigrationSession
 from repro.pipeline import Pipeline, SchismOptions
 from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
@@ -69,7 +69,6 @@ from repro.storage import (
     RetryOptions,
     SqliteStorageCluster,
     StorageCoordinator,
-    StorageMigrationSession,
     StorageMigrator,
     plan_storage_resize,
 )
@@ -371,7 +370,7 @@ def _run(
             volatile=True,
         )
 
-        def make_session(j) -> StorageMigrationSession:
+        def make_session(j) -> MigrationSession:
             migrator = StorageMigrator(
                 cluster,
                 router,
@@ -383,7 +382,7 @@ def _run(
                 retry_options=retry_options,
                 seed=seed,
             )
-            return StorageMigrationSession(migrator, pacer=pacer)
+            return MigrationSession(migrator, pacer=pacer)
 
         holder = {"session": make_session(journal), "dead": False}
         tick_lock = threading.Lock()

@@ -151,7 +151,7 @@ class StorageResilienceReport:
         return failures
 
     def to_payload(self) -> dict:
-        """Deterministic summary for ``BENCH_partitioner.json``."""
+        """Deterministic summary of the sweep (no wall-clock fields)."""
         return {
             "seed": self.seed,
             "points": [point.to_payload() for point in self.points],

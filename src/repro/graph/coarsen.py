@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.graph import backend
-from repro.graph.model import CSRGraph, Graph, as_csr
+from repro.graph.model import CSRGraph
 from repro.utils.rng import SeededRng
 
 
@@ -38,9 +38,8 @@ class CoarseningLevel:
     fine_to_coarse: list[int]
 
 
-def coarsen_once(graph: Graph | CSRGraph, rng: SeededRng) -> CoarseningLevel:
-    """Contract a heavy-edge matching of ``graph``, returning the coarser level."""
-    csr = as_csr(graph)
+def coarsen_once(csr: CSRGraph, rng: SeededRng) -> CoarseningLevel:
+    """Contract a heavy-edge matching of ``csr``, returning the coarser level."""
     num_nodes = csr.num_nodes
     indptr, indices, edge_weights, node_weights = csr.lists()
     order = list(range(num_nodes))
@@ -287,7 +286,7 @@ def coarsen_chain(
 
 
 def coarsen_to(
-    graph: Graph | CSRGraph,
+    csr: CSRGraph,
     target_nodes: int,
     rng: SeededRng,
     min_reduction: float = 0.9,
@@ -301,7 +300,7 @@ def coarsen_to(
     typically because the graph is mostly disconnected or star shaped).
     """
     levels: list[CoarseningLevel] = []
-    current = as_csr(graph)
+    current = csr
     for _ in range(max_levels):
         if current.num_nodes <= target_nodes:
             break

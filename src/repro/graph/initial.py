@@ -7,19 +7,18 @@ run and the best resulting bisection (after a quick refinement pass done by
 the caller) is kept.
 
 Both entry points run on the frozen CSR representation: neighbour scans are
-contiguous ``indices``/``edge_weights`` slice walks, and mutable ``Graph``
-inputs are frozen on entry.
+contiguous ``indices``/``edge_weights`` slice walks.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from repro.graph.model import CSRGraph, Graph, as_csr
+from repro.graph.model import CSRGraph
 from repro.utils.rng import SeededRng
 
 
-def peripheral_seed(graph: Graph | CSRGraph) -> int:
+def peripheral_seed(csr: CSRGraph) -> int:
     """A pseudo-peripheral node found by double-BFS (deterministic).
 
     Start from node 0, BFS to the last level and take its smallest node,
@@ -30,7 +29,6 @@ def peripheral_seed(graph: Graph | CSRGraph) -> int:
     On a disconnected graph this explores node 0's component only; the seed
     is a heuristic, so that is acceptable.
     """
-    csr = as_csr(graph)
     num_nodes = csr.num_nodes
     if num_nodes == 0:
         raise ValueError("cannot seed an empty graph")
@@ -57,7 +55,7 @@ def peripheral_seed(graph: Graph | CSRGraph) -> int:
 
 
 def greedy_bisection(
-    graph: Graph | CSRGraph,
+    csr: CSRGraph,
     target_weight_zero: float,
     rng: SeededRng,
     seed_node: int | None = None,
@@ -70,7 +68,6 @@ def greedy_bisection(
     handled by restarting the growth from a new unabsorbed seed whenever
     the frontier empties.
     """
-    csr = as_csr(graph)
     num_nodes = csr.num_nodes
     if num_nodes == 0:
         return []
@@ -124,13 +121,11 @@ def greedy_bisection(
 
 
 def random_bisection(
-    graph: Graph | CSRGraph, target_weight_zero: float, rng: SeededRng
+    csr: CSRGraph, target_weight_zero: float, rng: SeededRng
 ) -> list[int]:
     """Assign random nodes to side 0 until it reaches the target weight (fallback)."""
-    num_nodes = graph.num_nodes
-    node_weights = graph.node_weights
-    if not isinstance(node_weights, list):
-        node_weights = graph.lists()[3]
+    num_nodes = csr.num_nodes
+    node_weights = csr.lists()[3]
     order = list(range(num_nodes))
     rng.shuffle(order)
     assignment = [1] * num_nodes

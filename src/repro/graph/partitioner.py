@@ -15,8 +15,7 @@ split proportionally), then refine all k parts in one boundary-FM sweep per
 uncoarsening level (:func:`~repro.graph.refine.kway_fm_refine`, per-part
 gain buckets).  This eliminates the repeated subview/coarsen work that
 recursive bisection performs once per bisection branch — log(k) coarsening
-hierarchies collapse into one.  ``PartitionerOptions.kway_mode`` restores
-the old recursive behaviour when needed.  Balance is expressed as a maximum
+hierarchies collapse into one.  Balance is expressed as a maximum
 allowed relative imbalance over perfectly even partitions, matching the
 "constant factor of perfect balance" constraint in the paper.
 
@@ -40,6 +39,7 @@ from repro.graph.initial import greedy_bisection, peripheral_seed, random_bisect
 from repro.graph.model import CSRGraph, Graph, as_csr
 from repro.obs import get_telemetry
 from repro.graph.refine import (
+    FM_NEGATIVE_STREAK,
     _fm_refine_csr,
     cut_weight_two_way,
     greedy_kway_refine,
@@ -50,24 +50,35 @@ from repro.graph.refine import (
 from repro.utils.rng import SeededRng
 
 
+#: the direct k-way path stops coarsening at
+#: ``max(coarsen_target, KWAY_COARSE_FACTOR * k)`` nodes, so the initial k-way
+#: partition always has a handful of coarse nodes per part to allocate.
+KWAY_COARSE_FACTOR = 20
+#: a root-level two-way bisection refines this many of the best initial
+#: candidates through the *whole* uncoarsening and keeps the best final cut.
+#: Selecting at the coarsest level alone commits to one basin before
+#: refinement has had a say — carrying 2 candidates recovers most of the
+#: spread at roughly twice the two-way refinement cost (coarsening is shared).
+BISECTION_CARRY = 2
+#: a root-level two-way bisection also tries the multilevel pipeline over this
+#: many differently-seeded coarsening chains (seed, seed+1, …) and keeps the
+#: best final cut.  The two-way cut's variance lives mostly in the coarsening
+#: randomisation — initial-candidate diversity alone cannot reach basins a
+#: chain never exposes.  Chains are memoised per seed on the frozen graph, so
+#: repeated k=2 calls pay the extra coarsening once.
+TWO_WAY_CHAIN_TRIALS = 2
+
+
 @dataclass
 class PartitionerOptions:
     """Tuning knobs for the partitioner.
 
     Count-valued knobs (``coarsen_target``, ``initial_trials``,
-    ``refine_passes``, ``fm_negative_streak``, ``kway_coarse_factor``,
-    ``bisection_carry``, ``two_way_chain_trials``) are clamped to at least 1
-    on construction — zero or negative values used to degrade silently
-    (empty trial loops, runaway coarsening).  ``imbalance`` and
-    ``kway_mode`` are validated outright, and a single-trial configuration
-    still uses greedy growing for its initial bisection (it never silently
-    degrades to a random split).
-
-    Two-way quality knobs (``peripheral_seed_trial``, ``bisection_carry``,
-    ``two_way_chain_trials``) apply to root-level bisections only; the
-    direct k-way path pins them to their cheap settings for its
-    coarsest-graph initial partition, whose quality is dominated by the
-    k-way refinement that follows.
+    ``refine_passes``) are clamped to at least 1 on construction — zero or
+    negative values used to degrade silently (empty trial loops, runaway
+    coarsening).  ``imbalance`` is validated outright, and a single-trial
+    configuration still uses greedy growing for its initial bisection (it
+    never silently degrades to a random split).
 
     The array backend (numpy vs. pure-Python CSR arrays) is *not* an option
     here: it is process-wide, selected by the ``REPRO_ARRAY_BACKEND``
@@ -80,73 +91,23 @@ class PartitionerOptions:
     #: ideal weight by 5% (plus one maximal node, to guarantee feasibility).
     imbalance: float = 0.05
     #: stop coarsening when the graph has at most this many nodes.  The
-    #: direct k-way path coarsens to ``max(coarsen_target, 4 * k)`` so the
-    #: coarsest graph always has a few nodes per part to work with.
+    #: direct k-way path coarsens to ``max(coarsen_target,
+    #: KWAY_COARSE_FACTOR * k)`` so the coarsest graph always has a few nodes
+    #: per part to work with.
     coarsen_target: int = 120
     #: number of greedy-graph-growing trials for the initial bisection.
     initial_trials: int = 8
     #: number of FM passes per uncoarsening level (two-way and k-way alike).
     refine_passes: int = 4
-    #: abort an FM pass after this many consecutive non-improving moves.  A
-    #: short streak bounds the speculative hill-climb (and its rollback) per
-    #: pass; empirically 16 is both faster and no worse in cut than long
-    #: streaks on the Figure-5 graphs.
-    fm_negative_streak: int = 16
-    #: how partitions for k > 2 are produced: "auto"/"direct" use the direct
-    #: k-way multilevel path (coarsen once, k-way FM per level), "recursive"
-    #: forces the legacy recursive-bisection path.
-    kway_mode: str = "auto"
-    #: the direct k-way path stops coarsening at
-    #: ``max(coarsen_target, kway_coarse_factor * k)`` nodes, so the initial
-    #: k-way partition always has a handful of coarse nodes per part to
-    #: allocate; larger factors trade initial-partition time for cut quality.
-    kway_coarse_factor: int = 20
-    #: run the extra FM polish when a bisection's graph needed no coarsening
-    #: (the per-trial refinement already ran once).  The direct k-way path
-    #: disables this for its coarsest-graph initial partition, where the
-    #: k-way refinement sweep immediately follows anyway.
-    flat_refine: bool = True
-    #: add one deterministic greedy-growing trial seeded from a
-    #: pseudo-peripheral node (double-BFS) to every *root-level* initial
-    #: bisection, on top of the ``initial_trials`` random-seed trials.  A
-    #: rim-grown region tends to meet the opposite rim with a short
-    #: boundary, which stabilises two-way cut quality against unlucky
-    #: random seeds (the k=2 regression noted after the PR-3 coarsening
-    #: re-roll).  Inner recursive bisections skip it.
-    peripheral_seed_trial: bool = True
-    #: at a root-level bisection (the graphs that own a memoised coarsening
-    #: chain), refine this many of the best initial candidates through the
-    #: *whole* uncoarsening and keep the best final cut.  Selecting at the
-    #: coarsest level alone commits to one basin before refinement has had a
-    #: say — carrying 2 candidates recovers most of the spread at roughly
-    #: twice the two-way refinement cost (coarsening itself is shared).
-    #: Clamped to at least 1; inner recursive bisections always carry 1.
-    bisection_carry: int = 2
-    #: at a root-level *two-way* bisection, also try the multilevel pipeline
-    #: over this many differently-seeded coarsening chains (seed, seed+1, …)
-    #: and keep the best final cut.  The two-way cut's variance lives mostly
-    #: in the coarsening randomisation — initial-candidate diversity alone
-    #: cannot reach basins a chain never exposes.  Chains are memoised per
-    #: seed on the frozen graph, so repeated k=2 calls pay the extra
-    #: coarsening once.  Clamped to at least 1 (1 restores the single-chain
-    #: behaviour); the direct k-way path's coarsest-level initial partition
-    #: keeps a single chain, its quality being dominated by later refinement.
-    two_way_chain_trials: int = 2
     #: random seed (tie-breaking, seed selection, matching order).
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.imbalance < 0:
             raise ValueError("imbalance must be non-negative")
-        if self.kway_mode not in ("auto", "direct", "recursive"):
-            raise ValueError("kway_mode must be 'auto', 'direct' or 'recursive'")
         self.coarsen_target = max(1, int(self.coarsen_target))
         self.initial_trials = max(1, int(self.initial_trials))
         self.refine_passes = max(1, int(self.refine_passes))
-        self.fm_negative_streak = max(1, int(self.fm_negative_streak))
-        self.kway_coarse_factor = max(1, int(self.kway_coarse_factor))
-        self.bisection_carry = max(1, int(self.bisection_carry))
-        self.two_way_chain_trials = max(1, int(self.two_way_chain_trials))
 
 
 class GraphPartitioner:
@@ -178,7 +139,7 @@ class GraphPartitioner:
         with telemetry.tracer.span(
             "partition.kway", k=num_parts, nodes=csr.num_nodes
         ):
-            if num_parts > 2 and self.options.kway_mode != "recursive":
+            if num_parts > 2:
                 return self._direct_kway(csr, num_parts, rng)
             assignment = [0] * csr.num_nodes
             with telemetry.tracer.span("partition.bisect", k=num_parts):
@@ -189,6 +150,7 @@ class GraphPartitioner:
                     first_part=0,
                     assignment=assignment,
                     rng=rng,
+                    root_extras=True,
                 )
             max_weights = self._kway_max_weights(csr, num_parts)
             with telemetry.tracer.span("partition.refine", level=0, nodes=csr.num_nodes):
@@ -232,7 +194,7 @@ class GraphPartitioner:
             "partition.phases", "partitioner phase executions", labels=("phase",)
         )
         max_weights = self._kway_max_weights(csr, num_parts)
-        coarse_target = max(options.coarsen_target, options.kway_coarse_factor * num_parts)
+        coarse_target = max(options.coarsen_target, KWAY_COARSE_FACTOR * num_parts)
         with telemetry.tracer.span("partition.coarsen", nodes=csr.num_nodes) as coarsen_span:
             levels = coarsen_chain(csr, coarse_target, options.seed)
             # A level far below the target over-coarsens the initial partition's
@@ -250,13 +212,6 @@ class GraphPartitioner:
                 initial_trials=min(options.initial_trials, 2),
                 refine_passes=1,
                 coarsen_target=max(options.coarsen_target, coarsest.num_nodes),
-                flat_refine=False,
-                # The coarsest-level initial partition is dominated by the
-                # k-way refinement that follows; the two-way quality knobs
-                # would only add work (and reshuffle the k>2 results).
-                peripheral_seed_trial=False,
-                bisection_carry=1,
-                two_way_chain_trials=1,
             )
         )
         assignment = [0] * coarsest.num_nodes
@@ -270,6 +225,10 @@ class GraphPartitioner:
                 first_part=0,
                 assignment=assignment,
                 rng=rng,
+                # The coarsest-level initial partition is dominated by the
+                # k-way refinement that follows; the two-way quality extras
+                # would only add work (and reshuffle the k>2 results).
+                root_extras=False,
             )
             rebalance(coarsest, assignment, num_parts, max_weights)
             external = kway_fm_refine(
@@ -278,7 +237,7 @@ class GraphPartitioner:
                 num_parts,
                 max_weights,
                 max_passes=max(options.refine_passes, 2),
-                max_negative_streak=4 * options.fm_negative_streak,
+                max_negative_streak=4 * FM_NEGATIVE_STREAK,
                 pass_gain_tolerance=0.002,
             )
         phases.inc(phase="initial")
@@ -297,9 +256,9 @@ class GraphPartitioner:
                     num_parts,
                     max_weights,
                     max_passes=options.refine_passes if finest else 1,
-                    max_negative_streak=8 * options.fm_negative_streak
+                    max_negative_streak=8 * FM_NEGATIVE_STREAK
                     if finest
-                    else 4 * options.fm_negative_streak,
+                    else 4 * FM_NEGATIVE_STREAK,
                     boundary_hint=boundary_hint,
                     want_external=not finest,
                     pass_gain_tolerance=0.002,
@@ -318,7 +277,15 @@ class GraphPartitioner:
         first_part: int,
         assignment: list[int],
         rng: SeededRng,
+        root_extras: bool,
     ) -> None:
+        """Assign ``node_ids`` to ``num_parts`` parts by recursive bisection.
+
+        ``root_extras`` grants the bisection that covers the whole of
+        ``original`` the two-way quality extras of
+        :meth:`_multilevel_bisection`; bisections of extracted subviews
+        never get them.
+        """
         if num_parts == 1 or not node_ids:
             for node in node_ids:
                 assignment[node] = first_part
@@ -333,7 +300,7 @@ class GraphPartitioner:
         right_parts = num_parts - left_parts
         target_fraction = left_parts / num_parts
         two_way = self._multilevel_bisection(
-            subgraph, target_fraction, rng, use_chain=subgraph is original
+            subgraph, target_fraction, rng, root_extras and subgraph is original
         )
         left_nodes = [mapping[i] for i, side in enumerate(two_way) if side == 0]
         right_nodes = [mapping[i] for i, side in enumerate(two_way) if side == 1]
@@ -343,9 +310,17 @@ class GraphPartitioner:
             ordered = sorted(node_ids, key=lambda node: -original.node_weights[node])
             left_nodes = ordered[::2]
             right_nodes = ordered[1::2]
-        self._recursive_bisect(original, left_nodes, left_parts, first_part, assignment, rng)
         self._recursive_bisect(
-            original, right_nodes, right_parts, first_part + left_parts, assignment, rng
+            original, left_nodes, left_parts, first_part, assignment, rng, root_extras
+        )
+        self._recursive_bisect(
+            original,
+            right_nodes,
+            right_parts,
+            first_part + left_parts,
+            assignment,
+            rng,
+            root_extras,
         )
 
     # -- multilevel bisection -----------------------------------------------------------
@@ -354,8 +329,18 @@ class GraphPartitioner:
         graph: CSRGraph,
         target_fraction: float,
         rng: SeededRng,
-        use_chain: bool = False,
+        extras: bool,
     ) -> list[int]:
+        """Coarsen, bisect the coarsest graph, uncoarsen with FM per level.
+
+        ``extras`` marks the root-level two-way bisection of a caller-owned
+        graph, the one place the quality extras pay for themselves: memoised
+        coarsening chains (``TWO_WAY_CHAIN_TRIALS`` of them),
+        ``BISECTION_CARRY`` initial candidates carried through the whole
+        uncoarsening, the peripheral-seed trial, and an FM polish when the
+        graph needed no coarsening.  Every other bisection (the direct k-way
+        path's coarsest-graph initial partition) runs one lean pipeline.
+        """
         total_weight = graph.total_node_weight()
         max_node_weight = max(graph.lists()[3], default=0.0)
         slack = 1.0 + self.options.imbalance
@@ -363,40 +348,25 @@ class GraphPartitioner:
             total_weight * target_fraction * slack + max_node_weight,
             total_weight * (1.0 - target_fraction) * slack + max_node_weight,
         )
-        chain_trials = self.options.two_way_chain_trials if use_chain else 1
+        chain_trials = TWO_WAY_CHAIN_TRIALS if extras else 1
         best_assignment: list[int] | None = None
         best_score = float("inf")
         for chain_index in range(chain_trials):
-            if use_chain:
-                # Root bisection of a caller-owned graph: reuse (or build)
-                # the memoised coarsening chain so repeated partitions of
-                # the same frozen graph — any k, including 2 — share one
-                # hierarchy per chain seed.
+            if extras:
+                # Reuse (or build) the memoised coarsening chain so repeated
+                # partitions of the same frozen graph — any k, including 2 —
+                # share one hierarchy per chain seed.
                 levels = coarsen_chain(
                     graph, self.options.coarsen_target, self.options.seed + chain_index
                 )
-                chain_rng = (
-                    rng if chain_trials == 1 else rng.fork(("chain", chain_index))
-                )
+                chain_rng = rng.fork(("chain", chain_index))
             else:
                 levels = coarsen_to(graph, self.options.coarsen_target, rng)
                 chain_rng = rng
             coarsest = levels[-1].graph if levels else graph
-            # Root-level bisections carry several initial candidates through
-            # the full uncoarsening (selection at the coarsest level alone
-            # commits to a basin before refinement has spoken); inner
-            # recursive bisections carry one — their mistakes are cheap and
-            # local.
-            carry = self.options.bisection_carry if use_chain else 1
             candidates = self._initial_bisection(
-                coarsest,
-                target_fraction,
-                chain_rng,
-                max_weights,
-                count=carry,
-                root=use_chain,
+                coarsest, target_fraction, chain_rng, max_weights, extras
             )
-            single_shot = len(candidates) == 1 and chain_trials == 1
             for assignment, external in candidates:
                 # Uncoarsen: project back level by level, refining at each
                 # step.  The graph one step finer than levels[index] is
@@ -414,18 +384,17 @@ class GraphPartitioner:
                         assignment,
                         max_weights,
                         max_passes=self.options.refine_passes,
-                        max_negative_streak=self.options.fm_negative_streak,
                         boundary_hint=boundary_hint,
                     )
-                if not levels and self.options.flat_refine:
+                if not levels and extras:
                     external = _fm_refine_csr(
                         graph,
                         assignment,
                         max_weights,
                         max_passes=self.options.refine_passes,
-                        max_negative_streak=self.options.fm_negative_streak,
                     )
-                if single_shot:
+                if not extras:
+                    # One chain, one candidate: nothing to compare against.
                     return assignment
                 cut = sum(external) / 2.0
                 penalty = (
@@ -445,17 +414,17 @@ class GraphPartitioner:
         target_fraction: float,
         rng: SeededRng,
         max_weights: tuple[float, float],
-        count: int = 1,
-        root: bool = False,
+        extras: bool,
     ) -> list[tuple[list[int], list[float]]]:
-        """The ``count`` best initial candidates, ranked, duplicates dropped.
+        """The best initial candidates, ranked, duplicates dropped.
 
         Each candidate is ``(assignment, external)`` after one quick FM pass;
         feasible bisections rank before infeasible ones, smaller cuts first.
-        ``root`` marks a root-level bisection — the only place the two-way
-        quality extras (the peripheral seed trial, the scaled trial pool)
-        run; inner recursive bisections keep the lean per-branch cost.
+        With ``extras`` (a root-level two-way bisection) the ``BISECTION_CARRY``
+        best are returned from a pool widened by a peripheral-seed trial and
+        a scaled trial count; otherwise the single best of ``initial_trials``.
         """
+        count = BISECTION_CARRY if extras else 1
         total_weight = graph.total_node_weight()
         target_zero = total_weight * target_fraction
         #: (score, arrival order, assignment, external) — order breaks ties
@@ -473,13 +442,7 @@ class GraphPartitioner:
             if raw_key in seen_raw:
                 return
             seen_raw.add(raw_key)
-            external = _fm_refine_csr(
-                graph,
-                candidate,
-                max_weights,
-                max_passes=1,
-                max_negative_streak=self.options.fm_negative_streak,
-            )
+            external = _fm_refine_csr(graph, candidate, max_weights, max_passes=1)
             key = tuple(candidate)
             if key in seen_refined:
                 return
@@ -492,9 +455,12 @@ class GraphPartitioner:
             penalty = 0.0 if balanced else graph.total_edge_weight() + 1.0
             ranked.append((cut + penalty, len(ranked), candidate, external))
 
-        if root and self.options.peripheral_seed_trial:
-            # Deterministic trial: grow from a pseudo-peripheral node.  Runs
-            # first so random trials only replace it by strictly beating it.
+        if extras:
+            # Deterministic trial: grow from a pseudo-peripheral node (a
+            # rim-grown region tends to meet the opposite rim with a short
+            # boundary, which stabilises the cut against unlucky random
+            # seeds).  Runs first so random trials only replace it by
+            # strictly beating it.
             trial_rng = rng.fork(("initial", "peripheral"))
             consider(
                 greedy_bisection(
@@ -521,10 +487,7 @@ class GraphPartitioner:
                 candidate = greedy_bisection(graph, target_zero, trial_rng)
             consider(candidate)
         ranked.sort(key=lambda entry: entry[:2])
-        return [
-            (assignment, external)
-            for _, _, assignment, external in ranked[: max(1, count)]
-        ]
+        return [(assignment, external) for _, _, assignment, external in ranked[:count]]
 
     @staticmethod
     def _is_feasible(
@@ -551,11 +514,11 @@ def partition_graph(
 
 def cut_weight(graph: Graph | CSRGraph, assignment: list[int]) -> float:
     """Total weight of edges whose endpoints are assigned to different parts."""
-    return cut_weight_two_way(graph, assignment)
+    return cut_weight_two_way(as_csr(graph), assignment)
 
 
 def partition_weights(
     graph: Graph | CSRGraph, assignment: list[int], num_parts: int
 ) -> list[float]:
     """Total node weight per partition (re-exported for reports and tests)."""
-    return side_weights(graph, assignment, num_parts)
+    return side_weights(as_csr(graph), assignment, num_parts)

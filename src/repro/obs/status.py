@@ -4,7 +4,7 @@ Two surfaces:
 
 * :func:`render_status` — the ``repro status`` view of a migration: the
   journal's state machine with progress cursors, plus — when a live
-  :class:`~repro.online.controller.MigrationSession` (or its pacer) is at
+  :class:`~repro.online.migration.MigrationSession` (or its pacer) is at
   hand — the pacer's window snapshot (p99, abort rate, step budget,
   pause/backoff).
 * :func:`inspect_journal` — the ``repro journal inspect`` view: a journal
@@ -146,7 +146,7 @@ def render_pacer(pacer) -> list[str]:
 def render_status(target, pacer=None) -> str:
     """Render a migration session or journal as the ``repro status`` text.
 
-    ``target`` is a :class:`~repro.online.controller.MigrationSession` or a
+    ``target`` is a :class:`~repro.online.migration.MigrationSession` or a
     bare :class:`~repro.online.migration.MigrationJournal` (e.g. loaded from
     a journal file).  A pacer window section appears when ``target`` carries
     a pacer (live session) or one is passed explicitly.

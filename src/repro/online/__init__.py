@@ -1,6 +1,6 @@
 """Online adaptivity layer: closing the loop from live traffic to placement.
 
-The offline Schism pipeline (:mod:`repro.core.schism`) partitions from a
+The offline Schism pipeline (:mod:`repro.pipeline`) partitions from a
 static training trace and then freezes the system — the limitation the paper
 itself flags when workloads drift.  This package keeps the partitioning
 live:
@@ -15,11 +15,12 @@ live:
   warm-starts from the *current* assignment with an explicit migration-cost
   term, so small drifts produce small placement deltas.
 * :mod:`repro.online.migration` — live migration planning and execution:
-  ordered copy-before-drop steps against a
-  :class:`~repro.distributed.cluster.Cluster`, with an atomic swap of the
-  router's lookup table at the end.
+  ordered copy-before-drop steps run by the journaled, crash-safe
+  :class:`JournaledMigrator` against any migration backend, paced between
+  live transactions by :class:`MigrationSession`.
 * :mod:`repro.online.controller` — :class:`OnlineSchism`, the controller
-  wiring monitor -> maintainer -> re-partitioner -> migration.
+  wiring monitor -> maintainer -> re-partitioner -> migration, and
+  :func:`start_online`, which deploys a plan as such a controller.
 """
 
 from repro.online.controller import (
@@ -28,6 +29,7 @@ from repro.online.controller import (
     OnlineOptions,
     OnlineSchism,
     ResizeRecord,
+    start_online,
 )
 from repro.online.maintainer import (
     IncrementalGraphMaintainer,
@@ -35,9 +37,10 @@ from repro.online.maintainer import (
     StarExpansion,
 )
 from repro.online.migration import (
-    LiveMigrator,
+    JournaledMigrator,
     MigrationPlan,
     MigrationReport,
+    MigrationSession,
     MigrationStep,
     plan_migration,
 )
@@ -56,10 +59,11 @@ __all__ = [
     "DriftReport",
     "ElasticOptions",
     "IncrementalGraphMaintainer",
-    "LiveMigrator",
+    "JournaledMigrator",
     "MaintainerOptions",
     "MigrationPlan",
     "MigrationReport",
+    "MigrationSession",
     "MigrationStep",
     "MonitorOptions",
     "OnlineOptions",
@@ -73,4 +77,5 @@ __all__ = [
     "WorkloadMonitor",
     "align_partition_labels",
     "plan_migration",
+    "start_online",
 ]

@@ -42,16 +42,19 @@ from repro.catalog.tuples import TupleId
 from repro.core.strategies import LookupTablePartitioning, hash_home
 from repro.distributed.cluster import Cluster
 from repro.distributed.faults import FaultInjector
+from repro.engine.database import Database
 from repro.graph.assignment import PartitionAssignment
 from repro.online.maintainer import IncrementalGraphMaintainer, MaintainerOptions
 from repro.online.migration import (
+    MIGRATION_BATCH_SIZE,
     FileJournalSink,
     JournaledMigrator,
-    LiveMigrator,
     MemoryJournalSink,
     MigrationJournal,
     MigrationPlan,
     MigrationReport,
+    MigrationSession,
+    migration_steps_counter,
     plan_migration,
 )
 from repro.obs import DEFAULT_BUCKETS, RATE_BUCKETS, get_telemetry
@@ -63,6 +66,8 @@ from repro.online.repartitioner import (
     ReplicatedRepartitionResult,
     repartition_from_scratch,
 )
+from repro.pipeline.plan import PartitionPlan, PlanProvenance
+from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 from repro.workload.rwsets import AccessTrace
 from repro.workload.trace import TransactionAccess, iter_chunks
@@ -486,22 +491,17 @@ class ResizeRecord:
         )
 
 
-class MigrationSession:
+class _ResizeSession(MigrationSession):
     """One in-flight journaled resize the controller interleaves with traffic.
 
-    Created by :meth:`OnlineSchism.begin_resize`, the session owns a
-    :class:`~repro.online.migration.JournaledMigrator` and advances it one
-    paced batch per :meth:`tick` — the call a traffic loop makes between
-    transactions, so migration work and live load share one thread
-    deterministically.  When a :class:`MigrationPacer` is attached, its
-    step budget gates every tick (0 = the migration holds still while the
-    SLO recovers).
-
-    The session also owns *finalisation*: the first tick that observes a
-    terminal journal state performs the controller bookkeeping the old
-    synchronous ``resize`` did (monitor rebaseline, :class:`ResizeRecord`,
-    cooldowns) — including when the terminal state was reached by a
-    different process and this session merely resumed the journal.
+    Created by :meth:`OnlineSchism.begin_resize` /
+    :meth:`OnlineSchism.attach_session`.  On top of the paced ticks of
+    :class:`~repro.online.migration.MigrationSession` it owns
+    *finalisation*: the first tick that observes a terminal journal state
+    performs the controller bookkeeping (monitor rebaseline,
+    :class:`ResizeRecord`, cooldowns) — including when the terminal state
+    was reached by a different process and this session merely resumed the
+    journal.
     """
 
     def __init__(
@@ -516,93 +516,40 @@ class MigrationSession:
         injector: FaultInjector | None = None,
         batch_size: int | None = None,
     ) -> None:
-        if journal.kind != "resize":
-            raise ValueError("MigrationSession drives resize journals")
+        super().__init__(
+            JournaledMigrator(
+                controller.cluster,
+                controller.router,
+                journal,
+                sink=sink,
+                batch_size=batch_size or MIGRATION_BATCH_SIZE,
+                injector=injector,
+            ),
+            pacer=pacer,
+        )
         self.controller = controller
-        self.journal = journal
         self.trigger_rate = trigger_rate
         self.repartition = repartition
-        self.pacer = pacer
-        self.migrator = JournaledMigrator(
-            controller.cluster,
-            controller.router,
-            journal,
-            sink=sink,
-            batch_size=batch_size or controller.migrator.batch_size,
-            injector=injector,
-        )
+        #: set by the terminal tick; stays None when the resize was cancelled.
         self.record: ResizeRecord | None = None
-        self.ticks = 0
-        self.steps_executed = 0
         self._finalized = False
-        if journal.is_terminal:
-            self._finalize()
-
-    @property
-    def report(self) -> MigrationReport:
-        """Execution report of (this attempt at) the migration."""
-        return self.migrator.report
-
-    @property
-    def done(self) -> bool:
-        """Whether the journal reached a terminal state."""
-        return self.journal.is_terminal
+        self._finalize_if_terminal()
 
     def tick(self, idle: bool = False) -> int:
-        """Advance the migration by one paced batch; returns steps executed.
-
-        ``idle=True`` tells the pacer no live traffic is flowing (drain
-        phase), which releases any pause — see
-        :meth:`MigrationPacer.plan_steps`.
-        """
-        if self.journal.is_terminal:
-            self._finalize()
-            return 0
-        self.ticks += 1
-        budget: int | None = None
-        if self.pacer is not None:
-            budget = self.pacer.plan_steps(idle=idle)
-            if budget == 0:
-                return 0
-        tracer = get_telemetry().tracer
-        with tracer.span(
-            "migration.tick", state=self.journal.state, budget=budget
-        ) as span:
-            executed = self.migrator.step(budget)
-            span.set_attribute("executed", executed)
-        self.steps_executed += executed
-        if self.journal.is_terminal:
-            self._finalize()
+        """One paced batch (see the base class), finalising on the terminal one."""
+        executed = super().tick(idle)
+        self._finalize_if_terminal()
         return executed
 
-    def cancel(self) -> None:
-        """Switch the migration onto the rollback branch (see the journal)."""
-        self.migrator.cancel()
-
     def run_to_completion(self, max_ticks: int = 1_000_000) -> ResizeRecord | None:
-        """Tick to a terminal state; the record (None when cancelled).
-
-        There is no interleaved traffic here, so every tick is an *idle*
-        tick: the pacer has nothing to protect and opens the full budget —
-        the loop always terminates unless a fault injector keeps a
-        required node down past ``max_ticks``.
-        """
-        for _ in range(max_ticks):
-            if self.journal.is_terminal:
-                break
-            self.tick(idle=True)
-        else:
-            raise RuntimeError(
-                f"migration did not terminate: {self.journal.progress_summary()}"
-            )
-        self._finalize()
+        """Tick to a terminal state; the record (None when cancelled)."""
+        super().run_to_completion(max_ticks)
         return self.record
 
-    def _finalize(self) -> None:
-        if self._finalized:
-            return
-        self._finalized = True
-        self.record = self.controller._finish_resize(self)
+    def _finalize_if_terminal(self) -> None:
+        if self.journal.is_terminal and not self._finalized:
+            self._finalized = True
+            self.record = self.controller._finish_resize(self)
 
 
 @dataclass
@@ -658,11 +605,13 @@ class OnlineSchism:
         #: ``start_online``); :meth:`export_plan` carries its routing
         #: config forward so a deploy/export cycle with no adaptations
         #: round-trips the artifact.
-        self.source_plan: "PartitionPlan | None" = None
+        self.source_plan: PartitionPlan | None = None
         self.options = options or OnlineOptions()
         self.monitor = WorkloadMonitor(self.options.monitor, router.strategy)
         self.maintainer = IncrementalGraphMaintainer(self.options.maintainer)
-        self.migrator = LiveMigrator(cluster)
+        # Declared at construction so the family shows in metric snapshots
+        # of deployments that never migrate.
+        migration_steps_counter()
         self.adaptations: list[AdaptationRecord] = []
         self.resizes: list[ResizeRecord] = []
         self._cooldown = 0
@@ -903,12 +852,7 @@ class OnlineSchism:
             lookup_backend=self.options.lookup_backend,
             default_policy=self.strategy.default_policy,
         )
-        migration = JournaledMigrator(
-            self.cluster,
-            self.router,
-            journal,
-            batch_size=self.migrator.batch_size,
-        ).run()
+        migration = JournaledMigrator(self.cluster, self.router, journal).run()
         self.monitor.rebaseline(self.router.strategy)
         after = self.monitor.window_stats().distributed_fraction
         record = AdaptationRecord(trigger, result, plan, migration, before, after)
@@ -942,7 +886,7 @@ class OnlineSchism:
         pacer: MigrationPacer | None = None,
         injector: FaultInjector | None = None,
         batch_size: int | None = None,
-    ) -> MigrationSession:
+    ) -> _ResizeSession:
         """Plan a resize and return the journaled session that executes it.
 
         Re-seeds the k-way kernel at the new k (budgeted warm start from the
@@ -1004,7 +948,7 @@ class OnlineSchism:
         pacer: MigrationPacer | None,
         injector: FaultInjector | None,
         batch_size: int | None,
-    ) -> MigrationSession:
+    ) -> _ResizeSession:
         repartitioner = BudgetedRepartitioner(self.options.repartition)
         candidates = self.replication_candidates()
         current, costs = self.current_placements(self.maintainer.tuples(), new_partitions)
@@ -1055,7 +999,7 @@ class OnlineSchism:
         journal.tuples_pinned = tuples_pinned
         if pacer is None and self.options.pacing is not None:
             pacer = MigrationPacer(self.options.pacing)
-        return MigrationSession(
+        return _ResizeSession(
             self,
             journal,
             trigger_rate=trigger_rate,
@@ -1075,7 +1019,7 @@ class OnlineSchism:
         pacer: MigrationPacer | None = None,
         injector: FaultInjector | None = None,
         batch_size: int | None = None,
-    ) -> MigrationSession:
+    ) -> _ResizeSession:
         """Resume (or take over) a journaled resize from its last record.
 
         The crash-recovery entry point: after a coordinator death, load the
@@ -1087,7 +1031,7 @@ class OnlineSchism:
         """
         if pacer is None and self.options.pacing is not None:
             pacer = MigrationPacer(self.options.pacing)
-        return MigrationSession(
+        return _ResizeSession(
             self,
             journal,
             trigger_rate=trigger_rate,
@@ -1097,7 +1041,7 @@ class OnlineSchism:
             batch_size=batch_size,
         )
 
-    def _finish_resize(self, session: MigrationSession) -> ResizeRecord | None:
+    def _finish_resize(self, session: _ResizeSession) -> ResizeRecord | None:
         """Controller bookkeeping once a session's journal turns terminal."""
         journal = session.journal
         # Whether completed or rolled back, the routing strategy object may
@@ -1120,7 +1064,7 @@ class OnlineSchism:
         self.resizes.append(record)
         return record
 
-    def export_plan(self, created_by: str = "online-export") -> "PartitionPlan":
+    def export_plan(self, created_by: str = "online-export") -> PartitionPlan:
         """The current live placement as a serializable :class:`PartitionPlan`.
 
         Closes the loop between offline and online: a deployment that has
@@ -1139,8 +1083,6 @@ class OnlineSchism:
         sets no longer describe the adapted placements and rebuilding the
         offline winner from them would discard every migrated tuple.
         """
-        from repro.pipeline.plan import PartitionPlan, PlanProvenance
-
         assignment = self.strategy.assignment
         stats = self.monitor.window_stats()
         provenance = PlanProvenance(
@@ -1217,3 +1159,69 @@ class OnlineSchism:
         for node, tuple_id in enumerate(tuples):
             merged.assign(tuple_id, placements[node])
         return merged
+
+
+def start_online(
+    plan: PartitionPlan,
+    database: Database,
+    online_options: OnlineOptions | None = None,
+    lookup_default_policy: str = "hash",
+    warm_up_trace: AccessTrace | None = None,
+) -> OnlineSchism:
+    """Deploy a partitioning decision as a live, self-adapting system.
+
+    Materialises the cluster from ``database`` under the fine-grained
+    lookup-table placement of ``plan``, builds the router, and returns an
+    :class:`OnlineSchism` controller.  The controller closes the loop on
+    live traffic (``observe`` / ``observe_batches``): it detects drift,
+    re-partitions under a migration budget — widening read-hot tuples into
+    **replica sets** when their decayed read/write ratio clears the
+    ``OnlineOptions.replication_*`` thresholds — and, when
+    ``OnlineOptions.elastic`` is enabled, grows or shrinks
+    ``num_partitions`` to follow the offered load.  Its live placement can
+    be exported back as a plan at any time
+    (:meth:`OnlineSchism.export_plan`), closing the offline -> online ->
+    artifact loop.
+
+    Parameters
+    ----------
+    plan:
+        The :class:`PartitionPlan` to deploy — fresh from a pipeline run
+        (``run.plan()``) or loaded from disk.
+    database:
+        The loaded database the cluster is materialised from.
+    online_options:
+        :class:`OnlineOptions` for the loop (monitor/maintainer/repartition
+        knobs, replication thresholds, elastic policy); defaults throughout
+        when omitted.
+    lookup_default_policy:
+        Routing for tuples absent from the lookup table: ``"hash"``
+        (default) or ``"replicate"``.  Note the *offline* pipeline defaults
+        to ``"auto"``; online deployments default to ``"hash"`` because
+        implicit full replication would make every later write to an
+        untracked tuple a cluster-wide transaction.
+    warm_up_trace:
+        Optional trace to seed the monitor/maintainer with (the offline
+        training trace, ``run.state.training_trace``, typically).  Without
+        it the controller starts from an empty drift baseline — the common
+        case for a plan loaded from a file, which deliberately does not
+        embed the trace.
+
+    The lookup strategy is always used for the online deployment — live
+    migration updates per-tuple placements, which only the lookup table can
+    express — regardless of which candidate won the offline validation.
+    """
+    online_options = online_options or OnlineOptions()
+    strategy = plan.deployment_strategy(lookup_default_policy)
+    cluster = Cluster.from_database(database, strategy)
+    lookup_table = build_lookup_table(
+        strategy.assignment, backend=online_options.lookup_backend
+    )
+    router = Router(strategy, database.schema, lookup_table)
+    controller = OnlineSchism(cluster, router, online_options)
+    controller.source_plan = plan
+    if warm_up_trace is not None:
+        controller.warm_up(warm_up_trace)
+    else:
+        controller.monitor.set_baseline()
+    return controller

@@ -8,21 +8,25 @@ At no point is a tuple stored on zero of its old-or-new partitions, so reads
 routed under either the old or the new lookup table always find a replica —
 the downtime-free property the executor reports progress on.
 
-The executor applies the plan to any :class:`MigrationBackend` — the
-simulated :class:`~repro.distributed.cluster.Cluster` or the real SQLite
-worker cluster via :class:`~repro.storage.migrator.SqliteMigrationBackend` —
-with message accounting consistent with the 2PC coordinator (one
-request/response pair per remote read, write, or delete).  The controller
-sequences it as copies -> routing update -> drops, so the routing state is
-only ever consulted while every affected tuple exists at both its old and
-its new location.  Two routing-update paths exist:
+The one executor, :class:`JournaledMigrator`, applies the plan to any
+:class:`MigrationBackend` — the simulated
+:class:`~repro.distributed.cluster.Cluster` or the real SQLite worker
+cluster via :class:`~repro.storage.migrator.SqliteMigrationBackend` — with
+message accounting consistent with the 2PC coordinator (one
+request/response pair per remote read, write, or delete).  It sequences the
+journal as copies -> routing flip -> drops, so the routing state is only
+ever consulted while every affected tuple exists at both its old and its
+new location.  The flip has two modes (``MigrationJournal.flip_mode``):
 
-* :meth:`LiveMigrator.apply_routing_delta` — for exact lookup backends
-  (``supports_update()``), only the changed entries are re-written in
-  place: O(moved tuples), each entry flip atomic;
-* :meth:`LiveMigrator.swap_routing` — for backends that cannot narrow
-  entries (Bloom filters), the replacement table is fully built off to the
-  side and published with a single reference assignment.
+* ``"delta"`` — for exact lookup backends (``supports_update()``), only the
+  changed entries are re-written in place: O(moved tuples), each entry flip
+  atomic;
+* ``"swap"`` — for backends that cannot narrow entries (Bloom filters) and
+  for every resize, the replacement strategy and table are fully built off
+  to the side and published with :meth:`Router.replace_strategy`.
+
+:class:`MigrationSession` paces a migrator's batches between live
+transactions, whichever backend it runs against.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, runtime_checkable
 
 from repro.catalog.tuples import TupleId
 from repro.core.strategies import LookupTablePartitioning, hash_home
@@ -41,6 +45,9 @@ from repro.obs import get_telemetry
 from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 from repro.utils.canonical_json import dumps_canonical
+
+if TYPE_CHECKING:  # import cycle: the controller imports this module
+    from repro.online.controller import MigrationPacer
 
 
 @runtime_checkable
@@ -199,149 +206,17 @@ class MigrationReport:
         )
 
 
-class LiveMigrator:
-    """Executes migration plans against a cluster and swaps routing state."""
+#: unit steps per migration batch when the caller does not choose one.
+MIGRATION_BATCH_SIZE = 64
 
-    def __init__(self, cluster: MigrationBackend, batch_size: int = 64) -> None:
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        self.cluster = cluster
-        self.batch_size = batch_size
-        self._steps_counter = get_telemetry().metrics.counter(
-            "migration.steps",
-            "migration unit steps by action and result",
-            labels=("action", "result"),
-        )
 
-    def execute(self, plan: MigrationPlan) -> MigrationReport:
-        """Apply ``plan`` to the cluster (copies first, then drops)."""
-        report = self.execute_copies(plan)
-        return self.execute_drops(plan, report)
-
-    def execute_copies(
-        self,
-        plan: MigrationPlan,
-        report: MigrationReport | None = None,
-        allow_fewer_partitions: bool = False,
-    ) -> MigrationReport:
-        """Apply only the copy steps — every tuple becomes dually resident."""
-        return self._execute_steps(plan, plan.copies, report, allow_fewer_partitions)
-
-    def execute_drops(
-        self,
-        plan: MigrationPlan,
-        report: MigrationReport,
-        allow_fewer_partitions: bool = False,
-    ) -> MigrationReport:
-        """Apply only the drop steps (call after the routing update)."""
-        return self._execute_steps(plan, plan.drops, report, allow_fewer_partitions)
-
-    def _execute_steps(
-        self,
-        plan: MigrationPlan,
-        steps: list[MigrationStep],
-        report: MigrationReport | None = None,
-        allow_fewer_partitions: bool = False,
-    ) -> MigrationReport:
-        # Only the elastic shrink path may execute a plan targeting fewer
-        # partitions than the cluster still has (it removes the evacuated
-        # partitions after the drops, and says so via the flag).  Everywhere
-        # else a count mismatch means a stale or misdirected plan.
-        if plan.num_partitions != self.cluster.num_partitions and not (
-            allow_fewer_partitions and plan.num_partitions < self.cluster.num_partitions
-        ):
-            raise ValueError("plan and cluster disagree on the number of partitions")
-        if report is None:
-            report = MigrationReport()
-        pending = 0
-        for step in steps:
-            if step.action == "copy":
-                self._copy(step, report)
-            else:
-                self._drop(step, report)
-            pending += 1
-            if pending >= self.batch_size:
-                report.progress.append((report.copies, report.drops))
-                pending = 0
-        if pending:
-            report.progress.append((report.copies, report.drops))
-        return report
-
-    def _copy(self, step: MigrationStep, report: MigrationReport) -> None:
-        # Read from source: one request/response pair.
-        report.messages += 2
-        copied_bytes = self.cluster.copy_tuple(step.tuple_id, step.source, step.target)
-        if copied_bytes is None:
-            # The tuple vanished (e.g. deleted by live traffic between
-            # planning and execution): nothing to copy, routing will miss it
-            # everywhere, which is consistent.
-            report.skipped += 1
-            self._steps_counter.inc(action="copy", result="skipped")
-            return
-        if copied_bytes == 0:
-            # The target already held the replica (e.g. a plan replayed
-            # after a crash between copies and drops): nothing was written,
-            # so no write messages and no copy is recorded — mirroring how
-            # dropping an absent replica reports a skip.
-            report.skipped += 1
-            self._steps_counter.inc(action="copy", result="skipped")
-            return
-        # Write to target: one request/response pair.
-        report.messages += 2
-        report.bytes_copied += copied_bytes
-        report.copies += 1
-        self._steps_counter.inc(action="copy", result="applied")
-
-    def _drop(self, step: MigrationStep, report: MigrationReport) -> None:
-        report.messages += 2
-        if self.cluster.drop_tuple(step.tuple_id, step.source):
-            report.drops += 1
-            self._steps_counter.inc(action="drop", result="applied")
-        else:
-            report.skipped += 1
-            self._steps_counter.inc(action="drop", result="skipped")
-
-    def apply_routing_delta(
-        self, router: Router, plan: MigrationPlan, report: MigrationReport
-    ) -> None:
-        """Publish the new placement by re-writing only the changed entries.
-
-        The O(moved tuples) routing-update path for exact lookup backends
-        (``supports_update()``): each ``put`` flips one tuple's entry from
-        its old to its new placement — individually atomic, and safe at any
-        interleaving because the copies already ran (both placements are
-        physically valid until the drops execute).
-        """
-        table = router.lookup_table
-        if table is not None:
-            table.apply_delta(plan.changes)
-        strategy = router.strategy
-        if isinstance(strategy, LookupTablePartitioning):
-            for tuple_id, partitions in plan.changes:
-                strategy.assignment.assign(tuple_id, partitions)
-        report.lookup_swapped = True
-
-    def swap_routing(
-        self,
-        router: Router,
-        new_assignment: PartitionAssignment,
-        report: MigrationReport,
-        lookup_backend: str = "dict",
-    ) -> None:
-        """Atomically publish the new placement as a wholesale table swap.
-
-        The fallback for backends that cannot narrow entries in place
-        (Bloom filters): the replacement lookup table is built completely
-        before a single reference assignment swaps it in; the strategy's
-        assignment is updated the same way.  In CPython both rebinds are
-        atomic, so a concurrent ``route_statement`` sees a consistent table.
-        """
-        new_table = build_lookup_table(new_assignment, backend=lookup_backend)
-        strategy = router.strategy
-        if isinstance(strategy, LookupTablePartitioning):
-            strategy.assignment = new_assignment
-        router.lookup_table = new_table
-        report.lookup_swapped = True
+def migration_steps_counter():
+    """The ``migration.steps`` counter family (declared on first call)."""
+    return get_telemetry().metrics.counter(
+        "migration.steps",
+        "migration unit steps by action and result",
+        labels=("action", "result"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -671,12 +546,13 @@ class FileJournalSink:
 class JournaledMigrator:
     """Crash-safe executor of a :class:`MigrationJournal`.
 
-    Wraps :class:`LiveMigrator`'s per-step operations in a journal-first
-    protocol: progress is applied in bounded batches, the journal snapshot
-    is persisted to ``sink`` after every batch, and every operation is
-    idempotent — so a migrator resumed from the last persisted snapshot
-    replays at most one batch (copies find their replica already present,
-    drops find it already gone) and continues to the same final state.
+    A journal-first protocol around the per-step copy/drop operations:
+    progress is applied in bounded batches, the journal snapshot is
+    persisted to ``sink`` (when given) after every batch, and every
+    operation is idempotent — so a migrator resumed from the last persisted
+    snapshot replays at most one batch (copies find their replica already
+    present, drops find it already gone) and continues to the same final
+    state.
 
     The router's dual-write window is opened before the first copy and
     closed at the routing flip, so live writes interleaved with batches
@@ -695,7 +571,7 @@ class JournaledMigrator:
         router: Router,
         journal: MigrationJournal,
         sink: MemoryJournalSink | FileJournalSink | None = None,
-        batch_size: int = 64,
+        batch_size: int = MIGRATION_BATCH_SIZE,
         injector: FaultInjector | None = None,
     ) -> None:
         if batch_size <= 0:
@@ -706,12 +582,12 @@ class JournaledMigrator:
         self.sink = sink
         self.injector = injector
         self.batch_size = batch_size
-        self.migrator = LiveMigrator(cluster, batch_size)
         self.report = MigrationReport()
         #: placement each changed tuple migrates to (for restore sources).
         self._new_placement = dict(journal.plan.changes)
         telemetry = get_telemetry()
         self._tracer = telemetry.tracer
+        self._steps_counter = migration_steps_counter()
         self._transitions = telemetry.metrics.counter(
             "migration.state_transitions",
             "journal state machine transitions",
@@ -819,25 +695,13 @@ class JournaledMigrator:
             return executed
 
     def run(self, max_ticks: int = 1_000_000) -> MigrationReport:
-        """Drive :meth:`step` to a terminal state (no pacing, no faults gate).
+        """Drive :meth:`step` to a terminal state (no pacing).
 
         Raises ``RuntimeError`` when the state machine stops making progress
         for many consecutive ticks (e.g. a permanently crashed node).
         """
-        stalled = 0
-        for _ in range(max_ticks):
-            if self.journal.is_terminal:
-                return self.report
-            executed = self.step()
-            if executed == 0 and not self.journal.is_terminal:
-                stalled += 1
-                if stalled > 10_000:
-                    raise RuntimeError(
-                        f"migration stalled at {self.journal.progress_summary()}"
-                    )
-            else:
-                stalled = 0
-        raise RuntimeError("migration did not terminate within max_ticks")
+        _drive_to_terminal(self.journal, self.step, max_ticks)
+        return self.report
 
     # -- forward path ------------------------------------------------------------------
     def _step_forward(self, budget: int) -> int:
@@ -890,7 +754,12 @@ class JournaledMigrator:
     def _flip_forward(self) -> None:
         journal = self.journal
         if journal.flip_mode == "delta":
-            self.migrator.apply_routing_delta(self.router, journal.plan, self.report)
+            # Re-write only the changed entries: each ``put`` flips one
+            # tuple from its old to its new placement — individually atomic,
+            # and safe at any interleaving because the copies already ran
+            # (both placements are physically valid until the drops execute).
+            self._publish_entries(journal.plan.changes)
+            self.report.lookup_swapped = True
         else:
             merged, pinned = self._merged_target(
                 journal.new_num_partitions, dict(journal.plan.changes)
@@ -906,6 +775,16 @@ class JournaledMigrator:
             self.router.replace_strategy(new_strategy, new_table)
             self.report.lookup_swapped = True
         self.router.migration_window.close()
+
+    def _publish_entries(self, entries: list[tuple[TupleId, frozenset[int]]]) -> None:
+        """In-place routing update: O(len(entries)) lookup + strategy writes."""
+        table = self.router.lookup_table
+        if table is not None:
+            table.apply_delta(entries)
+        strategy = self.router.strategy
+        if isinstance(strategy, LookupTablePartitioning):
+            for tuple_id, partitions in entries:
+                strategy.assignment.assign(tuple_id, partitions)
 
     def _merged_target(
         self, num_partitions: int, overrides: dict[TupleId, frozenset[int]]
@@ -982,17 +861,12 @@ class JournaledMigrator:
 
     def _flip_back(self) -> None:
         journal = self.journal
-        previous = dict(journal.plan.previous)
         if journal.flip_mode == "delta":
-            table = self.router.lookup_table
-            if table is not None:
-                table.apply_delta(journal.plan.previous)
-            strategy = self.router.strategy
-            if isinstance(strategy, LookupTablePartitioning):
-                for tuple_id, partitions in journal.plan.previous:
-                    strategy.assignment.assign(tuple_id, partitions)
+            self._publish_entries(journal.plan.previous)
         else:
-            merged, _ = self._merged_target(journal.old_num_partitions, previous)
+            merged, _ = self._merged_target(
+                journal.old_num_partitions, dict(journal.plan.previous)
+            )
             old_strategy = LookupTablePartitioning(
                 journal.old_num_partitions, merged, journal.default_policy
             )
@@ -1010,7 +884,7 @@ class JournaledMigrator:
             restore = MigrationStep("copy", step.tuple_id, source, step.source)
             if not self._fault_gate(restore):
                 break
-            self.migrator._copy(restore, self.report)
+            self._copy(restore)
             journal.rollback_restored += 1
             executed += 1
         return executed
@@ -1024,7 +898,7 @@ class JournaledMigrator:
             remove = MigrationStep("drop", step.tuple_id, step.target)
             if not self._fault_gate(remove):
                 break
-            self.migrator._drop(remove, self.report)
+            self._drop(remove)
             journal.rollback_removed += 1
             executed += 1
         return executed
@@ -1039,15 +913,46 @@ class JournaledMigrator:
             if not self._fault_gate(step):
                 break
             if step.action == "copy":
-                self.migrator._copy(step, self.report)
+                self._copy(step)
             else:
-                self.migrator._drop(step, self.report)
+                self._drop(step)
             done += 1
             executed += 1
         setattr(journal, cursor, done)
         if executed:
             self.report.progress.append((self.report.copies, self.report.drops))
         return executed
+
+    def _copy(self, step: MigrationStep) -> None:
+        report = self.report
+        # Read from source: one request/response pair.
+        report.messages += 2
+        copied_bytes = self.cluster.copy_tuple(step.tuple_id, step.source, step.target)
+        if not copied_bytes:
+            # None: the tuple vanished (e.g. deleted by live traffic between
+            # planning and execution) — nothing to copy, routing will miss
+            # it everywhere, which is consistent.  0: the target already
+            # held the replica (a batch replayed after a crash) — nothing
+            # was written, so no write messages and no copy is recorded,
+            # mirroring how dropping an absent replica reports a skip.
+            report.skipped += 1
+            self._steps_counter.inc(action="copy", result="skipped")
+            return
+        # Write to target: one request/response pair.
+        report.messages += 2
+        report.bytes_copied += copied_bytes
+        report.copies += 1
+        self._steps_counter.inc(action="copy", result="applied")
+
+    def _drop(self, step: MigrationStep) -> None:
+        report = self.report
+        report.messages += 2
+        if self.cluster.drop_tuple(step.tuple_id, step.source):
+            report.drops += 1
+            self._steps_counter.inc(action="drop", result="applied")
+        else:
+            report.skipped += 1
+            self._steps_counter.inc(action="drop", result="skipped")
 
     def _fault_gate(self, step: MigrationStep) -> bool:
         """Draw this step's fault outcomes; False defers it to a later tick.
@@ -1093,3 +998,102 @@ class JournaledMigrator:
             self.sink.write(journal.dumps())
         if self.injector is not None:
             self.injector.on_journal_record(journal.state, journal.records)
+
+
+#: consecutive zero-progress ticks after which a drive loop gives up: fault
+#: windows are a few hundred ticks at most, so this only trips on a node
+#: that never comes back.
+STALL_TICKS = 10_000
+
+
+def _drive_to_terminal(
+    journal: MigrationJournal, advance: Callable[[], int], max_ticks: int
+) -> None:
+    """Call ``advance`` until ``journal`` is terminal; raise when it stalls."""
+    stalled = 0
+    for _ in range(max_ticks):
+        if journal.is_terminal:
+            return
+        if advance() == 0 and not journal.is_terminal:
+            stalled += 1
+            if stalled > STALL_TICKS:
+                raise RuntimeError(
+                    f"migration stalled at {journal.progress_summary()}"
+                )
+        else:
+            stalled = 0
+    raise RuntimeError("migration did not terminate within max_ticks")
+
+
+class MigrationSession:
+    """Paced ticks of a :class:`JournaledMigrator` between live transactions.
+
+    A traffic loop (or the storage driver's commit hook) calls :meth:`tick`
+    between transactions, so migration work and live load share one thread
+    deterministically.  When a
+    :class:`~repro.online.controller.MigrationPacer` is attached — fed the
+    live latency/abort stream — its step budget gates every tick (0 = the
+    migration holds still while the SLO recovers).
+    """
+
+    def __init__(
+        self,
+        migrator: JournaledMigrator,
+        *,
+        pacer: "MigrationPacer | None" = None,
+    ) -> None:
+        if migrator.journal.kind != "resize":
+            raise ValueError("MigrationSession drives resize journals")
+        self.migrator = migrator
+        self.journal = migrator.journal
+        self.pacer = pacer
+        self.ticks = 0
+        self.steps_executed = 0
+
+    @property
+    def report(self) -> MigrationReport:
+        """Execution report of (this attempt at) the migration."""
+        return self.migrator.report
+
+    @property
+    def done(self) -> bool:
+        """Whether the journal reached a terminal state."""
+        return self.journal.is_terminal
+
+    def tick(self, idle: bool = False) -> int:
+        """Advance the migration by one paced batch; returns steps executed.
+
+        ``idle=True`` tells the pacer no live traffic is flowing (drain
+        phase), which releases any pause — see
+        :meth:`MigrationPacer.plan_steps`.
+        """
+        if self.journal.is_terminal:
+            return 0
+        self.ticks += 1
+        budget: int | None = None
+        if self.pacer is not None:
+            budget = self.pacer.plan_steps(idle=idle)
+            if budget == 0:
+                return 0
+        with get_telemetry().tracer.span(
+            "migration.tick", state=self.journal.state, budget=budget
+        ) as span:
+            executed = self.migrator.step(budget)
+            span.set_attribute("executed", executed)
+        self.steps_executed += executed
+        return executed
+
+    def cancel(self) -> None:
+        """Switch the migration onto the rollback branch (see the journal)."""
+        self.migrator.cancel()
+
+    def run_to_completion(self, max_ticks: int = 1_000_000) -> MigrationReport:
+        """Idle-tick the migration to a terminal state (the drain phase).
+
+        There is no interleaved traffic here, so every tick is an *idle*
+        tick: the pacer has nothing to protect and opens the full budget.
+        Raises ``RuntimeError`` naming the journal's progress when the
+        migration stalls (a fault injector keeping a required node down).
+        """
+        _drive_to_terminal(self.journal, lambda: self.tick(idle=True), max_ticks)
+        return self.migrator.report

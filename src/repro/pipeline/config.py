@@ -3,9 +3,7 @@
 :class:`SchismOptions` is the one options object of the whole system: it
 bundles the per-stage knob dataclasses (graph construction, partitioner,
 explainer) with the cross-stage policies (default routing for unknown
-tuples, validation tie-breaking).  It historically lived in
-``repro.core.schism``; that module still re-exports it, so both import
-paths work.
+tuples, validation tie-breaking).
 """
 
 from __future__ import annotations

@@ -195,7 +195,7 @@ class PartitionPlan:
 
     @property
     def recommendation(self) -> str:
-        """Name of the winning strategy (mirrors ``SchismResult.recommendation``)."""
+        """Name of the winning strategy (mirrors ``PipelineRun.recommendation``)."""
         return self.strategy
 
     @property

@@ -34,8 +34,8 @@ Layers, bottom to top:
   hook;
 * :mod:`repro.storage.migrator` — the journaled live-migration executor
   over this backend: exactly-once cross-partition row movement through the
-  dedup table, the dual-write window on the coordinator's router, and paced
-  sessions resumable after coordinator or worker kills.
+  dedup table and the dual-write window on the coordinator's router,
+  resumable after coordinator or worker kills.
 """
 
 from repro.storage.cluster import SqliteStorageCluster
@@ -43,7 +43,6 @@ from repro.storage.coordinator import StorageCoordinator, StorageOutcome
 from repro.storage.driver import ClosedLoopDriver, DriverReport
 from repro.storage.migrator import (
     SqliteMigrationBackend,
-    StorageMigrationSession,
     StorageMigrator,
     plan_storage_resize,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "DriverReport",
     "SqliteMigrationBackend",
     "StorageMigrator",
-    "StorageMigrationSession",
     "plan_storage_resize",
     "RetryOptions",
     "RetryPolicy",

@@ -31,10 +31,10 @@ make the steps safe under concurrent client traffic and SIGKILLs:
   migration on the first exhausted budget.
 
 :class:`StorageMigrator` is the :class:`~repro.online.migration.JournaledMigrator`
-bound to that backend; :func:`plan_storage_resize` builds a resize journal
-from the cluster's *actual* tuple locations; and
-:class:`StorageMigrationSession` paces ticks between live transactions the
-way the simulated controller's session does.
+bound to that backend, and :func:`plan_storage_resize` builds a resize
+journal from the cluster's *actual* tuple locations.  Pacing between live
+transactions is the backend-agnostic
+:class:`~repro.online.migration.MigrationSession`.
 """
 
 from __future__ import annotations
@@ -46,14 +46,12 @@ from repro.catalog.tuples import TupleId
 from repro.core.strategies import hash_home
 from repro.distributed.faults import FaultInjector
 from repro.graph.assignment import PartitionAssignment
-from repro.obs import get_telemetry
-from repro.online.controller import MigrationPacer
 from repro.online.migration import (
+    MIGRATION_BATCH_SIZE,
     FileJournalSink,
     JournaledMigrator,
     MemoryJournalSink,
     MigrationJournal,
-    MigrationReport,
     plan_migration,
 )
 from repro.routing.router import Router
@@ -204,7 +202,7 @@ class StorageMigrator(JournaledMigrator):
         router: Router,
         journal: MigrationJournal,
         sink: MemoryJournalSink | FileJournalSink | None = None,
-        batch_size: int = 64,
+        batch_size: int = MIGRATION_BATCH_SIZE,
         injector: FaultInjector | None = None,
         *,
         locks: LockManager | None = None,
@@ -279,80 +277,3 @@ def plan_storage_resize(
         migration_id=migration_id,
         backend="storage",
     )
-
-
-class StorageMigrationSession:
-    """Paced ticks of a :class:`StorageMigrator` between live transactions.
-
-    The storage-side mirror of the controller's
-    :class:`~repro.online.controller.MigrationSession`: a traffic loop (or
-    the driver's commit hook) calls :meth:`tick` between transactions; an
-    attached :class:`~repro.online.controller.MigrationPacer` — fed the
-    live :class:`~repro.storage.driver.DriverReport` latency/abort stream —
-    gates each tick's step budget, holding the migration still while the
-    SLO recovers.
-    """
-
-    def __init__(
-        self,
-        migrator: StorageMigrator,
-        *,
-        pacer: MigrationPacer | None = None,
-    ) -> None:
-        if migrator.journal.kind != "resize":
-            raise ValueError("StorageMigrationSession drives resize journals")
-        self.migrator = migrator
-        self.journal = migrator.journal
-        self.pacer = pacer
-        self.ticks = 0
-        self.steps_executed = 0
-
-    @property
-    def report(self) -> MigrationReport:
-        """Execution report of (this attempt at) the migration."""
-        return self.migrator.report
-
-    @property
-    def done(self) -> bool:
-        """Whether the journal reached a terminal state."""
-        return self.journal.is_terminal
-
-    def tick(self, idle: bool = False) -> int:
-        """Advance by one paced batch; returns the steps executed."""
-        if self.journal.is_terminal:
-            return 0
-        self.ticks += 1
-        budget: int | None = None
-        if self.pacer is not None:
-            budget = self.pacer.plan_steps(idle=idle)
-            if budget == 0:
-                return 0
-        tracer = get_telemetry().tracer
-        with tracer.span(
-            "migration.tick", state=self.journal.state, budget=budget
-        ) as span:
-            executed = self.migrator.step(budget)
-            span.set_attribute("executed", executed)
-        self.steps_executed += executed
-        return executed
-
-    def cancel(self) -> None:
-        """Switch the migration onto the rollback branch (see the journal)."""
-        self.migrator.cancel()
-
-    def run_to_completion(self, max_ticks: int = 1_000_000) -> MigrationReport:
-        """Idle-tick the migration to a terminal state (the drain phase)."""
-        stalled = 0
-        for _ in range(max_ticks):
-            if self.journal.is_terminal:
-                return self.migrator.report
-            executed = self.tick(idle=True)
-            if executed == 0 and not self.journal.is_terminal:
-                stalled += 1
-                if stalled > 10_000:
-                    raise RuntimeError(
-                        f"migration stalled at {self.journal.progress_summary()}"
-                    )
-            else:
-                stalled = 0
-        raise RuntimeError("migration did not terminate within max_ticks")

@@ -15,7 +15,7 @@ def chain_graph(length: int) -> Graph:
 
 def test_coarsen_once_preserves_total_node_weight():
     graph = chain_graph(20)
-    level = coarsen_once(graph, SeededRng(0))
+    level = coarsen_once(graph.freeze(), SeededRng(0))
     assert level.graph.total_node_weight() == graph.total_node_weight()
     assert level.graph.num_nodes < graph.num_nodes
     assert len(level.fine_to_coarse) == graph.num_nodes
@@ -23,7 +23,7 @@ def test_coarsen_once_preserves_total_node_weight():
 
 def test_coarsen_once_maps_every_node():
     graph = chain_graph(15)
-    level = coarsen_once(graph, SeededRng(1))
+    level = coarsen_once(graph.freeze(), SeededRng(1))
     assert all(0 <= coarse < level.graph.num_nodes for coarse in level.fine_to_coarse)
 
 
@@ -33,7 +33,7 @@ def test_heavy_edges_preferred():
     graph.add_edge(0, 1, 100.0)
     graph.add_edge(1, 2, 1.0)
     graph.add_edge(2, 3, 100.0)
-    level = coarsen_once(graph, SeededRng(3))
+    level = coarsen_once(graph.freeze(), SeededRng(3))
     # The heavy pairs (0,1) and (2,3) are contracted together.
     assert level.fine_to_coarse[0] == level.fine_to_coarse[1]
     assert level.fine_to_coarse[2] == level.fine_to_coarse[3]
@@ -41,7 +41,7 @@ def test_heavy_edges_preferred():
 
 def test_coarsen_to_target():
     graph = chain_graph(200)
-    levels = coarsen_to(graph, target_nodes=30, rng=SeededRng(0))
+    levels = coarsen_to(graph.freeze(), target_nodes=30, rng=SeededRng(0))
     assert levels
     assert levels[-1].graph.num_nodes <= 60  # within a factor of the target
 
@@ -55,7 +55,7 @@ def test_coarsen_preserves_cut_structure():
             for j in range(i + 1, 10):
                 graph.add_edge(base + i, base + j, 2.0)
     graph.add_edge(0, 10, 0.5)
-    levels = coarsen_to(graph, target_nodes=4, rng=SeededRng(0))
+    levels = coarsen_to(graph.freeze(), target_nodes=4, rng=SeededRng(0))
     coarse = levels[-1]
     mapping = {}
     current = list(range(graph.num_nodes))
@@ -68,7 +68,7 @@ def test_coarsen_preserves_cut_structure():
 
 def test_project_assignment_roundtrip():
     graph = chain_graph(30)
-    level = coarsen_once(graph, SeededRng(2))
+    level = coarsen_once(graph.freeze(), SeededRng(2))
     coarse_assignment = [index % 2 for index in range(level.graph.num_nodes)]
     fine_assignment = project_assignment(level, coarse_assignment)
     assert len(fine_assignment) == graph.num_nodes
@@ -79,6 +79,6 @@ def test_project_assignment_roundtrip():
 def test_disconnected_graph_coarsens():
     graph = Graph()
     graph.add_nodes(10)  # no edges at all
-    levels = coarsen_to(graph, target_nodes=2, rng=SeededRng(0))
+    levels = coarsen_to(graph.freeze(), target_nodes=2, rng=SeededRng(0))
     # Matching cannot contract anything without edges; it must not loop forever.
     assert isinstance(levels, list)

@@ -119,7 +119,7 @@ class TestDeterminismAndEquivalence:
         assignment_csr = list(assignment_graph)
         total = graph.total_node_weight()
         bounds = (total * 0.6, total * 0.6)
-        fm_refine_bisection(graph, assignment_graph, bounds, max_passes=3)
+        fm_refine_bisection(graph.freeze(), assignment_graph, bounds, max_passes=3)
         fm_refine_bisection(graph.freeze(), assignment_csr, bounds, max_passes=3)
         assert assignment_graph == assignment_csr
 

@@ -113,7 +113,9 @@ class TestRefinement:
         assignment = [node % 2 for node in range(graph.num_nodes)]
         before = cut_weight(graph, assignment)
         total = graph.total_node_weight()
-        fm_refine_bisection(graph, assignment, (total * 0.6, total * 0.6), max_passes=6)
+        fm_refine_bisection(
+            graph.freeze(), assignment, (total * 0.6, total * 0.6), max_passes=6
+        )
         after = cut_weight(graph, assignment)
         assert after < before
 
@@ -122,7 +124,7 @@ class TestRefinement:
         assignment = [node % 4 for node in range(graph.num_nodes)]
         max_weights = [graph.total_node_weight() / 4 * 1.3] * 4
         before = cut_weight(graph, assignment)
-        greedy_kway_refine(graph, assignment, 4, max_weights)
+        greedy_kway_refine(graph.freeze(), assignment, 4, max_weights)
         weights = partition_weights(graph, assignment, 4)
         assert max(weights) <= max_weights[0] + 1e-9
         assert cut_weight(graph, assignment) <= before
@@ -132,6 +134,6 @@ class TestRefinement:
         graph.add_nodes(20)
         assignment = [0] * 20
         max_weights = [12.0, 12.0]
-        rebalance(graph, assignment, 2, max_weights)
+        rebalance(graph.freeze(), assignment, 2, max_weights)
         weights = partition_weights(graph, assignment, 2)
         assert max(weights) <= 12.0

@@ -118,15 +118,11 @@ class TestKwayFmRefine:
 
 
 class TestDirectKwayPath:
-    def test_direct_matches_or_beats_recursive_structure(self):
+    def test_direct_recovers_cluster_structure(self):
         graph = clusters_graph(6, 8)
         direct = partition_graph(graph, 6, PartitionerOptions(seed=3))
-        recursive = partition_graph(
-            graph, 6, PartitionerOptions(seed=3, kway_mode="recursive")
-        )
-        # Both must recover the clusters up to the light ring edges.
+        # The clusters are recovered up to the light ring edges.
         assert cut_weight(graph, direct) <= 12.0
-        assert cut_weight(graph, recursive) <= 12.0
 
     def test_direct_respects_balance_non_power_of_two(self):
         graph = synthetic_access_graph(700, 5000, seed=8)
@@ -143,8 +139,6 @@ class TestDirectKwayPath:
         first = partition_graph(frozen, 5, options)
         second = partition_graph(frozen, 5, options)
         assert first == second
-        forced = partition_graph(frozen, 5, PartitionerOptions(seed=5, kway_mode="direct"))
-        assert forced == first
 
     def test_hierarchy_cache_reused_across_k(self):
         graph = synthetic_access_graph(600, 4000, seed=10)
@@ -176,10 +170,6 @@ class TestOptionsValidation:
     def test_negative_imbalance_rejected(self):
         with pytest.raises(ValueError):
             PartitionerOptions(imbalance=-0.1)
-
-    def test_bad_kway_mode_rejected(self):
-        with pytest.raises(ValueError):
-            PartitionerOptions(kway_mode="bisect-harder")
 
     def test_clamped_options_still_partition(self):
         graph = clusters_graph(3, 6)

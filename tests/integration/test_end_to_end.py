@@ -1,6 +1,6 @@
 """End-to-end integration tests across the whole library."""
 
-from repro import Schism, SchismOptions, evaluate_strategy, split_workload
+from repro import Pipeline, SchismOptions, evaluate_strategy, split_workload
 from repro.distributed import Cluster, TwoPhaseCommitCoordinator
 from repro.routing import Router, build_lookup_table
 from repro.workloads import EpinionsConfig, generate_epinions
@@ -9,19 +9,20 @@ from repro.workloads import EpinionsConfig, generate_epinions
 def test_tpcc_pipeline_matches_manual_partitioning(tiny_tpcc):
     train, test = split_workload(tiny_tpcc.workload, 0.7)
     options = SchismOptions(num_partitions=2)
-    result = Schism(options).run(tiny_tpcc.database, train, test)
+    state = Pipeline(options).run(tiny_tpcc.database, train, test).state
+    reports = state.validation.reports
     manual = evaluate_strategy(
-        tiny_tpcc.manual_strategy(2), result.test_trace, tiny_tpcc.database
+        tiny_tpcc.manual_strategy(2), state.test_trace, tiny_tpcc.database
     )
-    schism_fraction = result.reports["range-predicates"].distributed_fraction
+    schism_fraction = reports["range-predicates"].distributed_fraction
     # Schism's derived range predicates should be within a few points of the
     # expert by-warehouse partitioning, and far better than hashing.
     assert schism_fraction <= manual.distributed_fraction + 0.10
-    assert result.reports["hashing"].distributed_fraction > 0.5
+    assert reports["hashing"].distributed_fraction > 0.5
     # The explanation should replicate the item table and split on a warehouse column.
-    item_rules = result.explanation.tables["item"].rule_set
+    item_rules = state.explanation.tables["item"].rule_set
     assert item_rules.is_trivial
-    stock_attributes = result.explanation.tables["stock"].selected_attributes
+    stock_attributes = state.explanation.tables["stock"].selected_attributes
     assert stock_attributes == ("s_w_id",)
 
 
@@ -30,18 +31,22 @@ def test_epinions_lookup_beats_manual_and_survives_routing():
         EpinionsConfig(num_users=200, num_items=200, num_communities=8), num_transactions=1500
     )
     train, test = split_workload(bundle.workload, 0.7)
-    result = Schism(SchismOptions(num_partitions=2)).run(bundle.database, train, test)
-    manual = evaluate_strategy(bundle.manual_strategy(2), result.test_trace, bundle.database)
-    lookup_fraction = result.reports["lookup-table"].distributed_fraction
+    run = Pipeline(SchismOptions(num_partitions=2)).run(bundle.database, train, test)
+    validation = run.state.validation
+    manual = evaluate_strategy(bundle.manual_strategy(2), run.state.test_trace, bundle.database)
+    lookup_fraction = validation.reports["lookup-table"].distributed_fraction
     assert lookup_fraction < manual.distributed_fraction
     # The fine-grained solutions win; at this small scale the validation may
     # pick either the lookup table or a range explanation of it.
-    assert result.recommendation in ("lookup-table", "range-predicates")
-    assert result.distributed_fraction() <= manual.distributed_fraction + 0.05
+    assert run.recommendation in ("lookup-table", "range-predicates")
+    assert (
+        validation.winner_report.distributed_fraction
+        <= manual.distributed_fraction + 0.05
+    )
 
     # The assignment can be served by every lookup-table backend.
     for backend in ("dict", "bloom"):
-        table = build_lookup_table(result.assignment, backend=backend)
+        table = build_lookup_table(run.state.assignment, backend=backend)
         assert table.memory_bytes() > 0
 
     # Materialise the cluster and execute part of the test workload through
@@ -51,9 +56,9 @@ def test_epinions_lookup_beats_manual_and_survives_routing():
         EpinionsConfig(num_users=200, num_items=200, num_communities=8), num_transactions=200,
         name="epinions-online",
     )
-    cluster = Cluster.from_database(fresh.database, result.recommended_strategy)
+    cluster = Cluster.from_database(fresh.database, validation.winner)
     coordinator = TwoPhaseCommitCoordinator(
-        cluster, Router(result.recommended_strategy, fresh.database.schema)
+        cluster, Router(validation.winner, fresh.database.schema)
     )
     coordinator.execute_workload(fresh.workload)
     assert coordinator.statistics.transactions == len(fresh.workload)

@@ -10,9 +10,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.schism import Schism, SchismOptions, start_online
 from repro.experiments.online_drift import run_elastic_scaling
-from repro.online import ElasticOptions, MonitorOptions, OnlineOptions, RepartitionOptions
+from repro.online import (
+    ElasticOptions,
+    MonitorOptions,
+    OnlineOptions,
+    RepartitionOptions,
+    start_online,
+)
+from repro.pipeline import Pipeline, SchismOptions
 from repro.workload.rwsets import extract_access_trace
 from repro.workloads import generate_rotating_hotspot
 
@@ -37,13 +43,18 @@ def controller():
         seed=0,
     )
     database = bundle.database
-    offline = Schism(SchismOptions(num_partitions=2)).run(database, bundle.training)
+    offline = Pipeline(SchismOptions(num_partitions=2)).run(database, bundle.training)
     options = OnlineOptions(
         monitor=MonitorOptions(window_size=200, min_window_fill=50),
         repartition=RepartitionOptions(migration_cost_weight=0.25, imbalance=0.10),
         batch_size=50,
     )
-    online = start_online(offline, database, options)
+    online = start_online(
+        offline.plan(),
+        database,
+        options,
+        warm_up_trace=offline.state.training_trace,
+    )
     online.observe(extract_access_trace(database, bundle.phases[1]), auto_adapt=False)
     return online
 
@@ -111,18 +122,6 @@ def test_resize_to_same_count_rejected(controller):
         controller.resize(controller.num_partitions)
 
 
-def test_stale_smaller_plan_rejected_without_shrink_flag(controller):
-    """Only the shrink path may execute a plan for fewer partitions."""
-    from repro.online.migration import LiveMigrator, MigrationPlan
-
-    stale = MigrationPlan(controller.num_partitions - 1)
-    migrator = LiveMigrator(controller.cluster)
-    with pytest.raises(ValueError):
-        migrator.execute_copies(stale)
-    # The shrink path says so explicitly and is accepted.
-    migrator.execute_copies(stale, allow_fewer_partitions=True)
-
-
 def test_observe_never_resizes_on_its_constant_rate():
     """observe() re-chunks to a fixed batch size, so its rate signal is a
     constant ~batch_size; elastic proposals must be suppressed there or a
@@ -135,7 +134,7 @@ def test_observe_never_resizes_on_its_constant_rate():
         seed=0,
     )
     database = bundle.database
-    offline = Schism(SchismOptions(num_partitions=4)).run(database, bundle.training)
+    offline = Pipeline(SchismOptions(num_partitions=4)).run(database, bundle.training)
     options = OnlineOptions(
         monitor=MonitorOptions(window_size=200, min_window_fill=50),
         # With batch_size=50 the constant rate is ~50: ideal = 1 partition,
@@ -143,7 +142,12 @@ def test_observe_never_resizes_on_its_constant_rate():
         elastic=ElasticOptions(enabled=True, target_rate_per_partition=50.0),
         batch_size=50,
     )
-    online = start_online(offline, database, options)
+    online = start_online(
+        offline.plan(),
+        database,
+        options,
+        warm_up_trace=offline.state.training_trace,
+    )
     result = online.observe(extract_access_trace(database, bundle.phases[1]))
     assert result.resizes == []
     assert online.num_partitions == 4
@@ -197,13 +201,18 @@ def _fresh_controller(k=2):
         hot_window=150,
         seed=3,
     )
-    offline = Schism(SchismOptions(num_partitions=k)).run(bundle.database, bundle.training)
+    offline = Pipeline(SchismOptions(num_partitions=k)).run(bundle.database, bundle.training)
     options = OnlineOptions(
         monitor=MonitorOptions(window_size=200, min_window_fill=50),
         repartition=RepartitionOptions(migration_cost_weight=0.25, imbalance=0.10),
         batch_size=50,
     )
-    return start_online(offline, bundle.database, options)
+    return start_online(
+        offline.plan(),
+        bundle.database,
+        options,
+        warm_up_trace=offline.state.training_trace,
+    )
 
 
 def test_begin_resize_session_survives_coordinator_death():
@@ -248,4 +257,25 @@ def test_begin_resize_session_cancel_rolls_back():
     assert controller.cluster.num_partitions == 2
     assert _audit_reachability(controller) == 0
     assert set(controller.cluster.all_tuple_ids()) == before_tuples
+    assert controller.resizes == []
+
+
+def test_run_to_completion_raises_when_a_node_never_recovers():
+    """A crash window outlasting the run must end in a stall error naming the
+    journal's progress, within the stall bound — not a million idle ticks."""
+    from repro.distributed.faults import FaultPlan, NodeCrash
+    from repro.online.migration import STALL_TICKS
+
+    controller = _fresh_controller()
+    injector = FaultPlan(
+        seed=1, node_crashes=(NodeCrash(partition=0, at_tick=0, duration=10**9),)
+    ).build()
+    session = controller.begin_resize(4, injector=injector, batch_size=16)
+    with pytest.raises(RuntimeError, match="migration stalled at journal") as raised:
+        session.run_to_completion()
+    assert session.journal.progress_summary() in str(raised.value)
+    assert not session.done
+    # A few ticks make progress (planned -> copying, copies that avoid
+    # partition 0), then every tick stalls.
+    assert STALL_TICKS < session.ticks < 2 * STALL_TICKS
     assert controller.resizes == []

@@ -1,4 +1,4 @@
-"""Unit tests for migration planning, execution, and the routing swap."""
+"""Unit tests for migration planning, execution, and the routing flip."""
 
 from __future__ import annotations
 
@@ -8,7 +8,12 @@ from repro.catalog.tuples import TupleId
 from repro.core.strategies import LookupTablePartitioning
 from repro.distributed.cluster import Cluster
 from repro.graph.assignment import PartitionAssignment
-from repro.online.migration import LiveMigrator, plan_migration
+from repro.online.migration import (
+    JournaledMigrator,
+    MemoryJournalSink,
+    MigrationJournal,
+    plan_migration,
+)
 from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 
@@ -18,6 +23,36 @@ def _assignment(num_partitions, placements):
     for key, partitions in placements.items():
         assignment.assign(TupleId("account", (key,)), partitions)
     return assignment
+
+
+def _deployment(database, placements):
+    """Cluster + router deployed under ``placements`` at two partitions."""
+    strategy = LookupTablePartitioning(2, _assignment(2, placements), "hash")
+    cluster = Cluster.from_database(database, strategy)
+    router = Router(strategy, database.schema, build_lookup_table(strategy.assignment))
+    return cluster, router
+
+
+def _migrator(cluster, router, plan, journal=None, flip_mode="delta", batch_size=64):
+    """An adapt (fixed-k) migrator for ``plan`` plus its journal sink."""
+    if journal is None:
+        journal = MigrationJournal.for_plan(
+            plan,
+            kind="adapt",
+            flip_mode=flip_mode,
+            old_num_partitions=cluster.num_partitions,
+            new_num_partitions=cluster.num_partitions,
+        )
+    sink = MemoryJournalSink()
+    return JournaledMigrator(cluster, router, journal, sink=sink, batch_size=batch_size), sink
+
+
+def _step_until(migrator, state):
+    while migrator.journal.state != state:
+        assert migrator.step() > 0
+
+
+DEPLOYED = {1: {0}, 2: {0}, 3: {0}, 4: {1}, 5: {1}}
 
 
 def test_plan_diffs_only_changed_tuples():
@@ -58,13 +93,12 @@ def test_plan_unknown_current_placement_raises():
 
 
 def test_executor_moves_rows_and_counts_messages(bank_database):
-    old = _assignment(2, {1: {0}, 2: {0}, 3: {0}, 4: {1}, 5: {1}})
-    strategy = LookupTablePartitioning(2, old, "hash")
-    cluster = Cluster.from_database(bank_database, strategy)
+    cluster, router = _deployment(bank_database, DEPLOYED)
     new = _assignment(2, {1: {0}, 2: {1}, 3: {0}, 4: {1}, 5: {0, 1}})
-    plan = plan_migration(strategy.partitions_for_tuple, new)
-    migrator = LiveMigrator(cluster, batch_size=1)
-    report = migrator.execute(plan)
+    plan = plan_migration(router.strategy.partitions_for_tuple, new)
+    migrator, sink = _migrator(cluster, router, plan, batch_size=1)
+    report = migrator.run()
+    assert sink.load().state == "completed"
     assert report.copies == 2  # tuple 2 moved, tuple 5 replicated
     assert report.drops == 1
     assert report.skipped == 0
@@ -80,14 +114,11 @@ def test_executor_moves_rows_and_counts_messages(bank_database):
 
 
 def test_executor_is_idempotent(bank_database):
-    old = _assignment(2, {1: {0}, 2: {0}, 3: {0}, 4: {1}, 5: {1}})
-    strategy = LookupTablePartitioning(2, old, "hash")
-    cluster = Cluster.from_database(bank_database, strategy)
-    new = _assignment(2, {2: {1}})
-    plan = plan_migration(strategy.partitions_for_tuple, new)
-    migrator = LiveMigrator(cluster)
-    migrator.execute(plan)
-    report = migrator.execute(plan)  # replay: copy finds row gone from source
+    cluster, router = _deployment(bank_database, DEPLOYED)
+    plan = plan_migration(router.strategy.partitions_for_tuple, _assignment(2, {2: {1}}))
+    _migrator(cluster, router, plan)[0].run()
+    # Replay the whole plan: the copy finds the row gone from its source.
+    report = _migrator(cluster, router, plan)[0].run()
     assert report.copies == 0
     assert report.drops == 0
     assert report.skipped == 2
@@ -95,31 +126,27 @@ def test_executor_is_idempotent(bank_database):
 
 
 def test_swap_routing_is_atomic_and_complete(bank_database):
-    old = _assignment(2, {key: {0} for key in (1, 2, 3)} | {4: {1}, 5: {1}})
-    strategy = LookupTablePartitioning(2, old, "hash")
-    cluster = Cluster.from_database(bank_database, strategy)
-    router = Router(strategy, bank_database.schema, build_lookup_table(old))
+    cluster, router = _deployment(bank_database, DEPLOYED)
     old_table = router.lookup_table
     new = _assignment(2, {1: {1}, 2: {0}, 3: {0}, 4: {1}, 5: {1}})
-    plan = plan_migration(strategy.partitions_for_tuple, new)
-    migrator = LiveMigrator(cluster)
-    report = migrator.execute(plan)
-    migrator.swap_routing(router, new, report)
-    assert report.lookup_swapped
+    plan = plan_migration(router.strategy.partitions_for_tuple, new)
+    migrator, _ = _migrator(cluster, router, plan, flip_mode="swap")
+    _step_until(migrator, "flipped")
+    assert migrator.report.lookup_swapped
     assert router.lookup_table is not old_table
-    assert router.strategy.assignment is new
+    assert router.strategy.assignment.placements == new.placements
     assert router.lookup_table.get(TupleId("account", (1,))) == {1}
     # The old table object is untouched (readers mid-flight see a consistent view).
     assert old_table.get(TupleId("account", (1,))) == {0}
 
 
 def test_executor_partition_mismatch(bank_database):
-    old = _assignment(2, {1: {0}})
-    strategy = LookupTablePartitioning(2, old, "hash")
-    cluster = Cluster.from_database(bank_database, strategy)
-    plan = plan_migration(strategy.partitions_for_tuple, _assignment(3, {1: {2}}))
+    cluster, router = _deployment(bank_database, {1: {0}})
+    plan = plan_migration(
+        router.strategy.partitions_for_tuple, _assignment(3, {1: {2}})
+    )
     with pytest.raises(ValueError):
-        LiveMigrator(cluster).execute(plan)
+        _migrator(cluster, router, plan)
 
 
 def test_plan_records_routing_changes():
@@ -130,52 +157,48 @@ def test_plan_records_routing_changes():
 
 
 def test_split_execution_copies_then_drops(bank_database):
-    old = _assignment(2, {1: {0}, 2: {0}, 3: {0}, 4: {1}, 5: {1}})
-    strategy = LookupTablePartitioning(2, old, "hash")
-    cluster = Cluster.from_database(bank_database, strategy)
-    new = _assignment(2, {2: {1}})
-    plan = plan_migration(strategy.partitions_for_tuple, new)
-    migrator = LiveMigrator(cluster)
-    report = migrator.execute_copies(plan)
+    cluster, router = _deployment(bank_database, DEPLOYED)
+    plan = plan_migration(router.strategy.partitions_for_tuple, _assignment(2, {2: {1}}))
+    migrator, _ = _migrator(cluster, router, plan)
+    _step_until(migrator, "dual-window")
     # Dually resident between the phases: both placements answer reads.
     assert cluster.tuple_locations(TupleId("account", (2,))) == {0, 1}
-    assert report.copies == 1 and report.drops == 0
-    migrator.execute_drops(plan, report)
+    assert migrator.report.copies == 1 and migrator.report.drops == 0
+    migrator.run()
     assert cluster.tuple_locations(TupleId("account", (2,))) == {1}
-    assert report.drops == 1
+    assert migrator.report.drops == 1
 
 
 def test_apply_routing_delta_updates_live_table_in_place(bank_database):
-    old = _assignment(2, {1: {0}, 2: {0}, 3: {0}, 4: {1}, 5: {1}})
-    strategy = LookupTablePartitioning(2, old, "hash")
-    cluster = Cluster.from_database(bank_database, strategy)
-    router = Router(strategy, bank_database.schema, build_lookup_table(old))
+    cluster, router = _deployment(bank_database, DEPLOYED)
     live_table = router.lookup_table
     new = _assignment(2, {2: {1}, 3: {0, 1}})
-    plan = plan_migration(strategy.partitions_for_tuple, new)
-    migrator = LiveMigrator(cluster)
-    report = migrator.execute_copies(plan)
-    migrator.apply_routing_delta(router, plan, report)
+    plan = plan_migration(router.strategy.partitions_for_tuple, new)
+    migrator, _ = _migrator(cluster, router, plan)
+    _step_until(migrator, "flipped")
     # Same table object, only the changed entries re-written.
     assert router.lookup_table is live_table
     assert live_table.get(TupleId("account", (2,))) == {1}
     assert live_table.get(TupleId("account", (3,))) == {0, 1}
     assert live_table.get(TupleId("account", (1,))) == {0}
     # The deployed assignment tracks the delta too.
-    assert strategy.assignment.partitions_of(TupleId("account", (2,))) == {1}
-    assert report.lookup_swapped
+    assert router.strategy.assignment.partitions_of(TupleId("account", (2,))) == {1}
+    assert migrator.report.lookup_swapped
 
 
 def test_replayed_copies_report_skips_not_copies(bank_database):
-    old = _assignment(2, {1: {0}, 2: {0}, 3: {0}, 4: {1}, 5: {1}})
-    strategy = LookupTablePartitioning(2, old, "hash")
-    cluster = Cluster.from_database(bank_database, strategy)
-    plan = plan_migration(strategy.partitions_for_tuple, _assignment(2, {2: {1}}))
-    migrator = LiveMigrator(cluster)
-    migrator.execute_copies(plan)
-    # Crash-retry between copies and drops: the replica already exists, so
-    # the replay writes nothing and accounts a skip (and no write messages).
-    report = migrator.execute_copies(plan)
+    cluster, router = _deployment(bank_database, DEPLOYED)
+    plan = plan_migration(router.strategy.partitions_for_tuple, _assignment(2, {2: {1}}))
+    migrator, sink = _migrator(cluster, router, plan)
+    _step_until(migrator, "copying")
+    before_batch = sink.load()  # the last record a crash mid-batch leaves behind
+    _step_until(migrator, "dual-window")
+    # Crash-retry between the copy and its journal record: the replica
+    # already exists, so the replay writes nothing and accounts a skip (and
+    # no write messages).
+    replay, _ = _migrator(cluster, router, plan, journal=before_batch)
+    _step_until(replay, "dual-window")
+    report = replay.report
     assert report.copies == 0
     assert report.skipped == 1
     assert report.messages == 2  # the source read only

@@ -19,9 +19,9 @@ import pytest
 
 from repro.catalog.tuples import TupleId
 from repro.core.cost import transaction_partitions
-from repro.core.schism import Schism, SchismOptions, start_online
 from repro.experiments.online_drift import run_read_hot_drift
-from repro.online import MonitorOptions, OnlineOptions, RepartitionOptions
+from repro.online import MonitorOptions, OnlineOptions, RepartitionOptions, start_online
+from repro.pipeline import Pipeline, SchismOptions
 from repro.sqlparse.ast import SelectStatement, UpdateStatement, eq
 from repro.workload.rwsets import extract_access_trace
 from repro.workload.trace import StatementAccess, Transaction, TransactionAccess
@@ -55,7 +55,7 @@ def adapted_controller():
         seed=SMALL["seed"],
     )
     database = bundle.database
-    offline = Schism(SchismOptions(num_partitions=SMALL["num_partitions"])).run(
+    offline = Pipeline(SchismOptions(num_partitions=SMALL["num_partitions"])).run(
         database, bundle.training
     )
     options = OnlineOptions(
@@ -69,7 +69,12 @@ def adapted_controller():
         batch_size=50,
         replication_min_read_fraction=0.85,
     )
-    controller = start_online(offline, database, options)
+    controller = start_online(
+        offline.plan(),
+        database,
+        options,
+        warm_up_trace=offline.state.training_trace,
+    )
     controller.observe(extract_access_trace(database, bundle.phases[1]), auto_adapt=False)
     record = controller.adapt()
     return controller, bundle, record
@@ -178,14 +183,14 @@ def test_retention_hysteresis_keeps_paid_for_replicas(adapted_controller):
 
 
 _DETERMINISM_SCRIPT = """
-from repro.core.schism import Schism, SchismOptions, start_online
-from repro.online import MonitorOptions, OnlineOptions, RepartitionOptions
+from repro.online import MonitorOptions, OnlineOptions, RepartitionOptions, start_online
+from repro.pipeline import Pipeline, SchismOptions
 from repro.workload.rwsets import extract_access_trace
 from repro.workloads import generate_read_hot_skew
 
 bundle = generate_read_hot_skew(num_rows=400, transactions_per_phase=300, num_hot=4, seed=0)
 database = bundle.database
-offline = Schism(SchismOptions(num_partitions=2)).run(database, bundle.training)
+offline = Pipeline(SchismOptions(num_partitions=2)).run(database, bundle.training)
 options = OnlineOptions(
     monitor=MonitorOptions(window_size=200, min_window_fill=50),
     repartition=RepartitionOptions(
@@ -194,7 +199,12 @@ options = OnlineOptions(
     batch_size=50,
     replication_min_read_fraction=0.85,
 )
-controller = start_online(offline, database, options)
+controller = start_online(
+    offline.plan(),
+    database,
+    options,
+    warm_up_trace=offline.state.training_trace,
+)
 controller.observe(extract_access_trace(database, bundle.phases[1]), auto_adapt=False)
 controller.adapt()
 placements = sorted(

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.schism import Schism, run_schism
 from repro.engine.database import Database
 from repro.pipeline import (
     Pipeline,
@@ -163,39 +162,3 @@ def test_options_validation_rejects_bad_range_fallback():
         SchismOptions(num_partitions=2, lookup_default_policy="bogus")
     with pytest.raises(ValueError):
         SchismOptions(num_partitions=0)
-
-
-def test_schism_shim_matches_pipeline_and_warns(clustered_database):
-    workload = clustered_workload()
-    options = SchismOptions(num_partitions=2)
-    run = Pipeline(options).run(clustered_database, workload)
-    with pytest.warns(DeprecationWarning):
-        result = Schism(options).run(clustered_database, workload)
-    assert result.recommendation == run.recommendation
-    assert result.assignment.placements == run.state.assignment.placements
-    assert result.graph_cut == run.state.graph_cut
-    # The legacy describe() now reports all five phases, extraction included.
-    assert "extract" in result.describe()
-    assert result.timings.total >= result.timings.extraction > 0.0
-
-
-def test_run_schism_shim_warns_once(clustered_database):
-    with pytest.warns(DeprecationWarning) as records:
-        result = run_schism(
-            clustered_database, clustered_workload(transactions=100), num_partitions=2
-        )
-    assert result.options.num_partitions == 2
-    deprecations = [
-        record for record in records if record.category is DeprecationWarning
-    ]
-    assert len(deprecations) == 1
-
-
-def test_result_to_plan_round_trips_the_decision(clustered_database):
-    options = SchismOptions(num_partitions=2)
-    run = Pipeline(options).run(clustered_database, clustered_workload())
-    plan_via_result = Schism(options).run(
-        clustered_database, clustered_workload()
-    ).to_plan()
-    plan = run.plan()
-    assert plan.content_fingerprint() == plan_via_result.content_fingerprint()

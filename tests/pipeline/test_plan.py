@@ -9,7 +9,7 @@ import pytest
 
 from repro.catalog.tuples import TupleId
 from repro.core.cost import evaluate_strategy
-from repro.core.schism import start_online
+from repro.online import start_online
 from repro.pipeline import (
     PLAN_FORMAT_VERSION,
     PartitionPlan,

@@ -1,0 +1,62 @@
+"""Behaviour pins: exact outputs recorded before the one-path-per-job sweep.
+
+The hashes below were computed at the parent commit of the change that
+removed the recursive k-way fork, the partitioner's internal knobs and the
+legacy facade, on both array backends (which agreed).  They pin the
+partitioner's assignments and the pipeline's plan content bit for bit; CI
+runs this file under both ``REPRO_ARRAY_BACKEND`` values.  A deliberate
+algorithm change re-records them and says so.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.experiments.figure5 import synthetic_access_graph
+from repro.graph.partitioner import PartitionerOptions, partition_graph
+from repro.pipeline import Pipeline, SchismOptions
+from repro.utils.rng import SeededRng
+from repro.workload.splitter import split_workload
+from repro.workloads import generate_simplecount
+
+PARTITION_PINS = {
+    (0, 2): "b1c90eb332a572526055cbf4acd77c19dd7126ef1ee4ebc0e0002c4796dd240c",
+    (0, 5): "18c71a0de4002f9acb0a1e15bd96c12c3961e3b4e1ae2d8d070ad6a7b194f337",
+    (0, 8): "fe90c689af0b1c9b5eb0ca579c142866ca83cefbc3b4e2cc88b6c5a6957b1531",
+    (0, 32): "a18201d5cba25bf6f4427c95d451abfe456d9db0f173344b3b7a2ccebe8e30a2",
+    (1, 2): "449b48d9a723e38d899b90127284d60ed99320f07925911887e489b056524e9c",
+    (1, 5): "69950bdf96269816f753833f35052096c15c9adf6d3dc0064428fe307e6d7300",
+    (1, 8): "fd3552199a4733de61a311deb25ebb9c5c059dfc9de86fce66d97c91130802fc",
+    (1, 32): "c44eb9734cb67da5d4ffe4d727f5919996eabfb25d6a677b62779f091100acb2",
+}
+SIMPLECOUNT_PLAN_PIN = "4ca68057da7e5e8ffce9310cbd41abc33dc56d04bdfe6d5cfb7918230e730e62"
+TPCC_PLAN_PIN = "88c840f46250bc756eaeba25f8e137ad807c928ddf5ee864148690b194dce8d4"
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_partition_assignments_are_pinned(seed):
+    frozen = synthetic_access_graph(3000, 20000, seed=seed).freeze()
+    for k in (2, 5, 8, 32):
+        assignment = partition_graph(frozen, k, PartitionerOptions(seed=seed))
+        digest = hashlib.sha256(json.dumps(assignment).encode()).hexdigest()
+        assert digest == PARTITION_PINS[seed, k], f"seed={seed} k={k}"
+
+
+def _plan_fingerprint(bundle, num_partitions):
+    train, test = split_workload(bundle.workload, 0.7, rng=SeededRng(0))
+    run = Pipeline(SchismOptions(num_partitions=num_partitions)).run(
+        bundle.database, train, test
+    )
+    return run.plan(workload=bundle.name).content_fingerprint()
+
+
+def test_simplecount_plan_is_pinned():
+    bundle = generate_simplecount(
+        num_rows=300, num_transactions=400, num_blocks=5, seed=0
+    )
+    assert _plan_fingerprint(bundle, 4) == SIMPLECOUNT_PLAN_PIN
+
+
+def test_tiny_tpcc_plan_is_pinned(tiny_tpcc):
+    assert _plan_fingerprint(tiny_tpcc, 2) == TPCC_PLAN_PIN
