@@ -255,8 +255,12 @@ def coarsen_chain(
     targets extend the cached chain in place; shallower ones slice it.
 
     Returns the shortest prefix whose last level has at most
-    ``target_nodes`` nodes (the whole chain if matching stalls first).
+    ``target_nodes`` nodes (the whole chain if matching stalls first), and
+    no level at all when ``csr`` itself is already that small — whatever a
+    deeper target cached earlier.
     """
+    if csr.num_nodes <= target_nodes:
+        return []
     cache = csr._hierarchy
     if cache is None:
         cache = csr._hierarchy = {}

@@ -8,6 +8,13 @@ applies writes partition by partition under the seeded retry/backoff
 policy, and mirrors every committed write into an in-memory **oracle**
 database for the post-run audits.
 
+**Reads run grouped by participant, in sorted partition order, before the
+first apply**: one ``read`` request per partition carries every read routed
+there, so a transaction pays round-trips per participant, not per statement.
+That is sound because statements are routed up front and pre-bound (no read
+feeds a later statement), reads take no locks, and every read always ran
+before the first write was applied.
+
 **Commit point and in-doubt completion.**  A transaction's writes are
 applied to its participants in sorted partition order; the transaction is
 logically committed the moment the *first* participant durably applied its
@@ -39,7 +46,7 @@ from repro.catalog.tuples import TupleId
 from repro.engine.database import Database
 from repro.obs import get_telemetry
 from repro.routing.router import Router, RoutingDecision
-from repro.sqlparse.ast import InsertStatement, Statement, is_write
+from repro.sqlparse.ast import InsertStatement, Statement, is_write, statement_tables
 from repro.sqlparse.predicates import conjunctive_conditions, statement_where
 from repro.storage.cluster import SqliteStorageCluster
 from repro.storage.retry import RetryBudgetExhausted, RetryOptions, RetryPolicy
@@ -146,17 +153,15 @@ class LockManager:
                 self._table_lock(token[1]).release(exclusive=token[0] == "table-x")
 
 
-def pinned_write_keys(statement: Statement, schema: Schema) -> list[tuple[object, ...]] | None:
-    """Primary keys a write statement pins, or ``None`` if it could touch any row."""
-    if isinstance(statement, InsertStatement):
-        try:
-            return [schema.table(statement.table).primary_key_of(statement.row)]
-        except KeyError:
-            return None
-    primary_key = schema.table(statement.table).primary_key
+def pinned_keys(
+    statement: Statement, table: str, schema: Schema
+) -> list[tuple[object, ...]] | None:
+    """Primary keys of ``table`` the statement's WHERE pins, or ``None`` if it could
+    touch any row (one derivation, so read fallbacks and write locks agree on keys)."""
+    primary_key = schema.table(table).primary_key
     values: dict[str, tuple[object, ...]] = {}
     for condition in conjunctive_conditions(statement_where(statement)):
-        if condition.table in (None, statement.table) and condition.column in primary_key:
+        if condition.table in (None, table) and condition.column in primary_key:
             candidates = condition.candidate_values()
             if candidates:
                 values[condition.column] = candidates
@@ -166,6 +171,16 @@ def pinned_write_keys(statement: Statement, schema: Schema) -> list[tuple[object
     for column in primary_key:
         keys = [key + (value,) for key in keys for value in values[column]]
     return keys
+
+
+def pinned_write_keys(statement: Statement, schema: Schema) -> list[tuple[object, ...]] | None:
+    """Primary keys a write statement pins, or ``None`` if it could touch any row."""
+    if isinstance(statement, InsertStatement):
+        try:
+            return [schema.table(statement.table).primary_key_of(statement.row)]
+        except KeyError:
+            return None
+    return pinned_keys(statement, statement.table, schema)
 
 
 def write_lock_tokens(transaction: Transaction, schema: Schema) -> list[tuple]:
@@ -216,6 +231,9 @@ class StorageCoordinator:
             "storage.transactions",
             "routed transactions by outcome and partition scope",
             labels=("outcome", "scope"),
+        )
+        self._read_statements = metrics.counter(
+            "storage.read_statements", "statements carried by successful read requests"
         )
         self._read_fallbacks = metrics.counter(
             "storage.read_fallbacks", "reads answered by a fallback replica"
@@ -277,74 +295,73 @@ class StorageCoordinator:
         )
 
     # -- reads -------------------------------------------------------------------------
-    def _read_fallback_partitions(self, decision: RoutingDecision) -> list[int]:
-        """Replica-set fallbacks of a single-replica read, nearest-first."""
-        keys = None
-        statement = decision.statement
-        tables = [statement.tables[0]] if getattr(statement, "tables", None) else []
-        if len(tables) == 1:
-            schema = self.router.schema
-            if schema is not None and schema.has_table(tables[0]):
-                primary_key = schema.table(tables[0]).primary_key
-                values: dict[str, tuple[object, ...]] = {}
-                for condition in conjunctive_conditions(statement_where(statement)):
-                    if condition.table in (None, tables[0]) and condition.column in primary_key:
-                        candidates = condition.candidate_values()
-                        if candidates:
-                            values[condition.column] = candidates
-                if set(values) == set(primary_key):
-                    keys = [()]
-                    for column in primary_key:
-                        keys = [key + (value,) for key in keys for value in values[column]]
-        replicas: set[int] = set()
-        if keys:
-            for key in keys:
-                replicas.update(self.router.placement_of(TupleId(tables[0], tuple(key))))
-        replicas -= decision.partitions
-        return sorted(replicas)
+    def _read(self, key: tuple, partition: int, statements: list[Statement]) -> list[list[tuple]]:
+        """One ``read`` request under the retry policy: a row list per statement."""
+        rows = self.policy.run("read", key, lambda: self._attempt(partition, "read", statements))
+        self._read_statements.inc(len(statements))
+        return rows
 
-    def _execute_read(self, decision: RoutingDecision, outcome: StorageOutcome) -> list[tuple]:
-        """Run a read on its routed partitions, falling back across replicas."""
-        rows: list[tuple] = []
-        for partition in sorted(decision.partitions):
+    def _read_fallback_partitions(self, decision: RoutingDecision) -> list[int]:
+        """Replica-set fallbacks of a single-table, single-replica read, nearest-first."""
+        tables = statement_tables(decision.statement)
+        schema = self.router.schema
+        single = len(decision.partitions) == 1 and len(tables) == 1
+        if not single or schema is None or not schema.has_table(tables[0]):
+            return []
+        replicas: set[int] = set()
+        for key in pinned_keys(decision.statement, tables[0], schema) or ():
+            replicas.update(self.router.placement_of(TupleId(tables[0], key)))
+        return sorted(replicas - decision.partitions)
+
+    def _read_from_fallback(
+        self, decision: RoutingDecision, outcome: StorageOutcome, error: RetryBudgetExhausted
+    ) -> list[tuple]:
+        """Retry one statement of a failed batch alone on its other replicas;
+        re-raises ``error`` when none of them answers."""
+        for fallback in self._read_fallback_partitions(decision):
+            key = (outcome.txn_id, "read-fallback", fallback, repr(decision.statement))
             try:
-                result = self.policy.run(
-                    "read",
-                    (outcome.txn_id, "read", partition, repr(decision.statement)),
-                    lambda p=partition: self._attempt(p, "read", decision.statement),
-                )
+                (rows,) = self._read(key, fallback, [decision.statement])
             except RetryBudgetExhausted:
-                fallbacks = (
-                    self._read_fallback_partitions(decision)
-                    if len(decision.partitions) == 1
-                    else []
+                continue
+            self._read_fallbacks.inc()
+            outcome.read_fallbacks += 1
+            return rows
+        raise error
+
+    def _execute_reads(
+        self, reads: list[RoutingDecision], outcome: StorageOutcome
+    ) -> list[list[tuple]]:
+        """Run the transaction's reads, one request per participant in sorted
+        partition order; returns one row list per read, in statement order."""
+        batches: dict[int, list[int]] = {}
+        for index, decision in enumerate(reads):
+            for partition in decision.partitions:
+                batches.setdefault(partition, []).append(index)
+        rows: list[list[tuple]] = [[] for _ in reads]
+        for partition in sorted(batches):
+            indexes = batches[partition]
+            try:
+                results = self._read(
+                    (outcome.txn_id, "read", partition),
+                    partition,
+                    [reads[index].statement for index in indexes],
                 )
-                result = None
-                for fallback in fallbacks:
-                    try:
-                        result = self.policy.run(
-                            "read",
-                            (outcome.txn_id, "read-fallback", fallback, repr(decision.statement)),
-                            lambda p=fallback: self._attempt(p, "read", decision.statement),
-                        )
-                    except RetryBudgetExhausted:
-                        continue
-                    self._read_fallbacks.inc()
-                    outcome.read_fallbacks += 1
-                    break
-                if result is None:
-                    raise
-            rows.extend(result)
+            except RetryBudgetExhausted as error:
+                results = [self._read_from_fallback(reads[i], outcome, error) for i in indexes]
+            for index, result in zip(indexes, results):
+                rows[index].extend(result)
         return rows
 
     # -- transactions ------------------------------------------------------------------
     def execute_transaction(self, transaction: Transaction, txn_id: str) -> StorageOutcome:
         """Route and execute one transaction; returns its outcome.
 
-        Reads run in statement order; writes are batched per participant and
-        applied at commit, in sorted partition order, under the transaction's
-        write locks.  Committed writes are mirrored into the oracle before
-        the locks release, so cluster and oracle agree on per-key order.
+        Reads and writes are each batched per participant and sent in sorted
+        partition order — every read before the first apply, the writes under
+        the transaction's write locks.  Committed writes are mirrored into the
+        oracle before the locks release, so cluster and oracle agree on per-key
+        order.
         """
         decisions = self.router.route_transaction(transaction)
         participants: set[int] = set()
@@ -372,9 +389,7 @@ class StorageCoordinator:
         self.locks.acquire(tokens)
         try:
             try:
-                for decision in decisions:
-                    if not is_write(decision.statement):
-                        self._execute_read(decision, outcome)
+                self._execute_reads([d for d in decisions if not is_write(d.statement)], outcome)
             except RetryBudgetExhausted as error:
                 outcome.status = "aborted"
                 outcome.reason = f"read unavailable: {error.operation}"

@@ -186,22 +186,26 @@ class RetryPolicy:
         Fatal errors propagate immediately (never retried); retryable errors
         consume the budget with the scheduled backoff between attempts, and
         exhaustion raises :class:`RetryBudgetExhausted` wrapping the last
-        error.
+        error.  The schedule is derived only once an attempt has failed
+        retryably: the common first-attempt success pays no rng fork.
         """
-        schedule = self.schedule_for(key)
+        attempts = self.options.max_retries + 1
+        schedule: tuple[float, ...] | None = None
         last_error: BaseException | None = None
-        for index in range(len(schedule) + 1):
+        for index in range(attempts):
             try:
                 return attempt()
             except BaseException as error:
                 if classify_error(error) != RETRYABLE:
                     raise
                 last_error = error
-                if index < len(schedule):
+                if index < attempts - 1:
+                    if schedule is None:
+                        schedule = self.schedule_for(key)
                     self._retries.inc(op=operation)
                     delay_ms = schedule[index]
                     self._backoff.observe(delay_ms)
                     if delay_ms > 0.0:
                         self._sleep(delay_ms / 1000.0)
         assert last_error is not None
-        raise RetryBudgetExhausted(operation, len(schedule) + 1, last_error)
+        raise RetryBudgetExhausted(operation, attempts, last_error)

@@ -227,10 +227,12 @@ class SqlitePartitionStore:
         return cursor.fetchone() is not None
 
     # -- reads -------------------------------------------------------------------------
-    def execute_read(self, statement: Statement) -> list[tuple]:
-        """Execute a read statement, returning its raw rows."""
-        sql, params = compile_statement(statement)
-        return self._connection.execute(sql, params).fetchall()
+    def execute_read(self, statements: Sequence[Statement]) -> list[list[tuple]]:
+        """Execute a batch of read statements: one raw row list per statement, in order."""
+        return [
+            self._connection.execute(*compile_statement(statement)).fetchall()
+            for statement in statements
+        ]
 
     # -- audit walks -------------------------------------------------------------------
     def all_rows(self, table: str) -> dict[tuple[object, ...], dict[str, object]]:

@@ -15,6 +15,14 @@ classification (:data:`~repro.storage.retry.RETRYABLE` /
 :data:`~repro.storage.retry.FATAL`).  The handle discards stale replies
 whose ``seq`` belongs to a request that already timed out, so one slow
 response does not desynchronise the stream.
+
+Payloads by op: ``apply`` takes ``(txn_id, statements)``; ``read`` takes a
+**list of statements** — a transaction's whole share of reads for this
+partition, a single read being a batch of one — and replies with a list of
+row lists, one per statement in request order.  A batch is idempotent, so
+the client retries it as a unit.  A payload the store cannot serve (say a
+bare statement where ``read`` expects a list) is answered with a FATAL
+error reply and the worker keeps serving.
 """
 
 from __future__ import annotations
@@ -110,7 +118,7 @@ def worker_main(connection: Connection, db_path: str, schema: Schema) -> None:
             except StoreConstraintError as error:
                 connection.send((seq, "error", FATAL, str(error)))
                 continue
-            except Exception as error:  # pragma: no cover - defensive envelope
+            except Exception as error:
                 kind = RETRYABLE if isinstance(error, OSError) else FATAL
                 connection.send((seq, "error", kind, f"{type(error).__name__}: {error}"))
                 continue

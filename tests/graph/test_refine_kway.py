@@ -7,8 +7,10 @@ import random
 import pytest
 
 from repro.experiments.figure5 import synthetic_access_graph
+from repro.graph.coarsen import coarsen_chain
 from repro.graph.model import Graph
 from repro.graph.partitioner import (
+    KWAY_COARSE_FACTOR,
     GraphPartitioner,
     PartitionerOptions,
     cut_weight,
@@ -158,6 +160,21 @@ class TestDirectKwayPath:
         warm = partition_graph(warm_graph, 12, options)
         cold = partition_graph(graph.freeze(), 12, options)
         assert warm == cold
+
+    def test_small_graph_kway_ignores_a_chain_cached_by_two_way(self):
+        # Regression: 150 nodes is above k=2's coarsening target (120) but at
+        # or below k=8's (KWAY_COARSE_FACTOR * 8 = 160), so k=8 must not
+        # coarsen at all — it used to pick up the level k=2 had cached.
+        graph = synthetic_access_graph(150, 900, seed=12)
+        assert graph.num_nodes <= KWAY_COARSE_FACTOR * 8
+        options = PartitionerOptions(seed=6)
+        warm_graph = graph.freeze()
+        partition_graph(warm_graph, 2, options)
+        assert warm_graph._hierarchy[6]["levels"]  # k=2 did cache a chain
+        assert coarsen_chain(warm_graph, KWAY_COARSE_FACTOR * 8, 6) == []
+        assert partition_graph(warm_graph, 8, options) == partition_graph(
+            graph.freeze(), 8, options
+        )
 
 
 class TestOptionsValidation:

@@ -204,6 +204,30 @@ def test_success_after_transient_failures_consumes_partial_budget():
     assert len(slept) == 2
 
 
+def test_first_attempt_success_never_derives_a_schedule(monkeypatch):
+    policy, slept = _recording_policy(RetryOptions(max_retries=4))
+    monkeypatch.setattr(
+        policy, "schedule_for", lambda key: pytest.fail("schedule derived on the hot path")
+    )
+    assert policy.run("read", ("txn-1", "read", 0), lambda: "rows") == "rows"
+    assert slept == []
+
+
+def test_failure_then_success_sleeps_exactly_the_first_scheduled_delay():
+    policy, slept = _recording_policy(RetryOptions(max_retries=4, backoff_base_ms=5.0), seed=3)
+    attempts = iter([WorkerUnavailable(0, "restarting"), None])
+
+    def attempt():
+        error = next(attempts)
+        if error is not None:
+            raise error
+        return "rows"
+
+    key = ("txn-1", "read", 0)
+    assert policy.run("read", key, attempt) == "rows"
+    assert [s * 1000.0 for s in slept] == pytest.approx([policy.schedule_for(key)[0]])
+
+
 def test_non_retryable_error_never_retries_and_never_sleeps():
     policy, slept = _recording_policy(RetryOptions(max_retries=5, backoff_base_ms=10.0))
     calls = []

@@ -30,7 +30,7 @@ def test_apply_is_exactly_once_for_delta_updates(store):
     assert store.apply_transaction("txn-1", statements) == "applied"
     # the retried-after-timeout case: same txn id must be a no-op.
     assert store.apply_transaction("txn-1", statements) == "duplicate"
-    rows = store.execute_read(SelectStatement(("account",), where=eq("id", 1)))
+    (rows,) = store.execute_read([SelectStatement(("account",), where=eq("id", 1))])
     assert rows[0][2] == 70
     assert store.has_transaction("txn-1")
     assert not store.has_transaction("txn-2")
@@ -47,7 +47,7 @@ def test_constraint_violation_rolls_back_whole_batch(store):
     # atomicity: the update preceding the violating insert must not persist,
     # and the txn must not be marked applied (a retry would legitimately fail
     # again, classified fatal).
-    rows = store.execute_read(SelectStatement(("account",), where=eq("id", 1)))
+    (rows,) = store.execute_read([SelectStatement(("account",), where=eq("id", 1))])
     assert rows[0][2] == 100
     assert not store.has_transaction("txn-bad")
 
@@ -82,5 +82,5 @@ def test_state_survives_reopen(tmp_path, bank_schema):
     # and the committed write must both be there.
     with SqlitePartitionStore(path, bank_schema) as reopened:
         assert reopened.has_transaction("txn-1")
-        rows = reopened.execute_read(SelectStatement(("account",), where=eq("id", 1)))
+        (rows,) = reopened.execute_read([SelectStatement(("account",), where=eq("id", 1))])
         assert rows[0][2] == 105
