@@ -34,7 +34,7 @@ from repro.core.strategies import (
 from repro.core.cost import CostReport, evaluate_strategy
 from repro.core.validation import validate_strategies
 from repro.engine.database import Database
-from repro.online.controller import start_online
+from repro.online import start_online
 from repro.pipeline import (
     PartitionPlan,
     PhaseTimings,

@@ -35,7 +35,7 @@ from typing import Callable
 from repro.core.config import default_options
 from repro.experiments.figure4 import FIGURE4_EXPERIMENTS
 from repro.obs import Telemetry, get_telemetry, set_telemetry
-from repro.online.controller import start_online
+from repro.online import start_online
 from repro.pipeline import PartitionPlan, Pipeline
 from repro.utils.rng import SeededRng
 from repro.workload.rwsets import extract_access_trace
@@ -170,7 +170,7 @@ def _deploy_sqlite(args: argparse.Namespace, plan: PartitionPlan, bundle: Worklo
             on_commit = None
             on_outcome = None
             if args.resize is not None:
-                from repro.online.controller import MigrationPacer, PacingOptions
+                from repro.online.policy import MigrationPacer, PacingOptions
                 from repro.online.migration import FileJournalSink, MigrationSession
                 from repro.storage import StorageMigrator, plan_storage_resize
 

@@ -21,12 +21,12 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.catalog.tuples import TupleId
 from repro.explain.rules import RuleSet, decode_label
 from repro.graph.assignment import PartitionAssignment
-from repro.sqlparse.predicates import AttributeCondition
+from repro.sqlparse.predicates import AttributeCondition, pinned_values
 
 
 def stable_hash(value: object) -> int:
@@ -46,6 +46,20 @@ def hash_home(tuple_id: TupleId, num_partitions: int) -> frozenset[int]:
     co-locate.
     """
     return frozenset({stable_hash((tuple_id.table, tuple_id.key)) % num_partitions})
+
+
+def placement_at(
+    tuple_id: TupleId, placement: Iterable[int], num_partitions: int
+) -> frozenset[int]:
+    """Where a tuple held on ``placement`` lives in a cluster of ``num_partitions``.
+
+    The replicas on partitions that exist at that count; a tuple with none
+    left (every holder is being removed by a shrink) goes to its hash home.
+    The one rule the online controller's warm start and pinning, the
+    migrator's wholesale routing swap and the storage resize planner share.
+    """
+    surviving = frozenset(part for part in placement if part < num_partitions)
+    return surviving or hash_home(tuple_id, num_partitions)
 
 
 class PartitioningStrategy(ABC):
@@ -138,30 +152,10 @@ class HashPartitioning(PartitioningStrategy):
         columns = self.columns_per_table.get(table)
         if columns is None:
             return None
-        values: dict[str, tuple[object, ...]] = {}
-        for condition in conditions:
-            if condition.column in columns:
-                candidates = condition.candidate_values()
-                if candidates:
-                    values[condition.column] = candidates
-        if set(values) != set(columns):
+        pinned = pinned_values(conditions, columns)
+        if pinned is None:
             return None
-        partitions: set[int] = set()
-        self._expand(columns, values, (), partitions)
-        return frozenset(partitions)
-
-    def _expand(
-        self,
-        columns: tuple[str, ...],
-        values: dict[str, tuple[object, ...]],
-        prefix: tuple[object, ...],
-        out: set[int],
-    ) -> None:
-        if len(prefix) == len(columns):
-            out.add(stable_hash(prefix) % self.num_partitions)
-            return
-        for value in values[columns[len(prefix)]]:
-            self._expand(columns, values, prefix + (value,), out)
+        return frozenset(stable_hash(value) % self.num_partitions for value in pinned)
 
 
 class RoundRobinPartitioning(PartitioningStrategy):
@@ -429,37 +423,20 @@ class CompositePartitioning(PartitioningStrategy):
         policy = self.table_policies.get(table, self.default_policy)
         if policy.kind == "replicate":
             return self.all_partitions
-        values: dict[str, tuple[object, ...]] = {}
-        for condition in conditions:
-            if condition.column in policy.columns:
-                candidates = condition.candidate_values()
-                if candidates:
-                    values[condition.column] = candidates
         if policy.kind == "hash":
-            if not policy.columns or set(values) != set(policy.columns):
+            if not policy.columns:
                 return None
-            partitions: set[int] = set()
-            self._expand_hash(policy.columns, values, (), partitions)
-            return frozenset(partitions)
+            pinned = pinned_values(conditions, policy.columns)
+            if pinned is None:
+                return None
+            return frozenset(stable_hash(value) % self.num_partitions for value in pinned)
         if policy.kind == "range":
             column = policy.columns[0]
-            if column not in values:
+            pinned = pinned_values(conditions, (column,))
+            if pinned is None:
                 return None
-            partitions = set()
-            for value in values[column]:
+            partitions: set[int] = set()
+            for (value,) in pinned:
                 partitions.update(self._apply_policy(policy, TupleId(table, (value,)), {column: value}))
             return frozenset(partitions)
         return None
-
-    def _expand_hash(
-        self,
-        columns: tuple[str, ...],
-        values: dict[str, tuple[object, ...]],
-        prefix: tuple[object, ...],
-        out: set[int],
-    ) -> None:
-        if len(prefix) == len(columns):
-            out.add(stable_hash(prefix) % self.num_partitions)
-            return
-        for value in values[columns[len(prefix)]]:
-            self._expand_hash(columns, values, prefix + (value,), out)

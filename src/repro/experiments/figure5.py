@@ -38,15 +38,6 @@ DEFAULT_GRAPH_SPECS: tuple[tuple[str, int, int], ...] = (
     ("tpce", 30_000, 300_000),
 )
 
-#: smaller laptop-scale specs for the pytest benchmark
-#: (``benchmarks/bench_figure5_partitioner_scalability.py``).
-BENCH_GRAPH_SPECS: tuple[tuple[str, int, int], ...] = (
-    ("epinions", 3_000, 25_000),
-    ("tpcc-50w", 8_000, 64_000),
-    ("tpce", 10_000, 100_000),
-)
-BENCH_PARTITION_COUNTS: tuple[int, ...] = (2, 8, 32)
-
 
 def synthetic_access_graph(num_nodes: int, num_edges: int, seed: int = 0) -> Graph:
     """Build a graph with local clustering similar to a tuple-access graph.

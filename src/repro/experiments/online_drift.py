@@ -25,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.cost import evaluate_strategy
-from repro.online.controller import start_online
 from repro.core.strategies import LookupTablePartitioning
-from repro.online.controller import ElasticOptions, OnlineOptions, OnlineSchism
+from repro.online import start_online
+from repro.online.controller import OnlineOptions, OnlineSchism
 from repro.online.monitor import MonitorOptions
+from repro.online.policy import ElasticOptions
 from repro.online.repartitioner import RepartitionOptions
 from repro.pipeline import Pipeline, SchismOptions
 from repro.workload.rwsets import extract_access_trace
@@ -120,7 +121,9 @@ def run_online_drift(
     full = controller.preview_full_repartition()
     full_strategy = LookupTablePartitioning(
         num_partitions,
-        controller.merged_assignment(tuples, full.assignment),
+        controller.merged_placements(
+            tuples, [frozenset({part}) for part in full.assignment]
+        ),
         "hash",
     )
     distributed_full = evaluate_strategy(full_strategy, drifted_trace).distributed_fraction

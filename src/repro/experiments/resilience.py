@@ -40,14 +40,12 @@ from repro.distributed.faults import (
     FaultPlan,
     NodeCrash,
 )
-from repro.online.controller import (
-    MigrationPacer,
-    OnlineOptions,
-    PacingOptions,
-    start_online,
-)
+from repro.experiments.audit import audit_against_oracle, audit_violations, cluster_rows
+from repro.online import start_online
+from repro.online.controller import OnlineOptions
 from repro.online.migration import MemoryJournalSink
 from repro.online.monitor import MonitorOptions
+from repro.online.policy import MigrationPacer, PacingOptions
 from repro.obs import trace_span
 from repro.online.repartitioner import RepartitionOptions
 from repro.pipeline import Pipeline, SchismOptions
@@ -98,15 +96,7 @@ class ResilienceReport:
     @property
     def violations(self) -> list[str]:
         """The acceptance criteria this run failed (empty = pass)."""
-        failures = []
-        if self.lost_updates:
-            failures.append(f"{self.lost_updates} lost updates")
-        if self.phantom_rows:
-            failures.append(f"{self.phantom_rows} phantom rows")
-        if self.unreachable_tuples:
-            failures.append(f"{self.unreachable_tuples} unreachable tuples")
-        if not self.tuple_conservation:
-            failures.append("tuple set not conserved")
+        failures = audit_violations(self)
         if self.final_partitions != 4:
             failures.append(f"resize did not complete (k={self.final_partitions})")
         if self.coordinator_deaths == 0:
@@ -277,22 +267,14 @@ def _run_scenario_traced(
         report.migration_drops = session.journal.drops_done
 
     # -- audits ------------------------------------------------------------------------
-    cluster = controller.cluster
-    router = controller.router
-    cluster_tuples = set()
-    for tuple_id, locations in cluster.tuple_locations_map().items():
-        cluster_tuples.add(tuple_id)
-        oracle_row = oracle.get_row(tuple_id)
-        if oracle_row is None:
-            report.phantom_rows += 1
-            continue
-        for partition in locations:
-            if cluster.database(partition).get_row(tuple_id) != oracle_row:
-                report.lost_updates += 1
-        placement = router.strategy.partitions_for_tuple(tuple_id)
-        if not any(partition in locations for partition in placement):
-            report.unreachable_tuples += 1
-    report.tuple_conservation = cluster_tuples == set(oracle.all_tuple_ids())
+    (
+        report.lost_updates,
+        report.phantom_rows,
+        report.unreachable_tuples,
+        report.tuple_conservation,
+    ) = audit_against_oracle(
+        cluster_rows(controller.cluster), controller.strategy.partitions_for_tuple, oracle
+    )
 
     digest = hashlib.sha256()
     digest.update((sink.text or "").encode("utf-8"))

@@ -34,7 +34,7 @@ run is shaped to make every **counted** quantity interleaving-independent:
   hook tick; ticking stops (the "migration coordinator process" is dead)
   and the next barrier re-attaches a fresh :class:`StorageMigrator` from
   the journal the sink persisted *before* the kill fired.
-* The :class:`~repro.online.controller.MigrationPacer` is wired to the
+* The :class:`~repro.online.policy.MigrationPacer` is wired to the
   driver's live latency/abort stream (``on_outcome``) but constructed
   ``volatile`` and, by default, with no SLO budgets — wall-clock-fed
   histograms stay out of the deterministic snapshot and every tick's
@@ -58,8 +58,9 @@ from repro.distributed.faults import (
     FaultPlan,
     WorkerKill,
 )
+from repro.experiments.audit import audit_against_oracle, audit_violations, sqlite_rows
 from repro.obs import trace_span
-from repro.online.controller import MigrationPacer, PacingOptions
+from repro.online.policy import MigrationPacer, PacingOptions
 from repro.online.migration import FileJournalSink, MigrationSession
 from repro.pipeline import Pipeline, SchismOptions
 from repro.routing.lookup import build_lookup_table
@@ -72,7 +73,6 @@ from repro.storage import (
     StorageMigrator,
     plan_storage_resize,
 )
-from repro.experiments.storage_resilience import _audit_point
 from repro.workload.trace import Workload
 from repro.workloads import TpccConfig, generate_tpcc
 
@@ -139,16 +139,7 @@ class StorageMigrationReport:
             failures.append(
                 f"{self.label}: {self.drops_done}/{self.drops_planned} drops executed"
             )
-        if self.lost_updates:
-            failures.append(f"{self.label}: {self.lost_updates} lost updates")
-        if self.phantom_rows:
-            failures.append(f"{self.label}: {self.phantom_rows} phantom rows")
-        if self.unreachable_tuples:
-            failures.append(
-                f"{self.label}: {self.unreachable_tuples} unreachable tuples"
-            )
-        if not self.tuple_conservation:
-            failures.append(f"{self.label}: tuple set not conserved")
+        failures.extend(audit_violations(self, f"{self.label}: "))
         if self.worker_kills_fired != self.worker_kills_planned:
             failures.append(
                 f"{self.label}: {self.worker_kills_fired}/{self.worker_kills_planned} "
@@ -486,7 +477,12 @@ def _run(
     finally:
         cluster.close()
 
-    _audit_point(cluster, router, database, report)
+    (
+        report.lost_updates,
+        report.phantom_rows,
+        report.unreachable_tuples,
+        report.tuple_conservation,
+    ) = audit_against_oracle(sqlite_rows(cluster), router.placement_of, database)
 
 
 def format_storage_migration(report: StorageMigrationReport) -> str:

@@ -38,6 +38,7 @@ from repro.obs import trace_span
 from repro.pipeline import Pipeline, SchismOptions
 from repro.routing.lookup import build_lookup_table
 from repro.analysis.witness import WitnessedLockManager
+from repro.experiments.audit import audit_against_oracle, audit_violations, sqlite_rows
 from repro.routing.router import Router
 from repro.storage import (
     ClosedLoopDriver,
@@ -87,15 +88,7 @@ class StoragePointReport:
     @property
     def violations(self) -> list[str]:
         """Acceptance failures of this point (empty = pass)."""
-        failures = []
-        if self.lost_updates:
-            failures.append(f"{self.label}: {self.lost_updates} lost updates")
-        if self.phantom_rows:
-            failures.append(f"{self.label}: {self.phantom_rows} phantom rows")
-        if self.unreachable_tuples:
-            failures.append(f"{self.label}: {self.unreachable_tuples} unreachable tuples")
-        if not self.tuple_conservation:
-            failures.append(f"{self.label}: tuple set not conserved")
+        failures = audit_violations(self, f"{self.label}: ")
         if self.kills_fired != self.kills_planned:
             failures.append(
                 f"{self.label}: {self.kills_fired}/{self.kills_planned} planned kills fired"
@@ -157,41 +150,6 @@ class StorageResilienceReport:
             "points": [point.to_payload() for point in self.points],
             "violations": self.violations,
         }
-
-
-def _audit_point(
-    cluster: SqliteStorageCluster, router: Router, oracle, point: StoragePointReport
-) -> None:
-    """Compare the closed cluster's SQLite files against the oracle, row by row."""
-    schema = oracle.schema
-    stores = {
-        partition: cluster.open_store(partition)
-        for partition in range(cluster.num_partitions)
-    }
-    try:
-        rows = {
-            partition: {table.name: store.all_rows(table.name) for table in schema.tables}
-            for partition, store in stores.items()
-        }
-        locations: dict = {}
-        for partition, store in stores.items():
-            for tuple_id in store.tuple_ids():
-                locations.setdefault(tuple_id, set()).add(partition)
-        for tuple_id, resident in locations.items():
-            oracle_row = oracle.get_row(tuple_id)
-            if oracle_row is None:
-                point.phantom_rows += 1
-                continue
-            for partition in resident:
-                if rows[partition][tuple_id.table].get(tuple(tuple_id.key)) != oracle_row:
-                    point.lost_updates += 1
-            placement = router.placement_of(tuple_id)
-            if not any(partition in resident for partition in placement):
-                point.unreachable_tuples += 1
-        point.tuple_conservation = set(locations) == set(oracle.all_tuple_ids())
-    finally:
-        for store in stores.values():
-            store.close()
 
 
 def _run_point(
@@ -303,7 +261,12 @@ def _run_point(
     point.throughput_txn_s = report.throughput_txn_s
     point.latency_p50_ms = report.latency_quantile(0.50)
     point.latency_p99_ms = report.latency_quantile(0.99)
-    _audit_point(cluster, router, database, point)
+    (
+        point.lost_updates,
+        point.phantom_rows,
+        point.unreachable_tuples,
+        point.tuple_conservation,
+    ) = audit_against_oracle(sqlite_rows(cluster), router.placement_of, database)
     return point
 
 

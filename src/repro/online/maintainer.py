@@ -33,7 +33,7 @@ maintainer keeps decayed per-node **read** and **write** weights, and
 :meth:`freeze_replicated` expands the chosen read-hot candidates into
 bounded stars at freeze time — one satellite per (heaviest) co-access
 neighbour, each carrying that neighbour's transaction edge, all tied to the
-centre by an edge of weight ``write_weight + replication_epsilon`` (the
+centre by an edge of weight ``write_weight + REPLICATION_EPSILON`` (the
 consistency cost every extra replica must pay).  The k-way min-cut then
 trades replication against distribution per tuple exactly as in §3.1/§4.1
 of the paper: satellites scatter across partitions only when the read
@@ -55,6 +55,19 @@ from repro.workload.trace import TransactionAccess
 
 #: Renormalise stored weights once the per-access increment grows past this.
 _RENORMALISE_LIMIT = 1e12
+#: At most this many nodes are replication candidates per freeze.
+REPLICATION_MAX_CANDIDATES = 64
+#: Minimum decayed access weight of a replication candidate — cold tuples
+#: never earn a replica.
+REPLICATION_MIN_WEIGHT = 2.0
+#: Constant added to every online replication edge (mirrors the offline
+#: builder's ``replication_epsilon``): a replica must save strictly more
+#: read traffic than the storage/consistency cost it introduces.
+REPLICATION_EPSILON = 0.1
+#: Cap on satellites per replication candidate in
+#: :meth:`IncrementalGraphMaintainer.freeze_replicated`; the heaviest
+#: co-access neighbours get satellites, the tail stays on the centre.
+MAX_SATELLITES = 12
 
 
 @dataclass
@@ -70,23 +83,12 @@ class MaintainerOptions:
     blanket_transaction_threshold: int = 100
     #: run the prune sweep every this many epochs (it is O(E)).
     prune_interval: int = 8
-    #: constant added to every online replication edge (mirrors the offline
-    #: builder's ``replication_epsilon``): a replica must save strictly more
-    #: read traffic than the storage/consistency cost it introduces.
-    replication_epsilon: float = 0.1
-    #: cap on satellites per replication candidate in
-    #: :meth:`IncrementalGraphMaintainer.freeze_replicated`; the heaviest
-    #: co-access neighbours get satellites, the tail stays on the centre.
-    max_satellites: int = 12
 
     def __post_init__(self) -> None:
         if not 0.0 < self.decay <= 1.0:
             raise ValueError("decay must be in (0, 1]")
         if self.prune_interval <= 0:
             raise ValueError("prune_interval must be positive")
-        if self.replication_epsilon < 0:
-            raise ValueError("replication_epsilon must be non-negative")
-        self.max_satellites = max(1, int(self.max_satellites))
 
 
 @dataclass
@@ -164,14 +166,6 @@ class IncrementalGraphMaintainer:
     def edge_weight(self, u: int, v: int) -> float:
         """Decayed (true) co-access weight of the edge ``{u, v}``."""
         return self.graph.edge_weight(u, v) * self._scale
-
-    def read_weight(self, node: int) -> float:
-        """Decayed (true) read-access weight of ``node``."""
-        return self._read_weights[node] * self._scale
-
-    def write_weight(self, node: int) -> float:
-        """Decayed (true) write-access weight of ``node``."""
-        return self._write_weights[node] * self._scale
 
     def read_fraction(self, node: int) -> float:
         """Decayed fraction of accesses to ``node`` that are reads (0.0 when unseen)."""
@@ -296,19 +290,17 @@ class IncrementalGraphMaintainer:
 
     def replication_candidates(
         self,
-        min_read_fraction: float = 0.9,
-        max_candidates: int = 64,
-        min_weight: float = 1.0,
-        retained: Iterable[int] = (),
-        retention_read_fraction: float | None = None,
+        min_read_fraction: float,
+        retained: Iterable[int],
+        retention_read_fraction: float,
     ) -> list[int]:
         """Read-hot nodes worth considering for replication, hottest first.
 
         A node qualifies when its decayed read fraction reaches
         ``min_read_fraction``, its decayed access weight reaches
-        ``min_weight`` (cold tuples are never worth a replica) and it has at
-        least one co-access edge (an isolated tuple gains nothing from
-        copies).  The ``max_candidates`` heaviest qualifiers are returned in
+        ``REPLICATION_MIN_WEIGHT`` and it has at least one co-access edge (an
+        isolated tuple gains nothing from copies).  The
+        ``REPLICATION_MAX_CANDIDATES`` heaviest qualifiers are returned in
         deterministic ``(-weight, node)`` order.
 
         ``retained`` names nodes whose tuples are *currently replicated*;
@@ -320,9 +312,9 @@ class IncrementalGraphMaintainer:
         satellites the moment the replicas stop earning their write cost.
         """
         graph = self.graph
-        retained_nodes = set(retained) if retention_read_fraction is not None else set()
+        retained_nodes = set(retained)
         ranked: list[tuple[float, int]] = []
-        min_stored_weight = min_weight / self._scale
+        min_stored_weight = REPLICATION_MIN_WEIGHT / self._scale
         for node in range(len(self._tuple_of)):
             weight = graph.node_weights[node]
             if weight < min_stored_weight or graph.degree(node) == 0:
@@ -336,7 +328,7 @@ class IncrementalGraphMaintainer:
                 continue
             ranked.append((-weight, node))
         ranked.sort()
-        return [node for _, node in ranked[: max(0, max_candidates)]]
+        return [node for _, node in ranked[:REPLICATION_MAX_CANDIDATES]]
 
     def freeze_replicated(
         self, candidates: Iterable[int], primary_of: Sequence[int]
@@ -350,7 +342,7 @@ class IncrementalGraphMaintainer:
         neighbour's current partition).  The satellite inherits every
         transaction edge towards the neighbours of its bucket and is tied to
         the centre by a replication edge of weight ``write_weight +
-        replication_epsilon`` — the synchronisation cost an extra replica
+        REPLICATION_EPSILON`` — the synchronisation cost an extra replica
         must pay.  The min-cut therefore weighs the *aggregate* read traffic
         a partition's readers would save against one replica's write cost,
         which is the true economics of tuple replication (the offline
@@ -359,7 +351,7 @@ class IncrementalGraphMaintainer:
         the bucket is the faithful aggregate).  The candidate's node weight
         is split evenly over its satellites, preserving total weight and
         therefore balance.  Edges between two candidates connect their
-        mutual bucket satellites.  ``max_satellites`` caps the buckets per
+        mutual bucket satellites.  ``MAX_SATELLITES`` caps the buckets per
         candidate (heaviest first) as a safety bound; with bucketing it only
         binds when partitions outnumber the cap.
 
@@ -378,8 +370,6 @@ class IncrementalGraphMaintainer:
         if not candidate_set:
             csr, tuples = self.freeze()
             return csr, tuples, StarExpansion(num_base, {}, {})
-        epsilon = self.options.replication_epsilon
-        cap = self.options.max_satellites
         expanded = Graph()
         for node in range(num_base):
             if node in candidate_set:
@@ -400,10 +390,10 @@ class IncrementalGraphMaintainer:
                 bucket
                 for bucket, _ in sorted(
                     bucket_weights.items(), key=lambda item: (-item[1], item[0])
-                )[:cap]
+                )[:MAX_SATELLITES]
             ]
             share = base.node_weights[node] / len(chosen)
-            replication_edge = self._write_weights[node] + epsilon
+            replication_edge = self._write_weights[node] + REPLICATION_EPSILON
             node_satellites: list[int] = []
             per_bucket: dict[int, int] = {}
             for bucket in chosen:

@@ -35,19 +35,17 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol, runtime_checkable
+from typing import Callable, Mapping, Protocol, runtime_checkable
 
 from repro.catalog.tuples import TupleId
-from repro.core.strategies import LookupTablePartitioning, hash_home
+from repro.core.strategies import LookupTablePartitioning, placement_at
 from repro.distributed.faults import FaultInjector, MessageDropped
 from repro.graph.assignment import PartitionAssignment
 from repro.obs import get_telemetry
+from repro.online.policy import MigrationPacer
 from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 from repro.utils.canonical_json import dumps_canonical
-
-if TYPE_CHECKING:  # import cycle: the controller imports this module
-    from repro.online.controller import MigrationPacer
 
 
 @runtime_checkable
@@ -125,11 +123,6 @@ class MigrationPlan:
     def steps(self) -> list[MigrationStep]:
         """All steps in execution order (copies first, then drops)."""
         return self.copies + self.drops
-
-    @property
-    def is_empty(self) -> bool:
-        """Whether the plan does nothing."""
-        return not self.copies and not self.drops
 
 
 def plan_migration(
@@ -335,7 +328,6 @@ class MigrationJournal:
         flip_mode: str,
         old_num_partitions: int,
         new_num_partitions: int | None = None,
-        lookup_backend: str = "dict",
         default_policy: str = "hash",
         migration_id: str = "mig",
         backend: str = "simulated",
@@ -349,7 +341,6 @@ class MigrationJournal:
             new_num_partitions=(
                 plan.num_partitions if new_num_partitions is None else new_num_partitions
             ),
-            lookup_backend=lookup_backend,
             default_policy=default_policy,
             migration_id=migration_id,
             backend=backend,
@@ -759,21 +750,13 @@ class JournaledMigrator:
             # and safe at any interleaving because the copies already ran
             # (both placements are physically valid until the drops execute).
             self._publish_entries(journal.plan.changes)
-            self.report.lookup_swapped = True
         else:
-            merged, pinned = self._merged_target(
-                journal.new_num_partitions, dict(journal.plan.changes)
-            )
+            pinned = self._publish_swap(journal.new_num_partitions, journal.plan.changes)
             if not journal.tuples_pinned:
                 # The controller counts pins at planning time (and stores
                 # the count in the journal); keep that figure when present.
                 journal.tuples_pinned = pinned
-            new_strategy = LookupTablePartitioning(
-                journal.new_num_partitions, merged, journal.default_policy
-            )
-            new_table = build_lookup_table(merged, backend=journal.lookup_backend)
-            self.router.replace_strategy(new_strategy, new_table)
-            self.report.lookup_swapped = True
+        self.report.lookup_swapped = True
         self.router.migration_window.close()
 
     def _publish_entries(self, entries: list[tuple[TupleId, frozenset[int]]]) -> None:
@@ -786,20 +769,20 @@ class JournaledMigrator:
             for tuple_id, partitions in entries:
                 strategy.assignment.assign(tuple_id, partitions)
 
-    def _merged_target(
-        self, num_partitions: int, overrides: dict[TupleId, frozenset[int]]
-    ) -> tuple[PartitionAssignment, int]:
-        """Full explicit placement for a wholesale swap at ``num_partitions``.
+    def _publish_swap(
+        self, num_partitions: int, overrides: list[tuple[TupleId, frozenset[int]]]
+    ) -> int:
+        """Wholesale swap: a full explicit strategy + table at ``num_partitions``.
 
         ``overrides`` (the routing delta, or its inverse during rollback)
         wins; every other *stored* tuple is pinned to its physical location
         — which also captures tuples inserted by live traffic while the
         migration was in flight, whose implicit hash placement would change
-        meaning with the partition count.  Returns the assignment and the
-        number of tuples pinned that had no explicit entry before.
+        meaning with the partition count.  Returns the number of tuples
+        pinned that had no explicit entry before.
         """
         merged = PartitionAssignment(num_partitions)
-        for tuple_id, partitions in overrides.items():
+        for tuple_id, partitions in overrides:
             merged.assign(tuple_id, partitions)
         strategy = self.router.strategy
         deployed = (
@@ -809,13 +792,15 @@ class JournaledMigrator:
         for tuple_id, locations in sorted(self.cluster.tuple_locations_map().items()):
             if tuple_id in merged:
                 continue
-            valid = frozenset(part for part in locations if part < num_partitions)
-            if not valid:
-                valid = hash_home(tuple_id, num_partitions)
-            merged.assign(tuple_id, valid)
+            merged.assign(tuple_id, placement_at(tuple_id, locations, num_partitions))
             if deployed is None or tuple_id not in deployed:
                 pinned += 1
-        return merged, pinned
+        journal = self.journal
+        self.router.replace_strategy(
+            LookupTablePartitioning(num_partitions, merged, journal.default_policy),
+            build_lookup_table(merged, backend=journal.lookup_backend),
+        )
+        return pinned
 
     # -- rollback path -----------------------------------------------------------------
     def _step_rollback(self, budget: int) -> int:
@@ -864,14 +849,7 @@ class JournaledMigrator:
         if journal.flip_mode == "delta":
             self._publish_entries(journal.plan.previous)
         else:
-            merged, _ = self._merged_target(
-                journal.old_num_partitions, dict(journal.plan.previous)
-            )
-            old_strategy = LookupTablePartitioning(
-                journal.old_num_partitions, merged, journal.default_policy
-            )
-            old_table = build_lookup_table(merged, backend=journal.lookup_backend)
-            self.router.replace_strategy(old_strategy, old_table)
+            self._publish_swap(journal.old_num_partitions, journal.plan.previous)
         self.router.migration_window.close()
 
     def _run_restore_batch(self, budget: int) -> int:
@@ -1031,7 +1009,7 @@ class MigrationSession:
     A traffic loop (or the storage driver's commit hook) calls :meth:`tick`
     between transactions, so migration work and live load share one thread
     deterministically.  When a
-    :class:`~repro.online.controller.MigrationPacer` is attached — fed the
+    :class:`~repro.online.policy.MigrationPacer` is attached — fed the
     live latency/abort stream — its step budget gates every tick (0 = the
     migration holds still while the SLO recovers).
     """
@@ -1040,7 +1018,7 @@ class MigrationSession:
         self,
         migrator: JournaledMigrator,
         *,
-        pacer: "MigrationPacer | None" = None,
+        pacer: MigrationPacer | None = None,
     ) -> None:
         if migrator.journal.kind != "resize":
             raise ValueError("MigrationSession drives resize journals")

@@ -44,6 +44,13 @@ from repro.workload.trace import TransactionAccess
 _RENORMALISE_LIMIT = 1e12
 #: Drop decayed counts below this fraction of one fresh access.
 _PRUNE_FRACTION = 1e-4
+#: Smoothing factor of the decayed transactions-per-epoch rate estimate
+#: (EWMA weight of the newest epoch; 1.0 would track only the last epoch).
+RATE_SMOOTHING = 0.3
+#: Load skew counts as drift only when it also exceeds the baseline skew by
+#: this much (an inherently skewed workload must not re-trigger futile
+#: adaptations forever).
+DRIFT_SKEW_INCREASE = 0.25
 
 
 @dataclass
@@ -58,11 +65,9 @@ class MonitorOptions:
     hot_set_size: int = 32
     #: drift when the windowed distributed fraction exceeds the baseline by this much.
     drift_distributed_increase: float = 0.10
-    #: drift when max/mean per-partition transaction load exceeds this...
+    #: drift when max/mean per-partition transaction load exceeds this (and
+    #: the baseline skew by ``DRIFT_SKEW_INCREASE``).
     drift_skew_threshold: float = 1.75
-    #: ...and also exceeds the baseline skew by this much (an inherently
-    #: skewed workload must not re-trigger futile adaptations forever).
-    drift_skew_increase: float = 0.25
     #: drift when 1 - |hot_now & hot_baseline| / hot_set_size exceeds this.
     drift_churn_threshold: float = 0.60
     #: the churn signal only counts when the hot set carries at least this
@@ -87,9 +92,6 @@ class MonitorOptions:
     drift_churn_share_lift: float = 1.25
     #: suppress drift reports until the window holds at least this many transactions.
     min_window_fill: int = 50
-    #: smoothing factor of the decayed transactions-per-epoch rate estimate
-    #: (EWMA weight of the newest epoch; 1.0 tracks only the last epoch).
-    rate_smoothing: float = 0.3
 
     def __post_init__(self) -> None:
         if self.window_size <= 0:
@@ -101,8 +103,6 @@ class MonitorOptions:
         # The window can never fill past its capacity; an uncapped
         # min_window_fill would silently disable drift detection forever.
         self.min_window_fill = min(self.min_window_fill, self.window_size)
-        if not 0.0 < self.rate_smoothing <= 1.0:
-            raise ValueError("rate_smoothing must be in (0, 1]")
         if self.drift_churn_min_weight_share is not None and not (
             0.0 <= self.drift_churn_min_weight_share <= 1.0
         ):
@@ -241,9 +241,8 @@ class WorkloadMonitor:
     def advance_epoch(self) -> None:
         """Age the decayed counts by one epoch (cheap; amortised O(1) per call)."""
         self.epochs += 1
-        smoothing = self.options.rate_smoothing
         if self._rate_primed:
-            self._rate += smoothing * (self._epoch_ingested - self._rate)
+            self._rate += RATE_SMOOTHING * (self._epoch_ingested - self._rate)
         else:
             # Seed the rate estimate from the first epoch instead of decaying
             # up from zero (which would under-report load for many epochs).
@@ -325,10 +324,6 @@ class WorkloadMonitor:
             key=lambda item: (-item[1], item[0]),
         )
         return tuple(tuple_id for tuple_id, _ in ranked)
-
-    def window_trace_accesses(self) -> list[TransactionAccess]:
-        """The sliding window's transactions, oldest first."""
-        return [access for access, _ in self._window]
 
     def window_stats(self) -> WindowStats:
         """Current window statistics (distributed fraction, skew, churn)."""
@@ -427,7 +422,7 @@ class WorkloadMonitor:
             )
         if (
             stats.load_skew > self.options.drift_skew_threshold
-            and stats.load_skew > self._baseline_skew + self.options.drift_skew_increase
+            and stats.load_skew > self._baseline_skew + DRIFT_SKEW_INCREASE
         ):
             reasons.append(
                 f"load skew {stats.load_skew:.2f} (baseline {self._baseline_skew:.2f})"

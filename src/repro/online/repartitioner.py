@@ -3,7 +3,7 @@
 A from-scratch k-way cut of the maintained graph ignores where tuples
 currently live, so even a mild drift would trigger a near-total reshuffle.
 The :class:`BudgetedRepartitioner` instead **warm-starts from the current
-assignment** and performs greedy k-way boundary refinement in which every
+placement** (a replica set per tuple, singletons included) and performs greedy k-way boundary refinement in which every
 move is charged its **migration cost** (the size of the tuple that would
 have to be copied across partitions):
 
@@ -30,7 +30,6 @@ approaches are compared on genuine placement differences, not label noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.graph.model import CSRGraph
 from repro.graph.partitioner import GraphPartitioner, PartitionerOptions
@@ -40,9 +39,7 @@ from repro.graph.refine import (
     kway_fm_refine,
     side_weights,
 )
-
-if TYPE_CHECKING:  # import cycle: maintainer imports nothing from here
-    from repro.online.maintainer import StarExpansion
+from repro.online.maintainer import StarExpansion
 
 
 @dataclass
@@ -70,7 +67,7 @@ class RepartitionOptions:
 
 @dataclass
 class RepartitionResult:
-    """Outcome of one (budgeted or from-scratch) re-partition."""
+    """Outcome of a from-scratch re-partition (:func:`repartition_from_scratch`)."""
 
     assignment: list[int]
     num_partitions: int
@@ -118,7 +115,7 @@ class ReplicatedRepartitionResult:
         """Number of tuples whose replica set changed."""
         return len(self.changed_nodes)
 
-    #: alias so adaptation records can report either result type uniformly.
+    #: what adaptation records report as "moved".
     num_moved = num_changed
 
     @property
@@ -130,66 +127,20 @@ class ReplicatedRepartitionResult:
 class BudgetedRepartitioner:
     """Warm-started k-way refinement with migration-cost accounting.
 
-    Two entry points: :meth:`repartition` refines a plain node -> partition
-    assignment (singleton placements), :meth:`repartition_replicated`
-    refines a star-expanded graph into per-tuple **replica sets** (read-hot
-    tuples may widen onto several partitions; each added replica is charged
-    one copy against the budget).  Both share the same balance-repair and
-    bucket-FM phases, so they ride every speedup the offline kernel gets.
+    One entry point, :meth:`repartition_replicated`: it refines a
+    star-expanded graph into per-tuple **replica sets** (read-hot tuples may
+    widen onto several partitions; each added replica is charged one copy
+    against the budget).  With an empty expansion every set is a singleton
+    and the result is the plain budgeted k-way refinement.
     """
 
     def __init__(self, options: RepartitionOptions | None = None) -> None:
         self.options = options or RepartitionOptions()
 
-    def repartition(
-        self,
-        graph: CSRGraph,
-        warm_assignment: list[int],
-        num_parts: int,
-        move_costs: list[float] | None = None,
-    ) -> RepartitionResult:
-        """Refine ``warm_assignment`` in a copy; the input list is not mutated.
-
-        Parameters
-        ----------
-        graph:
-            The frozen maintained graph.
-        warm_assignment:
-            Current partition of every node (the deployed placement).
-        num_parts:
-            Number of partitions.
-        move_costs:
-            Per-node migration cost (e.g. tuple bytes); defaults to 1.0 per
-            node, i.e. "tuples moved".
-        """
-        options = self.options
-        num_nodes = graph.num_nodes
-        if len(warm_assignment) != num_nodes:
-            raise ValueError("warm assignment length does not match the graph")
-        assignment = list(warm_assignment)
-        cut_before = cut_weight_two_way(graph, assignment)
-        if num_nodes == 0 or num_parts <= 1:
-            return RepartitionResult(assignment, num_parts, cut_before, cut_before)
-        costs = move_costs if move_costs is not None else [1.0] * num_nodes
-        home = warm_assignment
-        max_weights = self._max_weights(graph, num_parts)
-        weights = side_weights(graph, assignment, num_parts)
-        spent = self._repair_balance(graph, assignment, home, costs, weights, max_weights)
-        spent += self._refine(graph, assignment, home, costs, weights, max_weights, spent)
-        moved = [node for node in range(num_nodes) if assignment[node] != home[node]]
-        return RepartitionResult(
-            assignment,
-            num_parts,
-            cut_before,
-            cut_weight_two_way(graph, assignment),
-            moved,
-            sum(costs[node] for node in moved),
-        )
-
     def repartition_replicated(
         self,
         graph: CSRGraph,
-        star: "StarExpansion",
+        star: StarExpansion,
         current_placements: list[frozenset[int]],
         num_parts: int,
         move_costs: list[float] | None = None,
@@ -339,15 +290,14 @@ class BudgetedRepartitioner:
         weights: list[float],
         max_weights: list[float],
         already_spent: float,
-    ) -> float:
+    ) -> None:
         """Cost-charged k-way refinement via the shared bucket-FM kernel.
 
         Delegates to :func:`repro.graph.refine.kway_fm_refine` in greedy
         mode: the :class:`MoveCostModel` adjusts every candidate gain by
         ``migration_cost_weight`` times its cost delta, enforces the budget
         (moves that would exceed it are inadmissible; returning home — a
-        refund — always is), and keeps the running ledger.  Returns the
-        migration cost this phase spent.
+        refund — always is), and keeps the running ledger.
         """
         options = self.options
         cost_model = MoveCostModel(
@@ -366,7 +316,6 @@ class BudgetedRepartitioner:
             cost_model=cost_model,
             want_external=False,
         )
-        return cost_model.spent - already_spent
 
     @staticmethod
     def _cost_delta(
@@ -382,24 +331,20 @@ class BudgetedRepartitioner:
 
 
 def align_partition_labels(
-    assignment: list[int],
-    reference: list[int],
-    num_parts: int,
-    move_costs: list[float] | None = None,
+    assignment: list[int], reference: list[int], num_parts: int
 ) -> list[int]:
     """Relabel ``assignment``'s partitions to best match ``reference``.
 
     A fresh partitioner run labels its parts arbitrarily; before counting
     "tuples moved" against the deployed placement the labels must be matched,
     otherwise a pure relabelling would look like a full migration.  Greedy
-    maximum-overlap matching (overlap measured in migration cost) is within a
+    maximum-overlap matching (overlap measured in tuples) is within a
     factor of two of optimal and fully deterministic.
     """
     overlap: dict[tuple[int, int], float] = {}
     for node, new_part in enumerate(assignment):
-        cost = move_costs[node] if move_costs is not None else 1.0
         pair = (new_part, reference[node])
-        overlap[pair] = overlap.get(pair, 0.0) + cost
+        overlap[pair] = overlap.get(pair, 0.0) + 1.0
     ranked = sorted(overlap.items(), key=lambda item: (-item[1], item[0]))
     mapping: dict[int, int] = {}
     used_targets: set[int] = set()
@@ -419,7 +364,6 @@ def repartition_from_scratch(
     graph: CSRGraph,
     current_assignment: list[int],
     num_parts: int,
-    move_costs: list[float] | None = None,
     partitioner_options: PartitionerOptions | None = None,
 ) -> RepartitionResult:
     """Full multilevel re-partition, label-aligned against the current placement.
@@ -430,8 +374,7 @@ def repartition_from_scratch(
     """
     partitioner = GraphPartitioner(partitioner_options)
     fresh = partitioner.partition(graph, num_parts)
-    aligned = align_partition_labels(fresh, current_assignment, num_parts, move_costs)
-    costs = move_costs if move_costs is not None else [1.0] * graph.num_nodes
+    aligned = align_partition_labels(fresh, current_assignment, num_parts)
     moved = [
         node for node in range(graph.num_nodes) if aligned[node] != current_assignment[node]
     ]
@@ -441,5 +384,5 @@ def repartition_from_scratch(
         cut_weight_two_way(graph, current_assignment),
         cut_weight_two_way(graph, aligned),
         moved,
-        sum(costs[node] for node in moved),
+        float(len(moved)),
     )

@@ -23,7 +23,12 @@ from repro.core.strategies import PartitioningStrategy
 from repro.obs import get_telemetry
 from repro.routing.lookup import LookupTable
 from repro.sqlparse.ast import InsertStatement, Statement, is_write, statement_tables
-from repro.sqlparse.predicates import AttributeCondition, conjunctive_conditions, statement_where
+from repro.sqlparse.predicates import (
+    AttributeCondition,
+    conjunctive_conditions,
+    pinned_values,
+    statement_where,
+)
 from repro.workload.trace import Transaction
 
 
@@ -253,18 +258,9 @@ class Router:
         """
         if self.lookup_table is None or self.schema is None or not self.schema.has_table(table):
             return None
-        primary_key = self.schema.table(table).primary_key
-        values: dict[str, tuple[object, ...]] = {}
-        for condition in conditions:
-            if condition.column in primary_key:
-                candidates = condition.candidate_values()
-                if candidates:
-                    values[condition.column] = candidates
-        if set(values) != set(primary_key):
+        keys = pinned_values(conditions, self.schema.table(table).primary_key)
+        if keys is None:
             return None
-        keys: list[tuple[object, ...]] = [()]
-        for column in primary_key:
-            keys = [key + (value,) for key in keys for value in values[column]]
         partitions: set[int] = set()
         writing = is_write(statement)
         window = self.migration_window

@@ -12,7 +12,7 @@ Two consumers drive this module:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.sqlparse.ast import (
     And,
@@ -177,6 +177,32 @@ def _collect_conjunctive(predicate: Predicate | None, out: list[AttributeConditi
     if isinstance(predicate, And):
         for child in predicate.children:
             _collect_conjunctive(child, out)
+
+
+def pinned_values(
+    conditions: Iterable[AttributeCondition], columns: Sequence[str]
+) -> list[tuple[object, ...]] | None:
+    """Every value tuple over ``columns`` that ``conditions`` admit, or ``None``.
+
+    A column is pinned by an ``=`` or ``IN`` condition on it; the result is
+    the cross product of the pinned values in ``columns`` order, ``None``
+    when any column is left unpinned.  Callers pass the conditions of one
+    table (:func:`conjunctive_conditions`, filtered), so this is the single
+    derivation of "which keys can this statement touch" for hash routing,
+    lookup-table routing, read fallbacks and write locks.
+    """
+    values: dict[str, tuple[object, ...]] = {}
+    for condition in conditions:
+        if condition.column in columns:
+            candidates = condition.candidate_values()
+            if candidates:
+                values[condition.column] = candidates
+    if set(values) != set(columns):
+        return None
+    pinned: list[tuple[object, ...]] = [()]
+    for column in columns:
+        pinned = [prefix + (value,) for prefix in pinned for value in values[column]]
+    return pinned
 
 
 def statement_where(statement: Statement) -> Predicate | None:

@@ -47,7 +47,11 @@ from repro.engine.database import Database
 from repro.obs import get_telemetry
 from repro.routing.router import Router, RoutingDecision
 from repro.sqlparse.ast import InsertStatement, Statement, is_write, statement_tables
-from repro.sqlparse.predicates import conjunctive_conditions, statement_where
+from repro.sqlparse.predicates import (
+    conjunctive_conditions,
+    pinned_values,
+    statement_where,
+)
 from repro.storage.cluster import SqliteStorageCluster
 from repro.storage.retry import RetryBudgetExhausted, RetryOptions, RetryPolicy
 from repro.storage.sqlite_store import StoreConstraintError
@@ -158,19 +162,14 @@ def pinned_keys(
 ) -> list[tuple[object, ...]] | None:
     """Primary keys of ``table`` the statement's WHERE pins, or ``None`` if it could
     touch any row (one derivation, so read fallbacks and write locks agree on keys)."""
-    primary_key = schema.table(table).primary_key
-    values: dict[str, tuple[object, ...]] = {}
-    for condition in conjunctive_conditions(statement_where(statement)):
-        if condition.table in (None, table) and condition.column in primary_key:
-            candidates = condition.candidate_values()
-            if candidates:
-                values[condition.column] = candidates
-    if set(values) != set(primary_key):
-        return None
-    keys: list[tuple[object, ...]] = [()]
-    for column in primary_key:
-        keys = [key + (value,) for key in keys for value in values[column]]
-    return keys
+    return pinned_values(
+        (
+            condition
+            for condition in conjunctive_conditions(statement_where(statement))
+            if condition.table in (None, table)
+        ),
+        schema.table(table).primary_key,
+    )
 
 
 def pinned_write_keys(statement: Statement, schema: Schema) -> list[tuple[object, ...]] | None:

@@ -43,7 +43,7 @@ import time
 from typing import Callable
 
 from repro.catalog.tuples import TupleId
-from repro.core.strategies import hash_home
+from repro.core.strategies import hash_home, placement_at
 from repro.distributed.faults import FaultInjector
 from repro.graph.assignment import PartitionAssignment
 from repro.online.migration import (
@@ -234,8 +234,6 @@ def plan_storage_resize(
     new_num_partitions: int,
     *,
     migration_id: str,
-    lookup_backend: str = "dict",
-    default_policy: str = "hash",
     retry_options: RetryOptions | None = None,
     seed: int = 0,
 ) -> MigrationJournal:
@@ -257,11 +255,8 @@ def plan_storage_resize(
     assignment = PartitionAssignment(new_num_partitions)
     for tuple_id, resident in sorted(locations.items()):
         if len(resident) > 1:
-            surviving = frozenset(
-                partition for partition in resident if partition < new_num_partitions
-            )
             assignment.assign(
-                tuple_id, surviving or hash_home(tuple_id, new_num_partitions)
+                tuple_id, placement_at(tuple_id, resident, new_num_partitions)
             )
         else:
             assignment.assign(tuple_id, hash_home(tuple_id, new_num_partitions))
@@ -272,8 +267,6 @@ def plan_storage_resize(
         flip_mode="swap",
         old_num_partitions=cluster.num_partitions,
         new_num_partitions=new_num_partitions,
-        lookup_backend=lookup_backend,
-        default_policy=default_policy,
         migration_id=migration_id,
         backend="storage",
     )

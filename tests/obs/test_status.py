@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.catalog.tuples import TupleId
 from repro.obs.status import inspect_journal, render_pacer, render_status
-from repro.online.controller import MigrationPacer, PacingOptions
+from repro.online.policy import MigrationPacer, PacingOptions
 from repro.online.migration import MigrationJournal, MigrationPlan, MigrationStep
 
 

@@ -10,15 +10,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.distributed.cluster import Cluster
 from repro.experiments.online_drift import run_elastic_scaling
 from repro.online import (
     ElasticOptions,
     MonitorOptions,
     OnlineOptions,
+    OnlineSchism,
     RepartitionOptions,
     start_online,
 )
 from repro.pipeline import Pipeline, SchismOptions
+from repro.routing.lookup import build_lookup_table
+from repro.routing.router import Router
 from repro.workload.rwsets import extract_access_trace
 from repro.workloads import generate_rotating_hotspot
 
@@ -33,8 +37,24 @@ def _audit_reachability(controller) -> int:
     return unreachable
 
 
-@pytest.fixture(scope="module")
-def controller():
+class _BackendOnly:
+    """A cluster seen through the six ``MigrationBackend`` methods and nothing else."""
+
+    _PROTOCOL = frozenset(
+        "num_partitions grow_to shrink_to copy_tuple drop_tuple tuple_locations_map".split()
+    )
+
+    def __init__(self, cluster: Cluster) -> None:
+        self._cluster = cluster
+
+    def __getattr__(self, name):
+        if name not in self._PROTOCOL:
+            raise AttributeError(name)
+        return getattr(self._cluster, name)
+
+
+def _deploy(backend_only: bool = False) -> OnlineSchism:
+    """Offline plan -> live controller that has seen the drifted phase."""
     bundle = generate_rotating_hotspot(
         num_rows=400,
         transactions_per_phase=300,
@@ -49,14 +69,38 @@ def controller():
         repartition=RepartitionOptions(migration_cost_weight=0.25, imbalance=0.10),
         batch_size=50,
     )
-    online = start_online(
-        offline.plan(),
-        database,
-        options,
-        warm_up_trace=offline.state.training_trace,
-    )
+    if backend_only:
+        strategy = offline.plan().deployment_strategy("hash")
+        router = Router(strategy, database.schema, build_lookup_table(strategy.assignment))
+        online = OnlineSchism(
+            _BackendOnly(Cluster.from_database(database, strategy)), router, options
+        )
+        online.warm_up(offline.state.training_trace)
+    else:
+        online = start_online(
+            offline.plan(),
+            database,
+            options,
+            warm_up_trace=offline.state.training_trace,
+        )
     online.observe(extract_access_trace(database, bundle.phases[1]), auto_adapt=False)
     return online
+
+
+@pytest.fixture(scope="module")
+def controller():
+    return _deploy()
+
+
+def test_controller_needs_only_the_migration_backend_protocol():
+    """adapt() and resize() reach the cluster through MigrationBackend alone."""
+    bare, narrow = _deploy(), _deploy(backend_only=True)
+    adapted = narrow.adapt().describe()
+    assert adapted == bare.adapt().describe()
+    assert "moved 0 nodes" not in adapted
+    resized = narrow.resize(3).describe()
+    assert resized == bare.resize(3).describe()
+    assert resized.startswith("resize (grow): 2 -> 3 partitions")
 
 
 def test_grow_shrink_round_trip(controller):

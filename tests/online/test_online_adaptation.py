@@ -55,7 +55,9 @@ def _run_scenario():
     tuples = controller.maintainer.tuples()
     full = controller.preview_full_repartition()
     full_strategy = LookupTablePartitioning(
-        NUM_PARTITIONS, controller.merged_assignment(tuples, full.assignment), "hash"
+        NUM_PARTITIONS,
+        controller.merged_placements(tuples, [frozenset({part}) for part in full.assignment]),
+        "hash",
     )
     full_fraction = evaluate_strategy(full_strategy, drifted).distributed_fraction
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.online.controller import MigrationPacer, PacingOptions
+from repro.online.policy import MigrationPacer, PacingOptions
 
 
 def _pacer(**overrides):

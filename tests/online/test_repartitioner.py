@@ -6,6 +6,7 @@ import pytest
 
 from repro.graph.model import Graph
 from repro.graph.refine import cut_weight_two_way
+from repro.online.maintainer import StarExpansion
 from repro.online.repartitioner import (
     BudgetedRepartitioner,
     RepartitionOptions,
@@ -28,23 +29,38 @@ def _two_cliques(crossing_weight=0.0):
     return graph.freeze()
 
 
+def _repartition(csr, warm, costs=None, options=None):
+    """Singleton placements, nothing star-expanded: plain budgeted refinement."""
+    current = [frozenset({part}) for part in warm]
+    result = BudgetedRepartitioner(options).repartition_replicated(
+        csr, StarExpansion(csr.num_nodes, {}, {}), current, 2, costs
+    )
+    assert current == [frozenset({part}) for part in warm]  # input not mutated
+    assert all(len(placement) == 1 for placement in result.placements)
+    return result
+
+
+def _assignment(result):
+    return [min(placement) for placement in result.placements]
+
+
 def test_already_optimal_assignment_is_untouched():
     csr = _two_cliques()
     warm = [0, 0, 0, 1, 1, 1]
-    result = BudgetedRepartitioner().repartition(csr, warm, 2)
-    assert result.assignment == warm
+    result = _repartition(csr, warm)
+    assert _assignment(result) == warm
     assert result.num_moved == 0
     assert result.migration_cost == 0.0
     assert result.cut_after == 0.0
-    assert warm == [0, 0, 0, 1, 1, 1]  # input not mutated
 
 
 def test_misplaced_node_moves_home():
     csr = _two_cliques()
     warm = [0, 0, 1, 1, 1, 1]  # node 2 stranded with the wrong clique
-    result = BudgetedRepartitioner().repartition(csr, warm, 2)
-    assert result.assignment == [0, 0, 0, 1, 1, 1]
-    assert result.moved_nodes == [2]
+    result = _repartition(csr, warm)
+    assert _assignment(result) == [0, 0, 0, 1, 1, 1]
+    assert result.changed_nodes == [2]
+    assert (result.replica_copies, result.replica_drops) == (1, 1)
     assert result.migration_cost == 1.0
     assert result.cut_before == 20.0
     assert result.cut_after == 0.0
@@ -60,9 +76,9 @@ def test_migration_cost_weight_blocks_marginal_moves():
     graph.add_edge(1, 2, 1.0)
     csr = graph.freeze()
     warm = [0, 0, 1, 1]
-    cheap = BudgetedRepartitioner(
-        RepartitionOptions(migration_cost_weight=10.0)
-    ).repartition(csr, warm, 2)
+    cheap = _repartition(
+        csr, warm, options=RepartitionOptions(migration_cost_weight=10.0)
+    )
     assert cheap.num_moved == 0
 
 
@@ -77,12 +93,12 @@ def test_budget_caps_total_moves():
     # u-nodes on partition 0, their partners on partition 1.
     warm = [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
     options = RepartitionOptions(migration_cost_weight=0.1, migration_budget=1.0)
-    result = BudgetedRepartitioner(options).repartition(csr, warm, 2)
+    result = _repartition(csr, warm, options=options)
     assert result.num_moved == 1
     assert result.migration_cost == 1.0
-    unlimited = BudgetedRepartitioner(
-        RepartitionOptions(migration_cost_weight=0.1)
-    ).repartition(csr, warm, 2)
+    unlimited = _repartition(
+        csr, warm, options=RepartitionOptions(migration_cost_weight=0.1)
+    )
     assert unlimited.num_moved == 3
 
 
@@ -90,7 +106,7 @@ def test_returning_home_refunds_cost():
     csr = _two_cliques()
     warm = [0, 0, 1, 1, 1, 1]
     options = RepartitionOptions(migration_cost_weight=0.25)
-    result = BudgetedRepartitioner(options).repartition(csr, warm, 2)
+    result = _repartition(csr, warm, options=options)
     # Only node 2 is off; the cost ledger equals the final displacement, not
     # the number of intermediate moves.
     assert result.migration_cost == float(result.num_moved)
@@ -103,8 +119,8 @@ def test_balance_repair_handles_overweight_warm_start():
     csr = graph.freeze()
     warm = [0] * 8  # everything on one partition
     options = RepartitionOptions(imbalance=0.1)
-    result = BudgetedRepartitioner(options).repartition(csr, warm, 2)
-    weights = [result.assignment.count(part) for part in range(2)]
+    result = _repartition(csr, warm, options=options)
+    weights = [_assignment(result).count(part) for part in range(2)]
     assert max(weights) <= 5  # 8/2 * 1.1 + max node weight
 
 
@@ -114,14 +130,14 @@ def test_move_costs_respected():
     # Node 2 is huge: moving it costs 100, over budget.
     costs = [1.0, 1.0, 100.0, 1.0, 1.0, 1.0]
     options = RepartitionOptions(migration_cost_weight=0.01, migration_budget=50.0)
-    result = BudgetedRepartitioner(options).repartition(csr, warm, 2, costs)
-    assert 2 not in result.moved_nodes
+    result = _repartition(csr, warm, costs, options)
+    assert 2 not in result.changed_nodes
 
 
 def test_warm_assignment_length_validated():
     csr = _two_cliques()
     with pytest.raises(ValueError):
-        BudgetedRepartitioner().repartition(csr, [0, 1], 2)
+        _repartition(csr, [0, 1])
 
 
 def test_align_partition_labels_undoes_permutation():

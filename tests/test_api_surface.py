@@ -5,7 +5,14 @@ from dataclasses import fields
 
 import pytest
 
+from repro.catalog.tuples import TupleId
 from repro.graph.partitioner import PartitionerOptions
+from repro.online.controller import OnlineOptions
+from repro.online.maintainer import MaintainerOptions
+from repro.online.migration import MigrationJournal, MigrationPlan, MigrationStep
+from repro.online.monitor import MonitorOptions
+from repro.online.policy import ElasticOptions, PacingOptions
+from repro.online.repartitioner import RepartitionOptions
 from repro.pipeline import PartitionPlan, Pipeline, SchismOptions
 from repro.workloads import generate_simplecount
 
@@ -57,3 +64,62 @@ def test_plan_with_removed_partitioner_keys_still_loads():
     assert old.provenance.options["partitioner"]["bisection_carry"] == 2
     assert old.content_fingerprint() == plan.content_fingerprint()
     assert PartitionPlan.loads(old.dumps()).dumps() == old.dumps()
+
+
+@pytest.mark.parametrize(
+    "options, names",
+    [
+        (
+            OnlineOptions,
+            "monitor repartition elastic pacing batch_size "
+            "replication_min_read_fraction replication_retention_slack",
+        ),
+        (
+            PacingOptions,
+            "abort_window p99_latency_budget abort_rate_budget min_samples "
+            "pressure_ratio max_steps throttled_steps backoff_initial backoff_max",
+        ),
+        (
+            MonitorOptions,
+            "window_size decay hot_set_size drift_distributed_increase "
+            "drift_skew_threshold drift_churn_threshold drift_churn_min_weight_share "
+            "drift_churn_share_floor drift_churn_share_lift min_window_fill",
+        ),
+        (
+            MaintainerOptions,
+            "decay prune_threshold blanket_transaction_threshold prune_interval",
+        ),
+        (
+            ElasticOptions,
+            "enabled target_rate_per_partition grow_hysteresis shrink_hysteresis "
+            "min_partitions max_partitions cooldown_batches",
+        ),
+        (
+            RepartitionOptions,
+            "migration_cost_weight migration_budget max_passes imbalance",
+        ),
+    ],
+)
+def test_online_options_are_exactly_the_knobs_somebody_turns(options, names):
+    assert [field.name for field in fields(options)] == names.split()
+
+
+def test_journal_with_lookup_backend_and_default_policy_still_loads():
+    """No caller chooses them any more, but journals on disk carry them."""
+    tuple_id = TupleId("usertable", (7,))
+    plan = MigrationPlan(
+        3,
+        copies=[MigrationStep("copy", tuple_id, 0, 2)],
+        drops=[MigrationStep("drop", tuple_id, 0)],
+        changes=[(tuple_id, frozenset({2}))],
+        previous=[(tuple_id, frozenset({0}))],
+    )
+    payload = MigrationJournal.for_plan(
+        plan, kind="resize", flip_mode="swap", old_num_partitions=2
+    ).to_payload()
+    assert (payload["lookup_backend"], payload["default_policy"]) == ("dict", "hash")
+    payload.update(lookup_backend="bitarray", default_policy="replicate")
+    old = MigrationJournal.from_payload(payload)
+    assert (old.lookup_backend, old.default_policy) == ("bitarray", "replicate")
+    assert MigrationJournal.loads(old.dumps()).dumps() == old.dumps()
+    assert old.to_payload() == payload

@@ -29,6 +29,30 @@ def test_doctested_modules_pass():
     assert checker.check_doctests() == []
 
 
+def test_readme_option_tables_name_live_fields():
+    checker = _load_checker()
+    assert checker.check_option_tables() == []
+
+
+def test_option_table_check_flags_a_stale_row():
+    checker = _load_checker()
+    fixture = "\n".join(
+        [
+            "| Knob | Default | Meaning |",
+            "|---|---|---|",
+            "| `replication_enabled` | `True` | removed with its off branch |",
+            "| `elastic.grow_hysteresis` / `shrink_hysteresis` | `1.3` / `0.6` | live |",
+            "| `pacing.max_steps` | `64` | live, through an optional field |",
+            "",
+            "| Name | Note |",
+            "|---|---|",
+            "| `not_a_knob` | a table not headed Knob is not an option table |",
+        ]
+    )
+    problems = checker.check_option_tables(fixture)
+    assert len(problems) == 1 and "`replication_enabled`" in problems[0]
+
+
 def test_architecture_doc_exists_and_linked():
     architecture = REPO_ROOT / "docs" / "ARCHITECTURE.md"
     assert architecture.exists()

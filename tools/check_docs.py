@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Docs health check: markdown link validation + doctests.
+"""Docs health check: markdown link validation + doctests + option tables.
 
-Two passes, both dependency-free:
+Three passes, all dependency-free:
 
 1. **Link check** — every relative markdown link in README.md, ROADMAP.md,
    PAPER.md, PAPERS.md and docs/*.md must point at an existing file
@@ -10,6 +10,10 @@ Two passes, both dependency-free:
 2. **Doctests** — ``doctest.testmod`` over the modules that carry doctested
    examples (listed in ``DOCTEST_MODULES``), so the examples shown in
    ``help()`` output cannot rot silently.
+3. **Option tables** — every back-ticked name in the first column of a
+   README table headed ``Knob`` must be a dataclass field reachable from
+   ``repro.online.OnlineOptions`` (``elastic.enabled`` walks into
+   ``ElasticOptions``), so a documented knob cannot outlive its field.
 
 Exit status 0 when everything passes; 1 with a per-problem report
 otherwise.  Run from the repository root (CI docs job, or locally):
@@ -19,10 +23,12 @@ otherwise.  Run from the repository root (CI docs job, or locally):
 
 from __future__ import annotations
 
+import dataclasses
 import doctest
 import importlib
 import re
 import sys
+import typing
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -39,7 +45,7 @@ MARKDOWN_GLOBS = ("docs/*.md",)
 DOCTEST_MODULES = (
     "repro.graph.assignment",
     "repro.routing.lookup",
-    "repro.online.controller",
+    "repro.online.policy",
     "repro.pipeline.plan",
 )
 
@@ -95,14 +101,18 @@ def check_links() -> list[str]:
     return problems
 
 
-def check_doctests() -> list[str]:
-    """Run the doctests of ``DOCTEST_MODULES``; returns problem strings."""
-    problems: list[str] = []
+def _import_from_src(module_name: str):
     src = REPO_ROOT / "src"
     if str(src) not in sys.path:
         sys.path.insert(0, str(src))
+    return importlib.import_module(module_name)
+
+
+def check_doctests() -> list[str]:
+    """Run the doctests of ``DOCTEST_MODULES``; returns problem strings."""
+    problems: list[str] = []
     for module_name in DOCTEST_MODULES:
-        module = importlib.import_module(module_name)
+        module = _import_from_src(module_name)
         result = doctest.testmod(module, verbose=False)
         if result.attempted == 0:
             problems.append(f"{module_name}: no doctests found (stale DOCTEST_MODULES?)")
@@ -111,9 +121,59 @@ def check_doctests() -> list[str]:
     return problems
 
 
+def _is_field_path(dotted: str, options_class: type) -> bool:
+    """Whether ``a.b`` names field ``b`` of the dataclass typed at field ``a``."""
+    current: type | None = options_class
+    for part in dotted.split("."):
+        if current is None or part not in {f.name for f in dataclasses.fields(current)}:
+            return False
+        annotation = typing.get_type_hints(current)[part]
+        nested = [
+            candidate
+            for candidate in typing.get_args(annotation) or (annotation,)
+            if dataclasses.is_dataclass(candidate)
+        ]
+        current = nested[0] if nested else None
+    return True
+
+
+def check_option_tables(readme: str | None = None) -> list[str]:
+    """Resolve every knob README's option tables name against ``OnlineOptions``.
+
+    A name without a dot inherits the prefix of the name before it in the
+    same cell (``elastic.grow_hysteresis`` / ``shrink_hysteresis``).
+    """
+    options_class = _import_from_src("repro.online.controller").OnlineOptions
+    if readme is None:
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    problems: list[str] = []
+    in_option_table = False
+    for line in readme.splitlines():
+        if not line.startswith("|"):
+            in_option_table = False
+            continue
+        first_cell = line.strip("|").split("|")[0].strip()
+        if first_cell == "Knob":
+            in_option_table = True
+        if not in_option_table:
+            continue
+        prefix = ""
+        for name in re.findall(r"`([^`]+)`", first_cell):
+            if "." in name:
+                prefix = name.rsplit(".", 1)[0] + "."
+            else:
+                name = prefix + name
+            if not _is_field_path(name, options_class):
+                problems.append(
+                    f"README.md: option table documents `{name}`, which is not a "
+                    f"field reachable from {options_class.__name__}"
+                )
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_doctests()
-    return report_problems(problems, "docs check: links and doctests ok")
+    problems = check_links() + check_doctests() + check_option_tables()
+    return report_problems(problems, "docs check: links, doctests and option tables ok")
 
 
 if __name__ == "__main__":
