@@ -33,8 +33,9 @@ from pathlib import Path
 from typing import Callable
 
 from repro.core.config import default_options
+from repro.core.strategies import MECHANISMS
 from repro.experiments.figure4 import FIGURE4_EXPERIMENTS
-from repro.obs import Telemetry, get_telemetry, set_telemetry
+from repro.obs import Telemetry, get_telemetry, set_telemetry, use_telemetry
 from repro.online import start_online
 from repro.pipeline import PartitionPlan, Pipeline
 from repro.utils.rng import SeededRng
@@ -109,6 +110,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"\nwrote {path} ({len(plan)} placements, "
               f"fingerprint {plan.content_fingerprint()[:12]})")
     return 0
+
+
+def _routing_report(plan: PartitionPlan, served: float) -> str:
+    """Validated against served distributed fraction, and what routed the statements."""
+    validated = plan.provenance.metrics.get("distributed_fraction")
+    routed = get_telemetry().metrics.counter("router.statements", labels=("mechanism",))
+    counts = ", ".join(
+        f"{name} {routed.labels(mechanism=name).value}" for name in MECHANISMS
+    )
+    return (
+        "routing: validated "
+        + ("n/a" if validated is None else f"{validated:.1%}")
+        + f" distributed at planning, served {served:.1%}; statements by {counts}"
+    )
 
 
 def _deploy_sqlite(args: argparse.Namespace, plan: PartitionPlan, bundle: WorkloadBundle) -> int:
@@ -234,6 +249,7 @@ def _deploy_sqlite(args: argparse.Namespace, plan: PartitionPlan, bundle: Worklo
         f"read fallbacks {report.read_fallbacks}, "
         f"in-doubt completed {report.in_doubt_completed}"
     )
+    print(_routing_report(plan, report.distributed_fraction))
     if session is not None:
         journal = session.journal
         print(
@@ -248,6 +264,16 @@ def _deploy_sqlite(args: argparse.Namespace, plan: PartitionPlan, bundle: Worklo
 
 
 def cmd_deploy(args: argparse.Namespace) -> int:
+    # The routing report reads the router's counters: count even when no
+    # snapshot was asked for.
+    telemetry = get_telemetry()
+    if not telemetry.metrics.enabled:
+        telemetry = Telemetry.create(seed=args.seed)
+    with use_telemetry(telemetry):
+        return _deploy(args)
+
+
+def _deploy(args: argparse.Namespace) -> int:
     plan = PartitionPlan.load(args.plan)
     print(f"loaded {args.plan}:")
     print(plan.describe())
@@ -260,6 +286,9 @@ def cmd_deploy(args: argparse.Namespace) -> int:
         f"\nmaterialised {cluster.num_partitions} partitions: "
         f"row counts {cluster.row_counts()} (imbalance {cluster.imbalance():.2f})"
     )
+    # The router sees every statement first (an insert's row places it), the
+    # monitor then attributes the extracted read/write sets.
+    controller.router.participants_for_workload(bundle.workload)
     trace = extract_access_trace(bundle.database, bundle.workload)
     observation = controller.observe(trace, auto_adapt=args.adapt)
     stats = controller.monitor.window_stats()
@@ -268,6 +297,7 @@ def cmd_deploy(args: argparse.Namespace) -> int:
         f"{observation.batches} batches: {stats.distributed_fraction:.1%} distributed, "
         f"load skew {stats.load_skew:.2f}"
     )
+    print(_routing_report(plan, stats.distributed_fraction))
     drifted = sum(1 for report in observation.drift_reports if report.drifted)
     print(
         f"drift reports: {len(observation.drift_reports)} ({drifted} drifted), "

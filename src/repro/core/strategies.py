@@ -18,6 +18,7 @@ round-robin and composable per-table manual strategies used as baselines.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -62,6 +63,30 @@ def placement_at(
     return surviving or hash_home(tuple_id, num_partitions)
 
 
+#: which layer answered a placement question, weakest last: an explicit
+#: per-tuple entry, the strategy's own rule, the last-resort default policy,
+#: or nothing (the statement is broadcast).  Indexes into this tuple are what
+#: :meth:`PartitioningStrategy.resolve` returns and what the router counts.
+MECHANISMS = ("explicit", "base", "default", "broadcast")
+EXPLICIT, BASE, DEFAULT, BROADCAST = range(4)
+
+
+def key_positions(
+    primary_key: Sequence[str], columns: Iterable[str]
+) -> tuple[tuple[str, int], ...] | None:
+    """``(column, index into the key)`` for ``columns``; ``None`` when one of
+    them is not a primary-key column, i.e. the key alone cannot supply them."""
+    index = {column: position for position, column in enumerate(primary_key)}
+    if any(column not in index for column in columns):
+        return None
+    return tuple((column, index[column]) for column in columns)
+
+
+def key_row(positions: tuple[tuple[str, int], ...], key: tuple) -> dict[str, object]:
+    """The row columns :func:`key_positions` located, read off ``key``."""
+    return {column: key[index] for column, index in positions}
+
+
 class PartitioningStrategy(ABC):
     """Base class for all strategies."""
 
@@ -70,6 +95,9 @@ class PartitioningStrategy(ABC):
     #: relative complexity used for tie-breaking in the final validation
     #: (lower is simpler and therefore preferred on a tie).
     complexity: int = 1
+    #: placement is decided tuple by tuple: a router resolves a statement's
+    #: pinned primary keys through :meth:`resolve` before trying its conditions.
+    per_tuple: bool = False
 
     def __init__(self, num_partitions: int) -> None:
         if num_partitions <= 0:
@@ -82,6 +110,23 @@ class PartitioningStrategy(ABC):
         self, tuple_id: TupleId, row: Mapping[str, object] | None = None
     ) -> frozenset[int]:
         """Partitions that store ``tuple_id`` (always non-empty)."""
+
+    def resolve(
+        self, tuple_id: TupleId, row: Mapping[str, object] | None = None
+    ) -> tuple[frozenset[int], int]:
+        """:meth:`partitions_for_tuple` plus which of :data:`MECHANISMS` answered."""
+        return self.partitions_for_tuple(tuple_id, row), BASE
+
+    def routing_columns(self, table: str) -> tuple[str, ...]:
+        """Row columns the placement of a ``table`` tuple is computed from
+        (empty: the key alone decides)."""
+        return ()
+
+    def resized(self, num_partitions: int) -> "PartitioningStrategy":
+        """The same rules over ``num_partitions`` partitions."""
+        clone = copy.copy(self)
+        clone.num_partitions = num_partitions
+        return clone
 
     # -- routing ------------------------------------------------------------------------
     def partitions_for_conditions(
@@ -145,6 +190,9 @@ class HashPartitioning(PartitioningStrategy):
         # Attribute hashing deliberately omits the table name so that tuples of
         # different tables sharing the attribute value (e.g. TPC-C w_id) co-locate.
         return frozenset({stable_hash(value) % self.num_partitions})
+
+    def routing_columns(self, table: str) -> tuple[str, ...]:
+        return tuple(self.columns_per_table.get(table, ()))
 
     def partitions_for_conditions(
         self, table: str, conditions: Sequence[AttributeCondition]
@@ -214,6 +262,11 @@ class RangePredicatePartitioning(PartitioningStrategy):
     Tables without a rule set follow the ``fallback`` policy: ``"replicate"``
     stores their tuples everywhere (the safe choice for read-mostly reference
     tables), ``"hash"`` hashes them on their primary key.
+
+    With ``primary_keys`` (table -> key columns) a tuple asked about without
+    its row is classified on the rule columns its key carries, and follows
+    the fallback when the key does not carry them; without, the rules see an
+    empty row and answer their default label.
     """
 
     name = "range-predicates"
@@ -224,25 +277,62 @@ class RangePredicatePartitioning(PartitioningStrategy):
         num_partitions: int,
         rule_sets: Mapping[str, RuleSet],
         fallback: str = "replicate",
+        primary_keys: Mapping[str, Sequence[str]] | None = None,
     ) -> None:
         super().__init__(num_partitions)
         if fallback not in ("replicate", "hash"):
             raise ValueError("fallback must be 'replicate' or 'hash'")
         self.rule_sets = dict(rule_sets)
         self.fallback = fallback
+        self._columns = {
+            table: tuple(
+                sorted({c.attribute for rule in rule_set.rules for c in rule.conditions})
+            )
+            for table, rule_set in self.rule_sets.items()
+        }
+        #: label -> the partitions it names that exist at this partition count.
+        self._valid: dict[str, frozenset[int]] = {}
+        #: table -> key positions of its rule columns (None: not in the key);
+        #: empty when no primary keys were given.
+        self._key_positions = {
+            table: key_positions(primary_keys[table], columns)
+            for table, columns in self._columns.items()
+            if table in (primary_keys or ())
+        }
+
+    def routing_columns(self, table: str) -> tuple[str, ...]:
+        return self._columns.get(table, ())
 
     def partitions_for_tuple(
         self, tuple_id: TupleId, row: Mapping[str, object] | None = None
     ) -> frozenset[int]:
-        rule_set = self.rule_sets.get(tuple_id.table)
+        table = tuple_id.table
+        rule_set = self.rule_sets.get(table)
         if rule_set is None:
             return self._fallback_partitions(tuple_id)
-        attributes = dict(row) if row is not None else {}
-        partitions = rule_set.partitions_for_row(attributes)
-        valid = frozenset(p for p in partitions if 0 <= p < self.num_partitions)
-        if not valid:
-            return self._fallback_partitions(tuple_id)
+        if row is None:
+            row = {}
+            if table in self._key_positions:
+                positions = self._key_positions[table]
+                if positions is None:
+                    return self._fallback_partitions(tuple_id)
+                row = key_row(positions, tuple_id.key)
+        return self._classified(rule_set, row) or self._fallback_partitions(tuple_id)
+
+    def _classified(self, rule_set: RuleSet, row: Mapping[str, object]) -> frozenset[int]:
+        """The existing partitions ``rule_set`` assigns ``row`` to (may be empty)."""
+        label = rule_set.classify(row)
+        valid = self._valid.get(label)
+        if valid is None:
+            valid = self._valid[label] = frozenset(
+                p for p in decode_label(label) if 0 <= p < self.num_partitions
+            )
         return valid
+
+    def resized(self, num_partitions: int) -> "RangePredicatePartitioning":
+        clone = super().resized(num_partitions)
+        clone._valid = {}
+        return clone
 
     def _fallback_partitions(self, tuple_id: TupleId) -> frozenset[int]:
         if self.fallback == "replicate":
@@ -267,9 +357,7 @@ class RangePredicatePartitioning(PartitioningStrategy):
                 row[condition.column] = values[0]
         if not all(attribute in row for attribute in rule_set.attributes):
             return None
-        return frozenset(
-            p for p in rule_set.partitions_for_row(row) if 0 <= p < self.num_partitions
-        ) or None
+        return self._classified(rule_set, row) or None
 
     def describe(self) -> str:
         tables = ", ".join(sorted(self.rule_sets)) or "-"
@@ -280,55 +368,134 @@ class RangePredicatePartitioning(PartitioningStrategy):
 # Lookup-table partitioning (fine-grained, per-tuple)
 # ---------------------------------------------------------------------------
 class LookupTablePartitioning(PartitioningStrategy):
-    """Fine-grained per-tuple placement backed by the graph phase's assignment.
+    """Fine-grained per-tuple placement: explicit entries over a ``base``.
 
-    Tuples not present in the lookup table (not touched by the training
-    trace, or inserted later) follow ``default_policy``:
+    A tuple's home is, in order:
 
-    * ``"hash"`` — hash on the primary key (the paper's "random partition
-      until the partitioning is re-evaluated");
-    * ``"replicate"`` — store everywhere (used for read-mostly workloads such
-      as Epinions in the paper).
+    1. its explicit entry in ``assignment`` (the graph phase's placement, or
+       what live migration put there through :meth:`place`);
+    2. the ``base`` strategy evaluated on the tuple's **primary-key columns**
+       (``primary_keys``: table -> key columns), so the answer needs no row
+       and every caller gets the same one.  A table whose routing columns are
+       not all key columns is placed by its **row** the first time the row is
+       seen, and that placement becomes an explicit entry — what the paper's
+       lookup table does for new tuples;
+    3. ``default_policy``, the last resort: ``"hash"`` on the primary key
+       (the paper's "random partition until the partitioning is
+       re-evaluated") or ``"replicate"`` everywhere (used for read-mostly
+       workloads such as Epinions in the paper).
+
+    Without a ``base`` only 1 and 3 apply.
     """
 
     name = "lookup-table"
     complexity = 3
+    per_tuple = True
 
     def __init__(
         self,
         num_partitions: int,
         assignment: PartitionAssignment,
         default_policy: str = "hash",
+        base: PartitioningStrategy | None = None,
+        primary_keys: Mapping[str, Sequence[str]] | None = None,
     ) -> None:
         super().__init__(num_partitions)
         if default_policy not in ("hash", "replicate"):
             raise ValueError("default_policy must be 'hash' or 'replicate'")
         self.assignment = assignment
         self.default_policy = default_policy
+        self.base = base
+        self.primary_keys = {
+            table: tuple(columns) for table, columns in (primary_keys or {}).items()
+        }
+        #: table -> key positions of the base's routing columns, for the
+        #: tables whose key carries all of them.
+        self._key_positions: dict[str, tuple[tuple[str, int], ...]] = {}
+        #: tables holding an explicit entry the base would have placed
+        #: elsewhere; the base cannot route their statements by conditions.
+        self._strays: set[str] = set()
+        if base is not None:
+            for table, key in self.primary_keys.items():
+                positions = key_positions(key, base.routing_columns(table))
+                if positions is not None:
+                    self._key_positions[table] = positions
+        for tuple_id, placement in assignment.placements.items():
+            self._note_entry(tuple_id, placement)
+
+    def resolve(
+        self, tuple_id: TupleId, row: Mapping[str, object] | None = None
+    ) -> tuple[frozenset[int], int]:
+        placement = self.assignment.placements.get(tuple_id)
+        if placement:
+            return placement, EXPLICIT
+        base = self.base
+        if base is not None:
+            positions = self._key_positions.get(tuple_id.table)
+            if positions is not None:
+                return base.partitions_for_tuple(tuple_id, key_row(positions, tuple_id.key)), BASE
+            if row is not None:
+                placement = base.partitions_for_tuple(tuple_id, row)
+                self.assignment.assign(tuple_id, placement)
+                return placement, BASE
+        if self.default_policy == "replicate":
+            return self.all_partitions, DEFAULT
+        return hash_home(tuple_id, self.num_partitions), DEFAULT
 
     def partitions_for_tuple(
         self, tuple_id: TupleId, row: Mapping[str, object] | None = None
     ) -> frozenset[int]:
-        placement = self.assignment.partitions_of(tuple_id)
-        if placement:
-            return placement
-        if self.default_policy == "replicate":
-            return self.all_partitions
-        return hash_home(tuple_id, self.num_partitions)
+        return self.resolve(tuple_id, row)[0]
+
+    def place(self, entries: Iterable[tuple[TupleId, Iterable[int]]]) -> None:
+        """Write explicit entries (live migration's routing flip)."""
+        for tuple_id, partitions in entries:
+            self.assignment.assign(tuple_id, partitions)
+            self._note_entry(tuple_id, self.assignment.placements[tuple_id])
+
+    def _note_entry(self, tuple_id: TupleId, placement: frozenset[int]) -> None:
+        """Mark the table stray unless the base, going by the key, agrees."""
+        table = tuple_id.table
+        if self.base is None or table in self._strays:
+            return
+        positions = self._key_positions.get(table)
+        # No positions: placed by a row this entry does not come with.
+        if positions is None or placement != self.base.partitions_for_tuple(
+            tuple_id, key_row(positions, tuple_id.key)
+        ):
+            self._strays.add(table)
+
+    def with_assignment(
+        self, num_partitions: int, assignment: PartitionAssignment
+    ) -> "LookupTablePartitioning":
+        """This deployment's base and default over other explicit entries
+        (a wholesale routing swap, possibly at another partition count)."""
+        return LookupTablePartitioning(
+            num_partitions,
+            assignment,
+            self.default_policy,
+            self.base.resized(num_partitions) if self.base is not None else None,
+            self.primary_keys,
+        )
 
     def partitions_for_conditions(
         self, table: str, conditions: Sequence[AttributeCondition]
     ) -> frozenset[int] | None:
-        # The router resolves lookup tables through its LookupTable backend
-        # (which can answer key-equality conditions); at the strategy level we
-        # can only answer when the full key is pinned by the conditions.
-        return None
+        # The router resolves pinned primary keys tuple by tuple; anything
+        # else can only follow the base, and only while every tuple of the
+        # table is where the base puts it.  A stray entry — a tuple migration
+        # moved off its rule partition — may match the statement from a
+        # partition the base would skip, so the table is broadcast instead.
+        if self.base is None or table in self._strays:
+            return None
+        return self.base.partitions_for_conditions(table, conditions)
 
     def describe(self) -> str:
+        base = f", over {self.base.name}" if self.base is not None else ""
         return (
             f"{self.name} over {self.num_partitions} partitions "
             f"({len(self.assignment)} tuples, {self.assignment.replicated_count} replicated, "
-            f"default={self.default_policy})"
+            f"default={self.default_policy}{base})"
         )
 
 
@@ -381,6 +548,9 @@ class CompositePartitioning(PartitioningStrategy):
         self.table_policies = dict(table_policies)
         self.default_policy = default_policy or TablePolicy("hash")
         self.name = name
+
+    def routing_columns(self, table: str) -> tuple[str, ...]:
+        return self.table_policies.get(table, self.default_policy).columns
 
     def partitions_for_tuple(
         self, tuple_id: TupleId, row: Mapping[str, object] | None = None

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.cost import evaluate_strategy
-from repro.core.strategies import LookupTablePartitioning
 from repro.online import start_online
 from repro.online.controller import OnlineOptions, OnlineSchism
 from repro.online.monitor import MonitorOptions
@@ -119,12 +118,11 @@ def run_online_drift(
     # From-scratch baseline: previewed (not applied), labels aligned.
     tuples = controller.maintainer.tuples()
     full = controller.preview_full_repartition()
-    full_strategy = LookupTablePartitioning(
+    full_strategy = controller.strategy.with_assignment(
         num_partitions,
         controller.merged_placements(
             tuples, [frozenset({part}) for part in full.assignment]
         ),
-        "hash",
     )
     distributed_full = evaluate_strategy(full_strategy, drifted_trace).distributed_fraction
 

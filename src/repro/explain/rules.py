@@ -9,8 +9,12 @@ what the range-predicate partitioning strategy evaluates at routing time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+
+_ORDERINGS = {"<=": operator.le, "<": operator.lt, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -24,28 +28,29 @@ class RuleCondition:
     def __post_init__(self) -> None:
         if self.operator not in ("<=", ">", "<", ">=", "=", "<>"):
             raise ValueError(f"unsupported rule operator {self.operator!r}")
+        # Resolved once: rules are evaluated per routed statement.
+        try:
+            bound = float(self.value)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            bound = None
+        object.__setattr__(self, "_ordering", _ORDERINGS.get(self.operator))
+        object.__setattr__(self, "_bound", bound)
 
     def matches(self, row: Mapping[str, object]) -> bool:
         """Evaluate the condition against a row mapping."""
         if self.attribute not in row:
             return False
         actual = row[self.attribute]
-        if self.operator == "=":
-            return _as_comparable(actual) == _as_comparable(self.value)
-        if self.operator == "<>":
-            return _as_comparable(actual) != _as_comparable(self.value)
+        ordering = self._ordering
+        if ordering is None:
+            equal = _as_comparable(actual) == _as_comparable(self.value)
+            return equal if self.operator == "=" else not equal
+        if self._bound is None:
+            return False
         try:
-            left = float(actual)  # type: ignore[arg-type]
-            right = float(self.value)  # type: ignore[arg-type]
+            return ordering(float(actual), self._bound)  # type: ignore[arg-type]
         except (TypeError, ValueError):
             return False
-        if self.operator == "<=":
-            return left <= right
-        if self.operator == "<":
-            return left < right
-        if self.operator == ">":
-            return left > right
-        return left >= right
 
     def __str__(self) -> str:
         return f"{self.attribute} {self.operator} {self.value}"
@@ -108,7 +113,10 @@ class RuleSet:
     def classify(self, row: Mapping[str, object]) -> str:
         """Return the label of the first matching rule (rules are exclusive paths)."""
         for rule in self.rules:
-            if rule.matches(row):
+            for condition in rule.conditions:
+                if not condition.matches(row):
+                    break
+            else:
                 return rule.label
         return self.default_label
 

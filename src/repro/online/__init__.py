@@ -101,8 +101,8 @@ def start_online(
 ) -> OnlineSchism:
     """Deploy a partitioning decision as a live, self-adapting system.
 
-    Materialises the cluster from ``database`` under the fine-grained
-    lookup-table placement of ``plan``, builds the router, and returns an
+    Materialises the cluster from ``database`` under the deployment
+    strategy of ``plan``, builds the router, and returns an
     :class:`OnlineSchism` controller.  The controller closes the loop on
     live traffic (``observe`` / ``observe_batches``): it detects drift,
     re-partitions under a migration budget — widening read-hot tuples into
@@ -132,12 +132,13 @@ def start_online(
         case for a plan loaded from a file, which deliberately does not
         embed the trace.
 
-    The lookup strategy is always used for the online deployment — live
-    migration updates per-tuple placements, which only the lookup table can
-    express — regardless of which candidate won the offline validation.
-    Tuples absent from the lookup table are routed by ``"hash"`` whatever
-    the plan recorded: implicit full replication would make every later
-    write to an untracked tuple a cluster-wide transaction.
+    The deployment is always a lookup table of explicit placements — live
+    migration updates per-tuple placements, which only it can express — over
+    the candidate that won the offline validation
+    (:meth:`PartitionPlan.deployment_strategy`).  The last resort for a
+    tuple neither layer places is ``"hash"`` whatever the plan recorded:
+    implicit full replication would make every later write to an untracked
+    tuple a cluster-wide transaction.
     """
     strategy = plan.deployment_strategy("hash")
     cluster = Cluster.from_database(database, strategy)

@@ -41,7 +41,7 @@ live in :mod:`repro.online.policy`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.catalog.tuples import TupleId
@@ -433,11 +433,11 @@ class OnlineSchism:
         ``OnlineOptions.replication_retention_slack``.
         """
         options = self.options
-        assignment = self.strategy.assignment
+        strategy = self.strategy
         retained = [
             node
             for node, tuple_id in enumerate(self.maintainer.tuples())
-            if assignment.is_replicated(tuple_id)
+            if len(strategy.partitions_for_tuple(tuple_id)) > 1
         ]
         retention = max(
             0.0,
@@ -550,15 +550,16 @@ class OnlineSchism:
         two resize-specific obligations:
 
         * **every stored tuple the lookup table routed implicitly is pinned
-          to an explicit entry**: the hash default policy's modulus changes
-          with k, so an implicit placement computed at the old k would point
-          at the wrong partition — the pin keeps every tuple reachable
-          without moving it.  (The routing flip re-walks storage, so tuples
-          inserted while the migration is in flight are pinned too.)
+          to an explicit entry**: a hash modulus changes with k, and a base
+          rule may name a partition being removed, so an implicit placement
+          computed at the old k could point at the wrong partition — the pin
+          keeps every tuple reachable without moving it.  (The routing flip
+          re-walks storage, so tuples inserted while the migration is in
+          flight are pinned too.)
         * the routing state is republished by **atomic wholesale swap**
           (new strategy + new lookup table at the new k) regardless of
-          backend: an in-place entry delta cannot express the modulus
-          change, which invalidates every implicit placement at once.
+          backend: an in-place entry delta cannot express the change of
+          k, which invalidates every implicit placement at once.
 
         Growing adds the empty partitions *before* the copies (so data can
         land on them); shrinking removes the evacuated partitions only
@@ -696,14 +697,15 @@ class OnlineSchism:
 
         When the controller was deployed from a plan (``start_online`` sets
         :attr:`source_plan`) and **nothing has changed the placement** (no
-        adaptations, no resizes), the plan's routing config — strategy
-        name, default policies, hash columns, rule sets — is carried
-        forward, so a deploy/export cycle round-trips the artifact
+        adaptations, no resizes), that plan is exported again under fresh
+        provenance, so a deploy/export cycle round-trips the artifact
         identically.  Once the loop has adapted, the export instead
         describes the live deployment truthfully: a ``lookup-table`` plan
         with the router's actual default policy, because the offline rule
         sets no longer describe the adapted placements and rebuilding the
-        offline winner from them would discard every migrated tuple.
+        offline winner from them would discard every migrated tuple.  Every
+        stored tuple a base rule still routes is named at its location, as
+        the exported lookup table has no rules under it.
         """
         assignment = self.strategy.assignment
         stats = self.monitor.window_stats()
@@ -724,19 +726,16 @@ class OnlineSchism:
             and not self.adaptations
             and not self.resizes
         ):
-            return PartitionPlan(
-                num_partitions=self.num_partitions,
-                placements=dict(assignment.placements),
-                strategy=template.strategy,
-                lookup_default_policy=template.lookup_default_policy,
-                range_fallback=template.range_fallback,
-                rule_sets=dict(template.rule_sets),
-                hash_columns=template.hash_columns,
-                provenance=provenance,
-            )
+            return replace(template, provenance=provenance)
+        placements = dict(assignment.placements)
+        if self.strategy.base is not None:
+            # Tuples still routed by the base rules have no explicit entry;
+            # a lookup-table plan must name them to put them back there.
+            for tuple_id, locations in self.cluster.tuple_locations_map().items():
+                placements.setdefault(tuple_id, locations)
         return PartitionPlan(
             num_partitions=self.num_partitions,
-            placements=dict(assignment.placements),
+            placements=placements,
             strategy="lookup-table",
             lookup_default_policy=self.strategy.default_policy,
             provenance=provenance,

@@ -766,8 +766,7 @@ class JournaledMigrator:
             table.apply_delta(entries)
         strategy = self.router.strategy
         if isinstance(strategy, LookupTablePartitioning):
-            for tuple_id, partitions in entries:
-                strategy.assignment.assign(tuple_id, partitions)
+            strategy.place(entries)
 
     def _publish_swap(
         self, num_partitions: int, overrides: list[tuple[TupleId, frozenset[int]]]
@@ -777,9 +776,11 @@ class JournaledMigrator:
         ``overrides`` (the routing delta, or its inverse during rollback)
         wins; every other *stored* tuple is pinned to its physical location
         — which also captures tuples inserted by live traffic while the
-        migration was in flight, whose implicit hash placement would change
-        meaning with the partition count.  Returns the number of tuples
-        pinned that had no explicit entry before.
+        migration was in flight, whose implicit placement (a hash modulus, a
+        rule naming a removed partition) would change meaning with the
+        partition count.  The deployed strategy's base rules and default
+        carry over for tuples inserted afterwards.  Returns the number of
+        tuples pinned that had no explicit entry before.
         """
         merged = PartitionAssignment(num_partitions)
         for tuple_id, partitions in overrides:
@@ -797,7 +798,9 @@ class JournaledMigrator:
                 pinned += 1
         journal = self.journal
         self.router.replace_strategy(
-            LookupTablePartitioning(num_partitions, merged, journal.default_policy),
+            strategy.with_assignment(num_partitions, merged)
+            if isinstance(strategy, LookupTablePartitioning)
+            else LookupTablePartitioning(num_partitions, merged, journal.default_policy),
             build_lookup_table(merged, backend=journal.lookup_backend),
         )
         return pinned

@@ -2,7 +2,8 @@
 
 A plan is the *durable* product of a pipeline run: the per-tuple replica
 sets, the range-rule sets of the explanation phase, the winning strategy,
-and provenance (options, phase timings, cut/validation metrics).  It is what
+the tables' primary-key columns, and provenance (options, cut/validation
+metrics).  It is what
 downstream components consume — ``start_online`` deploys one,
 ``Cluster.from_database`` materialises one, ``python -m repro`` reads and
 writes them as files — and what two runs are compared by (:meth:`PartitionPlan.diff`).
@@ -53,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: on-disk format marker and version; bump the version on breaking changes.
 PLAN_FORMAT = "repro-partition-plan"
-PLAN_FORMAT_VERSION = 1
+PLAN_FORMAT_VERSION = 2
 
 #: strategies a plan can name as its winner and rebuild.
 KNOWN_STRATEGIES = (
@@ -93,7 +94,7 @@ def _tuple_id_sort_key(tuple_id: TupleId) -> tuple:
 
 @dataclass
 class PlanProvenance:
-    """Where a plan came from: options, phase timings, quality metrics."""
+    """Where a plan came from: options, quality metrics, phase timings."""
 
     created_by: str = "repro.pipeline"
     workload: str | None = None
@@ -101,6 +102,8 @@ class PlanProvenance:
     #: plans exported from a live controller).
     options: dict = field(default_factory=dict)
     #: per-phase wall-clock seconds — all five phases, extraction included.
+    #: Never written to a plan file (a persisted artefact carries no wall
+    #: clock); set on the plan a run builds and on loaded version-1 plans.
     timings: dict = field(default_factory=dict)
     #: cut weight, graph sizes, per-candidate distributed fractions, ...
     metrics: dict = field(default_factory=dict)
@@ -166,6 +169,10 @@ class PartitionPlan:
     rule_sets: dict[str, RuleSet] = field(default_factory=dict)
     #: per-table columns of the attribute-hashing candidate (if any).
     hash_columns: dict[str, tuple[str, ...]] | None = None
+    #: per-table primary-key columns, in key order: what lets deployment
+    #: evaluate the winning strategy on a tuple id alone.  Empty in plans
+    #: that predate the field; those deploy by lookup table + default only.
+    primary_keys: dict[str, tuple[str, ...]] = field(default_factory=dict)
     provenance: PlanProvenance = field(default_factory=PlanProvenance)
     version: int = PLAN_FORMAT_VERSION
 
@@ -223,7 +230,10 @@ class PartitionPlan:
             if not self.rule_sets:
                 raise PlanFormatError("plan carries no rule sets for range-predicates")
             return RangePredicatePartitioning(
-                self.num_partitions, self.rule_sets, fallback=self.range_fallback
+                self.num_partitions,
+                self.rule_sets,
+                fallback=self.range_fallback,
+                primary_keys=self.primary_keys or None,
             )
         if name == "hashing":
             return HashPartitioning(self.num_partitions)
@@ -235,20 +245,42 @@ class PartitionPlan:
             return FullReplication(self.num_partitions)
         raise ValueError(f"unknown strategy {name!r}")
 
+    @property
+    def deployment_base(self) -> str | None:
+        """Name of the strategy deployment routes by under its explicit
+        entries; ``None`` when the lookup table itself is all there is (it
+        won, or the plan predates ``primary_keys``)."""
+        if self.strategy == "lookup-table" or not self.primary_keys:
+            return None
+        return self.strategy
+
     def deployment_strategy(
         self, lookup_default_policy: str | None = None
     ) -> LookupTablePartitioning:
-        """The fine-grained lookup strategy online deployment always uses.
+        """The strategy a deployment routes by: the validated winner under a
+        lookup table of explicit placements.
 
-        Live migration updates per-tuple placements, which only the lookup
-        table can express — so deployment ignores which candidate won the
-        offline validation.  ``lookup_default_policy`` overrides the plan's
-        recorded policy (online deployments usually force ``"hash"``).
+        Live migration updates per-tuple placements, which only a lookup
+        table can express — so deployment is always a
+        :class:`LookupTablePartitioning`.  When the lookup table won the
+        validation it starts from the plan's placements; otherwise it starts
+        *empty* over the winning strategy (see the class for the placement
+        order), so tuples the training trace never saw and tuples inserted
+        later are routed the way the winner was validated.
+        ``lookup_default_policy`` overrides the plan's recorded last-resort
+        policy (online deployments usually force ``"hash"``).
         """
+        policy = lookup_default_policy or self.lookup_default_policy
+        if self.deployment_base is None:
+            return LookupTablePartitioning(
+                self.num_partitions, self.to_assignment(), policy
+            )
         return LookupTablePartitioning(
             self.num_partitions,
-            self.to_assignment(),
-            lookup_default_policy or self.lookup_default_policy,
+            PartitionAssignment(self.num_partitions),
+            policy,
+            base=self.build_strategy(),
+            primary_keys=self.primary_keys,
         )
 
     # -- serialisation ----------------------------------------------------------------
@@ -283,13 +315,16 @@ class PartitionPlan:
             "lookup_default_policy": self.lookup_default_policy,
             "range_fallback": self.range_fallback,
             "hash_columns": hash_columns,
+            "primary_keys": {
+                table: list(columns)
+                for table, columns in sorted(self.primary_keys.items())
+            },
             "placements": placements,
             "rule_sets": rule_sets,
             "provenance": {
                 "created_by": self.provenance.created_by,
                 "workload": self.provenance.workload,
                 "options": self.provenance.options,
-                "timings": self.provenance.timings,
                 "metrics": self.provenance.metrics,
             },
         }
@@ -338,6 +373,10 @@ class PartitionPlan:
             range_fallback=payload.get("range_fallback", "replicate"),
             rule_sets=rule_sets,
             hash_columns=hash_columns,
+            primary_keys={
+                table: tuple(columns)
+                for table, columns in payload.get("primary_keys", {}).items()
+            },
             provenance=provenance,
             version=version,
         )
@@ -380,8 +419,8 @@ class PartitionPlan:
         """SHA-256 over the plan's *decision* content (provenance excluded).
 
         Two pipeline runs with the same inputs produce the same fingerprint
-        even though their provenance timings differ — this is the value to
-        compare across processes and array backends.
+        whoever created them — this is the value to compare across processes
+        and array backends.
         """
         payload = self.to_payload()
         payload["provenance"] = None
@@ -415,7 +454,9 @@ class PartitionPlan:
         # Routing-relevant configuration beyond the placements: a plan that
         # routes differently must never diff as identical.
         policy_changes: dict[str, tuple[object, object]] = {}
-        for attribute in ("lookup_default_policy", "range_fallback", "hash_columns"):
+        for attribute in (
+            "lookup_default_policy", "range_fallback", "hash_columns", "primary_keys",
+        ):
             mine = getattr(self, attribute)
             theirs = getattr(other, attribute)
             if mine != theirs:
@@ -454,12 +495,19 @@ class PartitionPlan:
 
     def describe(self) -> str:
         """Multi-line report of the plan (placements, strategy, provenance)."""
+        base = self.deployment_base
         lines = [
             f"partition plan v{self.version}: {self.num_partitions} partitions, "
             f"strategy {self.strategy}",
             f"placements: {len(self.placements)} tuples, "
             f"{self.replicated_count} replicated "
             f"(default policy: {self.lookup_default_policy})",
+            "deployment routes by: "
+            + (
+                f"explicit entries, then {base} on the key columns"
+                if base
+                else "the placements (lookup table)"
+            ),
         ]
         if self.rule_sets:
             lines.append(
@@ -483,7 +531,7 @@ class PlanDiff:
     strategy_change: tuple[str, str] | None = None
     partitions_change: tuple[int, int] | None = None
     #: changed routing policies: attribute -> (old, new); covers
-    #: lookup_default_policy, range_fallback and hash_columns.
+    #: lookup_default_policy, range_fallback, hash_columns and primary_keys.
     policy_changes: dict[str, tuple[object, object]] = field(default_factory=dict)
     #: tables whose range-rule sets were added, removed, or modified.
     rules_changed: tuple[str, ...] = ()
@@ -601,5 +649,9 @@ def build_plan(
         range_fallback=options.range_fallback,
         rule_sets=state.explanation.rule_sets(),
         hash_columns=options.hash_columns,
+        primary_keys={
+            table.name: tuple(table.primary_key)
+            for table in state.database.schema.tables
+        },
         provenance=provenance,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.catalog.schema import Schema
 from repro.catalog.tuples import TupleId
-from repro.core.strategies import PartitioningStrategy
+from repro.core.strategies import BASE, BROADCAST, EXPLICIT, MECHANISMS, PartitioningStrategy
 from repro.obs import get_telemetry
 from repro.routing.lookup import LookupTable
 from repro.sqlparse.ast import InsertStatement, Statement, is_write, statement_tables
@@ -69,7 +69,8 @@ class MigrationWindow:
     ones — otherwise an update landing after the copy step would be lost at
     the new location.  Reads keep preferring the source placement (the
     lookup table is untouched until the routing flip), so the window only
-    widens the destination set of pk-resolved **writes**.
+    widens the destination set of pk-resolved **writes**; a write the
+    strategy would route by its conditions is broadcast while it is open.
 
     The window maps each in-flight tuple to its extra write partitions; it
     opens before the first copy and closes at the routing flip (forward
@@ -124,9 +125,17 @@ class Router:
         self.num_partitions = strategy.num_partitions
         #: dual-write window of an in-flight migration (empty when idle).
         self.migration_window = MigrationWindow()
-        self._dual_writes = get_telemetry().metrics.counter(
+        metrics = get_telemetry().metrics
+        self._dual_writes = metrics.counter(
             "router.dual_writes", "writes widened by the dual-write window"
         )
+        routed = metrics.counter(
+            "router.statements",
+            "routed statements by the weakest mechanism that placed them",
+            labels=("mechanism",),
+        )
+        #: one series per entry of MECHANISMS, held so routing pays no label lookup.
+        self._routed = [routed.labels(mechanism=name) for name in MECHANISMS]
 
     def replace_strategy(
         self, strategy: PartitioningStrategy, lookup_table: LookupTable | None = None
@@ -155,6 +164,7 @@ class Router:
         broadcast = False
         reasons: list[str] = []
         conditions = self._statement_conditions(statement)
+        mechanism = EXPLICIT
         for table in statement_tables(statement):
             table_conditions = [
                 condition
@@ -162,11 +172,20 @@ class Router:
                 if condition.table in (None, table)
             ]
             resolved_by_lookup = False
-            partitions = self._lookup_route(table, table_conditions, statement, context)
-            if partitions is not None:
+            resolved = self._lookup_route(table, table_conditions, statement, context)
+            if resolved is not None:
                 resolved_by_lookup = True
+                partitions, weakest = resolved
+                mechanism = max(mechanism, weakest)
             else:
                 partitions = self.strategy.partitions_for_conditions(table, table_conditions)
+                mechanism = max(mechanism, BASE)
+                if partitions is not None and self.migration_window and is_write(statement):
+                    # The dual-write window widens writes key by key; a write
+                    # routed by its conditions names no key, so while tuples
+                    # are in flight it goes everywhere — the replicas being
+                    # added must not miss it.
+                    partitions = None
             if partitions is None:
                 destinations.update(all_partitions)
                 broadcast = True
@@ -189,6 +208,7 @@ class Router:
             destinations = set(all_partitions)
             broadcast = True
             reasons.append("no destination: broadcast")
+        self._routed[BROADCAST if broadcast else mechanism].inc()
         decision = RoutingDecision(
             statement, frozenset(destinations), broadcast, "; ".join(reasons)
         )
@@ -249,27 +269,37 @@ class Router:
         conditions: list[AttributeCondition],
         statement: Statement,
         context: TransactionRoutingContext | None,
-    ) -> frozenset[int] | None:
+    ) -> tuple[frozenset[int], int] | None:
         """Resolve primary-key equality conditions through the lookup table.
 
         Each matched key contributes its placement; for reads, a key stored on
         several partitions (a replicated tuple) only contributes one replica,
         chosen to coincide with partitions already involved where possible.
+        Returns the partitions and the weakest mechanism that placed a key.
         """
-        if self.lookup_table is None or self.schema is None or not self.schema.has_table(table):
+        lookup_table = self.lookup_table
+        if lookup_table is None and not self.strategy.per_tuple:
+            return None
+        if self.schema is None or not self.schema.has_table(table):
             return None
         keys = pinned_values(conditions, self.schema.table(table).primary_key)
         if keys is None:
             return None
         partitions: set[int] = set()
+        weakest = EXPLICIT
         writing = is_write(statement)
+        # An insert carries the whole row: a table the strategy cannot place
+        # by key alone is placed by it, here, the first time it is seen.
+        row = statement.row if isinstance(statement, InsertStatement) else None
         window = self.migration_window
         for key in keys:
             tuple_id = TupleId(table, key)
-            placement = self.lookup_table.get(tuple_id)
+            placement = lookup_table.get(tuple_id) if lookup_table is not None else None
             if placement is None:
-                # Unknown tuple: defer to the strategy (its default policy).
-                placement = self.strategy.partitions_for_tuple(tuple_id)
+                # No entry in the table: the strategy decides (its own entries,
+                # its rules on the key or the row, its default policy).
+                placement, mechanism = self.strategy.resolve(tuple_id, row)
+                weakest = max(weakest, mechanism)
             if not writing and len(placement) > 1:
                 already = placement & partitions
                 if context is not None and not already:
@@ -286,7 +316,7 @@ class Router:
                     if extra:
                         partitions.update(extra)
                         self._dual_writes.inc()
-        return frozenset(partitions) if partitions else None
+        return (frozenset(partitions), weakest) if partitions else None
 
     def _pick_replica(
         self, replicas: frozenset[int], context: TransactionRoutingContext | None

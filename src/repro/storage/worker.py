@@ -175,7 +175,9 @@ class WorkerHandle:
             seq = self._seq
             try:
                 self._connection.send((seq, op, payload))
-            except (OSError, ValueError) as error:
+            except (OSError, ValueError, TypeError) as error:
+                # TypeError: the supervisor's abandon() closed the connection
+                # between its closed-check and its write (the handle is None).
                 raise WorkerUnavailable(self.partition, str(error)) from error
             deadline = time.monotonic() + timeout_s
             while True:

@@ -109,6 +109,33 @@ class TestRangePredicatePartitioning:
         with pytest.raises(ValueError):
             RangePredicatePartitioning(2, {}, fallback="bogus")
 
+    def test_without_a_row_the_key_is_classified_or_the_fallback_answers(self):
+        """Never a guessed partition: the rule columns come from the key, or
+        the table follows the fallback like one without rules."""
+        rules = self.make_strategy().rule_sets["stock"]
+        keyed = RangePredicatePartitioning(
+            2, {"stock": rules}, primary_keys={"stock": ("s_w_id", "s_i_id")}
+        )
+        assert keyed.partitions_for_tuple(TupleId("stock", (1, 5))) == {1}
+        assert keyed.partitions_for_tuple(TupleId("stock", (2, 5))) == {0}
+        unkeyed = RangePredicatePartitioning(
+            2, {"stock": rules}, primary_keys={"stock": ("s_id",)}
+        )
+        assert unkeyed.partitions_for_tuple(TupleId("stock", (1,))) == {0, 1}
+        assert unkeyed.partitions_for_tuple(TupleId("stock", (1,)), {"s_w_id": 1}) == {1}
+        # Without primary keys the rules see an empty row: their default label.
+        assert self.make_strategy().partitions_for_tuple(TupleId("stock", (1, 5))) == {0}
+
+    def test_resized_drops_partitions_that_no_longer_exist(self):
+        strategy = self.make_strategy("hash")
+        tuple_id = TupleId("stock", (1, 5))
+        assert strategy.partitions_for_tuple(tuple_id, {"s_w_id": 1}) == {1}
+        shrunk = strategy.resized(1)
+        assert shrunk.num_partitions == 1 and strategy.num_partitions == 2
+        assert shrunk.partitions_for_tuple(tuple_id, {"s_w_id": 1}) == {0}
+        assert shrunk.partitions_for_conditions("stock", [condition("s_w_id", 1)]) is None
+        assert strategy.partitions_for_tuple(tuple_id, {"s_w_id": 1}) == {1}
+
 
 class TestLookupTablePartitioning:
     def make_assignment(self) -> PartitionAssignment:
@@ -128,6 +155,35 @@ class TestLookupTablePartitioning:
         unknown = TupleId("t", (99,))
         assert len(hash_default.partitions_for_tuple(unknown)) == 1
         assert replicate_default.partitions_for_tuple(unknown) == {0, 1}
+
+    def test_base_on_key_columns_then_row_on_first_sight_then_default(self):
+        rules = TestRangePredicatePartitioning().make_strategy().rule_sets["stock"]
+        history = RuleSet(
+            "history",
+            (PredicateRule((RuleCondition("h_w_id", "<=", 1),), "1", 1, 0.0),),
+            default_label="0",
+            attributes=("h_w_id",),
+        )
+        base = RangePredicatePartitioning(2, {"stock": rules, "history": history})
+        keys = {"stock": ("s_w_id", "s_i_id"), "history": ("h_id",)}
+        strategy = LookupTablePartitioning(2, PartitionAssignment(2), "hash", base, keys)
+        stock = TupleId("stock", (1, 5))
+        assert strategy.resolve(stock) == ({1}, 1)  # the base, on the key alone
+        strategy.place([(stock, {0})])
+        assert strategy.resolve(stock) == ({0}, 0)  # an explicit entry wins
+        # history is not placed by its key: last resort until a row is seen ...
+        row_less = TupleId("history", (7,))
+        placement, mechanism = strategy.resolve(row_less)
+        assert mechanism == 2 and len(placement) == 1
+        # ... and the first row seen places it for good.
+        assert strategy.resolve(row_less, {"h_id": 7, "h_w_id": 1}) == ({1}, 1)
+        assert strategy.resolve(row_less) == ({1}, 0)
+        # stock holds a stray entry now, history does not.
+        assert strategy.partitions_for_conditions("stock", [condition("s_w_id", 1)]) is None
+        assert strategy.partitions_for_conditions("history", [condition("h_w_id", 1)]) == {1}
+        # Placing a history tuple without its row cannot be checked: broadcast.
+        strategy.place([(TupleId("history", (8,)), {1})])
+        assert strategy.partitions_for_conditions("history", [condition("h_w_id", 1)]) is None
 
     def test_invalid_policy(self):
         with pytest.raises(ValueError):

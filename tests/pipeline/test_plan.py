@@ -321,6 +321,22 @@ def test_plan_is_byte_deterministic_across_processes_and_backends(pipeline_plan)
     assert fingerprints[0] == fingerprints[1] == plan.content_fingerprint()
 
 
+def test_same_seed_plans_are_byte_identical_files(tmp_path):
+    """No wall clock reaches the file: two same-seed runs can be ``cmp``-ed."""
+    files = []
+    for name in ("first", "second"):
+        bundle = small_bundle()
+        plan = run_pipeline(bundle).plan(workload=bundle.name)
+        # The run's phase times ride on the in-memory plan only.
+        assert plan.provenance.timings["total"] > 0
+        files.append(plan.save(tmp_path / f"{name}.json").read_bytes())
+    assert files[0] == files[1]
+    loaded = PartitionPlan.loads(files[0].decode("utf-8"))
+    assert loaded.provenance.timings == {}
+    assert "timings" not in json.loads(files[0])["provenance"]
+    assert "timings" not in loaded.provenance.describe()
+
+
 def test_dumps_is_valid_sorted_json(pipeline_plan):
     plan, _run = pipeline_plan
     payload = json.loads(plan.dumps())

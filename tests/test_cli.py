@@ -19,7 +19,8 @@ def test_run_writes_a_loadable_plan(tmp_path, capsys):
     assert plan.num_partitions == 4
     assert len(plan) > 0
     output = capsys.readouterr().out
-    assert "partition plan v1" in output
+    assert "partition plan v2" in output
+    assert "deployment routes by: " in output
     assert "wrote" in output
 
 
@@ -64,6 +65,13 @@ def test_deploy_streams_and_exports(tmp_path, capsys):
     output = capsys.readouterr().out
     assert "materialised 2 partitions" in output
     assert "streamed" in output
+    # validated beside served, and what routed the statements (counted on a
+    # registry the command installs for itself and removes again).
+    assert "routing: validated " in output and "% distributed at planning, served " in output
+    assert "statements by explicit " in output and ", broadcast " in output
+    from repro.obs import get_telemetry
+
+    assert not get_telemetry().enabled
     exported = PartitionPlan.load(live_path)
     deployed = PartitionPlan.load(plan_path)
     # No adaptation ran (--adapt not passed): the live export is the plan.
@@ -292,6 +300,7 @@ def test_deploy_sqlite_streams_the_workload(tmp_path, capsys):
     assert "materialised 2 SQLite partitions" in output
     assert "retry policy: timeout 1000 ms, 4 retries" in output
     assert "0 aborted" in output
+    assert "routing: validated " in output and "statements by explicit " in output
     # the files are real and stay behind when --storage-dir is explicit.
     assert (storage_dir / "partition-0.sqlite").exists()
     assert (storage_dir / "partition-1.sqlite").exists()
