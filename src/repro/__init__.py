@@ -37,7 +37,6 @@ from repro.engine.database import Database
 from repro.online import start_online
 from repro.pipeline import (
     PartitionPlan,
-    PhaseTimings,
     Pipeline,
     PipelineRun,
     PipelineState,
@@ -59,7 +58,6 @@ __all__ = [
     "LookupTablePartitioning",
     "PartitionPlan",
     "PartitioningStrategy",
-    "PhaseTimings",
     "Pipeline",
     "PipelineRun",
     "PipelineState",

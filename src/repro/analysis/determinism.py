@@ -15,6 +15,10 @@ order escape into a sequence.  This pass flags:
   readings never reach deterministic payloads — that split is enforced at
   the metrics layer by ``volatile=True`` families, and test files are not
   scanned at all.
+* **Volatile field in a payload** — a dataclass field declared
+  ``field(metadata={"volatile": True})`` (the mark of a field that holds a
+  wall-clock reading) read as ``self.<field>`` inside that class's
+  ``to_payload``.
 * **Set-order escapes** — a syntactic ``set``/``frozenset`` expression
   iterated into an *ordered* artifact: ``list(...)``/``tuple(...)``/
   ``enumerate(...)`` over it, ``str.join`` of it, a ``for`` statement or a
@@ -67,6 +71,28 @@ def _is_set_expr(node: ast.AST) -> bool:
     return False
 
 
+def _volatile_fields(node: ast.ClassDef) -> set[str]:
+    """Names the class body declares as ``field(metadata={"volatile": True})``."""
+    names: set[str] = set()
+    for statement in node.body:
+        if not (
+            isinstance(statement, ast.AnnAssign)
+            and isinstance(statement.target, ast.Name)
+            and isinstance(statement.value, ast.Call)
+        ):
+            continue
+        for keyword in statement.value.keywords:
+            if keyword.arg != "metadata":
+                continue
+            try:
+                metadata = ast.literal_eval(keyword.value)
+            except ValueError:
+                continue
+            if isinstance(metadata, dict) and metadata.get("volatile") is True:
+                names.add(statement.target.id)
+    return names
+
+
 def _salt_is_tagged(salt: ast.AST) -> bool:
     """A fork salt is static enough: a literal, or a tuple with a str tag."""
     if isinstance(salt, ast.Constant):
@@ -111,6 +137,26 @@ class _Visitor(ast.NodeVisitor):
         head, _, tail = dotted.partition(".")
         resolved = self.aliases.get(head, head)
         return f"{resolved}.{tail}" if tail else resolved
+
+    # -- volatile fields ---------------------------------------------------------------
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        volatile = _volatile_fields(node)
+        for statement in node.body:
+            if not (isinstance(statement, ast.FunctionDef) and statement.name == "to_payload"):
+                continue
+            for read in ast.walk(statement):
+                if (
+                    isinstance(read, ast.Attribute)
+                    and read.attr in volatile
+                    and isinstance(read.value, ast.Name)
+                    and read.value.id == "self"
+                ):
+                    self._emit(
+                        read,
+                        f"volatile field {node.name}.{read.attr} read in to_payload; "
+                        "a persisted payload carries no wall clock",
+                    )
+        self.generic_visit(node)
 
     # -- calls -------------------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
@@ -226,7 +272,8 @@ class DeterminismPass(InvariantPass):
     name = "determinism"
     description = (
         "unseeded random/time/uuid sources, unsorted set iteration escaping "
-        "into sequences or serialized output, and untagged SeededRng.fork salts"
+        "into sequences or serialized output, untagged SeededRng.fork salts, "
+        "and volatile dataclass fields read in to_payload"
     )
 
     def run(self, project: Project) -> list[Finding]:

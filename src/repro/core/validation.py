@@ -20,6 +20,12 @@ from repro.core.strategies import PartitioningStrategy
 from repro.engine.database import Database
 from repro.workload.rwsets import AccessTrace
 
+#: candidates whose per-partition transaction load is more imbalanced than
+#: this (max/mean) are rejected unless nothing else survives: a degenerate
+#: "everything on one node" placement trivially avoids distributed
+#: transactions but defeats the purpose of partitioning.
+MAX_LOAD_IMBALANCE = 1.6
+
 
 @dataclass
 class ValidationResult:
@@ -51,7 +57,6 @@ def validate_strategies(
     row_cache: Mapping[TupleId, Mapping[str, object]] | None = None,
     tie_tolerance: float = 0.01,
     relative_tie_tolerance: float = 0.10,
-    max_load_imbalance: float = 1.6,
 ) -> ValidationResult:
     """Pick the best strategy by distributed-transaction fraction.
 
@@ -69,11 +74,6 @@ def validate_strategies(
     relative_tie_tolerance:
         Relative tolerance serving the same purpose for larger fractions
         (50% vs 52% is "the same" for all practical purposes).
-    max_load_imbalance:
-        Strategies whose per-partition transaction load is more imbalanced
-        than this (max/mean) are rejected unless nothing else survives: a
-        degenerate "everything on one node" placement trivially avoids
-        distributed transactions but defeats the purpose of partitioning.
     """
     if not candidates:
         raise ValueError("at least one candidate strategy is required")
@@ -86,7 +86,7 @@ def validate_strategies(
     balanced = [
         strategy
         for strategy in candidates
-        if reports[strategy.name].partition_load_imbalance() <= max_load_imbalance
+        if reports[strategy.name].partition_load_imbalance() <= MAX_LOAD_IMBALANCE
     ]
     pool = balanced if balanced else list(candidates)
     best_fraction = min(reports[strategy.name].distributed_fraction for strategy in pool)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.core.config import default_options
 from repro.core.cost import evaluate_strategy
 from repro.explain.explainer import ExplainerOptions
 from repro.graph.builder import GraphBuildOptions
@@ -67,15 +68,6 @@ class Figure4Row:
     replication: float
     hashing: float
     metadata: dict[str, object] = field(default_factory=dict)
-
-
-def _default_options(partitions: int, seed: int) -> SchismOptions:
-    return SchismOptions(
-        num_partitions=partitions,
-        graph=GraphBuildOptions(seed=seed),
-        partitioner=PartitionerOptions(seed=seed),
-        explainer=ExplainerOptions(seed=seed),
-    )
 
 
 def _sampled_options(partitions: int, seed: int) -> SchismOptions:
@@ -262,7 +254,7 @@ def run_figure4_experiment(
     saved plan file reproduces the figure row without re-running anything.
     """
     bundle = experiment.bundle_factory(scale, seed)
-    options_factory = experiment.options_factory or _default_options
+    options_factory = experiment.options_factory or default_options
     options = options_factory(experiment.partitions, seed)
     if bundle.hash_columns and options.hash_columns is None:
         options.hash_columns = bundle.hash_columns

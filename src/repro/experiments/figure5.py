@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from repro.graph.model import Graph
 from repro.graph.partitioner import GraphPartitioner, PartitionerOptions, cut_weight
+from repro.obs import Stopwatch
 from repro.utils.rng import SeededRng
-from repro.utils.timer import Timer
 
 
 @dataclass
@@ -75,7 +75,7 @@ def run_figure5(
         for num_partitions in partition_counts:
             options = PartitionerOptions(seed=seed, initial_trials=4, refine_passes=2)
             partitioner = GraphPartitioner(options)
-            with Timer() as timer:
+            with Stopwatch() as timer:
                 assignment = partitioner.partition(frozen, num_partitions)
             rows.append(
                 Figure5Row(

@@ -48,7 +48,7 @@ from __future__ import annotations
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.witness import WitnessedLockManager
@@ -117,9 +117,9 @@ class StorageMigrationReport:
     lock_acquisitions: int = 0
     lock_order_out_of_order: int = 0
     #: wall-clock measurements (volatile; excluded from the bench payload).
-    wall_s: float = 0.0
-    throughput_txn_s: float = 0.0
-    latency_p99_ms: float = 0.0
+    wall_s: float = field(default=0.0, metadata={"volatile": True})
+    throughput_txn_s: float = field(default=0.0, metadata={"volatile": True})
+    latency_p99_ms: float = field(default=0.0, metadata={"volatile": True})
 
     @property
     def label(self) -> str:

@@ -5,7 +5,7 @@ Stands in for Weka's J48 in the paper.  Features:
 * binary splits on numeric attributes (``attr <= threshold``), chosen by gain
   ratio over candidate thresholds;
 * binary equality splits on categorical (string) attributes;
-* stopping rules (purity, minimum leaf size, maximum depth, minimum gain);
+* stopping rules (purity, maximum depth, minimum gain);
 * pessimistic error pruning with the C4.5 confidence-factor upper bound,
   which is the "aggressive pruning" the paper relies on to avoid over-fitting;
 * rule extraction (root-to-leaf paths) used by the explanation phase.
@@ -20,19 +20,19 @@ from typing import Sequence
 from repro.explain.dataset import LabeledSample
 from repro.explain.rules import PredicateRule, RuleCondition
 
+#: C4.5 pruning confidence factor (Quinlan's default); smaller prunes more
+#: aggressively.
+PRUNING_CONFIDENCE = 0.25
+#: cap on the number of candidate thresholds evaluated per numeric attribute.
+MAX_THRESHOLDS = 64
+
 
 @dataclass
 class DecisionTreeOptions:
     """Hyper-parameters of the tree."""
 
     max_depth: int = 12
-    min_samples_leaf: int = 1
-    min_samples_split: int = 2
     min_gain_ratio: float = 1e-3
-    #: C4.5 pruning confidence factor; smaller prunes more aggressively.
-    pruning_confidence: float = 0.25
-    #: cap on the number of candidate thresholds evaluated per numeric attribute.
-    max_thresholds: int = 64
     #: disable pruning entirely (used in tests and ablations).
     prune: bool = True
 
@@ -84,11 +84,7 @@ class DecisionTree:
             error_count=len(samples) - label_counts[majority],
             label_counts=label_counts,
         )
-        if (
-            len(label_counts) == 1
-            or len(samples) < self.options.min_samples_split
-            or depth >= self.options.max_depth
-        ):
+        if len(label_counts) == 1 or depth >= self.options.max_depth:
             return node
         split = self._best_split(samples)
         if split is None:
@@ -97,11 +93,6 @@ class DecisionTree:
         if gain_ratio < self.options.min_gain_ratio:
             return node
         left_samples, right_samples = _partition_samples(samples, attribute, threshold, categorical)
-        if (
-            len(left_samples) < self.options.min_samples_leaf
-            or len(right_samples) < self.options.min_samples_leaf
-        ):
-            return node
         node.attribute = attribute
         node.threshold = threshold
         node.categorical = categorical
@@ -140,9 +131,9 @@ class DecisionTree:
         midpoints = [
             (distinct[index] + distinct[index + 1]) / 2.0 for index in range(len(distinct) - 1)
         ]
-        if len(midpoints) > self.options.max_thresholds:
-            step = len(midpoints) / self.options.max_thresholds
-            midpoints = [midpoints[int(index * step)] for index in range(self.options.max_thresholds)]
+        if len(midpoints) > MAX_THRESHOLDS:
+            step = len(midpoints) / MAX_THRESHOLDS
+            midpoints = [midpoints[int(index * step)] for index in range(MAX_THRESHOLDS)]
         return midpoints
 
     # -- pruning -----------------------------------------------------------------------
@@ -154,9 +145,7 @@ class DecisionTree:
         self._prune(node.left)
         self._prune(node.right)
         subtree_error = self._subtree_estimated_error(node)
-        leaf_error = _pessimistic_error(
-            node.sample_count, node.error_count, self.options.pruning_confidence
-        )
+        leaf_error = _pessimistic_error(node.sample_count, node.error_count)
         if leaf_error <= subtree_error + 0.1:
             node.attribute = None
             node.threshold = None
@@ -165,9 +154,7 @@ class DecisionTree:
 
     def _subtree_estimated_error(self, node: _Node) -> float:
         if node.is_leaf:
-            return _pessimistic_error(
-                node.sample_count, node.error_count, self.options.pruning_confidence
-            )
+            return _pessimistic_error(node.sample_count, node.error_count)
         assert node.left is not None and node.right is not None
         return self._subtree_estimated_error(node.left) + self._subtree_estimated_error(node.right)
 
@@ -337,15 +324,15 @@ def _gain_ratio(
     return information_gain / split_info
 
 
-def _pessimistic_error(sample_count: int, error_count: int, confidence: float) -> float:
+def _pessimistic_error(sample_count: int, error_count: int) -> float:
     """C4.5 upper bound on the true error count of a leaf.
 
-    Uses the normal approximation to the binomial confidence interval with
-    the given confidence factor (Quinlan's default is 0.25).
+    Uses the normal approximation to the binomial confidence interval at
+    :data:`PRUNING_CONFIDENCE`.
     """
     if sample_count == 0:
         return 0.0
-    z = _normal_quantile(1.0 - confidence)
+    z = _normal_quantile(1.0 - PRUNING_CONFIDENCE)
     observed = error_count / sample_count
     numerator = (
         observed

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from repro.engine.database import Database
 from repro.explain.crossval import cross_validate
 from repro.explain.dataset import Dataset, build_training_sets
-from repro.explain.decision_tree import DecisionTree, DecisionTreeOptions
+from repro.explain.decision_tree import DecisionTree
 from repro.explain.feature_selection import select_attributes
 from repro.explain.rules import PredicateRule, RuleSet, simplify_rules
 from repro.graph.assignment import PartitionAssignment
@@ -41,12 +41,6 @@ class ExplainerOptions:
     min_attribute_frequency: float = 0.1
     #: maximum training tuples per table (the paper uses a few hundred).
     max_samples_per_table: int = 2000
-    #: minimum cross-validated accuracy for an explanation to be considered useful.
-    min_accuracy: float = 0.5
-    #: cross-validation folds.
-    folds: int = 5
-    #: decision-tree hyper-parameters.
-    tree_options: DecisionTreeOptions = field(default_factory=DecisionTreeOptions)
     #: random seed for sampling and cross-validation shuffling.
     seed: int = 0
 
@@ -133,7 +127,6 @@ class Explainer:
 
     # -- single table -------------------------------------------------------------------
     def _explain_table(self, table: str, dataset: Dataset, rng: SeededRng) -> TableExplanation:
-        options = self.options
         labels = set(dataset.labels)
         majority = dataset.majority_label()
         if len(labels) == 1:
@@ -170,14 +163,8 @@ class Explainer:
                 training_samples=len(dataset),
                 cross_validated_accuracy=dataset.label_counts()[majority] / len(dataset),
             )
-        accuracy = cross_validate(
-            dataset.samples,
-            selected,
-            folds=options.folds,
-            options=options.tree_options,
-            rng=rng.fork((table, "cv")),
-        )
-        tree = DecisionTree(options.tree_options).fit(dataset.samples, selected)
+        accuracy = cross_validate(dataset.samples, selected, rng=rng.fork((table, "cv")))
+        tree = DecisionTree().fit(dataset.samples, selected)
         rules = simplify_rules(tree.rules())
         rule_set = RuleSet(
             table,

@@ -31,10 +31,20 @@ from repro.utils.rng import SeededRng
 from repro.workload.rwsets import AccessTrace
 from repro.workload.sampling import (
     filter_blanket_statements,
-    filter_rare_tuples,
     sample_transactions,
     sample_tuples,
 )
+
+#: only tuples accessed by at least this many transactions are exploded into
+#: a replication star (a tuple one transaction touches has nothing to trade).
+MIN_ACCESSES_FOR_REPLICATION = 2
+#: statements touching more than this many tuples are dropped (§5.1 blanket
+#: statement filtering).
+BLANKET_STATEMENT_THRESHOLD = 100
+#: small constant added to every replication edge so that replication is only
+#: chosen when it actually saves transaction edges (it models the
+#: storage/consistency cost of keeping an extra copy).
+REPLICATION_EPSILON = 0.1
 
 
 @dataclass
@@ -43,24 +53,14 @@ class GraphBuildOptions:
 
     #: enable the star-shaped replication expansion.
     replication: bool = True
-    #: only tuples accessed by at least this many transactions are exploded.
-    min_accesses_for_replication: int = 2
     #: "workload" (accesses) or "data_size" (bytes) node weighting.
     node_weighting: str = "workload"
     #: transaction-level sampling fraction in (0, 1].
     transaction_sample_fraction: float = 1.0
     #: tuple-level sampling fraction in (0, 1].
     tuple_sample_fraction: float = 1.0
-    #: drop statements touching more than this many tuples (None disables).
-    blanket_statement_threshold: int | None = 100
-    #: drop tuples accessed by fewer transactions than this (1 disables).
-    min_tuple_accesses: int = 1
     #: merge tuples that are always accessed together into a single node.
     coalesce_tuples: bool = True
-    #: small constant added to every replication edge so that replication is
-    #: only chosen when it actually saves transaction edges (it models the
-    #: storage/consistency cost of keeping an extra copy).
-    replication_epsilon: float = 0.1
     #: random seed for the sampling heuristics.
     seed: int = 0
 
@@ -184,15 +184,11 @@ def build_tuple_graph(
     """
     options = options or GraphBuildOptions()
     rng = SeededRng(options.seed)
-    reduced = trace
-    if options.blanket_statement_threshold is not None:
-        reduced = filter_blanket_statements(reduced, options.blanket_statement_threshold)
+    reduced = filter_blanket_statements(trace, BLANKET_STATEMENT_THRESHOLD)
     if options.transaction_sample_fraction < 1.0:
         reduced = sample_transactions(reduced, options.transaction_sample_fraction, rng.fork("txn"))
     if options.tuple_sample_fraction < 1.0:
         reduced = sample_tuples(reduced, options.tuple_sample_fraction, rng.fork("tuple"))
-    if options.min_tuple_accesses > 1:
-        reduced = filter_rare_tuples(reduced, options.min_tuple_accesses)
 
     accesses = reduced.accesses
     touching: dict[TupleId, list[int]] = {}
@@ -284,10 +280,7 @@ def _materialise_group(
     else:
         # Workload balancing: total number of (transaction, tuple) accesses.
         weight = float(group_size * access_count)
-    explode = (
-        options.replication
-        and access_count >= options.min_accesses_for_replication
-    )
+    explode = options.replication and access_count >= MIN_ACCESSES_FOR_REPLICATION
     if not explode:
         group.center_node = graph.add_node(weight)
         return
@@ -301,7 +294,7 @@ def _materialise_group(
         center_weight = 0.0
         satellite_weight = float(group_size)
     group.center_node = graph.add_node(center_weight)
-    replication_edge_weight = float(write_count * group_size) + options.replication_epsilon
+    replication_edge_weight = float(write_count * group_size) + REPLICATION_EPSILON
     for transaction_index in group.accessing_transactions:
         satellite = graph.add_node(satellite_weight)
         group.satellites[transaction_index] = satellite

@@ -1,10 +1,9 @@
 """The one wall-clock timing primitive of the telemetry layer.
 
 Every timed region in the system — pipeline stage timings
-(:class:`~repro.pipeline.config.PhaseTimings`), experiment stopwatches
-(``repro.utils.timer.Timer`` is a thin alias), and the duration side of
-tracing spans — measures through :class:`Stopwatch`, so there is exactly one
-timing code path.  Wall-clock readings are *observability-only*: they never
+(``PipelineState.timings``), experiment stopwatches, and the duration side
+of tracing spans — measures through :class:`Stopwatch`, so there is exactly
+one timing code path.  Wall-clock readings are *observability-only*: they never
 feed span ids, metric snapshot bytes, or any other content that must be
 byte-deterministic across runs (see :mod:`repro.obs.metrics` on volatile
 families).

@@ -50,6 +50,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from repro.catalog.tuples import TupleId
+from repro.graph.builder import REPLICATION_EPSILON
 from repro.graph.model import CSRGraph, Graph
 from repro.workload.trace import TransactionAccess
 
@@ -60,10 +61,6 @@ REPLICATION_MAX_CANDIDATES = 64
 #: Minimum decayed access weight of a replication candidate — cold tuples
 #: never earn a replica.
 REPLICATION_MIN_WEIGHT = 2.0
-#: Constant added to every online replication edge (mirrors the offline
-#: builder's ``replication_epsilon``): a replica must save strictly more
-#: read traffic than the storage/consistency cost it introduces.
-REPLICATION_EPSILON = 0.1
 #: Cap on satellites per replication candidate in
 #: :meth:`IncrementalGraphMaintainer.freeze_replicated`; the heaviest
 #: co-access neighbours get satellites, the tail stays on the centre.

@@ -6,14 +6,13 @@ Public surface:
   five paper phases (``extract -> build_graph -> partition -> explain ->
   validate``) as named stages that can be run whole, stopped early, resumed
   from injected artifacts, or re-run one at a time with changed options;
-* :class:`SchismOptions` / :class:`PhaseTimings` — the one configuration
-  object and the per-phase timing record;
+* :class:`SchismOptions` — the one configuration object;
 * :class:`PartitionPlan` / :class:`PlanDiff` — the versioned, serializable
   partitioning decision that offline runs produce, online deployments
   consume and re-export, and ``python -m repro`` reads and writes.
 """
 
-from repro.pipeline.config import PhaseTimings, SchismOptions
+from repro.pipeline.config import SchismOptions
 from repro.pipeline.plan import (
     KNOWN_STRATEGIES,
     PLAN_FORMAT,
@@ -40,7 +39,6 @@ __all__ = [
     "PLAN_FORMAT",
     "PLAN_FORMAT_VERSION",
     "PartitionPlan",
-    "PhaseTimings",
     "Pipeline",
     "PipelineError",
     "PipelineRun",

@@ -101,12 +101,22 @@ class PlanProvenance:
     #: serialized :class:`~repro.pipeline.config.SchismOptions` (empty for
     #: plans exported from a live controller).
     options: dict = field(default_factory=dict)
-    #: per-phase wall-clock seconds — all five phases, extraction included.
-    #: Never written to a plan file (a persisted artefact carries no wall
-    #: clock); set on the plan a run builds and on loaded version-1 plans.
-    timings: dict = field(default_factory=dict)
+    #: wall-clock seconds per pipeline stage, keyed by stage name (extraction
+    #: included).  Never written to a plan file (a persisted artefact carries
+    #: no wall clock); set on the plan a run builds and on loaded version-1
+    #: plans, which may also carry a ``total``.
+    timings: dict = field(default_factory=dict, metadata={"volatile": True})
     #: cut weight, graph sizes, per-candidate distributed fractions, ...
     metrics: dict = field(default_factory=dict)
+
+    def to_payload(self) -> dict:
+        """What a plan file records of its origin (everything but the wall clock)."""
+        return {
+            "created_by": self.created_by,
+            "workload": self.workload,
+            "options": self.options,
+            "metrics": self.metrics,
+        }
 
     def describe(self) -> str:
         """Multi-line provenance report (phase timings include extraction)."""
@@ -114,21 +124,12 @@ class PlanProvenance:
         if self.workload:
             lines.append(f"workload: {self.workload}")
         if self.timings:
-            canonical = (
-                "extraction", "graph_build", "partitioning", "explanation", "validation",
-            )
-            ordered = [phase for phase in canonical if phase in self.timings]
-            ordered += sorted(
-                phase for phase in self.timings
-                if phase not in canonical and phase != "total"
-            )
-            phases = ", ".join(
-                f"{phase} {self.timings[phase]:.2f}s" for phase in ordered
-            )
-            total = self.timings.get(
-                "total", sum(self.timings[phase] for phase in ordered)
-            )
-            lines.append(f"timings: {total:.2f}s ({phases})")
+            phases = {
+                phase: seconds for phase, seconds in self.timings.items() if phase != "total"
+            }
+            total = self.timings.get("total", sum(phases.values()))
+            listed = ", ".join(f"{phase} {seconds:.2f}s" for phase, seconds in phases.items())
+            lines.append(f"timings: {total:.2f}s ({listed})")
         if self.metrics:
             fingerprintable = {
                 name: value
@@ -321,12 +322,7 @@ class PartitionPlan:
             },
             "placements": placements,
             "rule_sets": rule_sets,
-            "provenance": {
-                "created_by": self.provenance.created_by,
-                "workload": self.provenance.workload,
-                "options": self.provenance.options,
-                "metrics": self.provenance.metrics,
-            },
+            "provenance": self.provenance.to_payload(),
         }
 
     @classmethod
@@ -613,9 +609,7 @@ def build_plan(
     validation = state.validation
     lookup = validation.strategies.get("lookup-table")
     lookup_policy = (
-        lookup.default_policy
-        if isinstance(lookup, LookupTablePartitioning)
-        else ("hash" if options.lookup_default_policy == "auto" else options.lookup_default_policy)
+        lookup.default_policy if isinstance(lookup, LookupTablePartitioning) else "hash"
     )
     metrics: dict = {
         "distributed_fraction": validation.winner_report.distributed_fraction,
@@ -638,7 +632,7 @@ def build_plan(
         created_by=created_by,
         workload=workload,
         options=asdict(options),
-        timings=state.timings.as_dict(),
+        timings=dict(state.timings),
         metrics=metrics,
     )
     return PartitionPlan(
@@ -646,7 +640,6 @@ def build_plan(
         placements=dict(state.assignment.placements),
         strategy=validation.recommendation,
         lookup_default_policy=lookup_policy,
-        range_fallback=options.range_fallback,
         rule_sets=state.explanation.rule_sets(),
         hash_columns=options.hash_columns,
         primary_keys={

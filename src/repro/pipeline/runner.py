@@ -149,7 +149,7 @@ class Pipeline:
         watch = Stopwatch()
         with watch, telemetry.tracer.span(f"pipeline.{stage.name}"):
             stage.runner(state, self.options)
-        state.timings.record(stage.name, watch.elapsed)
+        state.timings[stage.name] = watch.elapsed
         telemetry.metrics.counter(
             "pipeline.stage_runs", "pipeline stage executions", labels=("stage",)
         ).inc(stage=stage.name)

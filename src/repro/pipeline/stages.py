@@ -30,7 +30,7 @@ from repro.explain.explainer import Explainer, Explanation
 from repro.graph.assignment import PartitionAssignment
 from repro.graph.builder import TupleGraph, build_tuple_graph
 from repro.graph.partitioner import GraphPartitioner, cut_weight
-from repro.pipeline.config import PhaseTimings, SchismOptions
+from repro.pipeline.config import SchismOptions
 from repro.workload.rwsets import AccessTrace, extract_access_trace
 from repro.workload.trace import Workload
 
@@ -59,7 +59,8 @@ class PipelineState:
     graph_cut: float | None = None
     explanation: Explanation | None = None
     validation: ValidationResult | None = None
-    timings: PhaseTimings = field(default_factory=PhaseTimings)
+    #: wall-clock seconds of each stage that executed, keyed by stage name.
+    timings: dict[str, float] = field(default_factory=dict)
     #: names of the stages that have actually executed (injected artifacts
     #: satisfy a stage without appearing here).
     completed: list[str] = field(default_factory=list)
@@ -168,18 +169,11 @@ def _run_validate(state: PipelineState, options: SchismOptions) -> None:
     candidates = candidate_strategies(
         options, state.assignment, state.explanation, state.training_trace
     )
-    state.validation = validate_strategies(
-        candidates,
-        state.test_trace,
-        state.database,
-        tie_tolerance=options.tie_tolerance,
-        relative_tie_tolerance=options.relative_tie_tolerance,
-        max_load_imbalance=options.max_load_imbalance,
-    )
+    state.validation = validate_strategies(candidates, state.test_trace, state.database)
 
 
 # ---------------------------------------------------------------------------
-# Candidate construction (shared with the legacy Schism facade)
+# Candidate construction
 # ---------------------------------------------------------------------------
 def candidate_strategies(
     options: SchismOptions,
@@ -188,9 +182,9 @@ def candidate_strategies(
     training_trace: AccessTrace,
 ) -> list[PartitioningStrategy]:
     """The strategies the final validation compares (Section 4.4)."""
-    lookup_policy = options.lookup_default_policy
-    if lookup_policy == "auto":
-        lookup_policy = "replicate" if is_read_mostly(training_trace) else "hash"
+    # Tuples missing from the lookup table are replicated when the workload
+    # is read-mostly and hashed otherwise.
+    lookup_policy = "replicate" if is_read_mostly(training_trace) else "hash"
     candidates: list[PartitioningStrategy] = [
         LookupTablePartitioning(options.num_partitions, assignment, lookup_policy),
         HashPartitioning(options.num_partitions),
@@ -200,9 +194,7 @@ def candidate_strategies(
     if rule_sets:
         candidates.insert(
             1,
-            RangePredicatePartitioning(
-                options.num_partitions, rule_sets, fallback=options.range_fallback
-            ),
+            RangePredicatePartitioning(options.num_partitions, rule_sets),
         )
     if options.hash_columns:
         candidates.append(

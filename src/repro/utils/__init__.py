@@ -1,11 +1,9 @@
-"""Shared utilities: seeded randomness, Zipfian sampling, timers."""
+"""Shared utilities: seeded randomness and Zipfian sampling."""
 
 from repro.utils.rng import SeededRng, ZipfianGenerator, ScrambledZipfianGenerator
-from repro.utils.timer import Timer
 
 __all__ = [
     "SeededRng",
     "ZipfianGenerator",
     "ScrambledZipfianGenerator",
-    "Timer",
 ]

@@ -4,7 +4,6 @@ from repro.workload.trace import StatementAccess, Transaction, TransactionAccess
 from repro.workload.rwsets import AccessTrace, extract_access_trace
 from repro.workload.sampling import (
     filter_blanket_statements,
-    filter_rare_tuples,
     sample_transactions,
     sample_tuples,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "WorkloadStatistics",
     "extract_access_trace",
     "filter_blanket_statements",
-    "filter_rare_tuples",
     "frequent_attributes",
     "sample_transactions",
     "sample_tuples",

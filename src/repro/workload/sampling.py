@@ -8,7 +8,6 @@ time comes from.
 
 from __future__ import annotations
 
-from repro.catalog.tuples import TupleId
 from repro.utils.rng import SeededRng
 from repro.workload.rwsets import AccessTrace
 
@@ -70,27 +69,6 @@ def filter_blanket_statements(trace: AccessTrace, max_tuples_per_statement: int 
         filtered = access.without_statements(dropped) if dropped else access
         if filtered.touched:
             reduced.append(filtered)
-    return trace.replace(reduced)
-
-
-def filter_rare_tuples(trace: AccessTrace, min_access_count: int = 2) -> AccessTrace:
-    """Relevance filtering: drop tuples accessed by fewer than ``min_access_count`` transactions.
-
-    Rarely-accessed tuples carry little information about co-access structure;
-    removing them shrinks the graph.  They are later placed by the final
-    strategy's default rule (hash, range catch-all, or replication).
-    """
-    if min_access_count <= 1:
-        return trace.replace(list(trace.accesses))
-    counts = trace.access_counts()
-    frequent: set[TupleId] = {
-        tuple_id for tuple_id, count in counts.items() if count >= min_access_count
-    }
-    reduced = []
-    for access in trace.accesses:
-        restricted = access.restricted_to(frequent)
-        if restricted.touched:
-            reduced.append(restricted)
     return trace.replace(reduced)
 
 

@@ -114,3 +114,26 @@ def test_line_pragma_waives_the_finding(tmp_path):
     assert active == []
     assert len(suppressed) == 1
     assert suppressed[0].rule == "determinism"
+
+
+def test_volatile_field_may_not_be_read_in_to_payload(tmp_path):
+    """PR 21's finding: wall-clock timings written into every plan file."""
+    source = """
+        from dataclasses import dataclass, field
+
+        @dataclass
+        class PlanProvenance:
+            options: dict = field(default_factory=dict)
+            timings: dict = field(default_factory=dict, metadata={"volatile": True})
+
+            def describe(self):
+                return f"timings: {self.timings}"
+
+            def to_payload(self):
+                return {"options": self.options%s}
+        """
+    active, _ = _findings(tmp_path, source % ', "timings": self.timings')
+    assert len(active) == 1, [f.format() for f in active]
+    assert "volatile field PlanProvenance.timings read in to_payload" in active[0].message
+    active, _ = _findings(tmp_path, source % "")
+    assert active == []

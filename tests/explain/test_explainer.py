@@ -72,11 +72,11 @@ def test_explainer_trivial_table(bank_database):
 
 def test_cross_validate_reasonable_accuracy():
     samples = [LabeledSample({"x": i}, "0" if i < 50 else "1") for i in range(100)]
-    accuracy = cross_validate(samples, ["x"], folds=5)
+    accuracy = cross_validate(samples, ["x"])
     assert accuracy > 0.9
 
 
 def test_cross_validate_small_dataset_falls_back():
     samples = [LabeledSample({"x": i}, str(i % 2)) for i in range(4)]
-    accuracy = cross_validate(samples, ["x"], folds=5)
+    accuracy = cross_validate(samples, ["x"])
     assert 0.0 <= accuracy <= 1.0

@@ -19,7 +19,7 @@ def test_bank_graph_structure(bank_database, bank_workload):
 
 def test_replication_explodes_frequent_tuples(bank_database, bank_workload):
     trace = extract_access_trace(bank_database, bank_workload)
-    options = GraphBuildOptions(replication=True, coalesce_tuples=False, min_accesses_for_replication=2)
+    options = GraphBuildOptions(replication=True, coalesce_tuples=False)
     tuple_graph = build_tuple_graph(trace, bank_database, options)
     # Tuple 1 (carlo) is accessed by three transactions -> a star of 4 nodes.
     group = tuple_graph.group_of(TupleId("account", (1,)))

@@ -1,11 +1,18 @@
 """The public surface: every exported name resolves, no knob creeps back."""
 
+import copy
 import importlib
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.catalog.tuples import TupleId
+from repro.explain.decision_tree import DecisionTreeOptions
+from repro.explain.explainer import ExplainerOptions
+from repro.graph.builder import GraphBuildOptions
 from repro.graph.partitioner import PartitionerOptions
 from repro.online.controller import OnlineOptions
 from repro.online.maintainer import MaintainerOptions
@@ -14,6 +21,7 @@ from repro.online.monitor import MonitorOptions
 from repro.online.policy import ElasticOptions, PacingOptions
 from repro.online.repartitioner import RepartitionOptions
 from repro.pipeline import PartitionPlan, Pipeline, SchismOptions
+from repro.storage.retry import RetryOptions
 from repro.workloads import generate_simplecount
 
 #: options a plan written before the partitioner lost its internal knobs
@@ -26,6 +34,38 @@ REMOVED_PARTITIONER_KEYS = {
     "peripheral_seed_trial": True,
     "bisection_carry": 2,
     "two_way_chain_trials": 2,
+}
+
+#: the 16 planning options that became constants: where a plan written
+#: before that carries them under ``provenance.options`` (four of them one
+#: level further down, in the explainer's removed ``tree_options`` bundle).
+REMOVED_PLANNING_KEYS = {
+    (): {
+        "lookup_default_policy": "auto",
+        "range_fallback": "replicate",
+        "tie_tolerance": 0.01,
+        "relative_tie_tolerance": 0.1,
+        "max_load_imbalance": 1.6,
+    },
+    ("graph",): {
+        "min_accesses_for_replication": 2,
+        "blanket_statement_threshold": 100,
+        "min_tuple_accesses": 1,
+        "replication_epsilon": 0.1,
+    },
+    ("explainer",): {
+        "min_accuracy": 0.5,
+        "folds": 5,
+        "tree_options": {
+            "max_depth": 12,
+            "min_samples_leaf": 1,
+            "min_samples_split": 2,
+            "min_gain_ratio": 0.001,
+            "pruning_confidence": 0.25,
+            "max_thresholds": 64,
+            "prune": True,
+        },
+    },
 }
 
 
@@ -65,43 +105,91 @@ def test_plan_with_removed_partitioner_keys_still_loads():
     assert old.content_fingerprint() == plan.content_fingerprint()
     assert PartitionPlan.loads(old.dumps()).dumps() == old.dumps()
 
+    # The planning-side census: the same for its 16 keys, on both formats.
+    version_1 = copy.deepcopy(plan.to_payload())
+    version_1["version"] = 1
+    del version_1["primary_keys"]
+    version_1["provenance"]["timings"] = {"extraction": 0.5, "total": 0.5}
+    for payload in (plan.to_payload(), version_1):
+        clean = PartitionPlan.from_payload(copy.deepcopy(payload))
+        for path, removed in REMOVED_PLANNING_KEYS.items():
+            recorded = payload["provenance"]["options"]
+            for name in path:
+                recorded = recorded[name]
+            assert not removed.keys() & recorded.keys()
+            recorded.update(removed)
+        old = PartitionPlan.from_payload(payload)
+        assert old.provenance.options["explainer"]["tree_options"]["max_thresholds"] == 64
+        assert old.provenance.options["graph"]["replication_epsilon"] == 0.1
+        assert old.provenance.options["range_fallback"] == "replicate"
+        assert old.content_fingerprint() == clean.content_fingerprint()
+        reloaded = PartitionPlan.loads(old.dumps())
+        assert reloaded.dumps() == old.dumps()
+        assert reloaded.provenance.options == payload["provenance"]["options"]
+        assert reloaded.content_fingerprint() == old.content_fingerprint()
 
-@pytest.mark.parametrize(
-    "options, names",
-    [
-        (
-            OnlineOptions,
-            "monitor repartition elastic pacing batch_size "
-            "replication_min_read_fraction replication_retention_slack",
-        ),
-        (
-            PacingOptions,
-            "abort_window p99_latency_budget abort_rate_budget min_samples "
-            "pressure_ratio max_steps throttled_steps backoff_initial backoff_max",
-        ),
-        (
-            MonitorOptions,
-            "window_size decay hot_set_size drift_distributed_increase "
-            "drift_skew_threshold drift_churn_threshold drift_churn_min_weight_share "
-            "drift_churn_share_floor drift_churn_share_lift min_window_fill",
-        ),
-        (
-            MaintainerOptions,
-            "decay prune_threshold blanket_transaction_threshold prune_interval",
-        ),
-        (
-            ElasticOptions,
-            "enabled target_rate_per_partition grow_hysteresis shrink_hysteresis "
-            "min_partitions max_partitions cooldown_batches",
-        ),
-        (
-            RepartitionOptions,
-            "migration_cost_weight migration_budget max_passes imbalance",
-        ),
-    ],
-)
+
+#: every ``*Options`` dataclass under ``src/repro`` except ``PartitionerOptions``
+#: (pinned above): exactly the fields somebody turns.
+PINNED_OPTIONS = [
+    (SchismOptions, "num_partitions graph partitioner explainer hash_columns"),
+    (
+        GraphBuildOptions,
+        "replication node_weighting transaction_sample_fraction "
+        "tuple_sample_fraction coalesce_tuples seed",
+    ),
+    (ExplainerOptions, "min_attribute_frequency max_samples_per_table seed"),
+    (DecisionTreeOptions, "max_depth min_gain_ratio prune"),
+    (
+        RetryOptions,
+        "timeout_ms max_retries backoff_base_ms backoff_multiplier "
+        "backoff_cap_ms jitter",
+    ),
+    (
+        OnlineOptions,
+        "monitor repartition elastic pacing batch_size "
+        "replication_min_read_fraction replication_retention_slack",
+    ),
+    (
+        PacingOptions,
+        "abort_window p99_latency_budget abort_rate_budget min_samples "
+        "pressure_ratio max_steps throttled_steps backoff_initial backoff_max",
+    ),
+    (
+        MonitorOptions,
+        "window_size decay hot_set_size drift_distributed_increase "
+        "drift_skew_threshold drift_churn_threshold drift_churn_min_weight_share "
+        "drift_churn_share_floor drift_churn_share_lift min_window_fill",
+    ),
+    (
+        MaintainerOptions,
+        "decay prune_threshold blanket_transaction_threshold prune_interval",
+    ),
+    (
+        ElasticOptions,
+        "enabled target_rate_per_partition grow_hysteresis shrink_hysteresis "
+        "min_partitions max_partitions cooldown_batches",
+    ),
+    (
+        RepartitionOptions,
+        "migration_cost_weight migration_budget max_passes imbalance",
+    ),
+]
+
+
+@pytest.mark.parametrize("options, names", PINNED_OPTIONS)
 def test_online_options_are_exactly_the_knobs_somebody_turns(options, names):
     assert [field.name for field in fields(options)] == names.split()
+
+
+def test_every_options_class_is_pinned():
+    source = "".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
+    )
+    assert sorted(re.findall(r"^class (\w+Options)\b", source, re.MULTILINE)) == sorted(
+        ["PartitionerOptions", *(options.__name__ for options, _ in PINNED_OPTIONS)]
+    )
 
 
 def test_journal_with_lookup_backend_and_default_policy_still_loads():

@@ -38,6 +38,8 @@ def test_option_table_check_flags_a_stale_row():
     checker = _load_checker()
     fixture = "\n".join(
         [
+            "All of `repro.online.OnlineOptions`:",
+            "",
             "| Knob | Default | Meaning |",
             "|---|---|---|",
             "| `replication_enabled` | `True` | removed with its off branch |",
@@ -47,10 +49,24 @@ def test_option_table_check_flags_a_stale_row():
             "| Name | Note |",
             "|---|---|",
             "| `not_a_knob` | a table not headed Knob is not an option table |",
+            "",
+            "Planning goes through `SchismOptions`:",
+            "",
+            "| Knob | Default | Meaning |",
+            "|---|---|---|",
+            "| `graph.relevance_filter` | `1` | not a field |",
+            "| `explainer.max_samples_per_table` | `2000` | live, one level down |",
+            "| `elastic.enabled` | `False` | live, but on the other class |",
         ]
     )
     problems = checker.check_option_tables(fixture)
-    assert len(problems) == 1 and "`replication_enabled`" in problems[0]
+    assert [problem.split("`")[1] for problem in problems] == [
+        "replication_enabled",
+        "graph.relevance_filter",
+        "elastic.enabled",
+    ]
+    assert "OnlineOptions" in problems[0] and "SchismOptions" in problems[2]
+    assert "before any" in checker.check_option_tables("| Knob |\n|---|\n| `seed` |")[0]
 
 
 def test_architecture_doc_exists_and_linked():

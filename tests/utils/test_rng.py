@@ -11,7 +11,7 @@ from repro.utils.rng import (
     weighted_choice,
     zipf_pmf,
 )
-from repro.utils.timer import Timer
+from repro.obs import Stopwatch
 
 
 def test_seeded_rng_deterministic():
@@ -77,7 +77,7 @@ def test_zipf_pmf_sums_to_one():
 
 
 def test_timer_measures_elapsed():
-    with Timer() as timer:
+    with Stopwatch() as timer:
         sum(range(1000))
     assert timer.elapsed >= 0.0
     timer.start()

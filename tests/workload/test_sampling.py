@@ -8,7 +8,6 @@ from repro.utils.rng import SeededRng
 from repro.workload.rwsets import AccessTrace, access_from_tuple_sets
 from repro.workload.sampling import (
     filter_blanket_statements,
-    filter_rare_tuples,
     sample_transactions,
     sample_tuples,
 )
@@ -72,23 +71,3 @@ def test_filter_blanket_statements_drops_wide_statements():
     filtered = filter_blanket_statements(trace, max_tuples_per_statement=10)
     assert len(filtered) == 1
     assert filtered.accesses[0].touched == {TupleId("t", (1,))}
-
-
-def test_filter_rare_tuples():
-    trace = AccessTrace("rare")
-    hot = TupleId("t", (1,))
-    for index in range(5):
-        statement = SelectStatement(("t",), where=eq("id", 1))
-        trace.accesses.append(
-            access_from_tuple_sets(
-                Transaction((statement,), transaction_id=index),
-                [hot, TupleId("t", (100 + index,))],
-            )
-        )
-    filtered = filter_rare_tuples(trace, min_access_count=2)
-    assert filtered.all_tuples() == {hot}
-
-
-def test_filter_rare_tuples_disabled_for_threshold_one():
-    trace = make_trace(5)
-    assert len(filter_rare_tuples(trace, 1).all_tuples()) == len(trace.all_tuples())

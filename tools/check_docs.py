@@ -12,8 +12,9 @@ Three passes, all dependency-free:
    ``help()`` output cannot rot silently.
 3. **Option tables** — every back-ticked name in the first column of a
    README table headed ``Knob`` must be a dataclass field reachable from
-   ``repro.online.OnlineOptions`` (``elastic.enabled`` walks into
-   ``ElasticOptions``), so a documented knob cannot outlive its field.
+   the options class its section names (``SchismOptions``,
+   ``DecisionTreeOptions`` or ``OnlineOptions``; ``elastic.enabled`` walks
+   into ``ElasticOptions``), so a documented knob cannot outlive its field.
 
 Exit status 0 when everything passes; 1 with a per-problem report
 otherwise.  Run from the repository root (CI docs job, or locally):
@@ -48,6 +49,13 @@ DOCTEST_MODULES = (
     "repro.online.policy",
     "repro.pipeline.plan",
 )
+
+#: options classes a README ``Knob`` table may document -> defining module.
+OPTION_TABLE_CLASSES = {
+    "SchismOptions": "repro.pipeline.config",
+    "DecisionTreeOptions": "repro.explain.decision_tree",
+    "OnlineOptions": "repro.online.controller",
+}
 
 #: [text](target) — excluding images; target split from an optional title.
 _LINK_PATTERN = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
@@ -138,24 +146,38 @@ def _is_field_path(dotted: str, options_class: type) -> bool:
 
 
 def check_option_tables(readme: str | None = None) -> list[str]:
-    """Resolve every knob README's option tables name against ``OnlineOptions``.
+    """Resolve every knob README's option tables name against its options class.
 
-    A name without a dot inherits the prefix of the name before it in the
-    same cell (``elastic.grow_hysteresis`` / ``shrink_hysteresis``).
+    A table's class is the one of ``OPTION_TABLE_CLASSES`` named last in the
+    text above it.  A name without a dot inherits the prefix of the name
+    before it in the same cell (``elastic.grow_hysteresis`` /
+    ``shrink_hysteresis``).
     """
-    options_class = _import_from_src("repro.online.controller").OnlineOptions
+    classes = {
+        name: getattr(_import_from_src(module), name)
+        for name, module in OPTION_TABLE_CLASSES.items()
+    }
     if readme is None:
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     problems: list[str] = []
+    options_class: type | None = None
     in_option_table = False
     for line in readme.splitlines():
         if not line.startswith("|"):
             in_option_table = False
+            named = re.findall("|".join(classes), line)
+            if named:
+                options_class = classes[named[-1]]
             continue
         first_cell = line.strip("|").split("|")[0].strip()
         if first_cell == "Knob":
             in_option_table = True
-        if not in_option_table:
+            if options_class is None:
+                problems.append(
+                    "README.md: a Knob table appears before any of "
+                    f"{sorted(classes)} is named"
+                )
+        if not in_option_table or options_class is None:
             continue
         prefix = ""
         for name in re.findall(r"`([^`]+)`", first_cell):
