@@ -29,15 +29,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 from pathlib import Path
 from typing import Callable
 
+from repro import experiments
 from repro.core.config import default_options
 from repro.core.strategies import MECHANISMS
-from repro.experiments.figure4 import FIGURE4_EXPERIMENTS
+from repro.experiments.chaos import scratch_directory
 from repro.obs import Telemetry, get_telemetry, set_telemetry, use_telemetry
 from repro.online import start_online
+from repro.online.migration import FileJournalSink
+from repro.online.policy import MigrationPacer, PacingOptions
 from repro.pipeline import PartitionPlan, Pipeline
+from repro.storage import ClosedLoopDriver, RetryOptions, StorageDeployment
 from repro.utils.rng import SeededRng
 from repro.workload.rwsets import extract_access_trace
 from repro.workload.splitter import split_workload
@@ -61,7 +66,7 @@ def _simplecount(scale: float, seed: int) -> WorkloadBundle:
 #: the Figure-4 bundle factories, keyed by experiment name — one source of
 #: truth for workload sizes shared by `repro run` and `repro bench`.
 _FIGURE4_FACTORIES = {
-    experiment.key: experiment.bundle_factory for experiment in FIGURE4_EXPERIMENTS
+    experiment.key: experiment.bundle_factory for experiment in experiments.FIGURE4_EXPERIMENTS
 }
 
 #: workload name -> factory(scale, seed).
@@ -128,22 +133,15 @@ def _routing_report(plan: PartitionPlan, served: float) -> str:
 
 def _deploy_sqlite(args: argparse.Namespace, plan: PartitionPlan, bundle: WorkloadBundle) -> int:
     """Deploy a plan onto the real SQLite-backed cluster and drive the workload."""
-    import tempfile
-    import threading
-
-    from repro.routing.lookup import build_lookup_table
-    from repro.routing.router import Router
-    from repro.storage import (
-        ClosedLoopDriver,
-        RetryOptions,
-        SqliteStorageCluster,
-        StorageCoordinator,
-    )
-
     if args.adapt or args.export:
         raise SystemExit("--adapt/--export apply to the in-memory backend only")
     if args.resize is not None and args.resize <= 0:
         raise SystemExit("--resize must be a positive partition count")
+    if args.resize == plan.num_partitions:
+        raise SystemExit(
+            f"--resize {args.resize}: the plan already has {plan.num_partitions} "
+            "partitions (resize to the current partition count is a no-op)"
+        )
     try:
         retry_options = RetryOptions(
             timeout_ms=args.timeout_ms,
@@ -152,92 +150,66 @@ def _deploy_sqlite(args: argparse.Namespace, plan: PartitionPlan, bundle: Worklo
         )
     except ValueError as error:
         raise SystemExit(f"invalid retry options: {error}")
-    strategy = plan.deployment_strategy("hash")
-    lookup_table = build_lookup_table(strategy.assignment)
-    router = Router(strategy, bundle.database.schema, lookup_table)
-    cleanup = None
-    directory = args.storage_dir
-    if directory is None:
-        cleanup = tempfile.TemporaryDirectory(prefix="repro-deploy-")
-        directory = cleanup.name
-    try:
-        cluster = SqliteStorageCluster.from_database(
-            directory, bundle.database, strategy
-        ).start()
-        try:
-            row_counts = [
-                cluster.handle(partition).request("row_count")
-                for partition in range(cluster.num_partitions)
-            ]
+    with (
+        scratch_directory(args.storage_dir, "repro-deploy-") as directory,
+        StorageDeployment.start(
+            plan.deployment_strategy("hash"),
+            bundle.database,
+            directory,
+            retry_options=retry_options,
+            seed=args.seed,
+        ) as deployment,
+    ):
+        cluster = deployment.cluster
+        row_counts = [
+            cluster.handle(partition).request("row_count")
+            for partition in range(cluster.num_partitions)
+        ]
+        print(
+            f"\nmaterialised {cluster.num_partitions} SQLite partitions "
+            f"under {directory}: row counts {row_counts}"
+        )
+        print(
+            f"retry policy: timeout {retry_options.timeout_ms:.0f} ms, "
+            f"{retry_options.max_retries} retries, backoff base "
+            f"{retry_options.backoff_base_ms:.0f} ms"
+        )
+        session = None
+        on_commit = None
+        on_outcome = None
+        if args.resize is not None:
+            journal_path = directory / "resize.journal"
+            pacer = MigrationPacer(PacingOptions(max_steps=16), volatile=True)
+            session = deployment.begin_resize(
+                args.resize,
+                migration_id=f"cli-resize-{args.resize}-seed{args.seed}",
+                sink=FileJournalSink(journal_path),
+                pacer=pacer,
+                batch_size=16,
+            )
+            tick_lock = threading.Lock()
+
+            def on_commit(_commits: int) -> None:
+                with tick_lock:
+                    if not session.done:
+                        session.tick()
+
+            on_outcome = pacer.record
+            journal = session.journal
             print(
-                f"\nmaterialised {cluster.num_partitions} SQLite partitions "
-                f"under {directory}: row counts {row_counts}"
+                f"live resize {journal.old_num_partitions} -> {args.resize} "
+                f"partitions: {len(journal.plan.copies)} copies, "
+                f"{len(journal.plan.drops)} drops, journal {journal_path}"
             )
-            print(
-                f"retry policy: timeout {retry_options.timeout_ms:.0f} ms, "
-                f"{retry_options.max_retries} retries, backoff base "
-                f"{retry_options.backoff_base_ms:.0f} ms"
-            )
-            coordinator = StorageCoordinator(
-                cluster, router, retry_options=retry_options, seed=args.seed
-            )
-            session = None
-            on_commit = None
-            on_outcome = None
-            if args.resize is not None:
-                from repro.online.policy import MigrationPacer, PacingOptions
-                from repro.online.migration import FileJournalSink, MigrationSession
-                from repro.storage import StorageMigrator, plan_storage_resize
-
-                journal = plan_storage_resize(
-                    cluster,
-                    args.resize,
-                    migration_id=f"cli-resize-{args.resize}-seed{args.seed}",
-                    retry_options=retry_options,
-                    seed=args.seed,
-                )
-                journal_path = Path(directory) / "resize.journal"
-                sink = FileJournalSink(journal_path)
-                sink.write(journal.dumps())
-                pacer = MigrationPacer(PacingOptions(max_steps=16), volatile=True)
-                migrator = StorageMigrator(
-                    cluster,
-                    router,
-                    journal,
-                    sink=sink,
-                    batch_size=16,
-                    locks=coordinator.locks,
-                    retry_options=retry_options,
-                    seed=args.seed,
-                )
-                session = MigrationSession(migrator, pacer=pacer)
-                tick_lock = threading.Lock()
-
-                def on_commit(_commits: int) -> None:
-                    with tick_lock:
-                        if not session.done:
-                            session.tick()
-
-                on_outcome = pacer.record
-                print(
-                    f"live resize {journal.old_num_partitions} -> {args.resize} "
-                    f"partitions: {len(journal.plan.copies)} copies, "
-                    f"{len(journal.plan.drops)} drops, journal {journal_path}"
-                )
-            driver = ClosedLoopDriver(
-                coordinator,
-                num_clients=args.clients,
-                on_commit=on_commit,
-                on_outcome=on_outcome,
-            )
-            report = driver.run(bundle.workload.transactions)
-            if session is not None:
-                session.run_to_completion()
-        finally:
-            cluster.close()
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
+        driver = ClosedLoopDriver(
+            deployment.coordinator,
+            num_clients=args.clients,
+            on_commit=on_commit,
+            on_outcome=on_outcome,
+        )
+        report = driver.run(bundle.workload.transactions)
+        if session is not None:
+            session.run_to_completion()
     print(
         f"streamed {report.total} transactions with {args.clients} clients: "
         f"{report.committed} committed, {report.aborted} aborted, "
@@ -329,115 +301,62 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_figure1(args: argparse.Namespace) -> str:
-    from repro.experiments import format_figure1, run_figure1
-
-    return format_figure1(run_figure1())
-
-
-def _bench_figure4(args: argparse.Namespace) -> str:
-    from repro.experiments import format_figure4, run_figure4
-
-    return format_figure4(run_figure4(scale=args.scale, seed=args.seed))
-
-
-def _bench_figure5(args: argparse.Namespace) -> str:
-    from repro.experiments import format_figure5, run_figure5
-
-    return format_figure5(run_figure5(seed=args.seed))
-
-
-def _bench_figure6(args: argparse.Namespace) -> str:
-    from repro.experiments import format_figure6, run_figure6
-
-    fixed = run_figure6(seed=args.seed)
-    per_machine = run_figure6(warehouses_per_machine=16, seed=args.seed)
-    return format_figure6(fixed, per_machine)
-
-
-def _bench_table1(args: argparse.Namespace) -> str:
-    from repro.experiments import format_table1, run_table1
-
-    return format_table1(run_table1(scale=args.scale, seed=args.seed))
-
-
-def _bench_online_drift(args: argparse.Namespace) -> str:
-    from repro.experiments import format_online_drift, run_online_drift
-
-    return format_online_drift(run_online_drift(seed=args.seed))
-
-
-def _bench_read_hot(args: argparse.Namespace) -> str:
-    from repro.experiments.online_drift import format_read_hot_drift, run_read_hot_drift
-
-    return format_read_hot_drift(run_read_hot_drift(seed=args.seed))
-
-
-def _bench_elastic(args: argparse.Namespace) -> str:
-    from repro.experiments.online_drift import format_elastic_scaling, run_elastic_scaling
-
-    return format_elastic_scaling(run_elastic_scaling(seed=args.seed))
-
-
-def _bench_resilience(args: argparse.Namespace) -> str:
-    from repro.experiments.resilience import format_resilience, run_resilience
-
-    report = run_resilience(seed=args.seed)
-    text = format_resilience(report)
-    if report.violations:
-        # Chaos smoke is a hard gate: any lost update, unreachable tuple, or
-        # unresumed crash fails the invocation, not just the printout.
-        raise SystemExit(text)
-    return text
-
-
-def _bench_storage_resilience(args: argparse.Namespace) -> str:
-    from repro.experiments.storage_resilience import (
-        format_storage_resilience,
-        run_storage_resilience,
-    )
-
-    report = run_storage_resilience(seed=args.seed)
-    text = format_storage_resilience(report)
-    if report.violations:
-        # Same hard gate as the simulated resilience run: a lost update, an
-        # unreachable tuple, or an unrestarted worker fails the invocation.
-        raise SystemExit(text)
-    return text
-
-
-def _bench_storage_migration(args: argparse.Namespace) -> str:
-    from repro.experiments.storage_migration import (
-        format_storage_migration,
-        run_storage_migration,
-    )
-
-    report = run_storage_migration(seed=args.seed)
-    text = format_storage_migration(report)
-    if report.violations:
-        # Hard gate: an unfinished resize, a lost update, a phantom or
-        # unreachable tuple, or an unfired kill fails the invocation.
-        raise SystemExit(text)
-    return text
-
-
-BENCH_EXPERIMENTS: dict[str, Callable[[argparse.Namespace], str]] = {
-    "figure1": _bench_figure1,
-    "figure4": _bench_figure4,
-    "figure5": _bench_figure5,
-    "figure6": _bench_figure6,
-    "table1": _bench_table1,
-    "online-drift": _bench_online_drift,
-    "read-hot-drift": _bench_read_hot,
-    "elastic": _bench_elastic,
-    "resilience": _bench_resilience,
-    "storage-resilience": _bench_storage_resilience,
-    "storage-migration": _bench_storage_migration,
+#: experiment name -> (run(args) -> report, format(report) -> text).
+BENCH_EXPERIMENTS: dict[str, tuple[Callable[[argparse.Namespace], object], Callable]] = {
+    "figure1": (lambda args: experiments.run_figure1(), experiments.format_figure1),
+    "figure4": (
+        lambda args: experiments.run_figure4(scale=args.scale, seed=args.seed),
+        experiments.format_figure4,
+    ),
+    "figure5": (lambda args: experiments.run_figure5(seed=args.seed), experiments.format_figure5),
+    "figure6": (
+        lambda args: (
+            experiments.run_figure6(seed=args.seed),
+            experiments.run_figure6(warehouses_per_machine=16, seed=args.seed),
+        ),
+        lambda runs: experiments.format_figure6(*runs),
+    ),
+    "table1": (
+        lambda args: experiments.run_table1(scale=args.scale, seed=args.seed),
+        experiments.format_table1,
+    ),
+    "online-drift": (
+        lambda args: experiments.run_online_drift(seed=args.seed),
+        experiments.format_online_drift,
+    ),
+    "read-hot-drift": (
+        lambda args: experiments.run_read_hot_drift(seed=args.seed),
+        experiments.format_read_hot_drift,
+    ),
+    "elastic": (
+        lambda args: experiments.run_elastic_scaling(seed=args.seed),
+        experiments.format_elastic_scaling,
+    ),
+    "resilience": (
+        lambda args: experiments.run_resilience(seed=args.seed),
+        experiments.format_resilience,
+    ),
+    "storage-resilience": (
+        lambda args: experiments.run_storage_resilience(seed=args.seed),
+        experiments.format_storage_resilience,
+    ),
+    "storage-migration": (
+        lambda args: experiments.run_storage_migration(seed=args.seed),
+        experiments.format_storage_migration,
+    ),
 }
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    print(BENCH_EXPERIMENTS[args.experiment](args))
+    run, render = BENCH_EXPERIMENTS[args.experiment]
+    report = run(args)
+    text = render(report)
+    if getattr(report, "violations", None):
+        # The chaos experiments are hard gates: a lost update, a phantom or
+        # unreachable tuple, an unfired kill, an unresumed crash or an
+        # unfinished resize fails the invocation, not just the printout.
+        raise SystemExit(text)
+    print(text)
     return 0
 
 

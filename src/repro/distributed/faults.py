@@ -29,14 +29,6 @@ class FaultError(RuntimeError):
     """Base class of every injected fault."""
 
 
-class NodeUnavailable(FaultError):
-    """A participant partition is crashed for the duration of this attempt."""
-
-    def __init__(self, partition: int) -> None:
-        super().__init__(f"partition {partition} is unavailable")
-        self.partition = partition
-
-
 class MessageDropped(FaultError):
     """A 2PC message was lost; the transaction aborts."""
 
@@ -165,21 +157,6 @@ class FaultInjector:
             if crash.partition == partition and crash.covers(self.tick):
                 return False
         return True
-
-    def crashed_partitions(self) -> frozenset[int]:
-        """Partitions down at the current tick."""
-        return frozenset(
-            crash.partition
-            for crash in self.plan.node_crashes
-            if crash.covers(self.tick)
-        )
-
-    def check_available(self, partition: int) -> None:
-        """Raise :class:`NodeUnavailable` when ``partition`` is down."""
-        if not self.node_available(partition):
-            self.statistics.unavailability_hits += 1
-            self._injected.inc(kind="node_unavailable")
-            raise NodeUnavailable(partition)
 
     # -- messages ----------------------------------------------------------------------
     def deliver(self) -> float:

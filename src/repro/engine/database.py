@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.catalog.schema import Schema, Table
 from repro.catalog.tuples import TupleId
@@ -58,15 +58,6 @@ class Database:
         """Insert one row directly (bulk loading path used by generators)."""
         return self.storage(table).insert(row)
 
-    def load_rows(self, table: str, rows: Iterable[Mapping[str, object]]) -> int:
-        """Bulk-insert rows; returns the number inserted."""
-        storage = self.storage(table)
-        count = 0
-        for row in rows:
-            storage.insert(row)
-            count += 1
-        return count
-
     # -- execution ----------------------------------------------------------------------
     def execute(self, statement: Statement | str) -> StatementResult:
         """Execute a statement AST or SQL text."""
@@ -107,7 +98,3 @@ class Database:
     def get_row(self, tuple_id: TupleId) -> dict[str, object] | None:
         """Fetch the row behind ``tuple_id`` (or None if it does not exist)."""
         return self.storage(tuple_id.table).get(tuple_id.key)
-
-    def total_byte_size(self) -> int:
-        """Approximate total database size in bytes."""
-        return sum(storage.byte_size for storage in self._storages.values())

@@ -31,7 +31,7 @@ or unreachable-tuple count above zero.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from repro.distributed.coordinator import TwoPhaseCommitCoordinator
 from repro.distributed.faults import (
@@ -41,6 +41,7 @@ from repro.distributed.faults import (
     NodeCrash,
 )
 from repro.experiments.audit import audit_against_oracle, audit_violations, cluster_rows
+from repro.experiments.chaos import TpccScenario, schism_plan, tpcc_scenario
 from repro.online import start_online
 from repro.online.controller import OnlineOptions
 from repro.online.migration import MemoryJournalSink
@@ -48,9 +49,6 @@ from repro.online.monitor import MonitorOptions
 from repro.online.policy import MigrationPacer, PacingOptions
 from repro.obs import trace_span
 from repro.online.repartitioner import RepartitionOptions
-from repro.pipeline import Pipeline, SchismOptions
-from repro.workload.trace import Workload
-from repro.workloads import TpccConfig, generate_tpcc
 
 
 @dataclass
@@ -86,8 +84,9 @@ class ResilienceReport:
     journal_records: int = 0
     migration_copies: int = 0
     migration_drops: int = 0
-    #: sha256 over the final journal bytes and every counter above; two runs
-    #: with the same seed must produce the same fingerprint.
+    #: sha256 over the final journal bytes and every field of this report as
+    #: it stands when the scenario ends; two runs with the same seed must
+    #: produce the same fingerprint.
     fingerprint: str = ""
     #: set by :func:`run_resilience` after replaying the scenario.
     deterministic: bool = False
@@ -129,35 +128,17 @@ def _run_scenario(
         "experiment.resilience", seed=seed, warehouses=warehouses
     ):
         return _run_scenario_traced(
-            seed, warehouses, training_transactions, live_transactions, migration_start
+            seed,
+            tpcc_scenario(seed, warehouses, training_transactions, live_transactions),
+            migration_start,
         )
 
 
 def _run_scenario_traced(
-    seed: int,
-    warehouses: int,
-    training_transactions: int,
-    live_transactions: int,
-    migration_start: int,
+    seed: int, scenario: TpccScenario, migration_start: int
 ) -> ResilienceReport:
-    config = TpccConfig(
-        warehouses=warehouses,
-        districts_per_warehouse=2,
-        customers_per_district=8,
-        items=40,
-        seed=seed,
-    )
-    bundle = generate_tpcc(
-        config, num_transactions=training_transactions + live_transactions
-    )
-    training = Workload(
-        f"{bundle.name}-train", bundle.workload.transactions[:training_transactions]
-    )
-    live = bundle.workload.transactions[training_transactions:]
-    database = bundle.database
-
-    run = Pipeline(SchismOptions(num_partitions=2)).run(database, training)
-    plan = run.plan(created_by="experiments.resilience", workload=bundle.name)
+    database, live = scenario.database, scenario.live
+    run, plan = schism_plan(scenario, 2, "experiments.resilience")
     options = OnlineOptions(
         monitor=MonitorOptions(window_size=400, min_window_fill=100),
         repartition=RepartitionOptions(migration_cost_weight=0.25, imbalance=0.10),
@@ -278,33 +259,7 @@ def _run_scenario_traced(
 
     digest = hashlib.sha256()
     digest.update((sink.text or "").encode("utf-8"))
-    digest.update(
-        repr(
-            (
-                report.transactions_committed,
-                report.transactions_aborted,
-                report.retries_exhausted,
-                report.coordinator_deaths,
-                report.resumes,
-                report.messages_dropped,
-                report.messages_delayed,
-                report.migration_steps_deferred,
-                report.lost_updates,
-                report.phantom_rows,
-                report.unreachable_tuples,
-                report.tuple_conservation,
-                report.pacer_pauses,
-                report.pacer_throttles,
-                report.pacer_resumes,
-                report.p99_latency_quiet,
-                report.p99_latency_during,
-                report.journal_records,
-                report.migration_copies,
-                report.migration_drops,
-                report.final_partitions,
-            )
-        ).encode("utf-8")
-    )
+    digest.update(repr(astuple(report)).encode("utf-8"))
     report.fingerprint = digest.hexdigest()
     return report
 

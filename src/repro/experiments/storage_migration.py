@@ -1,8 +1,8 @@
 """Live 2→4 resize on the real storage backend, under kills and load.
 
-The tentpole chaos experiment for the storage migrator: a Schism-planned
-TPC-C deployment runs on SQLite partition workers while a journaled
-:class:`~repro.storage.migrator.StorageMigrator` resizes the cluster from
+The chaos experiment for migration on real storage: a Schism-planned TPC-C
+:class:`~repro.storage.StorageDeployment` runs on SQLite partition workers
+while one of its journaled resize sessions takes the cluster from
 ``old_partitions`` to ``new_partitions`` *during* closed-loop traffic.  The
 fault schedule SIGKILLs two partition workers and the migration coordinator
 itself mid-copy; the migration must resume from its durable journal (the
@@ -32,49 +32,40 @@ run is shaped to make every **counted** quantity interleaving-independent:
   observes a dead worker and ``storage.retries`` stays at zero.
 * The coordinator kill raises :class:`CoordinatorDeath` inside a commit-
   hook tick; ticking stops (the "migration coordinator process" is dead)
-  and the next barrier re-attaches a fresh :class:`StorageMigrator` from
-  the journal the sink persisted *before* the kill fired.
+  and the next barrier re-attaches a fresh session
+  (:meth:`~repro.storage.StorageDeployment.attach_resize`) from the journal
+  the sink persisted *before* the kill fired.
 * The :class:`~repro.online.policy.MigrationPacer` is wired to the
   driver's live latency/abort stream (``on_outcome``) but constructed
-  ``volatile`` and, by default, with no SLO budgets — wall-clock-fed
-  histograms stay out of the deterministic snapshot and every tick's
-  budget is the full batch.  Passing ``p99_budget_ms``/``abort_budget``
-  makes the pacer actually throttle under pressure, at the cost of
-  byte-determinism (tests exercise that path; CI keeps the defaults).
+  ``volatile`` and with no SLO budgets — wall-clock-fed histograms stay out
+  of the deterministic snapshot and every tick's budget is the full batch.
 """
 
 from __future__ import annotations
 
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.witness import WitnessedLockManager
 from repro.distributed.faults import (
     CoordinatorDeath,
     CoordinatorKill,
     FaultPlan,
     WorkerKill,
 )
-from repro.experiments.audit import audit_against_oracle, audit_violations, sqlite_rows
-from repro.obs import trace_span
-from repro.online.policy import MigrationPacer, PacingOptions
-from repro.online.migration import FileJournalSink, MigrationSession
-from repro.pipeline import Pipeline, SchismOptions
-from repro.routing.lookup import build_lookup_table
-from repro.routing.router import Router
-from repro.storage import (
-    ClosedLoopDriver,
-    RetryOptions,
-    SqliteStorageCluster,
-    StorageCoordinator,
-    StorageMigrator,
-    plan_storage_resize,
+from repro.experiments.audit import audit_violations
+from repro.experiments.chaos import (
+    audited_deployment,
+    schism_plan,
+    scratch_directory,
+    storage_run_violations,
+    tpcc_scenario,
 )
-from repro.workload.trace import Workload
-from repro.workloads import TpccConfig, generate_tpcc
+from repro.obs import trace_span
+from repro.online.migration import FileJournalSink
+from repro.online.policy import MigrationPacer, PacingOptions
+from repro.storage import ClosedLoopDriver
 
 #: how long (seconds) a barrier waits for a killed worker's replacement.
 RESTART_WAIT_S = 30.0
@@ -152,21 +143,7 @@ class StorageMigrationReport:
             )
         if self.coordinator_deaths and not self.migrator_reattaches:
             failures.append(f"{self.label}: coordinator died but never re-attached")
-        if self.restarts < self.worker_kills_fired:
-            failures.append(
-                f"{self.label}: {self.worker_kills_fired} kills but only "
-                f"{self.restarts} restarts"
-            )
-        if self.committed == 0:
-            failures.append(f"{self.label}: no transaction committed")
-        if self.committed + self.aborted != self.total:
-            failures.append(f"{self.label}: run did not complete every transaction")
-        if self.lock_order_out_of_order:
-            failures.append(
-                f"{self.label}: {self.lock_order_out_of_order} out-of-order "
-                "lock acquisition(s) witnessed"
-            )
-        return failures
+        return failures + storage_run_violations(self, self.worker_kills_fired)
 
     def to_payload(self) -> dict:
         """Deterministic summary for the bench report (no wall-clock fields)."""
@@ -220,10 +197,7 @@ def run_storage_migration(
     rounds: int = 4,
     batch_size: int = 4,
     coordinator_kill_record: int = 5,
-    p99_budget_ms: float | None = None,
-    abort_budget: float | None = None,
     directory: str | Path | None = None,
-    retry_options: RetryOptions | None = None,
 ) -> StorageMigrationReport:
     """Resize a live Schism-deployed TPC-C cluster under the kill schedule.
 
@@ -231,89 +205,14 @@ def run_storage_migration(
     fresh temporary directory when omitted, removed afterwards.  The
     report's :attr:`~StorageMigrationReport.violations` is the CI gate.
     """
-    retry_options = retry_options or RetryOptions(timeout_ms=500, max_retries=4)
+    old_k, new_k = old_partitions, new_partitions
     report = StorageMigrationReport(
         seed=seed,
-        old_partitions=old_partitions,
-        new_partitions=new_partitions,
+        old_partitions=old_k,
+        new_partitions=new_k,
         worker_kills_planned=2,
         coordinator_kills_planned=1,
     )
-    with trace_span(
-        "experiment.storage_migration",
-        seed=seed,
-        old_partitions=old_partitions,
-        new_partitions=new_partitions,
-    ):
-        cleanup = None
-        if directory is None:
-            cleanup = tempfile.TemporaryDirectory(prefix="repro-storage-mig-")
-            directory = cleanup.name
-        try:
-            _run(
-                report,
-                Path(directory),
-                seed=seed,
-                warehouses=warehouses,
-                training_transactions=training_transactions,
-                live_transactions=live_transactions,
-                num_clients=num_clients,
-                rounds=rounds,
-                batch_size=batch_size,
-                coordinator_kill_record=coordinator_kill_record,
-                p99_budget_ms=p99_budget_ms,
-                abort_budget=abort_budget,
-                retry_options=retry_options,
-            )
-        finally:
-            if cleanup is not None:
-                cleanup.cleanup()
-    return report
-
-
-def _run(
-    report: StorageMigrationReport,
-    base: Path,
-    *,
-    seed: int,
-    warehouses: int,
-    training_transactions: int,
-    live_transactions: int,
-    num_clients: int,
-    rounds: int,
-    batch_size: int,
-    coordinator_kill_record: int,
-    p99_budget_ms: float | None,
-    abort_budget: float | None,
-    retry_options: RetryOptions,
-) -> None:
-    """The orchestration body (split out so the temp-dir wrapper stays small)."""
-    old_k, new_k = report.old_partitions, report.new_partitions
-
-    # -- deploy the starting cluster at old_k via the Schism plan ------------------
-    config = TpccConfig(
-        warehouses=warehouses,
-        districts_per_warehouse=2,
-        customers_per_district=8,
-        items=40,
-        seed=seed,
-    )
-    bundle = generate_tpcc(
-        config, num_transactions=training_transactions + live_transactions
-    )
-    training = Workload(
-        f"{bundle.name}-train",
-        bundle.workload.transactions[:training_transactions],
-    )
-    live = bundle.workload.transactions[training_transactions:]
-    database = bundle.database
-
-    run = Pipeline(SchismOptions(num_partitions=old_k)).run(database, training)
-    plan = run.plan(created_by="experiments.storage_migration", workload=bundle.name)
-    strategy = plan.deployment_strategy("hash")
-    lookup_table = build_lookup_table(strategy.assignment)
-    router = Router(strategy, database.schema, lookup_table)
-
     faults = FaultPlan(
         seed=seed,
         coordinator_kills=(CoordinatorKill(at_record=coordinator_kill_record),),
@@ -325,164 +224,135 @@ def _run(
         ),
     )
     injector = faults.build()
+    pacer = MigrationPacer(
+        PacingOptions(max_steps=batch_size, throttled_steps=max(1, batch_size // 2)),
+        volatile=True,
+    )
+    with (
+        trace_span(
+            "experiment.storage_migration", seed=seed, old_partitions=old_k, new_partitions=new_k
+        ),
+        scratch_directory(directory, "repro-storage-mig-") as base,
+    ):
+        # -- deploy the starting cluster at old_k via the Schism plan --------------
+        scenario = tpcc_scenario(seed, warehouses, training_transactions, live_transactions)
+        _, plan = schism_plan(scenario, old_k, "experiments.storage_migration")
+        with audited_deployment(
+            plan.deployment_strategy("hash"), scenario.database, base / "cluster", report, seed
+        ) as deployment:
+            cluster = deployment.cluster
+            started = time.monotonic()
 
-    cluster = SqliteStorageCluster.from_database(base / "cluster", database, strategy)
-    cluster.start()
-    started = time.monotonic()
-    try:
-        coordinator = StorageCoordinator(
-            cluster, router, oracle=database, retry_options=retry_options, seed=seed
-        )
-        # Runtime lock-order witness over the shared manager: the migrator is
-        # handed the *same* (wrapped) instance below, so client commits and
-        # migration batches are certified against one acquisition graph.
-        witness = WitnessedLockManager(coordinator.locks)
-        coordinator.locks = witness
-
-        # -- plan the resize and attach the journaled migrator ---------------------
-        journal = plan_storage_resize(
-            cluster,
-            new_k,
-            migration_id=f"resize-{old_k}to{new_k}-seed{seed}",
-            retry_options=retry_options,
-            seed=seed,
-        )
-        report.copies_planned = len(journal.plan.copies)
-        report.drops_planned = len(journal.plan.drops)
-        sink = FileJournalSink(base / "resize.journal")
-        sink.write(journal.dumps())
-        pacer = MigrationPacer(
-            PacingOptions(
-                max_steps=batch_size,
-                throttled_steps=max(1, batch_size // 2),
-                p99_latency_budget=p99_budget_ms,
-                abort_rate_budget=abort_budget,
-            ),
-            volatile=True,
-        )
-
-        def make_session(j) -> MigrationSession:
-            migrator = StorageMigrator(
-                cluster,
-                router,
-                j,
-                sink=sink,
-                batch_size=batch_size,
-                injector=injector,
-                locks=coordinator.locks,
-                retry_options=retry_options,
-                seed=seed,
+            # -- plan the resize; every session shares the sink, pacer and injector ----
+            sink = FileJournalSink(base / "resize.journal")
+            session_options = dict(
+                sink=sink, pacer=pacer, batch_size=batch_size, injector=injector
             )
-            return MigrationSession(migrator, pacer=pacer)
+            holder = {
+                "session": deployment.begin_resize(
+                    new_k, migration_id=f"resize-{old_k}to{new_k}-seed{seed}", **session_options
+                ),
+                "dead": False,
+            }
+            report.copies_planned = len(holder["session"].journal.plan.copies)
+            report.drops_planned = len(holder["session"].journal.plan.drops)
+            tick_lock = threading.Lock()
 
-        holder = {"session": make_session(journal), "dead": False}
-        tick_lock = threading.Lock()
+            def reattach() -> None:
+                """Restart the "migration coordinator" from the durable journal."""
+                holder["session"] = deployment.attach_resize(sink.load(), **session_options)
+                holder["dead"] = False
+                report.migrator_reattaches += 1
 
-        def reattach() -> None:
-            """Restart the "migration coordinator" from the durable journal."""
-            holder["session"] = make_session(sink.load())
-            holder["dead"] = False
-            report.migrator_reattaches += 1
+            def in_round_safe(j) -> bool:
+                """True while a tick cannot cross a phase boundary (see module doc)."""
+                return (
+                    j.state == "copying"
+                    and j.copies_done + batch_size < len(j.plan.copies)
+                ) or (
+                    j.state == "dropping"
+                    and j.drops_done + batch_size < len(j.plan.drops)
+                )
 
-        def in_round_safe(j) -> bool:
-            """True while a tick cannot cross a phase boundary (see module doc)."""
-            return (
-                j.state == "copying"
-                and j.copies_done + batch_size < len(j.plan.copies)
-            ) or (
-                j.state == "dropping"
-                and j.drops_done + batch_size < len(j.plan.drops)
+            def on_commit(_commits: int) -> None:
+                with tick_lock:
+                    session = holder["session"]
+                    if holder["dead"] or session.done:
+                        return
+                    if not in_round_safe(session.journal):
+                        return
+                    try:
+                        session.tick()
+                    except CoordinatorDeath:
+                        holder["dead"] = True
+
+            def barrier(index: int) -> None:
+                """Between rounds: fire kills, revive the migrator, cross phases."""
+                for kill in injector.due_worker_kills(index):
+                    cluster.kill_worker(kill.partition)
+                    deadline = time.monotonic() + RESTART_WAIT_S
+                    while not cluster.supervisor.ping(kill.partition):
+                        if time.monotonic() > deadline:
+                            raise RuntimeError(
+                                f"partition {kill.partition} not restarted at barrier {index}"
+                            )
+                        time.sleep(0.02)
+                if holder["dead"]:
+                    reattach()
+                # Advance through any phase transition (window open, flip, window
+                # close, resize finalisation) while no client traffic is flowing,
+                # stopping as soon as the journal is back in mid-phase territory.
+                while True:
+                    session = holder["session"]
+                    if session.done or in_round_safe(session.journal):
+                        return
+                    try:
+                        session.tick(idle=True)
+                    except CoordinatorDeath:
+                        reattach()
+
+            driver = ClosedLoopDriver(
+                deployment.coordinator,
+                num_clients=num_clients,
+                on_commit=on_commit,
+                on_outcome=pacer.record,
             )
 
-        def on_commit(_commits: int) -> None:
-            with tick_lock:
-                session = holder["session"]
-                if holder["dead"] or session.done:
-                    return
-                if not in_round_safe(session.journal):
-                    return
+            # -- the run: barrier, round, barrier, round, ... then drain ---------------
+            barrier(0)  # opens the dual-write window before any live traffic
+            for index, segment in enumerate(_split_rounds(scenario.live, rounds)):
+                round_report = driver.run(segment, txn_id_prefix=f"live-r{index}")
+                report.total += round_report.total
+                report.committed += round_report.committed
+                report.aborted += round_report.aborted
+                report.distributed_fraction += round_report.distributed_total
+                report.latency_p99_ms = max(
+                    report.latency_p99_ms, round_report.latency_quantile(0.99)
+                )
+                barrier(index + 1)
+            while not holder["session"].done:
                 try:
-                    session.tick()
-                except CoordinatorDeath:
-                    holder["dead"] = True
-
-        def barrier(index: int) -> None:
-            """Between rounds: fire kills, revive the migrator, cross phases."""
-            for kill in injector.due_worker_kills(index):
-                cluster.kill_worker(kill.partition)
-                deadline = time.monotonic() + RESTART_WAIT_S
-                while not cluster.supervisor.ping(kill.partition):
-                    if time.monotonic() > deadline:
-                        raise RuntimeError(
-                            f"partition {kill.partition} not restarted at barrier {index}"
-                        )
-                    time.sleep(0.02)
-            if holder["dead"]:
-                reattach()
-            # Advance through any phase transition (window open, flip, window
-            # close, resize finalisation) while no client traffic is flowing,
-            # stopping as soon as the journal is back in mid-phase territory.
-            while True:
-                session = holder["session"]
-                if session.done or in_round_safe(session.journal):
-                    return
-                try:
-                    session.tick(idle=True)
+                    holder["session"].run_to_completion()
                 except CoordinatorDeath:
                     reattach()
 
-        driver = ClosedLoopDriver(
-            coordinator,
-            num_clients=num_clients,
-            on_commit=on_commit,
-            on_outcome=pacer.record,
-        )
-
-        # -- the run: barrier, round, barrier, round, ... then drain ---------------
-        barrier(0)  # opens the dual-write window before any live traffic
-        for index, segment in enumerate(_split_rounds(live, rounds)):
-            round_report = driver.run(segment, txn_id_prefix=f"live-r{index}")
-            report.total += round_report.total
-            report.committed += round_report.committed
-            report.aborted += round_report.aborted
-            report.distributed_fraction += round_report.distributed_total
-            report.latency_p99_ms = max(
-                report.latency_p99_ms, round_report.latency_quantile(0.99)
+            final = holder["session"].journal
+            report.final_state = final.state
+            report.copies_done = final.copies_done
+            report.drops_done = final.drops_done
+            report.journal_records = final.records
+            report.ticks = holder["session"].ticks
+            report.distributed_fraction = (
+                report.distributed_fraction / report.total if report.total else 0.0
             )
-            barrier(index + 1)
-        while not holder["session"].done:
-            try:
-                holder["session"].run_to_completion()
-            except CoordinatorDeath:
-                reattach()
-
-        final = holder["session"].journal
-        report.final_state = final.state
-        report.copies_done = final.copies_done
-        report.drops_done = final.drops_done
-        report.journal_records = final.records
-        report.ticks = holder["session"].ticks
-        report.distributed_fraction = (
-            report.distributed_fraction / report.total if report.total else 0.0
-        )
-        report.worker_kills_fired = injector.statistics.workers_killed
-        report.coordinator_deaths = injector.statistics.coordinator_deaths
-        report.restarts = cluster.restart_count()
-        report.lock_acquisitions = witness.acquisitions
-        report.lock_order_out_of_order = witness.out_of_order
-        report.wall_s = time.monotonic() - started
-        report.throughput_txn_s = (
-            report.committed / report.wall_s if report.wall_s > 0 else 0.0
-        )
-    finally:
-        cluster.close()
-
-    (
-        report.lost_updates,
-        report.phantom_rows,
-        report.unreachable_tuples,
-        report.tuple_conservation,
-    ) = audit_against_oracle(sqlite_rows(cluster), router.placement_of, database)
+            report.worker_kills_fired = injector.statistics.workers_killed
+            report.coordinator_deaths = injector.statistics.coordinator_deaths
+            report.restarts = cluster.restart_count()
+            report.wall_s = time.monotonic() - started
+            report.throughput_txn_s = (
+                report.committed / report.wall_s if report.wall_s > 0 else 0.0
+            )
+    return report
 
 
 def format_storage_migration(report: StorageMigrationReport) -> str:

@@ -23,31 +23,28 @@ Each point measures its distributed-transaction fraction, so the run
 doubles as a Figure-1-style wall-clock probe: the same workload deployed
 via the Schism plan (few distributed transactions) and via hash partitioning
 (many) at k=2 and k=4, recording throughput / latency / abort rate as that
-fraction varies.  Wall-clock numbers are inherently volatile and are kept
-out of the deterministic payload the bench harness records.
+fraction varies.  Wall-clock numbers are inherently volatile and are printed
+apart from the deterministic columns.
 """
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.strategies import HashPartitioning
 from repro.distributed.faults import FaultPlan, WorkerKill
-from repro.obs import trace_span
-from repro.pipeline import Pipeline, SchismOptions
-from repro.routing.lookup import build_lookup_table
-from repro.analysis.witness import WitnessedLockManager
-from repro.experiments.audit import audit_against_oracle, audit_violations, sqlite_rows
-from repro.routing.router import Router
-from repro.storage import (
-    ClosedLoopDriver,
-    RetryOptions,
-    SqliteStorageCluster,
-    StorageCoordinator,
+from repro.experiments.audit import audit_violations
+from repro.experiments.chaos import (
+    TpccScenario,
+    audited_deployment,
+    schism_plan,
+    scratch_directory,
+    storage_run_violations,
+    tpcc_scenario,
 )
-from repro.workload.trace import Workload
-from repro.workloads import TpccConfig, generate_tpcc
+from repro.obs import trace_span
+from repro.storage import ClosedLoopDriver
 
 
 @dataclass
@@ -79,7 +76,7 @@ class StoragePointReport:
     #: respected the global sorted order).
     lock_acquisitions: int = 0
     lock_order_out_of_order: int = 0
-    #: wall-clock measurements (volatile; excluded from the bench payload).
+    #: wall-clock measurements (volatile; printed apart from the counts).
     wall_s: float = 0.0
     throughput_txn_s: float = 0.0
     latency_p50_ms: float = 0.0
@@ -93,39 +90,7 @@ class StoragePointReport:
             failures.append(
                 f"{self.label}: {self.kills_fired}/{self.kills_planned} planned kills fired"
             )
-        if self.restarts < self.kills_fired:
-            failures.append(
-                f"{self.label}: {self.kills_fired} kills but only {self.restarts} restarts"
-            )
-        if self.committed == 0:
-            failures.append(f"{self.label}: no transaction committed")
-        if self.committed + self.aborted != self.total:
-            failures.append(f"{self.label}: run did not complete every transaction")
-        if self.lock_order_out_of_order:
-            failures.append(
-                f"{self.label}: {self.lock_order_out_of_order} out-of-order "
-                "lock acquisition(s) witnessed"
-            )
-        return failures
-
-    def to_payload(self) -> dict:
-        """Deterministic summary for the bench report (no wall-clock fields)."""
-        return {
-            "label": self.label,
-            "strategy": self.strategy,
-            "num_partitions": self.num_partitions,
-            "total": self.total,
-            "committed": self.committed,
-            "aborted": self.aborted,
-            "distributed_fraction": round(self.distributed_fraction, 6),
-            "kills_fired": self.kills_fired,
-            "restarts": self.restarts,
-            "lost_updates": self.lost_updates,
-            "phantom_rows": self.phantom_rows,
-            "unreachable_tuples": self.unreachable_tuples,
-            "tuple_conservation": self.tuple_conservation,
-            "lock_order_out_of_order": self.lock_order_out_of_order,
-        }
+        return failures + storage_run_violations(self, self.kills_fired)
 
 
 @dataclass
@@ -143,63 +108,27 @@ class StorageResilienceReport:
             failures.extend(point.violations)
         return failures
 
-    def to_payload(self) -> dict:
-        """Deterministic summary of the sweep (no wall-clock fields)."""
-        return {
-            "seed": self.seed,
-            "points": [point.to_payload() for point in self.points],
-            "violations": self.violations,
-        }
-
 
 def _run_point(
-    label: str,
     strategy_name: str,
     num_partitions: int,
     seed: int,
-    warehouses: int,
-    training_transactions: int,
-    live_transactions: int,
+    scenario: TpccScenario,
     num_clients: int,
     directory: Path,
-    retry_options: RetryOptions,
 ) -> StoragePointReport:
     """Deploy one (strategy, k) point, drive it through the kills, audit it."""
-    # A fresh bundle per point: the oracle database is mutated by the
-    # committed traffic, so points must not share it.
-    config = TpccConfig(
-        warehouses=warehouses,
-        districts_per_warehouse=2,
-        customers_per_district=8,
-        items=40,
-        seed=seed,
-    )
-    bundle = generate_tpcc(
-        config, num_transactions=training_transactions + live_transactions
-    )
-    training = Workload(
-        f"{bundle.name}-train", bundle.workload.transactions[:training_transactions]
-    )
-    live = bundle.workload.transactions[training_transactions:]
-    database = bundle.database
-
+    label = f"{strategy_name}-k{num_partitions}"
     if strategy_name == "schism":
-        run = Pipeline(SchismOptions(num_partitions=num_partitions)).run(
-            database, training
-        )
-        plan = run.plan(created_by="experiments.storage_resilience", workload=bundle.name)
+        _, plan = schism_plan(scenario, num_partitions, "experiments.storage_resilience")
         strategy = plan.deployment_strategy("hash")
-        lookup_table = build_lookup_table(strategy.assignment)
     else:
-        from repro.core.strategies import HashPartitioning
-
         strategy = HashPartitioning(num_partitions)
-        lookup_table = None
-    router = Router(strategy, database.schema, lookup_table)
 
     # Two kills per point: an early one on partition 0 and a mid-run one on
     # the last partition, pinned to cluster-wide commit counts — trigger
     # points the thread interleaving cannot move.
+    live_transactions = len(scenario.live)
     faults = FaultPlan(
         seed=seed,
         worker_kills=(
@@ -217,34 +146,19 @@ def _run_point(
         kills_planned=len(faults.worker_kills),
     )
 
-    cluster = SqliteStorageCluster.from_database(
-        directory / label, database, strategy
-    ).start()
-    try:
-        coordinator = StorageCoordinator(
-            cluster,
-            router,
-            oracle=database,
-            retry_options=retry_options,
-            seed=seed,
-        )
-        # Runtime lock-order witness: certify that the interleaving this run
-        # actually executed never acquired tokens out of global sorted order
-        # (the static lock-order pass proves the call sites; this proves the
-        # traffic).
-        witness = WitnessedLockManager(coordinator.locks)
-        coordinator.locks = witness
+    with audited_deployment(
+        strategy, scenario.database, directory / label, point, seed
+    ) as deployment:
+        cluster = deployment.cluster
 
         def on_commit(commits: int) -> None:
             for kill in injector.due_worker_kills(commits):
                 cluster.kill_worker(kill.partition)
 
         driver = ClosedLoopDriver(
-            coordinator, num_clients=num_clients, on_commit=on_commit
+            deployment.coordinator, num_clients=num_clients, on_commit=on_commit
         )
-        report = driver.run(live, txn_id_prefix=f"{label}-txn")
-    finally:
-        cluster.close()
+        report = driver.run(scenario.live, txn_id_prefix=f"{label}-txn")
 
     point.total = report.total
     point.committed = report.committed
@@ -255,18 +169,10 @@ def _run_point(
     point.distributed_fraction = report.distributed_fraction
     point.kills_fired = injector.statistics.workers_killed
     point.restarts = cluster.restart_count()
-    point.lock_acquisitions = witness.acquisitions
-    point.lock_order_out_of_order = witness.out_of_order
     point.wall_s = report.wall_s
     point.throughput_txn_s = report.throughput_txn_s
     point.latency_p50_ms = report.latency_quantile(0.50)
     point.latency_p99_ms = report.latency_quantile(0.99)
-    (
-        point.lost_updates,
-        point.phantom_rows,
-        point.unreachable_tuples,
-        point.tuple_conservation,
-    ) = audit_against_oracle(sqlite_rows(cluster), router.placement_of, database)
     return point
 
 
@@ -278,7 +184,6 @@ def run_storage_resilience(
     num_clients: int = 4,
     partition_counts: tuple[int, ...] = (2, 4),
     directory: str | Path | None = None,
-    retry_options: RetryOptions | None = None,
 ) -> StorageResilienceReport:
     """Run the storage-resilience sweep: (schism, hash) x ``partition_counts``.
 
@@ -287,35 +192,26 @@ def run_storage_resilience(
     kills; the report's :attr:`~StorageResilienceReport.violations` is the
     CI gate.
     """
-    retry_options = retry_options or RetryOptions(timeout_ms=500, max_retries=4)
     report = StorageResilienceReport(seed=seed)
-    with trace_span("experiment.storage_resilience", seed=seed, warehouses=warehouses):
-        cleanup = None
-        if directory is None:
-            cleanup = tempfile.TemporaryDirectory(prefix="repro-storage-")
-            directory = cleanup.name
-        try:
-            base = Path(directory)
-            for num_partitions in partition_counts:
-                for strategy_name in ("schism", "hash"):
-                    label = f"{strategy_name}-k{num_partitions}"
-                    report.points.append(
-                        _run_point(
-                            label,
-                            strategy_name,
-                            num_partitions,
-                            seed,
-                            warehouses,
-                            training_transactions,
-                            live_transactions,
-                            num_clients,
-                            base,
-                            retry_options,
-                        )
+    with (
+        trace_span("experiment.storage_resilience", seed=seed, warehouses=warehouses),
+        scratch_directory(directory, "repro-storage-") as base,
+    ):
+        for num_partitions in partition_counts:
+            for strategy_name in ("schism", "hash"):
+                report.points.append(
+                    _run_point(
+                        strategy_name,
+                        num_partitions,
+                        seed,
+                        # fresh per point: committed traffic mutates the oracle.
+                        tpcc_scenario(
+                            seed, warehouses, training_transactions, live_transactions
+                        ),
+                        num_clients,
+                        base,
                     )
-        finally:
-            if cleanup is not None:
-                cleanup.cleanup()
+                )
     return report
 
 

@@ -9,7 +9,6 @@ replicate").
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -102,15 +101,3 @@ class PartitionAssignment:
         if len(placement) == 1:
             return str(next(iter(placement)))
         return "R" + "_".join(str(partition) for partition in sorted(placement))
-
-    def label_histogram(self) -> Counter:
-        """Counter of replication labels (useful for reports/tests)."""
-        histogram: Counter = Counter()
-        for tuple_id in self.placements:
-            histogram[self.replication_label(tuple_id)] += 1
-        return histogram
-
-    def most_common_partition(self) -> int:
-        """The partition holding the most tuples (used as a default for unseen tuples)."""
-        counts = self.partition_tuple_counts()
-        return max(range(self.num_partitions), key=lambda partition: counts[partition])

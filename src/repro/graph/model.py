@@ -231,26 +231,6 @@ class Graph:
         clone._total_node_weight = self._total_node_weight
         return clone
 
-    def connected_components(self) -> list[list[int]]:
-        """Connected components as lists of node ids (iterative BFS)."""
-        seen = [False] * self.num_nodes
-        components: list[list[int]] = []
-        for start in range(self.num_nodes):
-            if seen[start]:
-                continue
-            component = [start]
-            seen[start] = True
-            frontier = [start]
-            while frontier:
-                node = frontier.pop()
-                for neighbor in self.adjacency[node]:
-                    if not seen[neighbor]:
-                        seen[neighbor] = True
-                        component.append(neighbor)
-                        frontier.append(neighbor)
-            components.append(component)
-        return components
-
     def __repr__(self) -> str:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges})"
 

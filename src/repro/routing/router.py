@@ -39,7 +39,6 @@ class RoutingDecision:
     statement: Statement
     partitions: frozenset[int]
     broadcast: bool
-    reason: str
 
     @property
     def is_single_partition(self) -> bool:
@@ -162,7 +161,6 @@ class Router:
         all_partitions = frozenset(range(self.num_partitions))
         destinations: set[int] = set()
         broadcast = False
-        reasons: list[str] = []
         conditions = self._statement_conditions(statement)
         mechanism = EXPLICIT
         for table in statement_tables(statement):
@@ -189,7 +187,6 @@ class Router:
             if partitions is None:
                 destinations.update(all_partitions)
                 broadcast = True
-                reasons.append(f"{table}: broadcast")
                 continue
             if (
                 not resolved_by_lookup
@@ -200,18 +197,12 @@ class Router:
                 # The table (or matching rows) is replicated everywhere: a read
                 # only needs one replica, preferably one we already visit.
                 partitions = frozenset({self._pick_replica(partitions, context)})
-                reasons.append(f"{table}: replicated read")
-            else:
-                reasons.append(f"{table}: routed")
             destinations.update(partitions)
         if not destinations:
             destinations = set(all_partitions)
             broadcast = True
-            reasons.append("no destination: broadcast")
         self._routed[BROADCAST if broadcast else mechanism].inc()
-        decision = RoutingDecision(
-            statement, frozenset(destinations), broadcast, "; ".join(reasons)
-        )
+        decision = RoutingDecision(statement, frozenset(destinations), broadcast)
         if context is not None:
             context.record(decision)
         return decision

@@ -32,20 +32,19 @@ Layers, bottom to top:
 * :mod:`repro.storage.driver` — closed-loop concurrent clients measuring
   wall-clock throughput/latency/abort-rate, with the process-kill chaos
   hook;
-* :mod:`repro.storage.migrator` — the journaled live-migration executor
-  over this backend: exactly-once cross-partition row movement through the
-  dedup table and the dual-write window on the coordinator's router,
-  resumable after coordinator or worker kills.
+* :mod:`repro.storage.migrator` — the journaled live migration's backend
+  here: exactly-once cross-partition row movement through the dedup table,
+  resumable after coordinator or worker kills;
+* :mod:`repro.storage.deployment` — the layers above as one object: a plan
+  stood up on SQLite behind one router, and the only way to resize it (the
+  migrator runs under the coordinator's own locks and router).
 """
 
 from repro.storage.cluster import SqliteStorageCluster
 from repro.storage.coordinator import StorageCoordinator, StorageOutcome
+from repro.storage.deployment import StorageDeployment
 from repro.storage.driver import ClosedLoopDriver, DriverReport
-from repro.storage.migrator import (
-    SqliteMigrationBackend,
-    StorageMigrator,
-    plan_storage_resize,
-)
+from repro.storage.migrator import SqliteMigrationBackend, plan_storage_resize
 from repro.storage.retry import (
     FATAL,
     RETRYABLE,
@@ -65,7 +64,7 @@ __all__ = [
     "ClosedLoopDriver",
     "DriverReport",
     "SqliteMigrationBackend",
-    "StorageMigrator",
+    "StorageDeployment",
     "plan_storage_resize",
     "RetryOptions",
     "RetryPolicy",

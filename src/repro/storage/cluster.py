@@ -122,12 +122,6 @@ class SqliteStorageCluster:
         self.supervisor.close()
         self._closed = True
 
-    def __enter__(self) -> "SqliteStorageCluster":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     # -- access ------------------------------------------------------------------------
     def handle(self, partition: int) -> WorkerHandle:
         """The live handle of ``partition`` (via the supervisor)."""

@@ -30,11 +30,12 @@ make the steps safe under concurrent client traffic and SIGKILLs:
   waiting out a supervisor restart window patiently rather than failing the
   migration on the first exhausted budget.
 
-:class:`StorageMigrator` is the :class:`~repro.online.migration.JournaledMigrator`
-bound to that backend, and :func:`plan_storage_resize` builds a resize
-journal from the cluster's *actual* tuple locations.  Pacing between live
-transactions is the backend-agnostic
-:class:`~repro.online.migration.MigrationSession`.
+:func:`plan_storage_resize` builds a resize journal from the cluster's
+*actual* tuple locations.  The executor is the backend-agnostic
+:class:`~repro.online.migration.JournaledMigrator`, paced by a
+:class:`~repro.online.migration.MigrationSession`; both are bound to this
+backend in one place, :class:`~repro.storage.deployment.StorageDeployment`,
+which is what shares the coordinator's lock manager and router with it.
 """
 
 from __future__ import annotations
@@ -44,24 +45,15 @@ from typing import Callable
 
 from repro.catalog.tuples import TupleId
 from repro.core.strategies import hash_home, placement_at
-from repro.distributed.faults import FaultInjector
 from repro.graph.assignment import PartitionAssignment
-from repro.online.migration import (
-    MIGRATION_BATCH_SIZE,
-    FileJournalSink,
-    JournaledMigrator,
-    MemoryJournalSink,
-    MigrationJournal,
-    plan_migration,
-)
-from repro.routing.router import Router
+from repro.online.migration import MigrationJournal, plan_migration
 from repro.storage.cluster import SqliteStorageCluster
 from repro.storage.coordinator import (
     PATIENT_ATTEMPTS,
     PATIENT_DELAY_S,
     LockManager,
 )
-from repro.storage.retry import RetryBudgetExhausted, RetryOptions, RetryPolicy
+from repro.storage.retry import RetryBudgetExhausted, RetryPolicy
 from repro.utils.canonical_json import dumps_canonical
 
 
@@ -73,16 +65,13 @@ class SqliteMigrationBackend:
         cluster: SqliteStorageCluster,
         *,
         migration_id: str,
-        locks: LockManager | None = None,
-        retry_options: RetryOptions | None = None,
-        seed: int = 0,
-        sleep: Callable[[float], None] = time.sleep,
+        locks: LockManager,
+        policy: RetryPolicy,
     ) -> None:
         self.cluster = cluster
         self.migration_id = migration_id
-        self.locks = locks if locks is not None else LockManager()
-        self.policy = RetryPolicy(retry_options, seed=seed, sleep=sleep)
-        self._sleep = sleep
+        self.locks = locks
+        self.policy = policy
 
     # -- cluster shape -----------------------------------------------------------------
     @property
@@ -109,7 +98,7 @@ class SqliteMigrationBackend:
                 return self.policy.run(operation, key, attempt)
             except RetryBudgetExhausted as error:
                 last_error = error
-                self._sleep(PATIENT_DELAY_S)
+                time.sleep(PATIENT_DELAY_S)
         assert last_error is not None
         raise last_error
 
@@ -187,70 +176,24 @@ class SqliteMigrationBackend:
         }
 
 
-class StorageMigrator(JournaledMigrator):
-    """A :class:`JournaledMigrator` executing against the real worker cluster.
-
-    Identical state machine, journal format, and crash model as the
-    simulated executor — only the step primitives differ.  Pass the
-    coordinator's ``locks`` so migration steps serialise with concurrent
-    client writes on the same tuples.
-    """
-
-    def __init__(
-        self,
-        cluster: SqliteStorageCluster,
-        router: Router,
-        journal: MigrationJournal,
-        sink: MemoryJournalSink | FileJournalSink | None = None,
-        batch_size: int = MIGRATION_BATCH_SIZE,
-        injector: FaultInjector | None = None,
-        *,
-        locks: LockManager | None = None,
-        retry_options: RetryOptions | None = None,
-        seed: int = 0,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self.storage_cluster = cluster
-        self.backend = SqliteMigrationBackend(
-            cluster,
-            migration_id=journal.migration_id,
-            locks=locks,
-            retry_options=retry_options,
-            seed=seed,
-            sleep=sleep,
-        )
-        super().__init__(
-            self.backend,
-            router,
-            journal,
-            sink=sink,
-            batch_size=batch_size,
-            injector=injector,
-        )
-
-
 def plan_storage_resize(
-    cluster: SqliteStorageCluster,
-    new_num_partitions: int,
-    *,
-    migration_id: str,
-    retry_options: RetryOptions | None = None,
-    seed: int = 0,
+    backend: SqliteMigrationBackend, new_num_partitions: int
 ) -> MigrationJournal:
     """Build the resize journal for a running cluster from its real contents.
 
     Singleton tuples re-home to their hash placement at the new partition
     count (the same target rule as the simulated controller's resize);
     replicated tuples keep every location that survives the resize.  The
-    returned journal has ``backend="storage"`` and carries ``migration_id``,
-    so any later :class:`StorageMigrator` — including one attached after a
-    crash — derives the same exactly-once transaction ids.
+    returned journal has ``backend="storage"`` and carries the backend's
+    ``migration_id``, so any later executor over it — including one attached
+    after a crash — derives the same exactly-once transaction ids.
     """
     if new_num_partitions <= 0:
         raise ValueError("new_num_partitions must be positive")
-    backend = SqliteMigrationBackend(
-        cluster, migration_id=migration_id, retry_options=retry_options, seed=seed
-    )
+    if new_num_partitions == backend.num_partitions:
+        # Re-homing every singleton to its hash home at the *same* k would
+        # silently replace the deployed placement with hash partitioning.
+        raise ValueError("resize to the current partition count is a no-op")
     locations = backend.tuple_locations_map()
     assignment = PartitionAssignment(new_num_partitions)
     for tuple_id, resident in sorted(locations.items()):
@@ -265,8 +208,8 @@ def plan_storage_resize(
         plan,
         kind="resize",
         flip_mode="swap",
-        old_num_partitions=cluster.num_partitions,
+        old_num_partitions=backend.num_partitions,
         new_num_partitions=new_num_partitions,
-        migration_id=migration_id,
+        migration_id=backend.migration_id,
         backend="storage",
     )

@@ -21,21 +21,11 @@ def test_get_row_and_byte_size(bank_database):
     tuple_id = TupleId("account", (1,))
     assert bank_database.get_row(tuple_id)["name"] == "carlo"
     assert bank_database.tuple_byte_size(tuple_id) == bank_database.table("account").row_byte_size
-    assert bank_database.total_byte_size() == 5 * bank_database.table("account").row_byte_size
 
 
 def test_unknown_table_raises(bank_database):
     with pytest.raises(KeyError):
         bank_database.storage("missing")
-
-
-def test_load_rows(bank_database):
-    inserted = bank_database.load_rows(
-        "account",
-        [{"id": 100 + i, "name": f"bulk{i}", "bal": 0} for i in range(3)],
-    )
-    assert inserted == 3
-    assert bank_database.row_count() == 8
 
 
 def test_create_index(bank_database):

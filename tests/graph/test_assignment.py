@@ -52,13 +52,6 @@ def test_replication_labels():
     assignment = make_assignment()
     assert assignment.replication_label(TupleId("t", (1,))) == "0"
     assert assignment.replication_label(TupleId("t", (3,))) == "R0_2"
-    histogram = assignment.label_histogram()
-    assert histogram["0"] == 1 and histogram["R0_2"] == 1
-
-
-def test_most_common_partition():
-    assignment = make_assignment()
-    assert assignment.most_common_partition() == 0
 
 
 def test_invalid_partition_count():

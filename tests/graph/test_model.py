@@ -84,15 +84,6 @@ def test_copy_is_independent():
     assert clone.edge_weight(0, 1) == 2.0
 
 
-def test_connected_components():
-    graph = Graph()
-    graph.add_nodes(5)
-    graph.add_edge(0, 1)
-    graph.add_edge(2, 3)
-    components = sorted(sorted(component) for component in graph.connected_components())
-    assert components == [[0, 1], [2, 3], [4]]
-
-
 def test_scale_weights_decays_everything():
     graph = Graph()
     graph.add_nodes(3, weight=2.0)

@@ -8,9 +8,10 @@ record index the migration coordinator is killed right after that record
 became durable (persist-then-kill), and the surviving cluster must reach a
 consistent end state both ways:
 
-* **resume**: a fresh :class:`StorageMigrator` attached to the reloaded
-  journal completes the resize, replaying at most one idempotent batch;
-* **cancel**: the fresh migrator rolls the resize back, restoring the
+* **resume**: a fresh session attached to the reloaded journal
+  (:meth:`StorageDeployment.attach_resize`) completes the resize, replaying
+  at most one idempotent batch;
+* **cancel**: the fresh session rolls the resize back, restoring the
   pre-migration placement and deleting the added partitions' files.
 
 Either way the SQLite files are audited row by row against the oracle
@@ -39,7 +40,7 @@ from repro.online.migration import (
 )
 from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
-from repro.storage import SqliteStorageCluster, StorageMigrator, plan_storage_resize
+from repro.storage import StorageDeployment
 
 pytestmark = [pytest.mark.storage, pytest.mark.slow]
 
@@ -81,12 +82,6 @@ def _old_assignment() -> PartitionAssignment:
     return old
 
 
-def _router(schema: Schema) -> Router:
-    old = _old_assignment()
-    strategy = LookupTablePartitioning(OLD_K, old, "hash")
-    return Router(strategy, schema, build_lookup_table(old))
-
-
 def _dry_run_records() -> int:
     """Fault-free record count of this exact scenario, no worker processes.
 
@@ -123,19 +118,17 @@ TOTAL_RECORDS = _dry_run_records()
 
 
 def _deploy(tmp_path):
-    """A started 2-partition worker cluster plus its router and oracle."""
+    """A started 2-partition deployment plus its (never written) oracle."""
     database = _database()
-    router = _router(database.schema)
-    cluster = SqliteStorageCluster.from_database(
-        tmp_path / "cluster", database, router.strategy
-    ).start()
-    return cluster, router, database
+    strategy = LookupTablePartitioning(OLD_K, _old_assignment(), "hash")
+    return StorageDeployment.start(strategy, database, tmp_path / "cluster"), database
 
 
-def _assert_files_match_oracle(cluster, router, database, expected_k: int) -> None:
+def _assert_files_match_oracle(deployment, database, expected_k: int) -> None:
     """Audit the closed cluster's SQLite files row by row against the oracle."""
+    cluster, router = deployment.cluster, deployment.router
     assert cluster.num_partitions == expected_k
-    cluster.close()
+    deployment.close()
     locations: dict[TupleId, set[int]] = {}
     for partition in range(cluster.num_partitions):
         store = cluster.open_store(partition)
@@ -154,109 +147,98 @@ def _assert_files_match_oracle(cluster, router, database, expected_k: int) -> No
 
 def _kill_matrix_setup(tmp_path, kill_at: int):
     """Run the migration into a coordinator kill at record ``kill_at``."""
-    cluster, router, database = _deploy(tmp_path)
-    journal = plan_storage_resize(cluster, NEW_K, migration_id=MIGRATION_ID)
+    deployment, database = _deploy(tmp_path)
     sink = MemoryJournalSink()
     injector = FaultPlan(
         seed=7, coordinator_kills=(CoordinatorKill(at_record=kill_at),)
     ).build()
-    migrator = StorageMigrator(
-        cluster, router, journal, sink=sink, batch_size=BATCH, injector=injector
-    )
-    with pytest.raises(CoordinatorDeath):
-        migrator.run()
+    try:
+        session = deployment.begin_resize(
+            NEW_K, migration_id=MIGRATION_ID, sink=sink, batch_size=BATCH, injector=injector
+        )
+        with pytest.raises(CoordinatorDeath):
+            session.run_to_completion()
+    except BaseException:
+        deployment.close()
+        raise
     resumed = sink.load()
     # persist-then-kill: the record the kill targeted reached the sink.
     assert resumed.records == kill_at
     assert resumed.migration_id == MIGRATION_ID
     assert resumed.backend == "storage"
-    return cluster, router, database, sink, resumed
+    return deployment, database, sink, resumed
 
 
 def test_forward_run_completes_and_files_are_consistent(tmp_path):
-    cluster, router, database = _deploy(tmp_path)
-    try:
-        journal = plan_storage_resize(cluster, NEW_K, migration_id=MIGRATION_ID)
+    deployment, database = _deploy(tmp_path)
+    with deployment:
         sink = MemoryJournalSink()
-        report = StorageMigrator(
-            cluster, router, journal, sink=sink, batch_size=BATCH
-        ).run()
+        session = deployment.begin_resize(
+            NEW_K, migration_id=MIGRATION_ID, sink=sink, batch_size=BATCH
+        )
+        # the planned journal is durable before the first step runs.
+        assert sink.load().state == "planned" and sink.load().records == 0
+        journal = session.journal
+        report = session.run_to_completion()
         assert journal.state == "completed"
         assert journal.records == TOTAL_RECORDS
         assert report.copies == len(journal.plan.copies)
         assert report.drops == len(journal.plan.drops)
         assert report.skipped == 0
         assert report.bytes_copied > 0
-        _assert_files_match_oracle(cluster, router, database, NEW_K)
-    finally:
-        cluster.close()
+        _assert_files_match_oracle(deployment, database, NEW_K)
 
 
 @pytest.mark.parametrize("kill_at", range(1, TOTAL_RECORDS + 1))
 def test_kill_at_every_record_then_resume_completes(tmp_path, kill_at):
-    cluster, router, database, sink, resumed = _kill_matrix_setup(tmp_path, kill_at)
-    try:
-        StorageMigrator(
-            cluster, router, resumed, sink=sink, batch_size=BATCH
-        ).run()
+    deployment, database, sink, resumed = _kill_matrix_setup(tmp_path, kill_at)
+    with deployment:
+        deployment.attach_resize(resumed, sink=sink, batch_size=BATCH).run_to_completion()
         assert resumed.state == "completed"
-        _assert_files_match_oracle(cluster, router, database, NEW_K)
-    finally:
-        cluster.close()
+        _assert_files_match_oracle(deployment, database, NEW_K)
 
 
 @pytest.mark.parametrize("kill_at", range(1, TOTAL_RECORDS + 1))
 def test_kill_at_every_record_then_cancel_rolls_back(tmp_path, kill_at):
-    cluster, router, database, sink, resumed = _kill_matrix_setup(tmp_path, kill_at)
-    try:
+    deployment, database, sink, resumed = _kill_matrix_setup(tmp_path, kill_at)
+    with deployment:
+        recovery = deployment.attach_resize(resumed, sink=sink, batch_size=BATCH)
         if resumed.is_terminal:
             # Killed at the final record: nothing left to cancel, and
             # cancelling a terminal journal must refuse.
             with pytest.raises(ValueError):
-                StorageMigrator(
-                    cluster, router, resumed, sink=sink, batch_size=BATCH
-                ).cancel()
-            _assert_files_match_oracle(cluster, router, database, NEW_K)
+                recovery.cancel()
+            _assert_files_match_oracle(deployment, database, NEW_K)
             return
-        recovery = StorageMigrator(
-            cluster, router, resumed, sink=sink, batch_size=BATCH
-        )
         recovery.cancel()
-        recovery.run()
+        recovery.run_to_completion()
         assert resumed.state == "cancelled"
         # Rollback undoes everything: back at the old k, the added
         # partitions' files deleted, the old placement routable.
-        _assert_files_match_oracle(cluster, router, database, OLD_K)
+        _assert_files_match_oracle(deployment, database, OLD_K)
         for partition in range(OLD_K, NEW_K):
             assert not (tmp_path / "cluster" / f"partition-{partition}.sqlite").exists()
-    finally:
-        cluster.close()
 
 
 def test_worker_sigkill_mid_copy_rides_through(tmp_path):
     """A SIGKILLed partition worker mid-migration is waited out, not fatal."""
-    cluster, router, database = _deploy(tmp_path)
-    try:
-        journal = plan_storage_resize(cluster, NEW_K, migration_id=MIGRATION_ID)
-        migrator = StorageMigrator(
-            cluster, router, journal, sink=MemoryJournalSink(), batch_size=BATCH
+    deployment, database = _deploy(tmp_path)
+    with deployment:
+        session = deployment.begin_resize(
+            NEW_K, migration_id=MIGRATION_ID, sink=MemoryJournalSink(), batch_size=BATCH
         )
-        migrator.step()  # planned -> copying (window open)
-        migrator.step()  # first copy batch
-        assert journal.state == "copying"
-        cluster.kill_worker(0)
-        migrator.run()
-        assert journal.state == "completed"
-        assert cluster.restart_count() >= 1
-        _assert_files_match_oracle(cluster, router, database, NEW_K)
-    finally:
-        cluster.close()
+        session.tick()  # planned -> copying (window open)
+        session.tick()  # first copy batch
+        assert session.journal.state == "copying"
+        deployment.cluster.kill_worker(0)
+        session.run_to_completion()
+        assert session.journal.state == "completed"
+        assert deployment.cluster.restart_count() >= 1
+        _assert_files_match_oracle(deployment, database, NEW_K)
 
 
-def test_plan_storage_resize_rejects_bad_partition_count(tmp_path):
-    cluster, _, _ = _deploy(tmp_path)
-    try:
-        with pytest.raises(ValueError):
-            plan_storage_resize(cluster, 0, migration_id=MIGRATION_ID)
-    finally:
-        cluster.close()
+def test_begin_resize_rejects_bad_partition_count(tmp_path):
+    deployment, _ = _deploy(tmp_path)
+    with deployment:
+        with pytest.raises(ValueError, match="must be positive"):
+            deployment.begin_resize(0, migration_id=MIGRATION_ID, sink=MemoryJournalSink())

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.storage
 from repro.catalog.tuples import TupleId
 from repro.explain.decision_tree import DecisionTreeOptions
 from repro.explain.explainer import ExplainerOptions
@@ -190,6 +191,24 @@ def test_every_options_class_is_pinned():
     assert sorted(re.findall(r"^class (\w+Options)\b", source, re.MULTILINE)) == sorted(
         ["PartitionerOptions", *(options.__name__ for options, _ in PINNED_OPTIONS)]
     )
+
+
+def test_only_the_storage_package_wires_a_deployment_or_a_storage_migrator():
+    """One path: everything else stands a plan up through ``StorageDeployment``."""
+    root = Path(repro.__file__).parent
+    hand_wired = re.compile(
+        r"StorageCoordinator\(|SqliteStorageCluster\.from_database\(|SqliteMigrationBackend\("
+    )
+    offenders = [
+        str(path.relative_to(root))
+        for path in sorted(root.rglob("*.py"))
+        if path.parent != root / "storage"
+        and hand_wired.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+    assert "StorageMigrator" not in repro.storage.__all__
+    assert not hasattr(repro.storage, "StorageMigrator")
+    assert "StorageDeployment" in repro.storage.__all__
 
 
 def test_journal_with_lookup_backend_and_default_policy_still_loads():

@@ -251,6 +251,20 @@ def test_deploy_sqlite_rejects_nonpositive_resize(tmp_path):
         ])
 
 
+def test_deploy_sqlite_rejects_resize_to_the_plans_own_k(tmp_path):
+    """A same-k "resize" used to run: it re-hashed the whole deployment."""
+    plan_path = tmp_path / "plan.json"
+    assert main([
+        "run", "--workload", "simplecount", "--partitions", "2",
+        "--scale", "0.2", "--out", str(plan_path),
+    ]) == 0
+    with pytest.raises(SystemExit, match="--resize 2: the plan already has 2 partitions"):
+        main([
+            "deploy", str(plan_path), "--workload", "simplecount",
+            "--scale", "0.2", "--storage", "sqlite", "--resize", "2",
+        ])
+
+
 @pytest.mark.storage
 @pytest.mark.slow
 def test_deploy_sqlite_resize_migrates_live(tmp_path, capsys):
