@@ -21,8 +21,13 @@ forces it and raises if missing, ``list`` forces the fallback) and can be
 changed at runtime with :func:`set_array_backend` / :func:`backend_context`
 (tests, benchmarks).  Switching affects **newly built** ``CSRGraph`` objects
 only; existing instances keep the arrays they were built with — both kinds
-keep working side by side because the scalar kernels go through
-:meth:`CSRGraph.lists`.
+keep working side by side because the scalar kernels read rows through
+:meth:`CSRGraph.rows` (list slices here, zero-copy ``memoryview`` slices
+over the ndarray buffers there; plain Python ints and floats either way).
+The numpy backend never turns a graph's adjacency into Python objects
+wholesale: the sequential kernels box one row at a time, and the k-way
+refiner's per-node gain rows are cut out of its vectorised connectivity
+matrix only for the nodes a move actually touches.
 """
 
 from __future__ import annotations
@@ -107,7 +112,7 @@ def as_weight_array(values) -> "object":
 
 
 def to_list(values) -> list:
-    """A plain Python list view of either backend's array type."""
+    """``values`` (a list, an ndarray or a ``memoryview`` of one) as a plain list."""
     if isinstance(values, list):
         return values
     return values.tolist()

@@ -36,16 +36,19 @@ class CoarseningLevel:
     graph: CSRGraph
     #: fine node id -> coarse node id
     fine_to_coarse: list[int]
+    #: ``fine_to_coarse`` as an int64 ndarray when the vectorised contraction
+    #: built one (projection then gathers with one fancy-index), else None.
+    fine_index: object = None
 
 
 def coarsen_once(csr: CSRGraph, rng: SeededRng) -> CoarseningLevel:
     """Contract a heavy-edge matching of ``csr``, returning the coarser level."""
     num_nodes = csr.num_nodes
-    indptr, indices, edge_weights, node_weights = csr.lists()
+    indptr, indices, edge_weights, node_weights = csr.rows()
     order = list(range(num_nodes))
     rng.shuffle(order)
     match = [-1] * num_nodes
-    if csr.is_numpy and len(indices) >= 2048:
+    if csr.vectorised:
         # Vectorised pre-sort: within each row, neighbours ordered by
         # (weight desc, position asc) — one stable lexsort.  The sequential
         # walk then takes the *first unmatched* candidate, which is exactly
@@ -56,13 +59,12 @@ def coarsen_once(csr: CSRGraph, rng: SeededRng) -> CoarseningLevel:
         permutation = np.lexsort(
             (-csr.edge_weights, np.repeat(np.arange(num_nodes), np.diff(csr.indptr)))
         )
-        ranked = csr.indices[permutation].tolist()
+        ranked = memoryview(csr.indices[permutation])
         for node in order:
             if match[node] != -1:
                 continue
             best_neighbor = -1
-            for i in range(indptr[node], indptr[node + 1]):
-                candidate = ranked[i]
+            for candidate in ranked[indptr[node] : indptr[node + 1]]:
                 if match[candidate] == -1:
                     best_neighbor = candidate
                     break
@@ -108,12 +110,13 @@ def coarsen_once(csr: CSRGraph, rng: SeededRng) -> CoarseningLevel:
             fine_to_coarse[node] = coarse_id
             fine_to_coarse[partner] = coarse_id
 
-    if csr.is_numpy and len(indices) >= 2048:
-        coarse = _contract_numpy(csr, fine_to_coarse, members, coarse_weights)
-    else:
-        coarse = _contract_scalar(
-            indptr, indices, edge_weights, fine_to_coarse, members, coarse_weights
-        )
+    if csr.vectorised:
+        fine_index = backend.numpy.asarray(fine_to_coarse, dtype=backend.numpy.int64)
+        coarse = _contract_numpy(csr, fine_index, members, coarse_weights)
+        return CoarseningLevel(coarse, fine_to_coarse, fine_index)
+    coarse = _contract_scalar(
+        indptr, indices, edge_weights, fine_to_coarse, members, coarse_weights
+    )
     return CoarseningLevel(coarse, fine_to_coarse)
 
 
@@ -176,7 +179,7 @@ def _contract_scalar(
 
 def _contract_numpy(
     csr: CSRGraph,
-    fine_to_coarse: list[int],
+    mapping,
     members: list[tuple[int, int]],
     coarse_weights: list[float],
 ) -> CSRGraph:
@@ -190,15 +193,13 @@ def _contract_numpy(
     """
     np = backend.numpy
     num_coarse = len(coarse_weights)
-    member_nodes: list[int] = []
-    member_coarse: list[int] = []
-    for coarse_id, (first, second) in enumerate(members):
-        member_nodes.append(first)
-        member_coarse.append(coarse_id)
-        if second != first:
-            member_nodes.append(second)
-            member_coarse.append(coarse_id)
-    member_arr = np.asarray(member_nodes, dtype=np.int64)
+    # Flatten (first, second) pairs in visit order, dropping the repeated
+    # member of singleton coarse nodes.
+    pairs = np.asarray(members, dtype=np.int64).reshape(num_coarse, 2)
+    present = np.ones((num_coarse, 2), dtype=bool)
+    present[:, 1] = pairs[:, 1] != pairs[:, 0]
+    member_arr = pairs[present]
+    member_coarse = np.repeat(np.arange(num_coarse, dtype=np.int64), 2)[present.ravel()]
     indptr = csr.indptr
     starts = indptr[member_arr]
     degrees = indptr[member_arr + 1] - starts
@@ -209,8 +210,7 @@ def _contract_numpy(
         - np.repeat(offsets, degrees)
         + np.repeat(starts, degrees)
     )
-    mapping = np.asarray(fine_to_coarse, dtype=np.int64)
-    rows = np.repeat(np.asarray(member_coarse, dtype=np.int64), degrees)
+    rows = np.repeat(member_coarse, degrees)
     cols = mapping[csr.indices[positions]]
     weights = csr.edge_weights[positions]
     keep = cols != rows  # intra-coarse-node (contracted) edges vanish
@@ -225,8 +225,9 @@ def _contract_numpy(
     run_flags[0] = True
     np.not_equal(key[1:], key[:-1], out=run_flags[1:])
     run_starts = np.flatnonzero(run_flags)
-    unique_rows = rows[permutation][run_starts]
-    unique_cols = cols[permutation][run_starts]
+    run_heads = permutation[run_starts]
+    unique_rows = rows[run_heads]
+    unique_cols = cols[run_heads]
     summed = np.add.reduceat(weights[permutation], run_starts)
     coarse_indptr = np.zeros(num_coarse + 1, dtype=np.int64)
     np.cumsum(np.bincount(unique_rows, minlength=num_coarse), out=coarse_indptr[1:])
@@ -323,5 +324,19 @@ def coarsen_to(
 
 def project_assignment(level: CoarseningLevel, coarse_assignment: list[int]) -> list[int]:
     """Project a partition assignment of the coarse graph back to the finer graph."""
-    fine_to_coarse = level.fine_to_coarse
-    return [coarse_assignment[coarse] for coarse in fine_to_coarse]
+    if level.fine_index is not None:
+        np = backend.numpy
+        return np.asarray(coarse_assignment, dtype=np.int64)[level.fine_index].tolist()
+    return [coarse_assignment[coarse] for coarse in level.fine_to_coarse]
+
+
+def project_boundary(level: CoarseningLevel, coarse_external: list[float]) -> list[bool]:
+    """Fine-level boundary hint from the coarse graph's external weights.
+
+    A coarse node with zero external weight proves all its fine members are
+    interior, so the finer refinement may skip their adjacency during init.
+    """
+    if level.fine_index is not None:
+        np = backend.numpy
+        return (np.asarray(coarse_external) > 0.0)[level.fine_index].tolist()
+    return [coarse_external[coarse] > 0.0 for coarse in level.fine_to_coarse]

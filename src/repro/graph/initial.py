@@ -32,7 +32,7 @@ def peripheral_seed(csr: CSRGraph) -> int:
     num_nodes = csr.num_nodes
     if num_nodes == 0:
         raise ValueError("cannot seed an empty graph")
-    indptr, indices, _, _ = csr.lists()
+    indptr, indices, _, _ = csr.rows()
 
     def farthest(start: int) -> int:
         seen = [False] * num_nodes
@@ -71,7 +71,7 @@ def greedy_bisection(
     num_nodes = csr.num_nodes
     if num_nodes == 0:
         return []
-    indptr, indices, edge_weights, node_weights = csr.lists()
+    indptr, indices, edge_weights, node_weights = csr.rows()
     assignment = [1] * num_nodes
     grown_weight = 0.0
     in_region = [False] * num_nodes
@@ -125,7 +125,7 @@ def random_bisection(
 ) -> list[int]:
     """Assign random nodes to side 0 until it reaches the target weight (fallback)."""
     num_nodes = csr.num_nodes
-    node_weights = csr.lists()[3]
+    node_weights = csr.rows()[3]
     order = list(range(num_nodes))
     rng.shuffle(order)
     assignment = [1] * num_nodes

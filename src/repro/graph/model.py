@@ -14,9 +14,14 @@ Two representations share this module:
   arrays when numpy is available, flat Python lists otherwise.  Every hot
   partitioner phase (matching, region growing, FM refinement) runs on the CSR
   form: bulk kernels (``subview`` extraction, coarsening scatter-accumulate,
-  gain initialisation) are vectorised under numpy, while inherently
-  sequential kernels bind the cached :meth:`CSRGraph.lists` views and index
-  directly.  Both backends produce bit-identical results for a fixed seed.
+  gain initialisation, the cut) are vectorised under numpy, while inherently
+  sequential kernels read one node's row at a time through
+  :meth:`CSRGraph.rows` — list slices on the list backend, zero-copy
+  ``memoryview`` slices over the ndarray buffers on numpy.  The adjacency
+  (``indices``/``edge_weights``) is never boxed into Python objects
+  wholesale; only the two O(n) components (``indptr``, ``node_weights``)
+  are kept as plain lists.  Both backends produce bit-identical results
+  for a fixed seed.
 
 Lifecycle: build with :class:`Graph`, call :meth:`Graph.freeze` once, then
 hand the :class:`CSRGraph` to the partitioner.  A ``CSRGraph`` is immutable
@@ -235,6 +240,11 @@ class Graph:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges})"
 
 
+#: below this many CSR entries the ndarray round-trips of a vectorised kernel
+#: cost more than the scalar loop they replace.
+VECTORISE_MIN_ENTRIES = 2048
+
+
 class CSRGraph:
     """Frozen compressed-sparse-row view of a :class:`Graph`.
 
@@ -243,9 +253,10 @@ class CSRGraph:
     stored twice (once per endpoint).  The arrays live in the active array
     backend (numpy ndarrays or flat Python lists — see
     :mod:`repro.graph.backend`).  Vectorised kernels operate on the arrays
-    directly; sequential hot loops bind the plain-list views returned by
-    :meth:`lists` and index those, which is both faster than element-wise
-    ndarray access and guarantees identical arithmetic on either backend.
+    directly; sequential hot loops bind :meth:`rows` once and slice one
+    node's row out of it at a time, which yields plain Python ints and
+    floats on either backend (identical arithmetic) without ever turning
+    the whole adjacency into Python objects.
     """
 
     __slots__ = (
@@ -256,7 +267,7 @@ class CSRGraph:
         "_total_node_weight",
         "_total_edge_weight",
         "_weighted_degrees",
-        "_lists",
+        "_rows",
         "_hierarchy",
     )
 
@@ -277,35 +288,66 @@ class CSRGraph:
         #: producers that already know each row's weight sum (coarsening,
         #: subview extraction) pass it in to skip the lazy recomputation.
         self._weighted_degrees = weighted_degrees
-        self._lists: tuple[list[int], list[int], list[float], list[float]] | None = None
+        self._rows: tuple | None = None
         #: per-seed memoised coarsening chains (see ``coarsen.coarsen_chain``)
         #: — derived data, consistent with the immutable arrays by definition.
         self._hierarchy: dict | None = None
 
+    def rows(self):
+        """``(indptr, indices, edge_weights, node_weights)`` for sequential kernels.
+
+        The one row accessor of both backends: node ``u``'s neighbours and
+        their weights are ``indices[indptr[u]:indptr[u + 1]]`` and the same
+        slice of ``edge_weights``, and iterating (or indexing) either yields
+        plain Python ints / floats, so scalar arithmetic is byte-identical
+        across backends.  ``indptr`` and ``node_weights`` are O(n) and always
+        plain lists.  Under the list backend ``indices``/``edge_weights`` are
+        the stored lists themselves; under numpy they are read-only
+        ``memoryview``\\ s of the ndarray buffers, so a row slice copies
+        nothing and the adjacency is never boxed wholesale.  Built once and
+        cached; read-only by convention.
+        """
+        cached = self._rows
+        if cached is None:
+            indices, edge_weights = self.indices, self.edge_weights
+            if self.is_numpy:
+                indices = memoryview(indices).toreadonly()
+                edge_weights = memoryview(edge_weights).toreadonly()
+            cached = self._rows = (
+                backend.to_list(self.indptr),
+                indices,
+                edge_weights,
+                backend.to_list(self.node_weights),
+            )
+        return cached
+
     def lists(self) -> tuple[list[int], list[int], list[float], list[float]]:
         """``(indptr, indices, edge_weights, node_weights)`` as plain lists.
 
-        Under the list backend this is the stored arrays themselves (free);
-        under numpy the conversion happens once and is cached.  Sequential
-        kernels (matching, FM move loops, greedy growing) run on these so
-        that element access is cheap and float arithmetic is byte-identical
-        across backends.  The views are read-only by convention.
+        A whole-graph export for comparisons and debugging: under numpy it
+        boxes every adjacency entry on each call and nothing is cached, so
+        kernels use :meth:`rows` instead.
         """
-        cached = self._lists
-        if cached is None:
-            cached = (
-                backend.to_list(self.indptr),
-                backend.to_list(self.indices),
-                backend.to_list(self.edge_weights),
-                backend.to_list(self.node_weights),
-            )
-            self._lists = cached
-        return cached
+        indptr, indices, edge_weights, node_weights = self.rows()
+        return indptr, backend.to_list(indices), backend.to_list(edge_weights), node_weights
+
+    def __reduce__(self):
+        # Pickle/copy the arrays only: a memoryview cannot be pickled, and
+        # every cache is rebuilt on demand.
+        return (
+            CSRGraph,
+            (self.indptr, self.indices, self.edge_weights, self.node_weights, self._weighted_degrees),
+        )
 
     @property
     def is_numpy(self) -> bool:
         """True when this graph's arrays are numpy ndarrays."""
         return not isinstance(self.indices, list)
+
+    @property
+    def vectorised(self) -> bool:
+        """True when bulk kernels should take their numpy path on this graph."""
+        return self.is_numpy and len(self.indices) >= VECTORISE_MIN_ENTRIES
 
     # -- queries --------------------------------------------------------------------
     @property
@@ -324,7 +366,7 @@ class CSRGraph:
 
     def degree(self, node: int) -> int:
         """Number of neighbours of ``node``."""
-        indptr = self.lists()[0]
+        indptr = self.rows()[0]
         return indptr[node + 1] - indptr[node]
 
     def neighbors(self, node: int) -> dict[int, float]:
@@ -332,18 +374,18 @@ class CSRGraph:
 
         Hot loops should slice ``indices``/``edge_weights`` directly instead.
         """
-        indptr, indices, edge_weights, _ = self.lists()
+        indptr, indices, edge_weights, _ = self.rows()
         start, end = indptr[node], indptr[node + 1]
         return dict(zip(indices[start:end], edge_weights[start:end]))
 
     def neighbor_slice(self, node: int) -> tuple[int, int]:
         """The ``[start, end)`` range of ``node``'s entries in the flat arrays."""
-        indptr = self.lists()[0]
+        indptr = self.rows()[0]
         return indptr[node], indptr[node + 1]
 
     def edge_weight(self, u: int, v: int) -> float:
         """Weight of the edge ``{u, v}`` (0 when absent; linear in degree(u))."""
-        indptr, indices, edge_weights, _ = self.lists()
+        indptr, indices, edge_weights, _ = self.rows()
         for i in range(indptr[u], indptr[u + 1]):
             if indices[i] == v:
                 return edge_weights[i]
@@ -352,13 +394,13 @@ class CSRGraph:
     def total_node_weight(self) -> float:
         """Sum of all node weights (computed once, then cached)."""
         if self._total_node_weight is None:
-            self._total_node_weight = float(sum(self.lists()[3]))
+            self._total_node_weight = float(sum(self.rows()[3]))
         return self._total_node_weight
 
     def total_edge_weight(self) -> float:
         """Sum of all edge weights (computed once, then cached)."""
         if self._total_edge_weight is None:
-            self._total_edge_weight = float(sum(self.lists()[2])) / 2.0
+            self._total_edge_weight = float(sum(self.rows()[2])) / 2.0
         return self._total_edge_weight
 
     def weighted_degrees(self) -> list[float]:
@@ -374,14 +416,14 @@ class CSRGraph:
         cached = self._weighted_degrees
         if cached is None:
             num_nodes = len(self.node_weights)
-            if self.is_numpy and len(self.indices) >= 2048:
+            if self.vectorised:
                 np = backend.numpy
                 rows = np.repeat(np.arange(num_nodes), np.diff(self.indptr))
                 cached = np.bincount(
                     rows, weights=self.edge_weights, minlength=num_nodes
                 ).tolist()
             else:
-                indptr, _, edge_weights, _ = self.lists()
+                indptr, _, edge_weights, _ = self.rows()
                 cached = [
                     sum(edge_weights[indptr[node] : indptr[node + 1]])
                     for node in range(num_nodes)
@@ -391,12 +433,12 @@ class CSRGraph:
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Iterate over edges as ``(u, v, weight)`` with ``u < v``."""
-        indptr, indices, edge_weights, _ = self.lists()
+        indptr, indices, edge_weights, _ = self.rows()
         for u in range(len(indptr) - 1):
-            for i in range(indptr[u], indptr[u + 1]):
-                v = indices[i]
+            start, end = indptr[u], indptr[u + 1]
+            for v, weight in zip(indices[start:end], edge_weights[start:end]):
                 if u < v:
-                    yield u, v, edge_weights[i]
+                    yield u, v, weight
 
     # -- derived graphs ---------------------------------------------------------------
     def subview(self, nodes: Iterable[int]) -> tuple["CSRGraph", list[int]]:
@@ -412,7 +454,7 @@ class CSRGraph:
         node_list = list(nodes)
         if self.is_numpy and len(node_list) >= 512:
             return self._subview_numpy(node_list), node_list
-        indptr, indices, edge_weights, node_weights_list = self.lists()
+        indptr, indices, edge_weights, node_weights_list = self.rows()
         old_to_new = [-1] * len(self.node_weights)
         for new, old in enumerate(node_list):
             old_to_new[old] = new
@@ -480,7 +522,7 @@ class CSRGraph:
     def thaw(self) -> Graph:
         """Materialise a mutable :class:`Graph` with identical structure."""
         graph = Graph()
-        for weight in self.lists()[3]:
+        for weight in self.rows()[3]:
             graph.add_node(weight)
         for u, v, weight in self.edges():
             graph.add_edge(u, v, weight)

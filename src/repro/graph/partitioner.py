@@ -34,7 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.graph.coarsen import coarsen_chain, coarsen_to, project_assignment
+from repro.graph.coarsen import (
+    coarsen_chain,
+    coarsen_to,
+    project_assignment,
+    project_boundary,
+)
 from repro.graph.initial import greedy_bisection, peripheral_seed, random_bisection
 from repro.graph.model import CSRGraph, Graph, as_csr
 from repro.obs import get_telemetry
@@ -242,9 +247,8 @@ class GraphPartitioner:
             )
         phases.inc(phase="initial")
         for index in range(len(levels) - 1, -1, -1):
-            fine_to_coarse = levels[index].fine_to_coarse
             assignment = project_assignment(levels[index], assignment)
-            boundary_hint = [external[coarse] > 0.0 for coarse in fine_to_coarse]
+            boundary_hint = project_boundary(levels[index], external)
             finest = index == 0
             finer_graph = csr if finest else levels[index - 1].graph
             with telemetry.tracer.span(
@@ -342,7 +346,7 @@ class GraphPartitioner:
         path's coarsest-graph initial partition) runs one lean pipeline.
         """
         total_weight = graph.total_node_weight()
-        max_node_weight = max(graph.lists()[3], default=0.0)
+        max_node_weight = max(graph.rows()[3], default=0.0)
         slack = 1.0 + self.options.imbalance
         max_weights = (
             total_weight * target_fraction * slack + max_node_weight,
@@ -375,9 +379,8 @@ class GraphPartitioner:
                 # external weight proves all its fine members are interior,
                 # so the finer FM call skips their adjacency during init.
                 for index in range(len(levels) - 1, -1, -1):
-                    fine_to_coarse = levels[index].fine_to_coarse
                     assignment = project_assignment(levels[index], assignment)
-                    boundary_hint = [external[coarse] > 0.0 for coarse in fine_to_coarse]
+                    boundary_hint = project_boundary(levels[index], external)
                     finer_graph = graph if index == 0 else levels[index - 1].graph
                     external = _fm_refine_csr(
                         finer_graph,
@@ -498,7 +501,7 @@ class GraphPartitioner:
 
     def _kway_max_weights(self, graph: CSRGraph, num_parts: int) -> list[float]:
         total_weight = graph.total_node_weight()
-        max_node_weight = max(graph.lists()[3], default=0.0)
+        max_node_weight = max(graph.rows()[3], default=0.0)
         per_part = total_weight / num_parts
         return [per_part * (1.0 + self.options.imbalance) + max_node_weight] * num_parts
 

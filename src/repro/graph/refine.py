@@ -32,16 +32,27 @@ matches the node's current one), so a heap pop never acts on outdated state.
 **Array backends.**  Every function here takes a frozen
 :class:`CSRGraph` (the public entries in :mod:`repro.graph.partitioner`
 freeze mutable graphs once); ``assignment`` lists are modified in place.
-Bulk initialisation (the per-node
-external cut weight, :func:`compute_external`; k-way gain seeding) is
-vectorised when the graph is numpy-backed, with order-preserving summation
-so both backends produce bit-identical refinements.  The sequential move
-loops always run on the plain-list views.
+Bulk work (the per-node
+external cut weight, :func:`compute_external`; k-way gain seeding; the
+polish's candidate set; the cut itself) is vectorised when the graph is
+numpy-backed, with order-preserving summation so both backends produce
+bit-identical refinements.  The sequential move loops read one node's row
+at a time through :meth:`CSRGraph.rows` and never box the adjacency.
+
+**Lazy gain rows.**  The vectorised k-way seeding keeps its boundary × k
+connectivity matrix as an ndarray and scatters only the cached best moves
+and the heap out of it.  A node's dense row (and its ``row_parts``) is cut
+out of that seed-time matrix the first time a move touches or pops the
+node — nothing updates a row before its first touch, so the values, and
+the ``row[a] -= w; row[b] += w`` stream applied to them afterwards, are
+those of an eagerly built row.  Rows of nodes no move ever reaches are
+never built.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 
 from repro.graph import backend
 from repro.graph.model import CSRGraph
@@ -57,8 +68,19 @@ FM_NEGATIVE_STREAK = 16
 
 
 def cut_weight_two_way(csr: CSRGraph, assignment: list[int]) -> float:
-    """Total weight of edges crossing a two-way (or k-way) assignment."""
-    indptr, indices, edge_weights, _ = csr.lists()
+    """Total weight of edges crossing a two-way (or k-way) assignment.
+
+    The vectorised form accumulates the cut entries with ``cumsum`` — one
+    running sum in CSR entry order, exactly the scalar loop's additions
+    (``ndarray.sum()`` adds pairwise and would differ in the last ulp).
+    """
+    if csr.vectorised:
+        np = backend.numpy
+        part = np.asarray(assignment, dtype=np.int64)
+        rows = np.repeat(np.arange(csr.num_nodes), np.diff(csr.indptr))
+        crossing = csr.edge_weights[part[csr.indices] != part[rows]]
+        return float(np.cumsum(crossing)[-1]) / 2.0 if len(crossing) else 0.0
+    indptr, indices, edge_weights, _ = csr.rows()
     total = 0.0
     for u in range(csr.num_nodes):
         side = assignment[u]
@@ -74,7 +96,7 @@ def side_weights(
 ) -> list[float]:
     """Total node weight per partition."""
     weights = [0.0] * num_parts
-    node_weights = csr.lists()[3]
+    node_weights = csr.rows()[3]
     for node, part in enumerate(assignment):
         weights[part] += node_weights[node]
     return weights
@@ -98,14 +120,14 @@ def compute_external(
     results identical.
     """
     num_nodes = csr.num_nodes
-    if csr.is_numpy and len(csr.indices) >= 2048:
+    if csr.vectorised:
         np = backend.numpy
         part = np.asarray(assignment, dtype=np.int64)
         rows = np.repeat(np.arange(num_nodes), np.diff(csr.indptr))
         cut = part[csr.indices] != part[rows]
         masked = np.where(cut, csr.edge_weights, 0.0)
         return np.bincount(rows, weights=masked, minlength=num_nodes).tolist()
-    indptr, indices, edge_weights, _ = csr.lists()
+    indptr, indices, edge_weights, _ = csr.rows()
     external = [0.0] * num_nodes
     for node in range(num_nodes):
         if boundary_hint is not None and not boundary_hint[node]:
@@ -168,7 +190,7 @@ def _fm_refine_csr(
     ``boundary_hint`` without rescanning the graph.
     """
     num_nodes = csr.num_nodes
-    indptr, indices, edge_weights, node_weights = csr.lists()
+    indptr, indices, edge_weights, node_weights = csr.rows()
     heappush, heappop = heapq.heappush, heapq.heappop
     max_weight_zero, max_weight_one = max_weights[0], max_weights[1]
     weighted_degrees = csr.weighted_degrees()
@@ -355,7 +377,7 @@ def kway_fm_refine(
     num_nodes = csr.num_nodes
     if num_nodes == 0 or num_parts <= 1:
         return [0.0] * num_nodes
-    indptr, indices, edge_weights, node_weights = csr.lists()
+    indptr, indices, edge_weights, node_weights = csr.rows()
     heappush, heappop = heapq.heappush, heapq.heappop
     weighted_degrees = csr.weighted_degrees()
     external = compute_external(csr, assignment, boundary_hint)
@@ -369,15 +391,20 @@ def kway_fm_refine(
     min_pass_delta = _TOL
     if pass_gain_tolerance > 0.0:
         min_pass_delta = max(_TOL, pass_gain_tolerance * (sum(external) / 2.0))
+    all_parts = range(num_parts)
     #: greedy mode converges within one seeding except for balance/budget
     #: blocked nodes; later passes re-seed only those.
     reseed_nodes: list[int] | None = None
 
     for _ in range(max_passes):
-        #: per-pass k-ary gain state.  ``rows[v]`` is v's connectivity row
-        #: (None until v reaches the boundary); ``best_gain``/``best_target``
+        #: per-pass k-ary gain state.  ``rows[v]`` is v's connectivity row,
+        #: None until v reaches the boundary *or*, for a node the vectorised
+        #: seeding covered, until a move first touches or pops it:
+        #: ``seed_slot[v]`` (−1 = not seeded) is then its row in the
+        #: seed-time connectivity matrix.  ``best_gain``/``best_target``
         #: mirror v's live queue entry (−inf/−1 = no entry).
         rows: list[list[float] | None] = [None] * num_nodes
+        seed_slot = [-1] * num_nodes
         #: parts each row has (ever had) weight towards — scan_best iterates
         #: this short list instead of all k parts.  May contain duplicates or
         #: parts whose weight decayed back to zero; both are skipped cheaply.
@@ -394,13 +421,26 @@ def kway_fm_refine(
         def build_row(node: int) -> list[float]:
             row = [0.0] * num_parts
             parts: list[int] = []
-            for i in range(indptr[node], indptr[node + 1]):
-                part = assignment[indices[i]]
+            start, end = indptr[node], indptr[node + 1]
+            for neighbor, weight in zip(indices[start:end], edge_weights[start:end]):
+                part = assignment[neighbor]
                 if row[part] == 0.0:
                     parts.append(part)
-                row[part] += edge_weights[i]
+                row[part] += weight
             rows[node] = row
             row_parts[node] = parts
+            return row
+
+        def seeded_row(node: int) -> list[float]:
+            """Materialise ``node``'s row from the seed-time matrix (first touch).
+
+            Nothing updates a row before its first touch, so the seed-time
+            values are exactly what an eagerly built row would hold now.
+            """
+            base = seed_slot[node] * num_parts
+            row = seed_matrix[base : base + num_parts].tolist()
+            rows[node] = row
+            row_parts[node] = list(itertools.compress(all_parts, row))
             return row
 
         def scan_best(node: int, row: list[float], blocked_target: int = -1) -> tuple[float, int]:
@@ -443,12 +483,12 @@ def kway_fm_refine(
                     target_best = part
             return gain_best, target_best
 
-        seeded = _seed_kway_queue(
-            csr, assignment, num_parts, external, rows, row_parts, best_gain,
-            best_target, heap, build_row, scan_best, greedy, reseed_nodes,
+        seed_matrix = _seed_kway_queue(
+            csr, assignment, num_parts, external, best_gain, best_target,
+            seed_slot, heap, build_row, scan_best, greedy, reseed_nodes,
             cost_model,
         )
-        if not seeded:
+        if not heap:
             break
         moves: list[tuple[int, int, int]] = []  # (node, source, target)
         best_cut_delta = 0.0
@@ -469,11 +509,14 @@ def kway_fm_refine(
             gain = -neg_gain
             source = assignment[node]
             node_weight = node_weights[node]
+            node_row = rows[node]
+            if node_row is None:
+                node_row = seeded_row(node)
             blocked = weights[target] + node_weight > max_weights[target]
             if greedy and not blocked:
                 blocked = not cost_model.admissible(cost_model.delta(node, source, target))
             if blocked:
-                retry_gain, retry_target = scan_best(node, rows[node], blocked_target=target)
+                retry_gain, retry_target = scan_best(node, node_row, blocked_target=target)
                 if retry_target >= 0 and (not greedy or retry_gain > _TOL):
                     generation[node] += 1
                     best_gain[node] = retry_gain
@@ -493,12 +536,12 @@ def kway_fm_refine(
             weights[source] -= node_weight
             weights[target] += node_weight
             moved_this_pass += 1
-            external[node] = weighted_degrees[node] - rows[node][target]
+            external[node] = weighted_degrees[node] - node_row[target]
             if greedy:
                 cost_model.spent += cost_model.delta(node, source, target)
                 if moved_this_pass >= greedy_move_cap:
                     break
-                fresh_gain, fresh_target = scan_best(node, rows[node])
+                fresh_gain, fresh_target = scan_best(node, node_row)
                 best_gain[node] = fresh_gain
                 best_target[node] = fresh_target
                 generation[node] += 1
@@ -517,9 +560,8 @@ def kway_fm_refine(
             # Propagate the move: each neighbour's row changes in two slots;
             # its cached best move updates in O(1) unless the old target was
             # the vacated part (or the node just reached the boundary).
-            for i in range(indptr[node], indptr[node + 1]):
-                neighbor = indices[i]
-                weight = edge_weights[i]
+            start, end = indptr[node], indptr[node + 1]
+            for neighbor, weight in zip(indices[start:end], edge_weights[start:end]):
                 neighbor_part = assignment[neighbor]
                 if neighbor_part == target:
                     external[neighbor] -= weight
@@ -528,6 +570,8 @@ def kway_fm_refine(
                 if locked[neighbor]:
                     continue
                 row = rows[neighbor]
+                if row is None and seed_slot[neighbor] >= 0:
+                    row = seeded_row(neighbor)
                 if row is None:
                     if external[neighbor] > 0.0:
                         row = build_row(neighbor)
@@ -620,63 +664,73 @@ def kway_fm_refine(
     return compute_external(csr, assignment)
 
 
+def _connectivity_matrix(csr: CSRGraph, part, nodes, num_parts: int):
+    """Weight of each of ``nodes`` towards each part, flat row-major ndarray.
+
+    One order-preserving ``bincount`` over the nodes' CSR entries: slot
+    ``local * num_parts + p`` accumulates, in row entry order, the weights of
+    ``nodes[local]``'s edges into part ``p`` — the scalar ``build_row`` sums
+    bit for bit.  ``part`` is the assignment as an int64 ndarray.
+    """
+    np = backend.numpy
+    indptr = csr.indptr
+    starts = indptr[nodes]
+    degrees = indptr[nodes + 1] - starts
+    total = int(degrees.sum())
+    offsets = np.cumsum(degrees) - degrees
+    positions = (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(offsets, degrees)
+        + np.repeat(starts, degrees)
+    )
+    local_rows = np.repeat(np.arange(len(nodes), dtype=np.int64), degrees)
+    return np.bincount(
+        local_rows * num_parts + part[csr.indices[positions]],
+        weights=csr.edge_weights[positions],
+        minlength=len(nodes) * num_parts,
+    )
+
+
 def _seed_kway_queue(
     csr: CSRGraph,
     assignment: list[int],
     num_parts: int,
     external: list[float],
-    rows: list,
-    row_parts: list,
     best_gain: list[float],
     best_target: list[int],
+    seed_slot: list[int],
     heap: list[tuple[float, int, int, int]],
     build_row,
     scan_best,
     greedy: bool,
     reseed_nodes: list[int] | None = None,
     cost_model: MoveCostModel | None = None,
-) -> int:
+) -> memoryview | None:
     """Fill the k-ary gain structure with every boundary node's best move.
 
-    Returns the number of seeded entries.  The numpy path computes the whole
-    boundary's connectivity matrix with one order-preserving ``bincount``
-    and takes a row-wise argmax — bit-identical to the scalar
-    ``build_row``/``scan_best`` pair: same accumulation order, the same
-    ``(towards - internal)`` then cost-adjustment operation order in greedy
-    mode, argmax picks the smallest part on ties, and unconnected parts are
-    masked out exactly as the scalar scan skips them.  Small graphs and
-    blocked-node re-seeds take the scalar path outright: below a few
-    thousand entries the ndarray round-trips cost more than the loop.
+    Seeded entries are appended to ``heap`` (empty on entry).  The numpy
+    path computes the whole boundary's connectivity matrix with one
+    order-preserving ``bincount``, takes a row-wise argmax — bit-identical
+    to the scalar ``build_row``/``scan_best`` pair: same accumulation order,
+    the same ``(towards - internal)`` then cost-adjustment operation order
+    in greedy mode, argmax picks the smallest part on ties, and unconnected
+    parts are masked out exactly as the scalar scan skips them — and
+    scatters the results into ``best_gain``/``best_target``/``heap``.  No
+    per-node row is built here: ``seed_slot[v]`` records v's row in the
+    matrix, whose flat ``memoryview`` is returned so the move loop can
+    materialise the few rows it actually touches.  Small graphs and
+    blocked-node re-seeds take the scalar path outright (rows built
+    eagerly, ``None`` returned): below a few thousand entries the ndarray
+    round-trips cost more than the loop.
     """
-    seeded = 0
-    if csr.is_numpy and reseed_nodes is None and len(csr.indices) >= 2048:
+    if csr.vectorised and reseed_nodes is None:
         np = backend.numpy
         boundary = np.flatnonzero(np.asarray(external) > 0.0)
         if len(boundary) == 0:
-            return 0
+            return None
         part = np.asarray(assignment, dtype=np.int64)
-        indptr = csr.indptr
-        starts = indptr[boundary]
-        degrees = indptr[boundary + 1] - starts
-        total = int(degrees.sum())
-        offsets = np.cumsum(degrees) - degrees
-        positions = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(offsets, degrees)
-            + np.repeat(starts, degrees)
-        )
-        local_rows = np.repeat(np.arange(len(boundary), dtype=np.int64), degrees)
-        connectivity = np.bincount(
-            local_rows * num_parts + part[csr.indices[positions]],
-            weights=csr.edge_weights[positions],
-            minlength=len(boundary) * num_parts,
-        ).reshape(len(boundary), num_parts)
-        row_lists = connectivity.tolist()
-        nonzero_rows, nonzero_cols = np.nonzero(connectivity)
-        part_offsets = np.cumsum(
-            np.bincount(nonzero_rows, minlength=len(boundary))
-        ).tolist()
-        nonzero_cols = nonzero_cols.tolist()
+        flat = _connectivity_matrix(csr, part, boundary, num_parts)
+        connectivity = flat.reshape(len(boundary), num_parts)
         row_ids = np.arange(len(boundary))
         source_parts = part[boundary]
         internal = connectivity[row_ids, source_parts]
@@ -696,7 +750,9 @@ def _seed_kway_queue(
             foreign = ~leaving
             adjusted[row_ids[foreign], home[foreign]] += penalty[foreign]
             targets = np.argmax(adjusted, axis=1)
-            gains = adjusted[row_ids, targets].tolist()
+            gains = adjusted[row_ids, targets]
+            # Only net-positive moves are queued in greedy mode.
+            queued = gains > _TOL
         else:
             masked = connectivity.copy()
             # Unconnected parts are no candidates (matches the scalar scan);
@@ -705,30 +761,29 @@ def _seed_kway_queue(
             masked[masked == 0.0] = -np.inf
             masked[row_ids, source_parts] = -np.inf
             targets = np.argmax(masked, axis=1)
-            gains = (masked[row_ids, targets] - internal).tolist()
-        targets = targets.tolist()
-        neg_inf = float("-inf")
-        parts_start = 0
-        for local, node in enumerate(boundary.tolist()):
-            rows[node] = row_lists[local]
-            parts_end = part_offsets[local]
-            row_parts[node] = nonzero_cols[parts_start:parts_end]
-            parts_start = parts_end
-            gain = gains[local]
-            if gain == neg_inf:
-                # No connected foreign part: the scalar scan returns -1.
-                best_gain[node] = neg_inf
-                best_target[node] = -1
-                continue
-            target = targets[local]
-            best_gain[node] = gain
-            best_target[node] = target
-            if greedy and gain <= _TOL:
-                continue
-            heap.append((-gain, node, target, 0))
-            seeded += 1
+            gains = masked[row_ids, targets] - internal
+            queued = gains != -np.inf
+        # No connected foreign part: the scalar scan returns (-inf, -1).
+        targets[gains == -np.inf] = -1
+
+        def scatter(values, fill) -> list:
+            per_node = np.full(csr.num_nodes, fill, dtype=values.dtype)
+            per_node[boundary] = values
+            return per_node.tolist()
+
+        best_gain[:] = scatter(gains, -np.inf)
+        best_target[:] = scatter(targets, -1)
+        seed_slot[:] = scatter(row_ids, -1)
+        heap.extend(
+            zip(
+                (-gains[queued]).tolist(),
+                boundary[queued].tolist(),
+                targets[queued].tolist(),
+                itertools.repeat(0),
+            )
+        )
         heapq.heapify(heap)
-        return seeded
+        return memoryview(flat)
     candidates = range(csr.num_nodes) if reseed_nodes is None else reseed_nodes
     for node in candidates:
         if external[node] <= 0.0:
@@ -739,9 +794,33 @@ def _seed_kway_queue(
         if target < 0 or (greedy and gain <= _TOL):
             continue
         heap.append((-gain, node, target, 0))
-        seeded += 1
     heapq.heapify(heap)
-    return seeded
+    return None
+
+
+def _polish_candidates(csr: CSRGraph, assignment: list[int], num_parts: int) -> list[bool]:
+    """Per-node flag: may the greedy polish move this node right now?
+
+    A node moves only towards a part it gains strictly from, so the
+    vectorised form flags exactly the boundary nodes with some
+    ``towards - internal > 0`` (the polish's own gain expression over the
+    same order-preserving sums).  The scalar form flags the whole boundary,
+    a superset the polish prunes on first visit — the moves are the same.
+    """
+    external = compute_external(csr, assignment)
+    if not csr.vectorised:
+        return [cross > 0.0 for cross in external]
+    np = backend.numpy
+    boundary = np.flatnonzero(np.asarray(external) > 0.0)
+    part = np.asarray(assignment, dtype=np.int64)
+    connectivity = _connectivity_matrix(csr, part, boundary, num_parts).reshape(
+        len(boundary), num_parts
+    )
+    internal = connectivity[np.arange(len(boundary)), part[boundary]]
+    attracted = ((connectivity - internal[:, None]) > 0.0).any(axis=1)
+    flags = np.zeros(csr.num_nodes, dtype=bool)
+    flags[boundary[attracted]] = True
+    return flags.tolist()
 
 
 def greedy_kway_refine(
@@ -753,31 +832,28 @@ def greedy_kway_refine(
 ) -> list[int]:
     """Greedy boundary refinement for a k-way assignment (modified in place).
 
-    Only nodes flagged as (potentially) on the partition boundary are
-    examined: a node with every neighbour in its own partition can never have
-    a positive move gain, so interior nodes are skipped outright.  The flag
-    is conservative — moving a node re-flags its neighbourhood — which keeps
-    the pass exact while making converged passes nearly free.
+    Only candidate nodes are examined.  The invariant: every node with a
+    strictly positive gain towards some foreign part is flagged — whatever
+    the part weights are, an unflagged node cannot move.  It holds at entry
+    (:func:`_polish_candidates`), a move re-flags the moved node's
+    neighbourhood (the only rows it changes), and a visited node is
+    unflagged only when no part attracts it; one merely blocked by balance
+    stays flagged for the next pass, when the weights may have shifted.
     """
     num_nodes = csr.num_nodes
     if num_nodes == 0 or num_parts <= 1:
         return assignment
-    indptr, indices, edge_weights, node_weights = csr.lists()
     weights = side_weights(csr, assignment, num_parts)
-    # Conservative boundary flags, from the (vectorised) exact boundary.
-    external = compute_external(csr, assignment)
-    on_boundary = [cross > 0.0 for cross in external]
+    candidate = _polish_candidates(csr, assignment, num_parts)
+    indptr, indices, edge_weights, node_weights = csr.rows()
     connectivity = [0.0] * num_parts
     parts_touched: list[int] = []
     for _ in range(max_passes):
         improved = False
         for node in range(num_nodes):
-            if not on_boundary[node]:
+            if not candidate[node]:
                 continue
             start, end = indptr[node], indptr[node + 1]
-            if start == end:
-                on_boundary[node] = False
-                continue
             source = assignment[node]
             for neighbor, weight in zip(indices[start:end], edge_weights[start:end]):
                 part = assignment[neighbor]
@@ -788,15 +864,19 @@ def greedy_kway_refine(
             best_part = source
             best_gain = 0.0
             node_weight = node_weights[node]
-            external_parts = 0
+            attracted = False
             for part in parts_touched:
                 if part == source:
                     continue
-                external_parts += 1
                 gain = connectivity[part] - internal
-                if gain > best_gain + _TOL and weights[part] + node_weight <= max_weights[part]:
-                    best_gain = gain
-                    best_part = part
+                if gain > 0.0:
+                    attracted = True
+                    if (
+                        gain > best_gain + _TOL
+                        and weights[part] + node_weight <= max_weights[part]
+                    ):
+                        best_gain = gain
+                        best_part = part
             for part in parts_touched:
                 connectivity[part] = 0.0
             parts_touched.clear()
@@ -805,12 +885,12 @@ def greedy_kway_refine(
                 weights[source] -= node_weight
                 weights[best_part] += node_weight
                 improved = True
-                # The move may have pulled neighbours onto the boundary.
+                # The move changed its neighbours' gains.
                 for neighbor in indices[start:end]:
-                    on_boundary[neighbor] = True
-            elif external_parts == 0:
-                # Interior node: stays skippable until a neighbour moves.
-                on_boundary[node] = False
+                    candidate[neighbor] = True
+            elif not attracted:
+                # Stays skippable until a neighbour moves.
+                candidate[node] = False
         if not improved:
             break
     return assignment
@@ -828,18 +908,19 @@ def rebalance(
     infeasible (e.g. one giant coalesced node).  Cut quality is a secondary
     concern here; feasibility comes first.
     """
-    indptr, indices, edge_weights, node_weights = csr.lists()
     weights = side_weights(csr, assignment, num_parts)
     overweight = [part for part in range(num_parts) if weights[part] > max_weights[part]]
     if not overweight:
         return assignment
+    indptr, indices, edge_weights, node_weights = csr.rows()
 
     def internal_weight(node: int) -> float:
         part = assignment[node]
+        start, end = indptr[node], indptr[node + 1]
         return sum(
-            edge_weights[i]
-            for i in range(indptr[node], indptr[node + 1])
-            if assignment[indices[i]] == part
+            weight
+            for neighbor, weight in zip(indices[start:end], edge_weights[start:end])
+            if assignment[neighbor] == part
         )
 
     for part in overweight:

@@ -245,19 +245,22 @@ class BudgetedRepartitioner:
         Returns the migration cost spent.  Budget is intentionally not
         enforced here: feasibility comes first (documented in the options).
         """
-        indptr, indices, edge_weights, node_weights = graph.lists()
         num_parts = len(weights)
         spent = 0.0
         overweight = [part for part in range(num_parts) if weights[part] > max_weights[part]]
+        if not overweight:
+            return spent
+        indptr, indices, edge_weights, node_weights = graph.rows()
         for part in overweight:
             if weights[part] <= max_weights[part]:
                 continue
 
             def eviction_key(node: int) -> tuple[float, int]:
+                start, end = indptr[node], indptr[node + 1]
                 internal = sum(
-                    edge_weights[i]
-                    for i in range(indptr[node], indptr[node + 1])
-                    if assignment[indices[i]] == part
+                    weight
+                    for neighbor, weight in zip(indices[start:end], edge_weights[start:end])
+                    if assignment[neighbor] == part
                 )
                 return (internal + self.options.migration_cost_weight * costs[node], node)
 

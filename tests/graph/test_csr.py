@@ -1,5 +1,7 @@
 """Tests for the frozen CSR representation and the CSR partitioner fast path."""
 
+import pickle
+
 from repro.experiments.figure5 import synthetic_access_graph
 from repro.graph.model import CSRGraph, Graph, as_csr
 from repro.graph.partitioner import PartitionerOptions, cut_weight, partition_graph
@@ -60,6 +62,14 @@ class TestFreeze:
         assert thawed.num_nodes == graph.num_nodes
         assert sorted(thawed.edges()) == sorted(graph.edges())
         assert thawed.node_weights == graph.node_weights
+
+    def test_pickle_roundtrip_after_rows_are_bound(self):
+        # rows() caches memoryviews on numpy; they must not leak into a pickle.
+        csr = diamond_graph().freeze()
+        csr.rows()
+        clone = pickle.loads(pickle.dumps(csr))
+        assert clone.lists() == csr.lists()
+        assert clone.weighted_degrees() == csr.weighted_degrees()
 
     def test_empty_graph(self):
         csr = Graph().freeze()

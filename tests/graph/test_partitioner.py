@@ -1,10 +1,12 @@
 """Tests for the multilevel k-way partitioner."""
 
+import random
 from collections import Counter
 
 import pytest
 
-from repro.graph.model import Graph
+from repro.graph import backend
+from repro.graph.model import CSRGraph, Graph
 from repro.graph.partitioner import (
     GraphPartitioner,
     PartitionerOptions,
@@ -12,7 +14,13 @@ from repro.graph.partitioner import (
     partition_graph,
     partition_weights,
 )
-from repro.graph.refine import fm_refine_bisection, greedy_kway_refine, rebalance
+from repro.graph.refine import (
+    compute_external,
+    fm_refine_bisection,
+    greedy_kway_refine,
+    rebalance,
+    side_weights,
+)
 from repro.utils.rng import SeededRng
 
 
@@ -104,6 +112,142 @@ class TestPartitioner:
         assignment = partition_graph(graph, 4, PartitionerOptions(seed=0))
         assert set(assignment) <= {0, 1, 2, 3}
         assert len(assignment) == graph.num_nodes
+
+
+def reference_greedy_kway_refine(
+    csr: CSRGraph,
+    assignment: list[int],
+    num_parts: int,
+    max_weights: list[float],
+    max_passes: int = 3,
+) -> list[int]:
+    """The all-boundary polish ``greedy_kway_refine`` replaced, kept as oracle.
+
+    It re-examines every boundary node in every pass; the shipped polish
+    visits only nodes some part attracts and must make exactly these moves.
+    """
+    tol = 1e-12
+    num_nodes = csr.num_nodes
+    if num_nodes == 0 or num_parts <= 1:
+        return assignment
+    indptr, indices, edge_weights, node_weights = csr.lists()
+    weights = side_weights(csr, assignment, num_parts)
+    on_boundary = [cross > 0.0 for cross in compute_external(csr, assignment)]
+    connectivity = [0.0] * num_parts
+    parts_touched: list[int] = []
+    for _ in range(max_passes):
+        improved = False
+        for node in range(num_nodes):
+            if not on_boundary[node]:
+                continue
+            start, end = indptr[node], indptr[node + 1]
+            if start == end:
+                on_boundary[node] = False
+                continue
+            source = assignment[node]
+            for neighbor, weight in zip(indices[start:end], edge_weights[start:end]):
+                part = assignment[neighbor]
+                if connectivity[part] == 0.0:
+                    parts_touched.append(part)
+                connectivity[part] += weight
+            internal = connectivity[source]
+            best_part = source
+            best_gain = 0.0
+            node_weight = node_weights[node]
+            external_parts = 0
+            for part in parts_touched:
+                if part == source:
+                    continue
+                external_parts += 1
+                gain = connectivity[part] - internal
+                if gain > best_gain + tol and weights[part] + node_weight <= max_weights[part]:
+                    best_gain = gain
+                    best_part = part
+            for part in parts_touched:
+                connectivity[part] = 0.0
+            parts_touched.clear()
+            if best_part != source:
+                assignment[node] = best_part
+                weights[source] -= node_weight
+                weights[best_part] += node_weight
+                improved = True
+                for neighbor in indices[start:end]:
+                    on_boundary[neighbor] = True
+            elif external_parts == 0:
+                on_boundary[node] = False
+        if not improved:
+            break
+    return assignment
+
+
+def random_float_graph(num_nodes: int, num_edges: int, seed: int) -> Graph:
+    rng = random.Random(seed)
+    graph = Graph()
+    for _ in range(num_nodes):
+        graph.add_node(1.0 + 0.5 * rng.randrange(3))
+    for _ in range(num_edges):
+        u, v = rng.randrange(num_nodes), rng.randrange(num_nodes)
+        graph.add_edge(u, v, rng.randint(1, 5) + 0.1 * rng.randint(0, 9))
+    return graph
+
+
+class TestPolishMatchesAllBoundaryReference:
+    """``greedy_kway_refine`` visits only attracted nodes; the moves must not change."""
+
+    BACKENDS = ("list",) if backend.numpy is None else ("list", "numpy")
+
+    @pytest.mark.parametrize("array_backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "num_nodes,num_edges,num_parts",
+        # below and above the 2 048-entry vectorisation threshold
+        [(60, 200, 4), (300, 900, 5), (700, 4200, 8), (1500, 9000, 32)],
+    )
+    def test_same_moves_under_tight_balance(self, array_backend, num_nodes, num_edges, num_parts):
+        multi_pass_cases = 0
+        for seed in range(6):
+            graph = random_float_graph(num_nodes, num_edges, seed)
+            rng = random.Random(seed + 100)
+            start = [rng.randrange(num_parts) for _ in range(num_nodes)]
+            with backend.backend_context(array_backend):
+                csr = graph.freeze()
+            # Tight: barely above the heaviest starting part, so attracted
+            # nodes are routinely blocked until another move frees room.
+            heaviest = max(side_weights(csr, start, num_parts))
+            max_weights = [heaviest + 1.0] * num_parts
+            for max_passes in (1, 2, 4):
+                expected = reference_greedy_kway_refine(
+                    csr, list(start), num_parts, max_weights, max_passes
+                )
+                actual = greedy_kway_refine(csr, list(start), num_parts, max_weights, max_passes)
+                assert actual == expected, (seed, max_passes)
+            one_pass = reference_greedy_kway_refine(csr, list(start), num_parts, max_weights, 1)
+            multi_pass_cases += one_pass != expected
+        assert multi_pass_cases, "no case exercised a second pass"
+
+    @pytest.mark.parametrize("array_backend", BACKENDS)
+    def test_node_blocked_by_balance_moves_once_room_appears(self, array_backend):
+        # Node 0 sits in part 0 but is pulled to part 1, which is full.  Node
+        # 7 (visited later, not a neighbour of 0) leaves part 1 for part 2 in
+        # the same pass; only then can node 0 move, in pass 2.  A polish that
+        # dropped node 0 after its blocked first visit would miss the move.
+        graph = Graph()
+        graph.add_nodes(12)
+        for u, v, weight in (
+            (0, 4, 3.0), (0, 5, 3.0), (0, 1, 1.0),       # 0: towards part 1 = 6, internal = 1
+            (7, 8, 3.0), (7, 9, 3.0), (7, 6, 1.0),       # 7: towards part 2 = 6, internal = 1
+            (1, 2, 5.0), (2, 3, 5.0), (4, 5, 5.0), (5, 6, 5.0),
+            (8, 9, 5.0), (9, 10, 5.0), (10, 11, 5.0),
+        ):
+            graph.add_edge(u, v, weight)
+        with backend.backend_context(array_backend):
+            csr = graph.freeze()
+        start = [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+        max_weights = [4.0, 4.0, 5.0]
+        one_pass = greedy_kway_refine(csr, list(start), 3, max_weights, max_passes=1)
+        assert one_pass[0] == 0 and one_pass[7] == 2
+        two_pass = greedy_kway_refine(csr, list(start), 3, max_weights, max_passes=2)
+        assert two_pass[0] == 1 and two_pass[7] == 2
+        assert two_pass == reference_greedy_kway_refine(csr, list(start), 3, max_weights, 2)
 
 
 class TestRefinement:

@@ -11,6 +11,12 @@ The two plan pins were re-recorded once, for plan format version 2: the
 payload gained ``primary_keys`` and ``version`` went 1 -> 2.  With those two
 fields put back, the fingerprints equal the version-1 pins (4ca68057...,
 88c840f4...): placements, rule sets and policies did not move.
+
+The at-scale pins (``SCALE_PINS``) were recorded at the parent commit of the
+change that stopped boxing the graph on the numpy path (zero-copy row reads,
+lazy gain rows, attracted-nodes-only polish), again on both backends.  They
+use the benchmark's smoke size — above the 2 048-entry threshold, so the
+vectorised kernels, not their scalar fallbacks, are what is pinned.
 """
 
 import hashlib
@@ -19,7 +25,7 @@ import json
 import pytest
 
 from repro.experiments.figure5 import synthetic_access_graph
-from repro.graph.partitioner import PartitionerOptions, partition_graph
+from repro.graph.partitioner import PartitionerOptions, cut_weight, partition_graph
 from repro.pipeline import Pipeline, SchismOptions
 from repro.utils.rng import SeededRng
 from repro.workload.splitter import split_workload
@@ -35,6 +41,11 @@ PARTITION_PINS = {
     (1, 8): "fd3552199a4733de61a311deb25ebb9c5c059dfc9de86fce66d97c91130802fc",
     (1, 32): "c44eb9734cb67da5d4ffe4d727f5919996eabfb25d6a677b62779f091100acb2",
 }
+#: seed -> (assignment sha256, cut) of ``synthetic_access_graph(4_000, 32_000, seed)`` at k = 8.
+SCALE_PINS = {
+    0: ("1b165b8463e10a153b2f8fb498da36206a47ea0704ef220473cc64eca3183996", 4246.0),
+    1: ("e08d8634dbc048130976227c7643507336bc83a459b965f4db2f8d3b62c0506e", 4297.0),
+}
 SIMPLECOUNT_PLAN_PIN = "82cd6a51c520ad64b13c8fa7e05317f36094a5b08dfdaf3d1019cf0ada2d9c24"
 TPCC_PLAN_PIN = "b91a31b583fbf1909117ab43eea0f62d224636f944af0a26a586ddbd3b5e37c9"
 
@@ -46,6 +57,15 @@ def test_partition_assignments_are_pinned(seed):
         assignment = partition_graph(frozen, k, PartitionerOptions(seed=seed))
         digest = hashlib.sha256(json.dumps(assignment).encode()).hexdigest()
         assert digest == PARTITION_PINS[seed, k], f"seed={seed} k={k}"
+
+
+@pytest.mark.parametrize("seed", sorted(SCALE_PINS))
+def test_partition_at_bench_smoke_scale_is_pinned(seed):
+    frozen = synthetic_access_graph(4_000, 32_000, seed).freeze()
+    options = PartitionerOptions(seed=seed, initial_trials=4, refine_passes=2)
+    assignment = partition_graph(frozen, 8, options)
+    digest = hashlib.sha256(json.dumps(assignment).encode()).hexdigest()
+    assert (digest, cut_weight(frozen, assignment)) == SCALE_PINS[seed]
 
 
 def _plan_fingerprint(bundle, num_partitions):
