@@ -369,8 +369,6 @@ def _load_journal(path_text: str):
     journal, a non-JSON file — exits with a friendly message naming the path
     that was probed, never a traceback.
     """
-    import json
-
     from repro.online.migration import (
         JournalFormatError,
         MigrationJournal,
@@ -382,12 +380,12 @@ def _load_journal(path_text: str):
         raise SystemExit(f"no such file: {path}")
     try:
         return MigrationJournal.loads(path.read_text(encoding="utf-8"))
-    except (JournalFormatError, json.JSONDecodeError, UnicodeDecodeError):
+    except (JournalFormatError, UnicodeDecodeError):
         journal_path = default_journal_path(path)
         if journal_path.exists():
             try:
                 return MigrationJournal.loads(journal_path.read_text(encoding="utf-8"))
-            except (JournalFormatError, json.JSONDecodeError, UnicodeDecodeError) as error:
+            except (JournalFormatError, UnicodeDecodeError) as error:
                 raise SystemExit(
                     f"no journal found: {journal_path} exists but is not a "
                     f"readable migration journal ({error})"

@@ -103,7 +103,6 @@ def run_online_drift(
         repartition=RepartitionOptions(
             migration_cost_weight=0.25, imbalance=0.10, max_passes=12
         ),
-        batch_size=100,
     )
     controller = _deploy_offline(
         database, bundle.training, num_partitions, options, bundle.name
@@ -203,7 +202,6 @@ def run_read_hot_drift(
             max_passes=12,
             migration_budget=migration_budget,
         ),
-        batch_size=100,
         # The scenario writes each hot tuple ~5% of the time; a couple of
         # unlucky draws can push a tuple's decayed read fraction just below
         # the 0.9 default, so give the candidate filter a little slack.
@@ -325,7 +323,6 @@ def run_elastic_scaling(
             max_partitions=16,
             cooldown_batches=2,
         ),
-        batch_size=100,
     )
     controller = _deploy_offline(
         database, bundle.training, num_partitions, options, bundle.name

@@ -145,7 +145,6 @@ def _run_scenario_traced(
         pacing=PacingOptions(
             abort_rate_budget=0.10,
             p99_latency_budget=500.0,
-            min_samples=16,
             max_steps=8,
             throttled_steps=2,
         ),

@@ -7,7 +7,7 @@ C4.5-style decision tree, and read the tree back as range-predicate rules.
 """
 
 from repro.explain.dataset import Dataset, LabeledSample, build_training_sets
-from repro.explain.decision_tree import DecisionTree, DecisionTreeOptions
+from repro.explain.decision_tree import DecisionTree
 from repro.explain.feature_selection import select_attributes, symmetrical_uncertainty
 from repro.explain.rules import PredicateRule, RuleCondition, RuleSet
 from repro.explain.crossval import cross_validate
@@ -16,7 +16,6 @@ from repro.explain.explainer import Explainer, ExplainerOptions, Explanation, Ta
 __all__ = [
     "Dataset",
     "DecisionTree",
-    "DecisionTreeOptions",
     "Explainer",
     "ExplainerOptions",
     "Explanation",

@@ -25,16 +25,10 @@ from repro.explain.rules import PredicateRule, RuleCondition
 PRUNING_CONFIDENCE = 0.25
 #: cap on the number of candidate thresholds evaluated per numeric attribute.
 MAX_THRESHOLDS = 64
-
-
-@dataclass
-class DecisionTreeOptions:
-    """Hyper-parameters of the tree."""
-
-    max_depth: int = 12
-    min_gain_ratio: float = 1e-3
-    #: disable pruning entirely (used in tests and ablations).
-    prune: bool = True
+#: depth limit of the tree.
+MAX_DEPTH = 12
+#: a split below this gain ratio makes a leaf.
+MIN_GAIN_RATIO = 1e-3
 
 
 @dataclass
@@ -59,8 +53,7 @@ class _Node:
 class DecisionTree:
     """Decision-tree classifier with C4.5-style training and pruning."""
 
-    def __init__(self, options: DecisionTreeOptions | None = None) -> None:
-        self.options = options or DecisionTreeOptions()
+    def __init__(self) -> None:
         self._root: _Node | None = None
         self.attribute_names: tuple[str, ...] = ()
 
@@ -71,8 +64,7 @@ class DecisionTree:
             raise ValueError("cannot fit a decision tree on an empty dataset")
         self.attribute_names = tuple(attribute_names)
         self._root = self._build(list(samples), depth=0)
-        if self.options.prune:
-            self._prune(self._root)
+        self._prune(self._root)
         return self
 
     def _build(self, samples: list[LabeledSample], depth: int) -> _Node:
@@ -84,13 +76,13 @@ class DecisionTree:
             error_count=len(samples) - label_counts[majority],
             label_counts=label_counts,
         )
-        if len(label_counts) == 1 or depth >= self.options.max_depth:
+        if len(label_counts) == 1 or depth >= MAX_DEPTH:
             return node
         split = self._best_split(samples)
         if split is None:
             return node
         attribute, threshold, categorical, gain_ratio = split
-        if gain_ratio < self.options.min_gain_ratio:
+        if gain_ratio < MIN_GAIN_RATIO:
             return node
         left_samples, right_samples = _partition_samples(samples, attribute, threshold, categorical)
         node.attribute = attribute

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.graph import backend
-from repro.graph.model import CSRGraph
+from repro.graph.model import CSRGraph, entry_rows, row_entry_positions
 from repro.utils.rng import SeededRng
 
 
@@ -56,9 +56,7 @@ def coarsen_once(csr: CSRGraph, rng: SeededRng) -> CoarseningLevel:
         # on ties", so both paths match identically; the walk itself almost
         # always stops after one or two probes.
         np = backend.numpy
-        permutation = np.lexsort(
-            (-csr.edge_weights, np.repeat(np.arange(num_nodes), np.diff(csr.indptr)))
-        )
+        permutation = np.lexsort((-csr.edge_weights, entry_rows(csr.indptr)))
         ranked = memoryview(csr.indices[permutation])
         for node in order:
             if match[node] != -1:
@@ -200,16 +198,7 @@ def _contract_numpy(
     present[:, 1] = pairs[:, 1] != pairs[:, 0]
     member_arr = pairs[present]
     member_coarse = np.repeat(np.arange(num_coarse, dtype=np.int64), 2)[present.ravel()]
-    indptr = csr.indptr
-    starts = indptr[member_arr]
-    degrees = indptr[member_arr + 1] - starts
-    total = int(degrees.sum())
-    offsets = np.cumsum(degrees) - degrees
-    positions = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(offsets, degrees)
-        + np.repeat(starts, degrees)
-    )
+    positions, degrees = row_entry_positions(csr.indptr, member_arr)
     rows = np.repeat(member_coarse, degrees)
     cols = mapping[csr.indices[positions]]
     weights = csr.edge_weights[positions]

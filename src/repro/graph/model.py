@@ -213,29 +213,6 @@ class Graph:
             indptr[node + 1] = len(indices)
         return CSRGraph(indptr, indices, edge_weights, list(self.node_weights))
 
-    def subgraph(self, nodes: Iterable[int]) -> tuple["Graph", list[int]]:
-        """Return the induced subgraph and the list mapping new ids -> old ids."""
-        node_list = list(nodes)
-        old_to_new = {old: new for new, old in enumerate(node_list)}
-        sub = Graph()
-        for old in node_list:
-            sub.add_node(self.node_weights[old])
-        for new_u, old_u in enumerate(node_list):
-            for old_v, weight in self.adjacency[old_u].items():
-                new_v = old_to_new.get(old_v)
-                if new_v is not None and new_u < new_v:
-                    sub.add_edge(new_u, new_v, weight)
-        return sub, node_list
-
-    def copy(self) -> "Graph":
-        """Deep copy of the graph."""
-        clone = Graph()
-        clone.node_weights = list(self.node_weights)
-        clone.adjacency = [dict(neighbors) for neighbors in self.adjacency]
-        clone._num_edges = self._num_edges
-        clone._total_node_weight = self._total_node_weight
-        return clone
-
     def __repr__(self) -> str:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges})"
 
@@ -243,6 +220,33 @@ class Graph:
 #: below this many CSR entries the ndarray round-trips of a vectorised kernel
 #: cost more than the scalar loop they replace.
 VECTORISE_MIN_ENTRIES = 2048
+
+
+def entry_rows(indptr):
+    """The row (source node) of every CSR entry, as an ndarray (numpy only)."""
+    np = backend.numpy
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def row_entry_positions(indptr, nodes):
+    """CSR entry positions of the rows of ``nodes``, concatenated in ``nodes`` order.
+
+    Returns ``(positions, degrees)``: gathering ``indices[positions]`` visits
+    each node's row in its original entry order, the first ``degrees[0]``
+    positions belonging to ``nodes[0]`` and so on.  ``nodes`` is an int64
+    ndarray (numpy only).
+    """
+    np = backend.numpy
+    starts = indptr[nodes]
+    degrees = indptr[nodes + 1] - starts
+    total = int(degrees.sum())
+    offsets = np.cumsum(degrees) - degrees
+    positions = (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(offsets, degrees)
+        + np.repeat(starts, degrees)
+    )
+    return positions, degrees
 
 
 class CSRGraph:
@@ -417,10 +421,8 @@ class CSRGraph:
         if cached is None:
             num_nodes = len(self.node_weights)
             if self.vectorised:
-                np = backend.numpy
-                rows = np.repeat(np.arange(num_nodes), np.diff(self.indptr))
-                cached = np.bincount(
-                    rows, weights=self.edge_weights, minlength=num_nodes
+                cached = backend.numpy.bincount(
+                    entry_rows(self.indptr), weights=self.edge_weights, minlength=num_nodes
                 ).tolist()
             else:
                 indptr, _, edge_weights, _ = self.rows()
@@ -444,9 +446,8 @@ class CSRGraph:
     def subview(self, nodes: Iterable[int]) -> tuple["CSRGraph", list[int]]:
         """Induced subgraph as a new CSR plus the new-id -> old-id mapping.
 
-        This is the CSR replacement for :meth:`Graph.subgraph`: a single
-        index-remapped extraction pass with a flat remap table, no per-node
-        dicts.  Under numpy the whole extraction is one vectorised gather
+        A single index-remapped extraction pass with a flat remap table, no
+        per-node dicts.  Under numpy the whole extraction is one vectorised gather
         (row-visit entry order is preserved, so results match the scalar
         path bit for bit); small extractions take the scalar loop, where
         the ndarray round-trips would cost more than they save.
@@ -495,16 +496,7 @@ class CSRGraph:
         num_selected = len(node_list)
         remap = np.full(num_nodes, -1, dtype=np.int64)
         remap[selected] = np.arange(num_selected, dtype=np.int64)
-        starts = indptr[selected]
-        degrees = indptr[selected + 1] - starts
-        total = int(degrees.sum())
-        # Gather each selected row's entry positions contiguously.
-        offsets = np.cumsum(degrees) - degrees
-        positions = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(offsets, degrees)
-            + np.repeat(starts, degrees)
-        )
+        positions, degrees = row_entry_positions(indptr, selected)
         mapped = remap[indices[positions]]
         keep = mapped >= 0
         kept_rows = np.repeat(np.arange(num_selected, dtype=np.int64), degrees)[keep]
@@ -518,15 +510,6 @@ class CSRGraph:
         return CSRGraph(
             sub_indptr, kept_cols, kept_weights, self.node_weights[selected], weighted_degrees
         )
-
-    def thaw(self) -> Graph:
-        """Materialise a mutable :class:`Graph` with identical structure."""
-        graph = Graph()
-        for weight in self.rows()[3]:
-            graph.add_node(weight)
-        for u, v, weight in self.edges():
-            graph.add_edge(u, v, weight)
-        return graph
 
     def __repr__(self) -> str:
         return f"CSRGraph(nodes={self.num_nodes}, edges={self.num_edges})"

@@ -55,7 +55,7 @@ import heapq
 import itertools
 
 from repro.graph import backend
-from repro.graph.model import CSRGraph
+from repro.graph.model import CSRGraph, entry_rows, row_entry_positions
 
 #: comparison slack for "strictly improving" decisions, shared by all passes.
 _TOL = 1e-12
@@ -77,8 +77,7 @@ def cut_weight_two_way(csr: CSRGraph, assignment: list[int]) -> float:
     if csr.vectorised:
         np = backend.numpy
         part = np.asarray(assignment, dtype=np.int64)
-        rows = np.repeat(np.arange(csr.num_nodes), np.diff(csr.indptr))
-        crossing = csr.edge_weights[part[csr.indices] != part[rows]]
+        crossing = csr.edge_weights[part[csr.indices] != part[entry_rows(csr.indptr)]]
         return float(np.cumsum(crossing)[-1]) / 2.0 if len(crossing) else 0.0
     indptr, indices, edge_weights, _ = csr.rows()
     total = 0.0
@@ -123,7 +122,7 @@ def compute_external(
     if csr.vectorised:
         np = backend.numpy
         part = np.asarray(assignment, dtype=np.int64)
-        rows = np.repeat(np.arange(num_nodes), np.diff(csr.indptr))
+        rows = entry_rows(csr.indptr)
         cut = part[csr.indices] != part[rows]
         masked = np.where(cut, csr.edge_weights, 0.0)
         return np.bincount(rows, weights=masked, minlength=num_nodes).tolist()
@@ -673,16 +672,7 @@ def _connectivity_matrix(csr: CSRGraph, part, nodes, num_parts: int):
     bit for bit.  ``part`` is the assignment as an int64 ndarray.
     """
     np = backend.numpy
-    indptr = csr.indptr
-    starts = indptr[nodes]
-    degrees = indptr[nodes + 1] - starts
-    total = int(degrees.sum())
-    offsets = np.cumsum(degrees) - degrees
-    positions = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(offsets, degrees)
-        + np.repeat(starts, degrees)
-    )
+    positions, degrees = row_entry_positions(csr.indptr, nodes)
     local_rows = np.repeat(np.arange(len(nodes), dtype=np.int64), degrees)
     return np.bincount(
         local_rows * num_parts + part[csr.indices[positions]],

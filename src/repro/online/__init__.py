@@ -38,11 +38,7 @@ from repro.online.controller import (
     OnlineSchism,
     ResizeRecord,
 )
-from repro.online.maintainer import (
-    IncrementalGraphMaintainer,
-    MaintainerOptions,
-    StarExpansion,
-)
+from repro.online.maintainer import IncrementalGraphMaintainer, StarExpansion
 from repro.online.migration import (
     JournaledMigrator,
     MigrationPlan,
@@ -72,7 +68,6 @@ __all__ = [
     "ElasticOptions",
     "IncrementalGraphMaintainer",
     "JournaledMigrator",
-    "MaintainerOptions",
     "MigrationPlan",
     "MigrationReport",
     "MigrationSession",

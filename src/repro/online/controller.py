@@ -79,6 +79,16 @@ from repro.workload.trace import TransactionAccess, iter_chunks
 
 #: suppress re-adaptation for this many batches after an adaptation.
 ADAPT_COOLDOWN_BATCHES = 2
+#: transactions per ingest batch of :meth:`OnlineSchism.observe` and
+#: :meth:`OnlineSchism.warm_up` (= one monitor/maintainer epoch).
+INGEST_BATCH_SIZE = 100
+#: retention hysteresis: a tuple that is *already replicated* stays a
+#: replication candidate down to ``replication_min_read_fraction`` minus
+#: this slack, so decay noise around the entry bar cannot trigger
+#: drop/re-copy churn of replicas the budget just paid for.  (The min-cut
+#: still consolidates retained candidates whose replicas stop earning their
+#: write cost.)
+REPLICATION_RETENTION_SLACK = 0.05
 
 
 @dataclass
@@ -92,26 +102,14 @@ class OnlineOptions:
     #: :meth:`OnlineSchism.begin_resize` builds a :class:`MigrationPacer`
     #: from it for every session that is not handed one explicitly.
     pacing: PacingOptions | None = None
-    #: transactions per ingest batch (= one monitor/maintainer epoch).
-    batch_size: int = 100
     #: minimum decayed read fraction for a tuple to be widened into a replica
     #: set during adaptation (0.9 mirrors the paper's "read-mostly" bar of
     #: < 10% writes).
     replication_min_read_fraction: float = 0.9
-    #: retention hysteresis: a tuple that is *already replicated* stays a
-    #: candidate down to ``replication_min_read_fraction`` minus this slack,
-    #: so decay noise around the entry bar cannot trigger drop/re-copy churn
-    #: of replicas the budget just paid for.  (The min-cut still consolidates
-    #: retained candidates whose replicas stop earning their write cost.)
-    replication_retention_slack: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
         if not 0.0 <= self.replication_min_read_fraction <= 1.0:
             raise ValueError("replication_min_read_fraction must be in [0, 1]")
-        if self.replication_retention_slack < 0:
-            raise ValueError("replication_retention_slack must be non-negative")
 
 
 @dataclass
@@ -333,7 +331,7 @@ class OnlineSchism:
         steady-state traffic.
         """
         accesses = trace.accesses if isinstance(trace, AccessTrace) else trace
-        for batch in iter_chunks(accesses, self.options.batch_size):
+        for batch in iter_chunks(accesses, INGEST_BATCH_SIZE):
             self.monitor.ingest_batch(batch)
             self.maintainer.apply_batch(batch)
         self.monitor.set_baseline()
@@ -347,8 +345,8 @@ class OnlineSchism:
 
         ``trace`` may be a recorded :class:`AccessTrace` or any iterable of
         transaction accesses (a live feed); it is consumed in
-        ``batch_size`` chunks.  Because the re-chunking makes the monitor's
-        transactions-per-epoch rate a constant (~``batch_size``), elastic
+        ``INGEST_BATCH_SIZE`` chunks.  Because the re-chunking makes the
+        monitor's transactions-per-epoch rate a constant, elastic
         proposals are **suppressed** here — a constant is not a load signal,
         and acting on it would resize the cluster to fit a config value.
         Feed :meth:`observe_batches` real arrival batches to drive
@@ -356,7 +354,7 @@ class OnlineSchism:
         """
         accesses = trace.accesses if isinstance(trace, AccessTrace) else trace
         return self.observe_batches(
-            iter_chunks(accesses, self.options.batch_size),
+            iter_chunks(accesses, INGEST_BATCH_SIZE),
             auto_adapt,
             elastic=False,
         )
@@ -430,21 +428,18 @@ class OnlineSchism:
         Currently-replicated tuples qualify at a lower (retention) bar, so
         a replica set the budget just paid for is not collapsed by decay
         noise around the entry threshold — see
-        ``OnlineOptions.replication_retention_slack``.
+        ``REPLICATION_RETENTION_SLACK``.
         """
-        options = self.options
+        min_read_fraction = self.options.replication_min_read_fraction
         strategy = self.strategy
         retained = [
             node
             for node, tuple_id in enumerate(self.maintainer.tuples())
             if len(strategy.partitions_for_tuple(tuple_id)) > 1
         ]
-        retention = max(
-            0.0,
-            options.replication_min_read_fraction - options.replication_retention_slack,
-        )
+        retention = max(0.0, min_read_fraction - REPLICATION_RETENTION_SLACK)
         return self.maintainer.replication_candidates(
-            options.replication_min_read_fraction, retained, retention
+            min_read_fraction, retained, retention
         )
 
     def _repartition(

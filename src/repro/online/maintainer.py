@@ -13,9 +13,10 @@ placement) and maintains:
   balancing mode);
 * clique edges among the tuples touched by each transaction, weights
   accumulating exactly as in the offline builder;
-* exponential aging via a **global scale factor** (the same trick the
-  workload monitor uses): stored weights are true weights divided by
-  ``_scale``, so one epoch of decay is a single multiplication of the
+* exponential aging at the monitor's ``EPOCH_DECAY`` (one constant, so the
+  graph and the monitor's counts age alike) via a **global scale factor**
+  (the same trick the workload monitor uses): stored weights are true
+  weights divided by ``_scale``, so one epoch of decay is a single multiplication of the
   scale, not an O(V + E) sweep.  Fresh contributions are added as
   ``1 / _scale``; the stored values are renormalised only when that
   increment risks losing precision.  The periodic prune
@@ -52,10 +53,18 @@ from typing import Iterable, Sequence
 from repro.catalog.tuples import TupleId
 from repro.graph.builder import REPLICATION_EPSILON
 from repro.graph.model import CSRGraph, Graph
+from repro.online.monitor import EPOCH_DECAY
 from repro.workload.trace import TransactionAccess
 
 #: Renormalise stored weights once the per-access increment grows past this.
 _RENORMALISE_LIMIT = 1e12
+#: Edges whose decayed (true) weight falls below this are dropped.
+PRUNE_THRESHOLD = 0.05
+#: The prune sweep (O(E)) runs every this many epochs.
+PRUNE_INTERVAL = 8
+#: Transactions touching more than this many tuples are skipped (clique
+#: blow-up guard, mirroring the offline blanket-statement filter).
+BLANKET_TRANSACTION_THRESHOLD = 100
 #: At most this many nodes are replication candidates per freeze.
 REPLICATION_MAX_CANDIDATES = 64
 #: Minimum decayed access weight of a replication candidate — cold tuples
@@ -65,27 +74,6 @@ REPLICATION_MIN_WEIGHT = 2.0
 #: :meth:`IncrementalGraphMaintainer.freeze_replicated`; the heaviest
 #: co-access neighbours get satellites, the tail stays on the centre.
 MAX_SATELLITES = 12
-
-
-@dataclass
-class MaintainerOptions:
-    """Tuning knobs of the incremental graph maintainer."""
-
-    #: per-epoch decay factor applied to all node/edge weights (1.0 disables).
-    decay: float = 0.95
-    #: edges whose decayed (true) weight falls below this are dropped.
-    prune_threshold: float = 0.05
-    #: skip transactions touching more than this many tuples (clique blow-up
-    #: guard, mirroring the offline blanket-statement filter).
-    blanket_transaction_threshold: int = 100
-    #: run the prune sweep every this many epochs (it is O(E)).
-    prune_interval: int = 8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
-        if self.prune_interval <= 0:
-            raise ValueError("prune_interval must be positive")
 
 
 @dataclass
@@ -121,8 +109,7 @@ class StarExpansion:
 class IncrementalGraphMaintainer:
     """Applies streaming transaction deltas to a mutable tuple graph."""
 
-    def __init__(self, options: MaintainerOptions | None = None) -> None:
-        self.options = options or MaintainerOptions()
+    def __init__(self) -> None:
         self.graph = Graph()
         self._node_of: dict[TupleId, int] = {}
         self._tuple_of: list[TupleId] = []
@@ -189,7 +176,7 @@ class IncrementalGraphMaintainer:
         read_set = access.read_set
         write_set = access.write_set
         touched = read_set | write_set
-        if len(touched) > self.options.blanket_transaction_threshold:
+        if len(touched) > BLANKET_TRANSACTION_THRESHOLD:
             return
         graph = self.graph
         increment = self._increment
@@ -226,14 +213,13 @@ class IncrementalGraphMaintainer:
         dicts per occurrence.
         """
         graph = self.graph
-        threshold = self.options.blanket_transaction_threshold
         increment = self._increment
         pair_weights: Counter[tuple[int, int]] = Counter()
         for access in batch:
             read_set = access.read_set
             write_set = access.write_set
             touched = read_set | write_set
-            if len(touched) > threshold:
+            if len(touched) > BLANKET_TRANSACTION_THRESHOLD:
                 continue
             # Sorted tuple order first: node-id assignment must be
             # process-independent (see ``apply``).
@@ -251,18 +237,17 @@ class IncrementalGraphMaintainer:
     def advance_epoch(self) -> None:
         """Age all weights one epoch (O(1): one scale update).
 
-        The periodic prune (every ``prune_interval`` epochs) and the rare
+        The periodic prune (every ``PRUNE_INTERVAL`` epochs) and the rare
         precision renormalisation are the only O(E) work on the ingest path.
         """
         self.epochs += 1
-        if self.options.decay < 1.0:
-            self._scale *= self.options.decay
-            self._increment = 1.0 / self._scale
-            if self._increment > _RENORMALISE_LIMIT:
-                self._materialise_scale()
-        if self.epochs % self.options.prune_interval == 0:
+        self._scale *= EPOCH_DECAY
+        self._increment = 1.0 / self._scale
+        if self._increment > _RENORMALISE_LIMIT:
+            self._materialise_scale()
+        if self.epochs % PRUNE_INTERVAL == 0:
             # True threshold expressed in stored units.
-            self.graph.prune_edges(self.options.prune_threshold * self._increment)
+            self.graph.prune_edges(PRUNE_THRESHOLD * self._increment)
 
     def _materialise_scale(self) -> None:
         """Fold the pending scale into the stored weights (O(V + E), rare)."""

@@ -245,9 +245,25 @@ def _placement_rows(entries: list[tuple[TupleId, frozenset[int]]]) -> list[list]
     ]
 
 
+def _non_negative(value: object, name: str) -> int:
+    """A journalled partition id or cursor: a non-negative int, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise JournalFormatError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _tuple_id(table: object, key: object) -> TupleId:
+    if not isinstance(table, str) or not isinstance(key, list):
+        raise JournalFormatError(f"not a tuple id: table {table!r}, key {key!r}")
+    return TupleId(table, tuple(key))
+
+
 def _placement_entries(rows: list) -> list[tuple[TupleId, frozenset[int]]]:
     return [
-        (TupleId(table, tuple(key)), frozenset(int(part) for part in partitions))
+        (
+            _tuple_id(table, key),
+            frozenset(_non_negative(part, "partition") for part in partitions),
+        )
         for table, key, partitions in rows
     ]
 
@@ -407,24 +423,50 @@ class MigrationJournal:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "MigrationJournal":
-        """Rebuild a journal from a parsed payload (inverse of :meth:`to_payload`)."""
+        """Rebuild a journal from a parsed payload (inverse of :meth:`to_payload`).
+
+        Every way a payload can be malformed — wrong format or version, a
+        missing key, a row of the wrong shape, a cursor past its step list —
+        raises :class:`JournalFormatError`, so a damaged journal is refused
+        before any step of it runs.
+        """
+        if not isinstance(payload, Mapping):
+            raise JournalFormatError(
+                f"not a migration journal (a JSON {type(payload).__name__}, not an object)"
+            )
         if payload.get("format") != JOURNAL_FORMAT:
             raise JournalFormatError(
                 f"not a migration journal (format={payload.get('format')!r})"
             )
         version = payload.get("version")
-        if not isinstance(version, int) or version > JOURNAL_FORMAT_VERSION:
+        if isinstance(version, bool) or not isinstance(version, int) or version < 1:
+            raise JournalFormatError(f"journal version {version!r} is not a positive integer")
+        if version > JOURNAL_FORMAT_VERSION:
             raise JournalFormatError(
                 f"journal version {version!r} is newer than supported "
                 f"({JOURNAL_FORMAT_VERSION}); upgrade repro to read it"
             )
-        plan = MigrationPlan(int(payload["new_num_partitions"]))
+        try:
+            return cls._from_checked_payload(payload)
+        except JournalFormatError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise JournalFormatError(f"malformed migration journal: {error!r}") from error
+
+    @classmethod
+    def _from_checked_payload(cls, payload: Mapping) -> "MigrationJournal":
+        plan = MigrationPlan(_non_negative(payload["new_num_partitions"], "new_num_partitions"))
         plan.copies = [
-            MigrationStep("copy", TupleId(table, tuple(key)), int(source), int(target))
+            MigrationStep(
+                "copy",
+                _tuple_id(table, key),
+                _non_negative(source, "copy source"),
+                _non_negative(target, "copy target"),
+            )
             for table, key, source, target in payload["copies"]
         ]
         plan.drops = [
-            MigrationStep("drop", TupleId(table, tuple(key)), int(source))
+            MigrationStep("drop", _tuple_id(table, key), _non_negative(source, "drop source"))
             for table, key, source in payload["drops"]
         ]
         plan.changes = _placement_entries(payload["changes"])
@@ -441,26 +483,38 @@ class MigrationJournal:
             if old_parts - new_parts:
                 plan.tuples_moved += 1
         cursor = payload.get("cursor", {})
-        return cls(
+
+        def counter(name: str) -> int:
+            return _non_negative(cursor.get(name, 0), name)
+
+        journal = cls(
             plan=plan,
             kind=payload["kind"],
             flip_mode=payload["flip_mode"],
-            old_num_partitions=int(payload["old_num_partitions"]),
-            new_num_partitions=int(payload["new_num_partitions"]),
+            old_num_partitions=_non_negative(payload["old_num_partitions"], "old_num_partitions"),
+            new_num_partitions=plan.num_partitions,
             lookup_backend=payload.get("lookup_backend", "dict"),
             default_policy=payload.get("default_policy", "hash"),
             migration_id=payload.get("migration_id", "mig"),
             backend=payload.get("backend", "simulated"),
             state=cursor.get("state", "planned"),
-            copies_done=int(cursor.get("copies_done", 0)),
-            drops_done=int(cursor.get("drops_done", 0)),
+            copies_done=counter("copies_done"),
+            drops_done=counter("drops_done"),
             flip_done=bool(cursor.get("flip_done", False)),
-            rollback_restored=int(cursor.get("rollback_restored", 0)),
+            rollback_restored=counter("rollback_restored"),
             rollback_flip_done=bool(cursor.get("rollback_flip_done", False)),
-            rollback_removed=int(cursor.get("rollback_removed", 0)),
-            tuples_pinned=int(cursor.get("tuples_pinned", 0)),
-            records=int(cursor.get("records", 0)),
+            rollback_removed=counter("rollback_removed"),
+            tuples_pinned=counter("tuples_pinned"),
+            records=counter("records"),
         )
+        if not (
+            journal.copies_done <= len(plan.copies)
+            and journal.drops_done <= len(plan.drops)
+            and journal.rollback_restored <= journal.drops_done
+            and journal.rollback_removed <= journal.copies_done
+        ):
+            raise JournalFormatError(f"journal cursor past its step lists: {cursor!r}")
+        return journal
 
     def dumps(self) -> str:
         """Canonical JSON text (sorted keys, trailing newline) of the journal."""
@@ -468,8 +522,12 @@ class MigrationJournal:
 
     @classmethod
     def loads(cls, text: str) -> "MigrationJournal":
-        """Parse a journal from JSON text."""
-        return cls.from_payload(json.loads(text))
+        """Parse a journal from JSON text (:class:`JournalFormatError` if it is not one)."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as error:
+            raise JournalFormatError(f"not JSON: {error}") from error
+        return cls.from_payload(payload)
 
 
 def default_journal_path(plan_path: str | Path) -> Path:

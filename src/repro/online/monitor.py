@@ -21,10 +21,10 @@ stream through :meth:`AccessTrace.iter_batches`) and maintains:
 
 Drift is reported when any of three signals crosses its threshold: the
 windowed distributed-transaction fraction rises above the baseline by more
-than ``drift_distributed_increase``, the per-partition transaction load skew
-(max/mean) exceeds ``drift_skew_threshold``, or the hot-tuple churn (1 -
+than ``DRIFT_DISTRIBUTED_INCREASE``, the per-partition transaction load skew
+(max/mean) exceeds ``DRIFT_SKEW_THRESHOLD``, or the hot-tuple churn (1 -
 overlap between the current and baseline hot sets) exceeds
-``drift_churn_threshold``.
+``DRIFT_CHURN_THRESHOLD``.
 """
 
 from __future__ import annotations
@@ -44,13 +44,34 @@ from repro.workload.trace import TransactionAccess
 _RENORMALISE_LIMIT = 1e12
 #: Drop decayed counts below this fraction of one fresh access.
 _PRUNE_FRACTION = 1e-4
+#: Per-epoch decay factor of every decayed count of the online loop: the
+#: monitor's access counts and the maintainer's graph weights age together.
+EPOCH_DECAY = 0.95
+#: Size of the tracked hot-tuple set.
+HOT_SET_SIZE = 32
 #: Smoothing factor of the decayed transactions-per-epoch rate estimate
 #: (EWMA weight of the newest epoch; 1.0 would track only the last epoch).
 RATE_SMOOTHING = 0.3
+#: Drift when the windowed distributed fraction exceeds the baseline by this much.
+DRIFT_DISTRIBUTED_INCREASE = 0.10
+#: Drift when max/mean per-partition transaction load exceeds this (and the
+#: baseline skew by ``DRIFT_SKEW_INCREASE``).
+DRIFT_SKEW_THRESHOLD = 1.75
 #: Load skew counts as drift only when it also exceeds the baseline skew by
 #: this much (an inherently skewed workload must not re-trigger futile
 #: adaptations forever).
 DRIFT_SKEW_INCREASE = 0.25
+#: Drift when 1 - |hot_now & hot_baseline| / HOT_SET_SIZE exceeds this.
+DRIFT_CHURN_THRESHOLD = 0.60
+#: Floor of the churn weight-share bar (see
+#: :meth:`WorkloadMonitor.churn_weight_share_threshold`): tracking few tuples
+#: makes the uniform expectation large, but the bar never drops below this
+#: on wide uniform traffic.
+CHURN_SHARE_FLOOR = 0.10
+#: The churn weight-share bar is this multiple of the uniform expectation
+#: ``HOT_SET_SIZE / tracked_tuples``: a hot set must carry meaningfully more
+#: weight than chance before its churn means anything.
+CHURN_SHARE_LIFT = 1.25
 
 
 @dataclass
@@ -59,58 +80,15 @@ class MonitorOptions:
 
     #: number of recent transactions kept in the sliding window.
     window_size: int = 1000
-    #: per-epoch decay factor for the tuple access counts (1.0 disables aging).
-    decay: float = 0.95
-    #: size of the tracked hot-tuple set.
-    hot_set_size: int = 32
-    #: drift when the windowed distributed fraction exceeds the baseline by this much.
-    drift_distributed_increase: float = 0.10
-    #: drift when max/mean per-partition transaction load exceeds this (and
-    #: the baseline skew by ``DRIFT_SKEW_INCREASE``).
-    drift_skew_threshold: float = 1.75
-    #: drift when 1 - |hot_now & hot_baseline| / hot_set_size exceeds this.
-    drift_churn_threshold: float = 0.60
-    #: the churn signal only counts when the hot set carries at least this
-    #: share of the total decayed access weight: on near-uniform traffic the
-    #: "hot set" is sampling noise (observed share ~6% on the simplecount
-    #: deploy) and its churn is perpetual, so without the gate steady
-    #: uniform workloads read as drifted forever; genuinely skewed streams
-    #: (rotating hotspot ~11%, read-hot ~20%) clear the bar.  ``None``
-    #: (the default) derives the bar from the observed weight distribution:
-    #: ``lift x hot_set_size / tracked_tuples`` — the uniform expectation
-    #: of the share, lifted — clamped to ``[drift_churn_share_floor, 0.95]``.
-    #: A fixed value here applies verbatim (the pre-auto behaviour), which a
-    #: workload sitting between the uniform and skewed regimes may need.
-    drift_churn_min_weight_share: float | None = None
-    #: floor of the auto-derived churn weight-share bar (the old fixed
-    #: default): tracking few tuples makes the uniform expectation large,
-    #: but the bar never drops below this on wide uniform traffic.
-    drift_churn_share_floor: float = 0.10
-    #: the auto-derived bar is this multiple of the uniform expectation
-    #: ``hot_set_size / tracked_tuples``: a hot set must carry meaningfully
-    #: more weight than chance before its churn means anything.
-    drift_churn_share_lift: float = 1.25
     #: suppress drift reports until the window holds at least this many transactions.
     min_window_fill: int = 50
 
     def __post_init__(self) -> None:
         if self.window_size <= 0:
             raise ValueError("window_size must be positive")
-        if not 0.0 < self.decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
-        if self.hot_set_size <= 0:
-            raise ValueError("hot_set_size must be positive")
         # The window can never fill past its capacity; an uncapped
         # min_window_fill would silently disable drift detection forever.
         self.min_window_fill = min(self.min_window_fill, self.window_size)
-        if self.drift_churn_min_weight_share is not None and not (
-            0.0 <= self.drift_churn_min_weight_share <= 1.0
-        ):
-            raise ValueError("drift_churn_min_weight_share must be in [0, 1] or None")
-        if not 0.0 <= self.drift_churn_share_floor <= 1.0:
-            raise ValueError("drift_churn_share_floor must be in [0, 1]")
-        if self.drift_churn_share_lift < 1.0:
-            raise ValueError("drift_churn_share_lift must be at least 1.0")
 
 
 @dataclass
@@ -249,10 +227,7 @@ class WorkloadMonitor:
             self._rate = float(self._epoch_ingested)
             self._rate_primed = True
         self._epoch_ingested = 0
-        decay = self.options.decay
-        if decay >= 1.0:
-            return
-        self._scale *= decay
+        self._scale *= EPOCH_DECAY
         self._increment = 1.0 / self._scale
         if self._increment > _RENORMALISE_LIMIT:
             self._renormalise()
@@ -312,14 +287,14 @@ class WorkloadMonitor:
         return self._rate
 
     def hot_tuples(self) -> tuple[TupleId, ...]:
-        """The ``hot_set_size`` most-accessed tuples (deterministic tie-break).
+        """The ``HOT_SET_SIZE`` most-accessed tuples (deterministic tie-break).
 
         ``nsmallest`` over ``(-count, id)`` is the O(N log k) top-k selection
         — this runs inside every drift check, so a full sort of the counts
         dict would dominate the ingest path once many tuples are tracked.
         """
         ranked = heapq.nsmallest(
-            self.options.hot_set_size,
+            HOT_SET_SIZE,
             self._counts.items(),
             key=lambda item: (-item[1], item[0]),
         )
@@ -339,7 +314,7 @@ class WorkloadMonitor:
         hot = self.hot_tuples()
         if self._baseline_hot:
             overlap = len(self._baseline_hot & frozenset(hot))
-            churn = 1.0 - overlap / max(1, min(len(self._baseline_hot), self.options.hot_set_size))
+            churn = 1.0 - overlap / max(1, min(len(self._baseline_hot), HOT_SET_SIZE))
         else:
             churn = 0.0
         return WindowStats(
@@ -415,13 +390,13 @@ class WorkloadMonitor:
             return DriftReport(False, ["baseline pending a full window"], stats)
         reasons: list[str] = []
         increase = stats.distributed_fraction - self._baseline_distributed
-        if increase > self.options.drift_distributed_increase:
+        if increase > DRIFT_DISTRIBUTED_INCREASE:
             reasons.append(
                 f"distributed fraction {stats.distributed_fraction:.1%} "
                 f"(baseline {self._baseline_distributed:.1%})"
             )
         if (
-            stats.load_skew > self.options.drift_skew_threshold
+            stats.load_skew > DRIFT_SKEW_THRESHOLD
             and stats.load_skew > self._baseline_skew + DRIFT_SKEW_INCREASE
         ):
             reasons.append(
@@ -429,7 +404,7 @@ class WorkloadMonitor:
             )
         if (
             self._baseline_hot
-            and stats.hot_churn > self.options.drift_churn_threshold
+            and stats.hot_churn > DRIFT_CHURN_THRESHOLD
             and self.hot_weight_share() >= self.churn_weight_share_threshold()
         ):
             reasons.append(f"hot-tuple churn {stats.hot_churn:.1%}")
@@ -438,32 +413,30 @@ class WorkloadMonitor:
     def churn_weight_share_threshold(self) -> float:
         """The weight share the hot set must carry for churn to count.
 
-        An explicitly configured ``drift_churn_min_weight_share`` applies
-        verbatim.  Otherwise the bar adapts to the observed distribution:
-        under uniform traffic over N tracked tuples the hot set's expected
-        share is ``hot_set_size / N``, so requiring ``lift`` times that
-        separates "the top-k of noise" from genuine skew at any N — a fixed
-        bar cannot, because the uniform expectation itself moves with the
-        tracked population (~6% on the simplecount deploy, ~50% when only a
-        handful of tuples are tracked).  Clamped to
-        ``[drift_churn_share_floor, 0.95]`` so wide uniform workloads keep
-        the old 10% bar and a tiny tracked population cannot push the bar
+        On near-uniform traffic the "hot set" is sampling noise and its
+        churn is perpetual, so without this gate steady uniform workloads
+        would read as drifted forever.  The bar adapts to the observed
+        distribution: under uniform traffic over N tracked tuples the hot
+        set's expected share is ``HOT_SET_SIZE / N``, so requiring
+        ``CHURN_SHARE_LIFT`` times that separates "the top-k of noise" from
+        genuine skew at any N — a fixed bar cannot, because the uniform
+        expectation itself moves with the tracked population (~6% on the
+        simplecount deploy, ~50% when only a handful of tuples are tracked).
+        Clamped to ``[CHURN_SHARE_FLOOR, 0.95]`` so wide uniform workloads
+        keep a 10% bar and a tiny tracked population cannot push the bar
         above what even total skew could reach.
         """
-        options = self.options
-        if options.drift_churn_min_weight_share is not None:
-            return options.drift_churn_min_weight_share
         tracked = len(self._counts)
         if tracked <= 0:
-            return options.drift_churn_share_floor
-        uniform_expectation = min(1.0, options.hot_set_size / tracked)
-        derived = options.drift_churn_share_lift * uniform_expectation
-        return max(options.drift_churn_share_floor, min(0.95, derived))
+            return CHURN_SHARE_FLOOR
+        uniform_expectation = min(1.0, HOT_SET_SIZE / tracked)
+        derived = CHURN_SHARE_LIFT * uniform_expectation
+        return max(CHURN_SHARE_FLOOR, min(0.95, derived))
 
     def hot_weight_share(self) -> float:
         """Fraction of the total decayed access weight the hot set carries.
 
-        Near 1.0 for genuinely skewed traffic, ~``hot_set_size / tuples``
+        Near 1.0 for genuinely skewed traffic, ~``HOT_SET_SIZE / tuples``
         for uniform traffic (where the "hot set" is just sampling noise).
         The stored counts share one global scale, so the ratio is exact.
         """

@@ -21,6 +21,21 @@ from repro.obs import DEFAULT_BUCKETS, RATE_BUCKETS, get_telemetry
 
 #: sliding window of committed-transaction latencies (the pacer's p99 source).
 LATENCY_WINDOW = 128
+#: sliding window of attempt outcomes (the pacer's abort-rate source).
+ABORT_WINDOW = 256
+#: the pacer makes no pacing decision until this many samples arrived.
+MIN_SAMPLES = 16
+#: the pacer throttles once p99 latency crosses this fraction of its budget.
+PRESSURE_RATIO = 0.75
+#: ticks the first pause lasts; doubles per consecutive over-budget decision
+#: up to ``BACKOFF_MAX`` (exponential backoff), resets once the windows recover.
+BACKOFF_INITIAL = 1
+BACKOFF_MAX = 16
+#: the elastic policy grows only when the ideal partition count exceeds
+#: ``k`` times this, and shrinks only when it falls below ``k`` times
+#: ``SHRINK_HYSTERESIS`` (the dead band prevents flapping on noisy load).
+GROW_HYSTERESIS = 1.3
+SHRINK_HYSTERESIS = 0.6
 
 
 @dataclass
@@ -31,7 +46,7 @@ class ElasticOptions:
     sizes the cluster so each partition carries about
     ``target_rate_per_partition``: it proposes ``ceil(rate / target)``
     partitions, but only once the implied count leaves the
-    ``[shrink_hysteresis * k, grow_hysteresis * k]`` dead band around the
+    ``[SHRINK_HYSTERESIS * k, GROW_HYSTERESIS * k]`` dead band around the
     current ``k`` (hysteresis prevents flapping on noisy load).  Disabled by
     default — elasticity migrates data, so it must be an explicit choice.
     """
@@ -40,10 +55,6 @@ class ElasticOptions:
     enabled: bool = False
     #: desired decayed transactions-per-epoch load per partition.
     target_rate_per_partition: float = 100.0
-    #: grow only when the ideal partition count exceeds ``k`` times this.
-    grow_hysteresis: float = 1.3
-    #: shrink only when the ideal partition count falls below ``k`` times this.
-    shrink_hysteresis: float = 0.6
     #: never shrink below / grow above these bounds.
     min_partitions: int = 1
     max_partitions: int = 64
@@ -53,10 +64,6 @@ class ElasticOptions:
     def __post_init__(self) -> None:
         if self.target_rate_per_partition <= 0:
             raise ValueError("target_rate_per_partition must be positive")
-        if self.grow_hysteresis < 1.0:
-            raise ValueError("grow_hysteresis must be at least 1.0")
-        if not 0.0 < self.shrink_hysteresis < 1.0:
-            raise ValueError("shrink_hysteresis must be in (0, 1)")
         if not 1 <= self.min_partitions <= self.max_partitions:
             raise ValueError("need 1 <= min_partitions <= max_partitions")
 
@@ -74,8 +81,8 @@ class ElasticOptions:
             return None
         ideal = rate / self.target_rate_per_partition
         if (
-            ideal > num_partitions * self.grow_hysteresis
-            or ideal < num_partitions * self.shrink_hysteresis
+            ideal > num_partitions * GROW_HYSTERESIS
+            or ideal < num_partitions * SHRINK_HYSTERESIS
         ):
             proposed = max(self.min_partitions, min(self.max_partitions, math.ceil(ideal)))
             if proposed != num_partitions:
@@ -96,33 +103,16 @@ class PacingOptions:
     ``max_steps``.
     """
 
-    #: sliding window of attempt outcomes (abort-rate source).
-    abort_window: int = 256
-    #: pause when the windowed p99 latency proxy exceeds this.
-    p99_latency_budget: float | None = None
     #: pause when the windowed abort rate exceeds this.
     abort_rate_budget: float | None = None
-    #: no pacing decisions until this many latency samples arrived.
-    min_samples: int = 16
-    #: throttle once p99 latency crosses this fraction of its budget.
-    pressure_ratio: float = 0.75
+    #: pause when the windowed p99 latency proxy exceeds this.
+    p99_latency_budget: float | None = None
     #: step budget granted per tick while traffic is healthy.
     max_steps: int = 64
     #: step budget granted per tick under pressure (but inside budget).
     throttled_steps: int = 8
-    #: ticks the first pause lasts; doubles per consecutive over-budget
-    #: decision up to ``backoff_max`` (exponential backoff), resets once
-    #: the windows recover.
-    backoff_initial: int = 1
-    backoff_max: int = 16
 
     def __post_init__(self) -> None:
-        if self.abort_window <= 0:
-            raise ValueError("abort_window must be positive")
-        if self.min_samples <= 0:
-            raise ValueError("min_samples must be positive")
-        if not 0.0 < self.pressure_ratio <= 1.0:
-            raise ValueError("pressure_ratio must be in (0, 1]")
         if self.abort_rate_budget is not None and not 0.0 < self.abort_rate_budget <= 1.0:
             raise ValueError("abort_rate_budget must be in (0, 1]")
         if self.p99_latency_budget is not None and self.p99_latency_budget <= 0.0:
@@ -131,8 +121,6 @@ class PacingOptions:
             raise ValueError("step budgets must be positive")
         if self.throttled_steps > self.max_steps:
             raise ValueError("throttled_steps must not exceed max_steps")
-        if not 1 <= self.backoff_initial <= self.backoff_max:
-            raise ValueError("need 1 <= backoff_initial <= backoff_max")
 
 
 @dataclass(frozen=True)
@@ -177,8 +165,8 @@ class MigrationPacer:
     ) -> None:
         self.options = options or PacingOptions()
         self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self._aborts: deque[int] = deque(maxlen=self.options.abort_window)
-        self._backoff = self.options.backoff_initial
+        self._aborts: deque[int] = deque(maxlen=ABORT_WINDOW)
+        self._backoff = BACKOFF_INITIAL
         self._pause_remaining = 0
         self._paused = False
         self._last_budget: int | None = None
@@ -257,7 +245,7 @@ class MigrationPacer:
     def _pressure(self) -> tuple[bool, bool]:
         """(over budget, near budget) for the current windows."""
         options = self.options
-        if len(self._latencies) + sum(self._aborts) < options.min_samples:
+        if len(self._latencies) + sum(self._aborts) < MIN_SAMPLES:
             return False, False
         over = False
         near = False
@@ -265,7 +253,7 @@ class MigrationPacer:
             p99 = self.p99_latency()
             if p99 > options.p99_latency_budget:
                 over = True
-            elif p99 > options.pressure_ratio * options.p99_latency_budget:
+            elif p99 > PRESSURE_RATIO * options.p99_latency_budget:
                 near = True
         if options.abort_rate_budget is not None:
             if self.abort_rate() > options.abort_rate_budget:
@@ -295,7 +283,7 @@ class MigrationPacer:
                 self._paused = False
                 self.resumes += 1
             self._pause_remaining = 0
-            self._backoff = self.options.backoff_initial
+            self._backoff = BACKOFF_INITIAL
             self.proceeds += 1
             return self.options.max_steps, "proceed"
         if self._pause_remaining > 0:
@@ -309,7 +297,7 @@ class MigrationPacer:
             self.pauses += 1
             self._paused = True
             self._pause_remaining = self._backoff
-            self._backoff = min(self.options.backoff_max, self._backoff * 2)
+            self._backoff = min(BACKOFF_MAX, self._backoff * 2)
             return 0, "pause"
         if near:
             self.throttles += 1
@@ -320,7 +308,7 @@ class MigrationPacer:
             decision = "resume"
         else:
             decision = "proceed"
-        self._backoff = self.options.backoff_initial
+        self._backoff = BACKOFF_INITIAL
         self.proceeds += 1
         return self.options.max_steps, decision
 

@@ -31,6 +31,15 @@ FATAL = "fatal"
 #: (``RemoteStoreError.kind`` travels from the worker process).
 CARRIED = "carried"
 
+#: backoff growth per retry (exponential).
+BACKOFF_MULTIPLIER = 2.0
+#: upper bound on a single backoff delay in milliseconds (never below the
+#: base delay).
+BACKOFF_CAP_MS = 1000.0
+#: fraction of each delay that is jittered: the drawn delay lies in
+#: ``[delay * (1 - JITTER), delay]``.
+JITTER = 0.5
+
 #: The classification table: every exception type the storage layer raises,
 #: registered retryable-or-fatal **by class name**.  :func:`classify_error`
 #: resolves an instance by walking its MRO and taking the first registered
@@ -72,7 +81,7 @@ class RetryOptions:
     Mirrors :class:`~repro.graph.partitioner.PartitionerOptions` hygiene:
     count/duration knobs are clamped to sane floors on construction (zero or
     negative timeouts would otherwise turn every request into an instant
-    failure), ratio knobs are validated outright.
+    failure).
     """
 
     #: per-attempt deadline for one worker request, in milliseconds.
@@ -81,22 +90,11 @@ class RetryOptions:
     max_retries: int = 4
     #: backoff before the first retry, in milliseconds.
     backoff_base_ms: float = 25.0
-    #: backoff growth per retry (exponential).
-    backoff_multiplier: float = 2.0
-    #: upper bound on a single backoff delay, in milliseconds.
-    backoff_cap_ms: float = 1000.0
-    #: fraction of each delay that is jittered: the drawn delay lies in
-    #: ``[delay * (1 - jitter), delay]``.  0 disables jitter.
-    jitter: float = 0.5
 
     def __post_init__(self) -> None:
         self.timeout_ms = max(1.0, float(self.timeout_ms))
         self.max_retries = max(0, int(self.max_retries))
         self.backoff_base_ms = max(0.0, float(self.backoff_base_ms))
-        self.backoff_multiplier = max(1.0, float(self.backoff_multiplier))
-        self.backoff_cap_ms = max(self.backoff_base_ms, float(self.backoff_cap_ms))
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
 
     @property
     def timeout_s(self) -> float:
@@ -167,16 +165,13 @@ class RetryPolicy:
         forked sub-stream salted with the key, independent of any other
         operation's draws and of thread interleaving.
         """
-        options = self.options
+        base = self.options.backoff_base_ms
+        cap = max(base, BACKOFF_CAP_MS)
         rng = SeededRng(self.seed).fork(("storage-retry", repr(key)))
         delays = []
-        for attempt in range(options.max_retries):
-            delay = min(
-                options.backoff_cap_ms,
-                options.backoff_base_ms * options.backoff_multiplier**attempt,
-            )
-            if options.jitter > 0.0:
-                delay *= 1.0 - options.jitter * rng.random()
+        for attempt in range(self.options.max_retries):
+            delay = min(cap, base * BACKOFF_MULTIPLIER**attempt)
+            delay *= 1.0 - JITTER * rng.random()
             delays.append(delay)
         return tuple(delays)
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.explain.dataset import LabeledSample
-from repro.explain.decision_tree import DecisionTree, DecisionTreeOptions
+from repro.explain import decision_tree
+from repro.explain.decision_tree import DecisionTree
 
 
 def warehouse_samples(per_class: int = 50) -> list[LabeledSample]:
@@ -67,19 +68,22 @@ def test_missing_attribute_follows_heavier_branch():
     assert tree.predict({}) in {"0", "1"}
 
 
-def test_pruning_collapses_noise():
+def test_pruning_collapses_noise(monkeypatch):
     samples = []
     for index in range(200):
         label = "0" if index % 2 == 0 else "1"  # label independent of x
         samples.append(LabeledSample({"x": index % 7}, label))
-    pruned = DecisionTree(DecisionTreeOptions(prune=True)).fit(samples, ["x"])
-    unpruned = DecisionTree(DecisionTreeOptions(prune=False, min_gain_ratio=0.0)).fit(samples, ["x"])
+    pruned = DecisionTree().fit(samples, ["x"])
+    monkeypatch.setattr(decision_tree, "MIN_GAIN_RATIO", 0.0)
+    monkeypatch.setattr(DecisionTree, "_prune", lambda self, node: None)
+    unpruned = DecisionTree().fit(samples, ["x"])
     assert pruned.leaf_count <= unpruned.leaf_count
 
 
-def test_max_depth_respected():
+def test_max_depth_respected(monkeypatch):
+    monkeypatch.setattr(decision_tree, "MAX_DEPTH", 2)
     samples = [LabeledSample({"x": i}, str(i % 4)) for i in range(64)]
-    tree = DecisionTree(DecisionTreeOptions(max_depth=2, prune=False)).fit(samples, ["x"])
+    tree = DecisionTree().fit(samples, ["x"])
     assert tree.depth <= 2
 
 

@@ -56,13 +56,6 @@ class TestFreeze:
         csr = diamond_graph().freeze()
         assert as_csr(csr) is csr
 
-    def test_thaw_roundtrip(self):
-        graph = diamond_graph()
-        thawed = graph.freeze().thaw()
-        assert thawed.num_nodes == graph.num_nodes
-        assert sorted(thawed.edges()) == sorted(graph.edges())
-        assert thawed.node_weights == graph.node_weights
-
     def test_pickle_roundtrip_after_rows_are_bound(self):
         # rows() caches memoryviews on numpy; they must not leak into a pickle.
         csr = diamond_graph().freeze()
@@ -82,14 +75,18 @@ class TestSubview:
     def test_subview_matches_subgraph(self):
         graph = synthetic_access_graph(200, 900, seed=3)
         nodes = [n for n in graph.nodes() if n % 3 != 0]
-        sub, mapping = graph.subgraph(nodes)
+        new_id = {old: new for new, old in enumerate(nodes)}
+        induced = [
+            {new_id[v]: weight for v, weight in graph.neighbors(old).items() if v in new_id}
+            for old in nodes
+        ]
         view, view_mapping = graph.freeze().subview(nodes)
-        assert view_mapping == mapping
-        assert view.num_nodes == sub.num_nodes
-        assert view.num_edges == sub.num_edges
-        assert view.lists()[3] == sub.node_weights
+        assert view_mapping == nodes
+        assert view.num_nodes == len(nodes)
+        assert view.num_edges == sum(map(len, induced)) // 2
+        assert view.lists()[3] == [graph.node_weights[old] for old in nodes]
         for node in range(view.num_nodes):
-            assert view.neighbors(node) == sub.neighbors(node)
+            assert view.neighbors(node) == induced[node]
 
     def test_subview_weighted_degrees_consistent(self):
         graph = synthetic_access_graph(100, 400, seed=1)
@@ -152,17 +149,6 @@ class TestIncrementalCounters:
         assert graph.total_node_weight() == 11.0
         graph.set_node_weight(1, 0.0)
         assert graph.total_node_weight() == 6.0
-
-    def test_counters_survive_copy(self):
-        graph = Graph()
-        graph.add_nodes(3, weight=1.5)
-        graph.add_edge(0, 1)
-        clone = graph.copy()
-        assert clone.num_edges == 1
-        assert clone.total_node_weight() == 4.5
-        clone.add_edge(1, 2)
-        assert clone.num_edges == 2
-        assert graph.num_edges == 1
 
     def test_add_weighted_edges_bulk(self):
         graph = Graph()

@@ -60,30 +60,6 @@ def test_edges_iteration_unique():
     assert all(u < v for u, v, _w in edges)
 
 
-def test_subgraph_preserves_weights_and_edges():
-    graph = Graph()
-    graph.add_nodes(4)
-    graph.set_node_weight(2, 7.0)
-    graph.add_edge(0, 1, 1.0)
-    graph.add_edge(1, 2, 2.0)
-    graph.add_edge(2, 3, 3.0)
-    sub, mapping = graph.subgraph([1, 2, 3])
-    assert sub.num_nodes == 3
-    assert mapping == [1, 2, 3]
-    assert sub.num_edges == 2
-    assert sub.node_weights[1] == 7.0
-
-
-def test_copy_is_independent():
-    graph = Graph()
-    graph.add_nodes(2)
-    graph.add_edge(0, 1, 1.0)
-    clone = graph.copy()
-    clone.add_edge(0, 1, 1.0)
-    assert graph.edge_weight(0, 1) == 1.0
-    assert clone.edge_weight(0, 1) == 2.0
-
-
 def test_scale_weights_decays_everything():
     graph = Graph()
     graph.add_nodes(3, weight=2.0)

@@ -69,9 +69,7 @@ def test_render_status_with_session_duck_typing():
 
 
 def test_render_pacer_window():
-    pacer = MigrationPacer(
-        PacingOptions(abort_rate_budget=0.10, p99_latency_budget=100.0, min_samples=4)
-    )
+    pacer = MigrationPacer(PacingOptions(abort_rate_budget=0.10, p99_latency_budget=100.0))
     for _ in range(8):
         pacer.record(10.0)
     pacer.plan_steps()

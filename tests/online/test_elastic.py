@@ -8,10 +8,13 @@ grow/shrink round-trip conserves the stored tuple set exactly.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.distributed.cluster import Cluster
 from repro.experiments.online_drift import run_elastic_scaling
+from repro.online import controller as controller_module
 from repro.online import (
     ElasticOptions,
     MonitorOptions,
@@ -25,6 +28,14 @@ from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 from repro.workload.rwsets import extract_access_trace
 from repro.workloads import generate_rotating_hotspot
+
+
+@contextmanager
+def _ingest_batches_of(size: int):
+    """Run the enclosed deploy/observe with ``size``-transaction ingest epochs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller_module, "INGEST_BATCH_SIZE", size)
+        yield
 
 
 def _audit_reachability(controller) -> int:
@@ -67,24 +78,24 @@ def _deploy(backend_only: bool = False) -> OnlineSchism:
     options = OnlineOptions(
         monitor=MonitorOptions(window_size=200, min_window_fill=50),
         repartition=RepartitionOptions(migration_cost_weight=0.25, imbalance=0.10),
-        batch_size=50,
     )
-    if backend_only:
-        strategy = offline.plan().deployment_strategy("hash")
-        router = Router(strategy, database.schema, build_lookup_table(strategy.assignment))
-        online = OnlineSchism(
-            _BackendOnly(Cluster.from_database(database, strategy)), router, options
-        )
-        online.warm_up(offline.state.training_trace)
-    else:
-        online = start_online(
-            offline.plan(),
-            database,
-            options,
-            warm_up_trace=offline.state.training_trace,
-        )
-    online.observe(extract_access_trace(database, bundle.phases[1]), auto_adapt=False)
-    return online
+    with _ingest_batches_of(50):
+        if backend_only:
+            strategy = offline.plan().deployment_strategy("hash")
+            router = Router(strategy, database.schema, build_lookup_table(strategy.assignment))
+            online = OnlineSchism(
+                _BackendOnly(Cluster.from_database(database, strategy)), router, options
+            )
+            online.warm_up(offline.state.training_trace)
+        else:
+            online = start_online(
+                offline.plan(),
+                database,
+                options,
+                warm_up_trace=offline.state.training_trace,
+            )
+        online.observe(extract_access_trace(database, bundle.phases[1]), auto_adapt=False)
+        return online
 
 
 @pytest.fixture(scope="module")
@@ -181,18 +192,18 @@ def test_observe_never_resizes_on_its_constant_rate():
     offline = Pipeline(SchismOptions(num_partitions=4)).run(database, bundle.training)
     options = OnlineOptions(
         monitor=MonitorOptions(window_size=200, min_window_fill=50),
-        # With batch_size=50 the constant rate is ~50: ideal = 1 partition,
-        # far below 4 * shrink_hysteresis — a live policy would shrink.
+        # With 50-transaction epochs the constant rate is ~50: ideal = 1
+        # partition, far below 4 * SHRINK_HYSTERESIS — a live policy would shrink.
         elastic=ElasticOptions(enabled=True, target_rate_per_partition=50.0),
-        batch_size=50,
     )
-    online = start_online(
-        offline.plan(),
-        database,
-        options,
-        warm_up_trace=offline.state.training_trace,
-    )
-    result = online.observe(extract_access_trace(database, bundle.phases[1]))
+    with _ingest_batches_of(50):
+        online = start_online(
+            offline.plan(),
+            database,
+            options,
+            warm_up_trace=offline.state.training_trace,
+        )
+        result = online.observe(extract_access_trace(database, bundle.phases[1]))
     assert result.resizes == []
     assert online.num_partitions == 4
     # The same feed through observe_batches (a real load signal) may resize.
@@ -203,8 +214,6 @@ def test_elastic_policy_proposal_band():
     options = ElasticOptions(
         enabled=True,
         target_rate_per_partition=50.0,
-        grow_hysteresis=1.3,
-        shrink_hysteresis=0.6,
         min_partitions=2,
         max_partitions=8,
     )
@@ -249,14 +258,14 @@ def _fresh_controller(k=2):
     options = OnlineOptions(
         monitor=MonitorOptions(window_size=200, min_window_fill=50),
         repartition=RepartitionOptions(migration_cost_weight=0.25, imbalance=0.10),
-        batch_size=50,
     )
-    return start_online(
-        offline.plan(),
-        bundle.database,
-        options,
-        warm_up_trace=offline.state.training_trace,
-    )
+    with _ingest_batches_of(50):
+        return start_online(
+            offline.plan(),
+            bundle.database,
+            options,
+            warm_up_trace=offline.state.training_trace,
+        )
 
 
 def test_begin_resize_session_survives_coordinator_death():

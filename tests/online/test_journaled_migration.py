@@ -15,6 +15,8 @@ batch.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.catalog.schema import Schema, Table, integer_column, string_column
@@ -25,6 +27,7 @@ from repro.distributed.faults import CoordinatorDeath, CoordinatorKill, FaultPla
 from repro.engine.database import Database
 from repro.graph.assignment import PartitionAssignment
 from repro.online.migration import (
+    FileJournalSink,
     JournaledMigrator,
     JournalFormatError,
     MemoryJournalSink,
@@ -202,6 +205,72 @@ def test_journal_rejects_foreign_payloads():
     )
     with pytest.raises(JournalFormatError):
         MigrationJournal.loads(tampered)
+
+
+def _damaged(edit):
+    """The test journal's text after ``edit`` mutated its parsed payload."""
+
+    def damage():
+        _, _, journal = _build()
+        payload = journal.to_payload()
+        payload = edit(payload) or payload
+        return json.dumps(payload)
+
+    return damage
+
+
+def _set(path, value):
+    def edit(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return edit
+
+
+def _truncated():
+    _, _, journal = _build()
+    text = journal.dumps()
+    return text[: len(text) // 2]
+
+
+DAMAGED_JOURNALS = {
+    "json-array": _damaged(lambda payload: [payload]),
+    "truncated-text": _truncated,
+    "missing-copies": _damaged(lambda payload: payload.pop("copies") and None),
+    "missing-kind": _damaged(lambda payload: payload.pop("kind") and None),
+    "three-element-copy-row": _damaged(
+        lambda payload: payload["copies"].__setitem__(0, payload["copies"][0][:3])
+    ),
+    "reordered-copy-row": _damaged(
+        lambda payload: payload["copies"].__setitem__(
+            0, payload["copies"][0][2:] + payload["copies"][0][:2]
+        )
+    ),
+    "key-not-a-list": _damaged(lambda payload: payload["drops"][0].__setitem__(1, "7")),
+    "partition-not-an-int": _damaged(lambda payload: payload["drops"][0].__setitem__(2, "0")),
+    "version-true": _damaged(_set(("version",), True)),
+    "version-zero": _damaged(_set(("version",), 0)),
+    "version-string": _damaged(_set(("version",), "1")),
+    "cursor-not-an-object": _damaged(_set(("cursor",), [])),
+    "unknown-state": _damaged(_set(("cursor", "state"), "half-done")),
+    "cursor-past-copies": _damaged(_set(("cursor", "copies_done"), 10_000)),
+    "negative-cursor": _damaged(_set(("cursor", "drops_done"), -1)),
+    "change-without-previous": _damaged(lambda payload: payload["previous"].pop(0) and None),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGED_JOURNALS.values(), ids=DAMAGED_JOURNALS.keys())
+def test_damaged_journal_is_a_classified_error(damage, tmp_path):
+    text = damage()
+    with pytest.raises(JournalFormatError) as raised:
+        MigrationJournal.loads(text)
+    assert "\n" not in str(raised.value)
+    path = tmp_path / "damaged.journal"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(JournalFormatError):
+        FileJournalSink(path).load()
 
 
 def test_resume_preserves_progress_cursors():

@@ -5,10 +5,28 @@ from __future__ import annotations
 import pytest
 
 from repro.catalog.tuples import TupleId
-from repro.online.maintainer import IncrementalGraphMaintainer, MaintainerOptions
+from repro.online import maintainer as maintainer_module
+from repro.online.maintainer import IncrementalGraphMaintainer
 from repro.sqlparse.ast import SelectStatement
 from repro.workload.rwsets import access_from_tuple_sets
 from repro.workload.trace import Transaction
+
+
+@pytest.fixture
+def constants(monkeypatch):
+    """Patch the maintainer's module constants for one test."""
+
+    def patch(**values):
+        for name, value in values.items():
+            assert hasattr(maintainer_module, name), name
+            monkeypatch.setattr(maintainer_module, name, value)
+
+    return patch
+
+
+@pytest.fixture
+def no_aging(constants):
+    constants(EPOCH_DECAY=1.0)
 
 
 def _access(keys, txn_id=0):
@@ -16,8 +34,8 @@ def _access(keys, txn_id=0):
     return access_from_tuple_sets(transaction, [TupleId("t", (key,)) for key in keys])
 
 
-def test_nodes_created_on_first_sight_with_stable_ids():
-    maintainer = IncrementalGraphMaintainer(MaintainerOptions(decay=1.0))
+def test_nodes_created_on_first_sight_with_stable_ids(no_aging):
+    maintainer = IncrementalGraphMaintainer()
     maintainer.apply(_access([5, 1]))
     maintainer.apply(_access([1, 9]))
     assert maintainer.num_tuples == 3
@@ -29,8 +47,8 @@ def test_nodes_created_on_first_sight_with_stable_ids():
     assert maintainer.node_of(TupleId("t", (999,))) is None
 
 
-def test_clique_edges_accumulate():
-    maintainer = IncrementalGraphMaintainer(MaintainerOptions(decay=1.0))
+def test_clique_edges_accumulate(no_aging):
+    maintainer = IncrementalGraphMaintainer()
     maintainer.apply(_access([1, 2, 3]))
     maintainer.apply(_access([1, 2]))
     graph = maintainer.graph
@@ -42,21 +60,22 @@ def test_clique_edges_accumulate():
     assert graph.node_weights[three] == 1.0
 
 
-def test_apply_batch_matches_sequential_applies():
+def test_apply_batch_matches_sequential_applies(no_aging):
     accesses = [_access([1, 2, 3], 0), _access([2, 3], 1), _access([4, 1], 2)]
-    sequential = IncrementalGraphMaintainer(MaintainerOptions(decay=1.0))
+    sequential = IncrementalGraphMaintainer()
     for access in accesses:
         sequential.apply(access)
     sequential.advance_epoch()
-    batched = IncrementalGraphMaintainer(MaintainerOptions(decay=1.0))
+    batched = IncrementalGraphMaintainer()
     batched.apply_batch(accesses)
     assert sequential.graph.node_weights == batched.graph.node_weights
     assert list(sequential.graph.edges()) == list(batched.graph.edges())
     assert sequential.tuples() == batched.tuples()
 
 
-def test_decay_ages_weights():
-    maintainer = IncrementalGraphMaintainer(MaintainerOptions(decay=0.5))
+def test_decay_ages_weights(constants):
+    constants(EPOCH_DECAY=0.5)
+    maintainer = IncrementalGraphMaintainer()
     maintainer.apply_batch([_access([1, 2])])
     assert maintainer.node_weight(0) == pytest.approx(0.5)
     assert maintainer.node_weight(1) == pytest.approx(0.5)
@@ -69,10 +88,9 @@ def test_decay_ages_weights():
     assert csr.node_weights[0] == pytest.approx(0.75)
 
 
-def test_lazy_decay_survives_renormalisation():
-    maintainer = IncrementalGraphMaintainer(
-        MaintainerOptions(decay=0.5, prune_threshold=0.0, prune_interval=1000)
-    )
+def test_lazy_decay_survives_renormalisation(constants):
+    constants(EPOCH_DECAY=0.5, PRUNE_THRESHOLD=0.0, PRUNE_INTERVAL=1000)
+    maintainer = IncrementalGraphMaintainer()
     maintainer.apply(_access([1, 2]))
     for _ in range(60):  # decay far past the renormalisation limit
         maintainer.advance_epoch()
@@ -82,9 +100,9 @@ def test_lazy_decay_survives_renormalisation():
     assert maintainer.node_weight(0) == pytest.approx(2.0 ** -60, rel=1e-6)
 
 
-def test_prune_drops_decayed_edges_but_keeps_nodes():
-    options = MaintainerOptions(decay=0.5, prune_threshold=0.2, prune_interval=1)
-    maintainer = IncrementalGraphMaintainer(options)
+def test_prune_drops_decayed_edges_but_keeps_nodes(constants):
+    constants(EPOCH_DECAY=0.5, PRUNE_THRESHOLD=0.2, PRUNE_INTERVAL=1)
+    maintainer = IncrementalGraphMaintainer()
     maintainer.apply_batch([_access([1, 2])])
     assert maintainer.graph.num_edges == 1
     for _ in range(3):
@@ -93,18 +111,24 @@ def test_prune_drops_decayed_edges_but_keeps_nodes():
     assert maintainer.num_tuples == 2  # node ids stay stable
 
 
-def test_blanket_transactions_skipped():
-    options = MaintainerOptions(decay=1.0, blanket_transaction_threshold=3)
-    maintainer = IncrementalGraphMaintainer(options)
+def test_blanket_transactions_skipped(constants):
+    constants(EPOCH_DECAY=1.0, BLANKET_TRANSACTION_THRESHOLD=3)
+    maintainer = IncrementalGraphMaintainer()
     maintainer.apply(_access(list(range(10))))
     assert maintainer.num_tuples == 0
     assert maintainer.transactions_applied == 0
 
 
-def test_freeze_returns_csr_and_mapping():
-    maintainer = IncrementalGraphMaintainer(MaintainerOptions(decay=1.0))
+def test_freeze_returns_csr_and_mapping(no_aging):
+    maintainer = IncrementalGraphMaintainer()
     maintainer.apply(_access([1, 2]))
     csr, tuples = maintainer.freeze()
     assert csr.num_nodes == 2
     assert csr.num_edges == 1
     assert tuples == [TupleId("t", (1,)), TupleId("t", (2,))]
+
+
+def test_monitor_and_maintainer_age_at_one_rate():
+    from repro.online import monitor
+
+    assert maintainer_module.EPOCH_DECAY is monitor.EPOCH_DECAY

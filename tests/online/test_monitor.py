@@ -7,7 +7,13 @@ import pytest
 from repro.catalog.tuples import TupleId
 from repro.core.strategies import LookupTablePartitioning
 from repro.graph.assignment import PartitionAssignment
-from repro.online.monitor import MonitorOptions, WorkloadMonitor
+from repro.online import monitor as monitor_module
+from repro.online.monitor import (
+    CHURN_SHARE_FLOOR,
+    DRIFT_SKEW_THRESHOLD,
+    MonitorOptions,
+    WorkloadMonitor,
+)
 from repro.workload.rwsets import access_from_tuple_sets
 from repro.workload.trace import Transaction
 from repro.sqlparse.ast import SelectStatement
@@ -22,6 +28,18 @@ def _access(keys, write_keys=(), txn_id=0):
         [TupleId("t", (key,)) for key in keys],
         [TupleId("t", (key,)) for key in write_keys],
     )
+
+
+@pytest.fixture
+def constants(monkeypatch):
+    """Patch the monitor's module constants for one test."""
+
+    def patch(**values):
+        for name, value in values.items():
+            assert hasattr(monitor_module, name), name
+            monkeypatch.setattr(monitor_module, name, value)
+
+    return patch
 
 
 def _strategy(num_partitions=2, placements=None):
@@ -53,8 +71,9 @@ def test_window_eviction_keeps_counters_consistent():
     assert stats.distributed_fraction == 0.0
 
 
-def test_decayed_counts_and_hot_set():
-    monitor = WorkloadMonitor(MonitorOptions(decay=0.5, hot_set_size=2))
+def test_decayed_counts_and_hot_set(constants):
+    constants(EPOCH_DECAY=0.5, HOT_SET_SIZE=2)
+    monitor = WorkloadMonitor(MonitorOptions())
     monitor.ingest(_access([1]))
     monitor.ingest(_access([1]))
     monitor.ingest(_access([2]))
@@ -68,8 +87,9 @@ def test_decayed_counts_and_hot_set():
     assert monitor.hot_tuples() == (TupleId("t", (1,)), TupleId("t", (3,)))
 
 
-def test_renormalisation_preserves_relative_counts():
-    monitor = WorkloadMonitor(MonitorOptions(decay=0.5))
+def test_renormalisation_preserves_relative_counts(constants):
+    constants(EPOCH_DECAY=0.5)
+    monitor = WorkloadMonitor(MonitorOptions())
     monitor.ingest(_access([1]))
     monitor.ingest(_access([1]))
     monitor.ingest(_access([2]))
@@ -108,17 +128,16 @@ def test_drift_on_distributed_fraction_increase():
     assert any("distributed fraction" in reason for reason in report.reasons)
 
 
-def test_drift_on_hot_tuple_churn():
+def test_drift_on_hot_tuple_churn(constants):
     strategy = _strategy(2, {key: 0 for key in range(40)})
-    options = MonitorOptions(
-        window_size=200,
-        min_window_fill=10,
-        hot_set_size=4,
-        decay=0.5,
-        drift_distributed_increase=2.0,  # disable the other signals
-        drift_skew_threshold=100.0,
-        drift_churn_threshold=0.5,
+    constants(
+        HOT_SET_SIZE=4,
+        EPOCH_DECAY=0.5,
+        DRIFT_DISTRIBUTED_INCREASE=2.0,  # disable the other signals
+        DRIFT_SKEW_THRESHOLD=100.0,
+        DRIFT_CHURN_THRESHOLD=0.5,
     )
+    options = MonitorOptions(window_size=200, min_window_fill=10)
     monitor = WorkloadMonitor(options, strategy)
     for key in (0, 1, 2, 3) * 5:
         monitor.ingest(_access([key]))
@@ -132,15 +151,13 @@ def test_drift_on_hot_tuple_churn():
     assert any("churn" in reason for reason in report.reasons)
 
 
-def test_rebaseline_reattributes_window():
+def test_rebaseline_reattributes_window(constants):
     # Initially tuples 0/1 are split -> every transaction distributed.
     split = _strategy(2, {0: 0, 1: 1})
     # Skew is out of scope here: with both tuples co-located on one of two
     # partitions the load is (correctly) maximally skewed.
-    monitor = WorkloadMonitor(
-        MonitorOptions(window_size=50, min_window_fill=5, drift_skew_threshold=100.0),
-        split,
-    )
+    constants(DRIFT_SKEW_THRESHOLD=100.0)
+    monitor = WorkloadMonitor(MonitorOptions(window_size=50, min_window_fill=5), split)
     for _ in range(20):
         monitor.ingest(_access([0, 1]))
     assert monitor.window_stats().distributed_fraction == 1.0
@@ -152,8 +169,9 @@ def test_rebaseline_reattributes_window():
     assert not monitor.check_drift().drifted
 
 
-def test_ingest_batch_advances_epoch():
-    monitor = WorkloadMonitor(MonitorOptions(decay=0.5))
+def test_ingest_batch_advances_epoch(constants):
+    constants(EPOCH_DECAY=0.5)
+    monitor = WorkloadMonitor(MonitorOptions())
     monitor.ingest_batch([_access([1])])
     assert monitor.epochs == 1
     assert monitor.access_count(TupleId("t", (1,))) == pytest.approx(0.5)
@@ -184,7 +202,7 @@ def test_inherently_skewed_baseline_does_not_refire_skew_drift():
         monitor.ingest(_access([0, 1]))
     report = monitor.check_drift()
     # Skew (4.0) exceeds the absolute threshold but not the baseline: no drift.
-    assert report.stats.load_skew > monitor.options.drift_skew_threshold
+    assert report.stats.load_skew > DRIFT_SKEW_THRESHOLD
     assert not report.drifted
 
 
@@ -249,20 +267,14 @@ def test_small_real_warmup_baseline_is_kept():
 
 
 # -- auto-derived churn weight-share threshold ---------------------------------------
-def test_churn_threshold_explicit_option_wins():
-    monitor = WorkloadMonitor(
-        MonitorOptions(drift_churn_min_weight_share=0.42), _strategy()
-    )
-    assert monitor.churn_weight_share_threshold() == 0.42
-
-
 def test_churn_threshold_floor_before_any_traffic():
     monitor = WorkloadMonitor(MonitorOptions(), _strategy())
-    assert monitor.churn_weight_share_threshold() == MonitorOptions().drift_churn_share_floor
+    assert monitor.churn_weight_share_threshold() == CHURN_SHARE_FLOOR
 
 
-def test_churn_threshold_tracks_uniform_expectation():
-    options = MonitorOptions(window_size=400, hot_set_size=4)
+def test_churn_threshold_tracks_uniform_expectation(constants):
+    constants(HOT_SET_SIZE=4)
+    options = MonitorOptions(window_size=400)
     monitor = WorkloadMonitor(options, _strategy(2, {k: 0 for k in range(20)}))
     for key in range(20):
         monitor.ingest(_access([key]))
@@ -275,19 +287,19 @@ def test_churn_threshold_tracks_uniform_expectation():
     assert monitor.hot_weight_share() < monitor.churn_weight_share_threshold()
 
 
-def test_churn_threshold_floor_on_wide_populations():
-    options = MonitorOptions(window_size=2000, hot_set_size=4)
+def test_churn_threshold_floor_on_wide_populations(constants):
+    constants(HOT_SET_SIZE=4)
+    options = MonitorOptions(window_size=2000)
     monitor = WorkloadMonitor(options, _strategy(2, {k: 0 for k in range(100)}))
     for key in range(100):
         monitor.ingest(_access([key]))
     # 4/100 lifted is 0.05 — below the floor, so the old 10% bar holds.
-    assert monitor.churn_weight_share_threshold() == pytest.approx(
-        options.drift_churn_share_floor
-    )
+    assert monitor.churn_weight_share_threshold() == pytest.approx(CHURN_SHARE_FLOOR)
 
 
-def test_churn_threshold_capped_for_tiny_populations():
-    options = MonitorOptions(window_size=100, hot_set_size=4)
+def test_churn_threshold_capped_for_tiny_populations(constants):
+    constants(HOT_SET_SIZE=4)
+    options = MonitorOptions(window_size=100)
     monitor = WorkloadMonitor(options, _strategy(2, {k: 0 for k in range(4)}))
     for key in range(4):
         monitor.ingest(_access([key]))
@@ -295,15 +307,14 @@ def test_churn_threshold_capped_for_tiny_populations():
     assert monitor.churn_weight_share_threshold() == pytest.approx(0.95)
 
 
-def test_skewed_traffic_clears_the_derived_bar():
-    options = MonitorOptions(
-        window_size=400,
-        min_window_fill=10,
-        hot_set_size=4,
-        drift_distributed_increase=2.0,
-        drift_skew_threshold=100.0,
-        drift_churn_threshold=0.5,
+def test_skewed_traffic_clears_the_derived_bar(constants):
+    constants(
+        HOT_SET_SIZE=4,
+        DRIFT_DISTRIBUTED_INCREASE=2.0,
+        DRIFT_SKEW_THRESHOLD=100.0,
+        DRIFT_CHURN_THRESHOLD=0.5,
     )
+    options = MonitorOptions(window_size=400, min_window_fill=10)
     monitor = WorkloadMonitor(options, _strategy(2, {k: 0 for k in range(40)}))
     # Baseline: tuples 0..3 hot, with the rest seen once (tracked = 20).
     for key in range(16, 32):
@@ -321,15 +332,14 @@ def test_skewed_traffic_clears_the_derived_bar():
     assert any("churn" in reason for reason in report.reasons)
 
 
-def test_uniform_churn_does_not_fire_derived_gate():
-    options = MonitorOptions(
-        window_size=400,
-        min_window_fill=10,
-        hot_set_size=4,
-        drift_distributed_increase=2.0,
-        drift_skew_threshold=100.0,
-        drift_churn_threshold=0.5,
+def test_uniform_churn_does_not_fire_derived_gate(constants):
+    constants(
+        HOT_SET_SIZE=4,
+        DRIFT_DISTRIBUTED_INCREASE=2.0,
+        DRIFT_SKEW_THRESHOLD=100.0,
+        DRIFT_CHURN_THRESHOLD=0.5,
     )
+    options = MonitorOptions(window_size=400, min_window_fill=10)
     monitor = WorkloadMonitor(options, _strategy(2, {k: 0 for k in range(40)}))
     # Uniform traffic over 20 tuples; the "hot set" is sampling noise.
     for key in list(range(20)) * 3:
@@ -341,12 +351,3 @@ def test_uniform_churn_does_not_fire_derived_gate():
         monitor.ingest(_access([key]))
     report = monitor.check_drift()
     assert not any("churn" in reason for reason in report.reasons)
-
-
-def test_churn_option_validation():
-    with pytest.raises(ValueError):
-        MonitorOptions(drift_churn_share_floor=-0.1)
-    with pytest.raises(ValueError):
-        MonitorOptions(drift_churn_share_lift=0.0)
-    with pytest.raises(ValueError):
-        MonitorOptions(drift_churn_min_weight_share=1.5)

@@ -14,6 +14,7 @@ import pytest
 from repro.core.cost import evaluate_strategy
 from repro.core.strategies import LookupTablePartitioning
 from repro.online import MonitorOptions, OnlineOptions, RepartitionOptions, start_online
+from repro.online import controller as controller_module
 from repro.pipeline import Pipeline, SchismOptions
 from repro.workload.rwsets import extract_access_trace
 from repro.workloads import generate_rotating_hotspot
@@ -40,7 +41,6 @@ def _run_scenario():
         repartition=RepartitionOptions(
             migration_cost_weight=0.25, imbalance=0.10, max_passes=12
         ),
-        batch_size=100,
     )
     controller = start_online(
         offline.plan(),
@@ -174,7 +174,7 @@ def test_byte_deterministic_under_fixed_seed(scenario):
     assert repr(placements_a).encode() == repr(placements_b).encode()
 
 
-def test_auto_adapt_triggers_on_drift():
+def test_auto_adapt_triggers_on_drift(monkeypatch):
     """The controller adapts on its own when left in auto mode."""
     bundle = generate_rotating_hotspot(
         num_rows=600,
@@ -188,8 +188,8 @@ def test_auto_adapt_triggers_on_drift():
     options = OnlineOptions(
         monitor=MonitorOptions(window_size=200, min_window_fill=50),
         repartition=RepartitionOptions(migration_cost_weight=0.25, imbalance=0.10),
-        batch_size=50,
     )
+    monkeypatch.setattr(controller_module, "INGEST_BATCH_SIZE", 50)
     controller = start_online(
         offline.plan(),
         database,

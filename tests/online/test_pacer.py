@@ -4,21 +4,26 @@ from __future__ import annotations
 
 import pytest
 
+from repro.online import policy
 from repro.online.policy import MigrationPacer, PacingOptions
 
 
-def _pacer(**overrides):
-    defaults = dict(
-        abort_rate_budget=0.10,
-        p99_latency_budget=100.0,
-        min_samples=8,
-        max_steps=16,
-        throttled_steps=4,
-        backoff_initial=1,
-        backoff_max=8,
+@pytest.fixture(autouse=True)
+def small_windows(monkeypatch):
+    """A pacer that decides after 8 samples and backs off to at most 8 ticks."""
+    monkeypatch.setattr(policy, "MIN_SAMPLES", 8)
+    monkeypatch.setattr(policy, "BACKOFF_MAX", 8)
+
+
+def _pacer():
+    return MigrationPacer(
+        PacingOptions(
+            abort_rate_budget=0.10,
+            p99_latency_budget=100.0,
+            max_steps=16,
+            throttled_steps=4,
+        )
     )
-    defaults.update(overrides)
-    return MigrationPacer(PacingOptions(**defaults))
 
 
 def _feed(pacer, latency=10.0, aborted=False, count=1):
@@ -31,8 +36,6 @@ def test_options_validation():
         PacingOptions(abort_rate_budget=1.5)
     with pytest.raises(ValueError):
         PacingOptions(max_steps=0)
-    with pytest.raises(ValueError):
-        PacingOptions(pressure_ratio=1.2)
 
 
 def test_full_budget_before_min_samples():
@@ -51,8 +54,9 @@ def test_healthy_traffic_gets_max_steps():
     assert pacer.proceeds == 1
 
 
-def test_abort_rate_over_budget_pauses_with_backoff():
-    pacer = _pacer(backoff_initial=2, backoff_max=8)
+def test_abort_rate_over_budget_pauses_with_backoff(monkeypatch):
+    monkeypatch.setattr(policy, "BACKOFF_INITIAL", 2)
+    pacer = _pacer()
     _feed(pacer, latency=10.0, count=20)
     _feed(pacer, aborted=True, count=10)  # 10/30 >> 0.10
     # First over-budget tick pauses and schedules a 2-tick backoff window.
@@ -67,7 +71,7 @@ def test_abort_rate_over_budget_pauses_with_backoff():
 
 
 def test_resume_after_pressure_clears():
-    pacer = _pacer(backoff_initial=1)
+    pacer = _pacer()
     _feed(pacer, latency=10.0, count=20)
     _feed(pacer, aborted=True, count=10)
     assert pacer.plan_steps() == 0  # paused
@@ -90,7 +94,7 @@ def test_latency_over_budget_pauses():
 
 
 def test_latency_near_budget_throttles():
-    pacer = _pacer()  # pressure_ratio default 0.75 -> near zone (75, 100]
+    pacer = _pacer()  # PRESSURE_RATIO 0.75 -> near zone (75, 100]
     _feed(pacer, latency=90.0, count=32)
     assert pacer.plan_steps() == 4
     assert pacer.throttles == 1
@@ -117,8 +121,9 @@ def test_no_budgets_means_no_pressure():
     assert pacer.pauses == 0
 
 
-def test_abort_rate_window_is_bounded():
-    pacer = _pacer(abort_window=16)
+def test_abort_rate_window_is_bounded(monkeypatch):
+    monkeypatch.setattr(policy, "ABORT_WINDOW", 16)
+    pacer = _pacer()
     _feed(pacer, aborted=True, count=16)
     assert pacer.abort_rate() == 1.0
     _feed(pacer, latency=10.0, count=16)
@@ -146,8 +151,9 @@ def test_snapshot_reflects_window_and_decisions():
     assert (window.proceeds, window.throttles, window.pauses, window.resumes) == (1, 0, 0, 0)
 
 
-def test_snapshot_tracks_pause_and_backoff():
-    pacer = _pacer(backoff_initial=2)
+def test_snapshot_tracks_pause_and_backoff(monkeypatch):
+    monkeypatch.setattr(policy, "BACKOFF_INITIAL", 2)
+    pacer = _pacer()
     _feed(pacer, aborted=True, count=32)
     assert pacer.plan_steps() == 0
     window = pacer.snapshot()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from repro.catalog.tuples import TupleId
 from repro.core.cost import transaction_partitions
 from repro.experiments.online_drift import run_read_hot_drift
 from repro.online import MonitorOptions, OnlineOptions, RepartitionOptions, start_online
+from repro.online import controller as controller_module
 from repro.pipeline import Pipeline, SchismOptions
 from repro.sqlparse.ast import SelectStatement, UpdateStatement, eq
 from repro.workload.rwsets import extract_access_trace
@@ -37,6 +39,14 @@ SMALL = dict(
     migration_budget=60.0,
     seed=0,
 )
+
+
+@contextmanager
+def _ingest_batches_of(size: int):
+    """Run the enclosed deploy/observe with ``size``-transaction ingest epochs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(controller_module, "INGEST_BATCH_SIZE", size)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -66,16 +76,16 @@ def adapted_controller():
             max_passes=12,
             migration_budget=SMALL["migration_budget"],
         ),
-        batch_size=50,
         replication_min_read_fraction=0.85,
     )
-    controller = start_online(
-        offline.plan(),
-        database,
-        options,
-        warm_up_trace=offline.state.training_trace,
-    )
-    controller.observe(extract_access_trace(database, bundle.phases[1]), auto_adapt=False)
+    with _ingest_batches_of(50):
+        controller = start_online(
+            offline.plan(),
+            database,
+            options,
+            warm_up_trace=offline.state.training_trace,
+        )
+        controller.observe(extract_access_trace(database, bundle.phases[1]), auto_adapt=False)
     record = controller.adapt()
     return controller, bundle, record
 
@@ -153,7 +163,7 @@ def test_writes_still_charged_on_every_replica(adapted_controller):
     assert len(transaction_partitions(controller.strategy, read_access)) == 1
 
 
-def test_retention_hysteresis_keeps_paid_for_replicas(adapted_controller):
+def test_retention_hysteresis_keeps_paid_for_replicas(adapted_controller, monkeypatch):
     """A replicated tuple missing the entry bar is retained at the lower bar.
 
     Raising the entry threshold above every tuple's read fraction models the
@@ -167,7 +177,7 @@ def test_retention_hysteresis_keeps_paid_for_replicas(adapted_controller):
     # No hot tuple passes an impossible entry bar...
     controller.options.replication_min_read_fraction = 1.0
     # ...but generous retention slack keeps the already-replicated ones in.
-    controller.options.replication_retention_slack = 0.2
+    monkeypatch.setattr(controller_module, "REPLICATION_RETENTION_SLACK", 0.2)
     candidates = set(controller.replication_candidates())
     for tuple_id in hot_ids:
         assert controller.maintainer.node_of(tuple_id) in candidates
@@ -176,7 +186,7 @@ def test_retention_hysteresis_keeps_paid_for_replicas(adapted_controller):
     assert all(assignment.is_replicated(tuple_id) for tuple_id in hot_ids)
     # Without the slack, the filter collapses them (the churn the hysteresis
     # exists to prevent).
-    controller.options.replication_retention_slack = 0.0
+    monkeypatch.setattr(controller_module, "REPLICATION_RETENTION_SLACK", 0.0)
     controller.adapt()
     assignment = controller.strategy.assignment
     assert not any(assignment.is_replicated(tuple_id) for tuple_id in hot_ids)
@@ -184,6 +194,7 @@ def test_retention_hysteresis_keeps_paid_for_replicas(adapted_controller):
 
 _DETERMINISM_SCRIPT = """
 from repro.online import MonitorOptions, OnlineOptions, RepartitionOptions, start_online
+from repro.online import controller as controller_module
 from repro.pipeline import Pipeline, SchismOptions
 from repro.workload.rwsets import extract_access_trace
 from repro.workloads import generate_read_hot_skew
@@ -196,9 +207,9 @@ options = OnlineOptions(
     repartition=RepartitionOptions(
         migration_cost_weight=0.25, imbalance=0.10, max_passes=12, migration_budget=60.0
     ),
-    batch_size=50,
     replication_min_read_fraction=0.85,
 )
+controller_module.INGEST_BATCH_SIZE = 50
 controller = start_online(
     offline.plan(),
     database,

@@ -222,11 +222,12 @@ def test_loaded_plan_deploys_with_zero_routing_divergence(pipeline_plan, tmp_pat
     assert controller_a.cluster.row_counts() == controller_b.cluster.row_counts()
 
 
-def test_cold_deploy_does_not_read_steady_traffic_as_drift(pipeline_plan):
+def test_cold_deploy_does_not_read_steady_traffic_as_drift(pipeline_plan, monkeypatch):
     """A plan deployed without a warm-up trace adopts its first filled window
     as the drift baseline instead of churning adaptations against zeros."""
     plan, _run = pipeline_plan
     bundle = small_bundle()
+    from repro.online import monitor
     from repro.online.controller import OnlineOptions
     from repro.online.monitor import MonitorOptions
     from repro.workload.rwsets import extract_access_trace
@@ -235,9 +236,8 @@ def test_cold_deploy_does_not_read_steady_traffic_as_drift(pipeline_plan):
     # disable the churn check to isolate the distributed-fraction baseline
     # (the signal an all-zero baseline would trip on every batch).  The
     # window is sized so the 400-transaction stream fills it.
-    options = OnlineOptions(
-        monitor=MonitorOptions(window_size=200, drift_churn_threshold=1.1)
-    )
+    monkeypatch.setattr(monitor, "DRIFT_CHURN_THRESHOLD", 1.1)
+    options = OnlineOptions(monitor=MonitorOptions(window_size=200))
     controller = start_online(plan, bundle.database, options)
     trace = extract_access_trace(bundle.database, bundle.workload)
     observation = controller.observe(trace, auto_adapt=True)

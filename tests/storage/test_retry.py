@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.storage import retry
 from repro.storage.retry import (
     FATAL,
     RETRYABLE,
@@ -30,30 +31,10 @@ from repro.storage.worker import RemoteStoreError, WorkerTimeout, WorkerUnavaila
 
 
 def test_options_clamp_count_and_duration_knobs():
-    options = RetryOptions(
-        timeout_ms=0.0,
-        max_retries=-3,
-        backoff_base_ms=-10.0,
-        backoff_multiplier=0.5,
-        backoff_cap_ms=-1.0,
-    )
+    options = RetryOptions(timeout_ms=0.0, max_retries=-3, backoff_base_ms=-10.0)
     assert options.timeout_ms == 1.0
     assert options.max_retries == 0
     assert options.backoff_base_ms == 0.0
-    assert options.backoff_multiplier == 1.0
-    # the cap can never fall below the base.
-    assert options.backoff_cap_ms == options.backoff_base_ms
-
-
-def test_options_cap_clamped_to_base():
-    options = RetryOptions(backoff_base_ms=200.0, backoff_cap_ms=50.0)
-    assert options.backoff_cap_ms == 200.0
-
-
-@pytest.mark.parametrize("jitter", [-0.1, 1.5])
-def test_options_reject_out_of_range_jitter(jitter):
-    with pytest.raises(ValueError):
-        RetryOptions(jitter=jitter)
 
 
 def test_timeout_s_converts_milliseconds():
@@ -116,28 +97,26 @@ def test_schedule_byte_identical_across_array_backends():
     assert _schedule_via_subprocess("list") == list_backend
 
 
-def test_schedule_respects_cap_and_jitter_band():
-    options = RetryOptions(
-        backoff_base_ms=100.0,
-        backoff_multiplier=10.0,
-        backoff_cap_ms=250.0,
-        max_retries=4,
-        jitter=0.0,
-    )
-    assert RetryPolicy(options, seed=0).schedule_for("k") == (100.0, 250.0, 250.0, 250.0)
-    jittered = RetryPolicy(
-        RetryOptions(
-            backoff_base_ms=100.0,
-            backoff_multiplier=10.0,
-            backoff_cap_ms=250.0,
-            max_retries=4,
-            jitter=0.5,
-        ),
-        seed=0,
-    ).schedule_for("k")
+def test_schedule_respects_cap_and_jitter_band(monkeypatch):
+    monkeypatch.setattr(retry, "BACKOFF_MULTIPLIER", 10.0)
+    monkeypatch.setattr(retry, "BACKOFF_CAP_MS", 250.0)
+    options = RetryOptions(backoff_base_ms=100.0, max_retries=4)
     caps = (100.0, 250.0, 250.0, 250.0)
+    monkeypatch.setattr(retry, "JITTER", 0.0)
+    assert RetryPolicy(options, seed=0).schedule_for("k") == caps
+    monkeypatch.setattr(retry, "JITTER", 0.5)
+    jittered = RetryPolicy(options, seed=0).schedule_for("k")
     for delay, cap in zip(jittered, caps):
         assert cap * 0.5 <= delay <= cap
+
+
+def test_options_cap_clamped_to_base():
+    """The cap never falls below the base delay (clamped where the schedule is drawn)."""
+    options = RetryOptions(backoff_base_ms=2 * retry.BACKOFF_CAP_MS, max_retries=3)
+    schedule = RetryPolicy(options, seed=0).schedule_for("k")
+    assert max(schedule) > retry.BACKOFF_CAP_MS
+    for delay in schedule:
+        assert options.backoff_base_ms * (1.0 - retry.JITTER) <= delay <= options.backoff_base_ms
 
 
 # -- classification -----------------------------------------------------------------

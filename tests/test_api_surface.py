@@ -11,12 +11,10 @@ import pytest
 import repro
 import repro.storage
 from repro.catalog.tuples import TupleId
-from repro.explain.decision_tree import DecisionTreeOptions
 from repro.explain.explainer import ExplainerOptions
 from repro.graph.builder import GraphBuildOptions
 from repro.graph.partitioner import PartitionerOptions
 from repro.online.controller import OnlineOptions
-from repro.online.maintainer import MaintainerOptions
 from repro.online.migration import MigrationJournal, MigrationPlan, MigrationStep
 from repro.online.monitor import MonitorOptions
 from repro.online.policy import ElasticOptions, PacingOptions
@@ -71,7 +69,8 @@ REMOVED_PLANNING_KEYS = {
 
 
 @pytest.mark.parametrize(
-    "package", ["repro", "repro.online", "repro.storage", "repro.engine", "repro.core"]
+    "package",
+    ["repro", "repro.online", "repro.storage", "repro.engine", "repro.core", "repro.explain"],
 )
 def test_every_exported_name_imports(package):
     module = importlib.import_module(package)
@@ -131,7 +130,8 @@ def test_plan_with_removed_partitioner_keys_still_loads():
 
 
 #: every ``*Options`` dataclass under ``src/repro`` except ``PartitionerOptions``
-#: (pinned above): exactly the fields somebody turns.
+#: (pinned above), field by field; ``tests/test_option_census.py`` checks
+#: that some caller turns each one.
 PINNED_OPTIONS = [
     (SchismOptions, "num_partitions graph partitioner explainer hash_columns"),
     (
@@ -140,36 +140,16 @@ PINNED_OPTIONS = [
         "tuple_sample_fraction coalesce_tuples seed",
     ),
     (ExplainerOptions, "min_attribute_frequency max_samples_per_table seed"),
-    (DecisionTreeOptions, "max_depth min_gain_ratio prune"),
-    (
-        RetryOptions,
-        "timeout_ms max_retries backoff_base_ms backoff_multiplier "
-        "backoff_cap_ms jitter",
-    ),
+    (RetryOptions, "timeout_ms max_retries backoff_base_ms"),
     (
         OnlineOptions,
-        "monitor repartition elastic pacing batch_size "
-        "replication_min_read_fraction replication_retention_slack",
+        "monitor repartition elastic pacing replication_min_read_fraction",
     ),
-    (
-        PacingOptions,
-        "abort_window p99_latency_budget abort_rate_budget min_samples "
-        "pressure_ratio max_steps throttled_steps backoff_initial backoff_max",
-    ),
-    (
-        MonitorOptions,
-        "window_size decay hot_set_size drift_distributed_increase "
-        "drift_skew_threshold drift_churn_threshold drift_churn_min_weight_share "
-        "drift_churn_share_floor drift_churn_share_lift min_window_fill",
-    ),
-    (
-        MaintainerOptions,
-        "decay prune_threshold blanket_transaction_threshold prune_interval",
-    ),
+    (PacingOptions, "abort_rate_budget p99_latency_budget max_steps throttled_steps"),
+    (MonitorOptions, "window_size min_window_fill"),
     (
         ElasticOptions,
-        "enabled target_rate_per_partition grow_hysteresis shrink_hysteresis "
-        "min_partitions max_partitions cooldown_batches",
+        "enabled target_rate_per_partition min_partitions max_partitions cooldown_batches",
     ),
     (
         RepartitionOptions,
@@ -191,6 +171,16 @@ def test_every_options_class_is_pinned():
     assert sorted(re.findall(r"^class (\w+Options)\b", source, re.MULTILINE)) == sorted(
         ["PartitionerOptions", *(options.__name__ for options, _ in PINNED_OPTIONS)]
     )
+
+
+def test_removed_options_classes_are_gone():
+    import repro.explain
+    import repro.online
+
+    assert "MaintainerOptions" not in repro.online.__all__
+    assert not hasattr(repro.online, "MaintainerOptions")
+    assert "DecisionTreeOptions" not in repro.explain.__all__
+    assert not hasattr(repro.explain, "DecisionTreeOptions")
 
 
 def test_only_the_storage_package_wires_a_deployment_or_a_storage_migrator():

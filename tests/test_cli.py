@@ -224,6 +224,41 @@ def test_status_with_unreadable_sibling_journal_is_a_clean_error(tmp_path):
         main(["status", str(plan_path)])
 
 
+def _drop_copies(payload):
+    del payload["copies"]
+
+
+def _short_copy_row(payload):
+    payload["copies"][0] = payload["copies"][0][:3]
+
+
+def _version_true(payload):
+    payload["version"] = True
+
+
+@pytest.mark.parametrize("command", [["status"], ["journal", "inspect"]])
+@pytest.mark.parametrize(
+    "damage",
+    [lambda payload: [payload], _drop_copies, _short_copy_row, _version_true, None],
+    ids=["json-array", "missing-copies", "three-element-copy-row", "version-true", "truncated"],
+)
+def test_damaged_journal_exits_with_one_line(tmp_path, command, damage):
+    import json
+
+    path = _write_journal(tmp_path)
+    text = path.read_text(encoding="utf-8")
+    if damage is None:
+        text = text[: len(text) // 2]
+    else:
+        payload = json.loads(text)
+        text = json.dumps(damage(payload) or payload)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit) as raised:
+        main([*command, str(path)])
+    message = str(raised.value.code)
+    assert message.startswith("no journal found") and "\n" not in message
+
+
 def test_deploy_sqlite_rejects_in_memory_only_flags(tmp_path):
     plan_path = tmp_path / "plan.json"
     assert main([

@@ -43,8 +43,10 @@ def test_option_table_check_flags_a_stale_row():
             "| Knob | Default | Meaning |",
             "|---|---|---|",
             "| `replication_enabled` | `True` | removed with its off branch |",
-            "| `elastic.grow_hysteresis` / `shrink_hysteresis` | `1.3` / `0.6` | live |",
+            "| `elastic.min_partitions` / `max_partitions` | `1` / `64` | live |",
             "| `pacing.max_steps` | `64` | live, through an optional field |",
+            "| `monitor.window_size` / `decay` | `1000` / `0.95` | a constant now |",
+            "| `pacing.backoff_max` | `16` | a constant now |",
             "",
             "| Name | Note |",
             "|---|---|",
@@ -62,11 +64,22 @@ def test_option_table_check_flags_a_stale_row():
     problems = checker.check_option_tables(fixture)
     assert [problem.split("`")[1] for problem in problems] == [
         "replication_enabled",
+        "monitor.decay",
+        "pacing.backoff_max",
         "graph.relevance_filter",
         "elastic.enabled",
     ]
-    assert "OnlineOptions" in problems[0] and "SchismOptions" in problems[2]
+    assert "OnlineOptions" in problems[0] and "SchismOptions" in problems[4]
     assert "before any" in checker.check_option_tables("| Knob |\n|---|\n| `seed` |")[0]
+
+
+def test_readme_online_table_documents_monitor_and_pacing_knobs():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    online = readme[readme.index("## Online knobs") :]
+    online = online[: online.index("\n## ")]
+    for knob in ("monitor.window_size", "monitor.min_window_fill", "pacing.max_steps"):
+        assert f"| `{knob}`" in online, knob
+    assert "| Knob | Default | Meaning | Turned by |" in online
 
 
 def test_architecture_doc_exists_and_linked():

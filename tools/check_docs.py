@@ -13,8 +13,9 @@ Three passes, all dependency-free:
 3. **Option tables** — every back-ticked name in the first column of a
    README table headed ``Knob`` must be a dataclass field reachable from
    the options class its section names (``SchismOptions``,
-   ``DecisionTreeOptions`` or ``OnlineOptions``; ``elastic.enabled`` walks
-   into ``ElasticOptions``), so a documented knob cannot outlive its field.
+   ``OnlineOptions`` or ``RetryOptions``; ``elastic.enabled`` walks into
+   ``ElasticOptions``, ``pacing.max_steps`` through the optional
+   ``PacingOptions``), so a documented knob cannot outlive its field.
 
 Exit status 0 when everything passes; 1 with a per-problem report
 otherwise.  Run from the repository root (CI docs job, or locally):
@@ -53,8 +54,8 @@ DOCTEST_MODULES = (
 #: options classes a README ``Knob`` table may document -> defining module.
 OPTION_TABLE_CLASSES = {
     "SchismOptions": "repro.pipeline.config",
-    "DecisionTreeOptions": "repro.explain.decision_tree",
     "OnlineOptions": "repro.online.controller",
+    "RetryOptions": "repro.storage.retry",
 }
 
 #: [text](target) — excluding images; target split from an optional title.
@@ -150,8 +151,8 @@ def check_option_tables(readme: str | None = None) -> list[str]:
 
     A table's class is the one of ``OPTION_TABLE_CLASSES`` named last in the
     text above it.  A name without a dot inherits the prefix of the name
-    before it in the same cell (``elastic.grow_hysteresis`` /
-    ``shrink_hysteresis``).
+    before it in the same cell (``elastic.min_partitions`` /
+    ``max_partitions``).
     """
     classes = {
         name: getattr(_import_from_src(module), name)
