@@ -7,9 +7,10 @@ module computes that metric for any strategy over an access trace:
 
 * every tuple **written** by a transaction involves *all* partitions holding a
   replica of the tuple (replicas must be kept consistent);
-* every tuple **read** involves *one* replica, chosen greedily to coincide
-  with partitions the transaction already has to visit (the same replica
-  selection the paper's router performs);
+* every tuple **read** involves *one* replica, picked statement by statement
+  by :func:`repro.core.strategies.choose_replica` — one the transaction
+  already visits, else one spread by transaction id.  The router calls the
+  same function, so for key-pinned statements this is what it serves;
 * the transaction is *distributed* when more than one partition ends up
   involved.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.catalog.tuples import TupleId
-from repro.core.strategies import PartitioningStrategy
+from repro.core.strategies import PartitioningStrategy, choose_replica
 from repro.engine.database import Database
 from repro.workload.rwsets import AccessTrace
 from repro.workload.trace import TransactionAccess
@@ -110,32 +111,20 @@ def transaction_partitions(
     database: Database | None = None,
     row_cache: Mapping[TupleId, Mapping[str, object]] | None = None,
 ) -> frozenset[int]:
-    """The set of partitions a transaction must involve under ``strategy``."""
+    """The partitions a transaction must involve under ``strategy``, statement
+    by statement as the router serves it: a written tuple involves every
+    replica, a read tuple only the one :func:`choose_replica` picks."""
     involved: set[int] = set()
-    read_choices: list[frozenset[int]] = []
-    write_set = access.write_set
-    for tuple_id in sorted(write_set):
-        row = _row_for(tuple_id, database, row_cache)
-        involved.update(strategy.partitions_for_tuple(tuple_id, row))
-    for tuple_id in sorted(access.read_set - write_set):
-        row = _row_for(tuple_id, database, row_cache)
-        replicas = strategy.partitions_for_tuple(tuple_id, row)
-        if len(replicas) == 1:
-            involved.update(replicas)
-        else:
-            read_choices.append(replicas)
-    # Greedy replica selection for reads of replicated tuples: prefer a replica
-    # on a partition the transaction already visits; otherwise open the
-    # partition that satisfies the most remaining reads.
-    remaining = [choice for choice in read_choices if not (choice & involved)]
-    while remaining:
-        counts: dict[int, int] = {}
-        for choice in remaining:
-            for partition in choice:
-                counts[partition] = counts.get(partition, 0) + 1
-        best_partition = max(sorted(counts), key=lambda partition: counts[partition])
-        involved.add(best_partition)
-        remaining = [choice for choice in remaining if best_partition not in choice]
+    transaction_id = access.transaction.transaction_id
+    for statement in access.statement_accesses:
+        written = statement.write_set
+        for tuple_id in sorted(written):
+            row = _row_for(tuple_id, database, row_cache)
+            involved.update(strategy.partitions_for_tuple(tuple_id, row))
+        for tuple_id in sorted(statement.read_set - written):
+            row = _row_for(tuple_id, database, row_cache)
+            replicas = strategy.partitions_for_tuple(tuple_id, row)
+            involved.add(choose_replica(replicas, involved, transaction_id))
     return frozenset(involved)
 
 

@@ -22,7 +22,7 @@ import copy
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from repro.catalog.tuples import TupleId
 from repro.explain.rules import RuleSet, decode_label
@@ -61,6 +61,20 @@ def placement_at(
     """
     surviving = frozenset(part for part in placement if part < num_partitions)
     return surviving or hash_home(tuple_id, num_partitions)
+
+
+def choose_replica(
+    replicas: frozenset[int], visited: AbstractSet[int], transaction_id: int
+) -> int:
+    """The one of ``replicas`` a read is served from: the lowest partition the
+    transaction already ``visited``, else one spread by transaction id (so
+    reads that share nothing with their transaction do not all land on
+    partition 0).  The one rule the cost model and the router share.
+    """
+    shared = replicas & visited
+    if shared:
+        return min(shared)
+    return sorted(replicas)[transaction_id % len(replicas)]
 
 
 #: which layer answered a placement question, weakest last: an explicit

@@ -26,7 +26,7 @@ from repro.distributed.cluster import Cluster
 from repro.distributed.faults import FaultInjector, MessageDropped
 from repro.engine.executor import StatementResult
 from repro.obs import get_telemetry
-from repro.routing.router import Router, TransactionRoutingContext
+from repro.routing.router import Router
 from repro.workload.trace import Transaction, Workload
 
 
@@ -124,11 +124,7 @@ class TwoPhaseCommitCoordinator:
 
     def execute_transaction(self, transaction: Transaction) -> TransactionOutcome:
         """Execute one transaction, returning its outcome and updating statistics."""
-        context = TransactionRoutingContext()
-        decisions = [
-            self.router.route_statement(statement, context)
-            for statement in transaction.statements
-        ]
+        decisions = self.router.route_transaction(transaction)
         participants: set[int] = set()
         messages = 0
         for decision in decisions:

@@ -7,10 +7,11 @@ table), the router decides which partitions each statement must be sent to:
   primary key, for lookup tables) are sent only to the owning partition(s);
 * statements over other attributes are broadcast to every partition and the
   results unioned;
-* reads of replicated tuples are sent to a single replica, preferring a
-  partition the surrounding transaction has already touched — this is the
-  replica-selection optimisation the paper credits with reducing distributed
-  transactions for read-mostly workloads.
+* reads of replicated tuples are sent to the single replica
+  :func:`repro.core.strategies.choose_replica` picks — one the transaction
+  already touches, else one spread by transaction id.  The paper credits this
+  replica selection with fewer distributed transactions on read-mostly
+  workloads; the cost model scores it with the same function.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from dataclasses import dataclass, field
 
 from repro.catalog.schema import Schema
 from repro.catalog.tuples import TupleId
-from repro.core.strategies import BASE, BROADCAST, EXPLICIT, MECHANISMS, PartitioningStrategy
+from repro.core.strategies import (
+    BASE, BROADCAST, EXPLICIT, MECHANISMS, PartitioningStrategy, choose_replica
+)
 from repro.obs import get_telemetry
 from repro.routing.lookup import LookupTable
 from repro.sqlparse.ast import InsertStatement, Statement, is_write, statement_tables
@@ -51,10 +54,8 @@ class TransactionRoutingContext:
     """State carried across the statements of one transaction."""
 
     touched_partitions: set[int] = field(default_factory=set)
-
-    def record(self, decision: RoutingDecision) -> None:
-        """Remember the partitions a routed statement will touch."""
-        self.touched_partitions.update(decision.partitions)
+    #: spreads the replica choice of reads that share nothing with the rest.
+    transaction_id: int = 0
 
 
 _NO_EXTRA: frozenset[int] = frozenset()
@@ -158,6 +159,8 @@ class Router:
         context: TransactionRoutingContext | None = None,
     ) -> RoutingDecision:
         """Decide the destination partitions of one statement."""
+        if context is None:
+            context = TransactionRoutingContext()
         all_partitions = frozenset(range(self.num_partitions))
         destinations: set[int] = set()
         broadcast = False
@@ -195,21 +198,20 @@ class Router:
                 and len(partitions) > 1
             ):
                 # The table (or matching rows) is replicated everywhere: a read
-                # only needs one replica, preferably one we already visit.
-                partitions = frozenset({self._pick_replica(partitions, context)})
+                # only needs one replica.
+                visited = destinations | context.touched_partitions
+                partitions = {choose_replica(partitions, visited, context.transaction_id)}
             destinations.update(partitions)
         if not destinations:
             destinations = set(all_partitions)
             broadcast = True
         self._routed[BROADCAST if broadcast else mechanism].inc()
-        decision = RoutingDecision(statement, frozenset(destinations), broadcast)
-        if context is not None:
-            context.record(decision)
-        return decision
+        context.touched_partitions.update(destinations)
+        return RoutingDecision(statement, frozenset(destinations), broadcast)
 
     def route_transaction(self, transaction: Transaction) -> list[RoutingDecision]:
         """Route every statement of a transaction, sharing one routing context."""
-        context = TransactionRoutingContext()
+        context = TransactionRoutingContext(transaction_id=transaction.transaction_id)
         return [self.route_statement(statement, context) for statement in transaction.statements]
 
     def transaction_participants(self, transaction: Transaction) -> frozenset[int]:
@@ -259,13 +261,14 @@ class Router:
         table: str,
         conditions: list[AttributeCondition],
         statement: Statement,
-        context: TransactionRoutingContext | None,
+        context: TransactionRoutingContext,
     ) -> tuple[frozenset[int], int] | None:
         """Resolve primary-key equality conditions through the lookup table.
 
         Each matched key contributes its placement; for reads, a key stored on
-        several partitions (a replicated tuple) only contributes one replica,
-        chosen to coincide with partitions already involved where possible.
+        several partitions (a replicated tuple) only contributes the one
+        replica :func:`choose_replica` picks given the partitions this
+        statement and the transaction already involve.
         Returns the partitions and the weakest mechanism that placed a key.
         """
         lookup_table = self.lookup_table
@@ -292,10 +295,8 @@ class Router:
                 placement, mechanism = self.strategy.resolve(tuple_id, row)
                 weakest = max(weakest, mechanism)
             if not writing and len(placement) > 1:
-                already = placement & partitions
-                if context is not None and not already:
-                    already = placement & frozenset(context.touched_partitions)
-                partitions.add(min(already) if already else min(placement))
+                visited = partitions | context.touched_partitions
+                partitions.add(choose_replica(placement, visited, context.transaction_id))
             else:
                 partitions.update(placement)
                 if writing and window:
@@ -308,12 +309,3 @@ class Router:
                         partitions.update(extra)
                         self._dual_writes.inc()
         return (frozenset(partitions), weakest) if partitions else None
-
-    def _pick_replica(
-        self, replicas: frozenset[int], context: TransactionRoutingContext | None
-    ) -> int:
-        if context is not None:
-            already = replicas & frozenset(context.touched_partitions)
-            if already:
-                return min(already)
-        return min(replicas)

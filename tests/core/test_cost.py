@@ -6,20 +6,34 @@ from repro.core.strategies import (
     CompositePartitioning,
     FullReplication,
     HashPartitioning,
+    LookupTablePartitioning,
     range_on,
 )
+from repro.graph.assignment import PartitionAssignment
 from repro.sqlparse.ast import SelectStatement, eq
 from repro.workload.rwsets import AccessTrace, access_from_tuple_sets
-from repro.workload.trace import Transaction
+from repro.workload.trace import StatementAccess, Transaction, TransactionAccess
 
 
-def make_access(read_ids, write_ids=()):
+def make_access(read_ids, write_ids=(), transaction_id=0):
     statement = SelectStatement(("t",), where=eq("id", 0))
-    transaction = Transaction((statement,))
+    transaction = Transaction((statement,), transaction_id=transaction_id)
     return access_from_tuple_sets(
         transaction,
         [TupleId("t", (i,)) for i in read_ids],
         [TupleId("t", (i,)) for i in write_ids],
+    )
+
+
+def make_statements(read_write_sets):
+    """One statement access per ``(read_set, write_set)`` pair, in order."""
+    statements = [SelectStatement(("t",), where=eq("id", 0)) for _ in read_write_sets]
+    return TransactionAccess(
+        Transaction(tuple(statements)),
+        tuple(
+            StatementAccess(statement, reads, writes)
+            for statement, (reads, writes) in zip(statements, read_write_sets)
+        ),
     )
 
 
@@ -59,12 +73,27 @@ class TestTransactionPartitions:
         assert transaction_partitions(strategy, access) == {0, 1, 2, 3}
 
     def test_read_prefers_partition_already_involved(self):
-        # Write pins partition 1; the replicated read should co-locate there.
+        # The write pins tuple 5's partition 1; the replicated tuple 2 is read
+        # from there, although transaction 0 would otherwise be spread to 0.
+        assignment = PartitionAssignment(3)
+        assignment.assign(TupleId("t", (5,)), {1})
+        assignment.assign(TupleId("t", (2,)), {0, 1, 2})
+        strategy = LookupTablePartitioning(3, assignment)
+        write = (frozenset(), frozenset({TupleId("t", (5,))}))
+        read = (frozenset({TupleId("t", (2,))}), frozenset())
+        assert transaction_partitions(strategy, make_statements([write, read])) == {1}
+        # Statement order, as the router serves it: a read that comes first
+        # cannot know where a later write will go.
+        assert transaction_partitions(strategy, make_statements([read, write])) == {0, 1}
+
+    def test_uncovered_replicated_reads_spread_over_the_replicas(self):
         strategy = FullReplication(3)
-        access = make_access([2], write_ids=[])
-        write_access = make_access([2], write_ids=[5])
-        partitions = transaction_partitions(strategy, write_access)
-        assert partitions == {0, 1, 2}  # the write dominates anyway
+        counts = [0, 0, 0]
+        for transaction_id in range(10):
+            access = make_access([7], transaction_id=transaction_id)
+            (partition,) = transaction_partitions(strategy, access)
+            counts[partition] += 1
+        assert min(counts) >= 1 and max(counts) - min(counts) <= 1
 
 
 class TestEvaluateStrategy:

@@ -8,8 +8,15 @@ from repro.utils.rng import SeededRng
 from repro.workload.trace import Workload
 
 
-def clustered_workload(num_rows_per_cluster: int = 50, num_clusters: int = 2, transactions: int = 200) -> Workload:
-    """Transactions touch pairs of accounts from the same hidden cluster."""
+def clustered_workload(
+    num_rows_per_cluster: int = 50,
+    num_clusters: int = 2,
+    transactions: int = 200,
+    update_first: bool = True,
+) -> Workload:
+    """Transactions read pairs of accounts from the same hidden cluster and
+    update the first (without writes, replication would serve every read
+    locally and rightly win)."""
     rng = SeededRng(0)
     workload = Workload("clustered")
     for _ in range(transactions):
@@ -17,9 +24,10 @@ def clustered_workload(num_rows_per_cluster: int = 50, num_clusters: int = 2, tr
         base = cluster * num_rows_per_cluster
         first = base + rng.randint(0, num_rows_per_cluster - 1)
         second = base + rng.randint(0, num_rows_per_cluster - 1)
-        workload.add_statements(
-            [SelectStatement(("account",), where=in_list("id", sorted({first, second})))]
-        )
+        statements = [SelectStatement(("account",), where=in_list("id", sorted({first, second})))]
+        if update_first:
+            statements.append(UpdateStatement("account", {"bal": 1}, where=eq("id", first)))
+        workload.add_statements(statements)
     return workload
 
 
@@ -74,7 +82,7 @@ def test_invalid_options():
 
 
 def test_read_mostly_detection(clustered_database):
-    read_only = clustered_workload(transactions=100)
+    read_only = clustered_workload(transactions=100, update_first=False)
     run = Pipeline(SchismOptions(num_partitions=2)).run(
         clustered_database, read_only
     )

@@ -52,8 +52,8 @@ def test_best_strategy_wins():
 
 
 def test_simplicity_tie_break_prefers_hash():
-    # Single-tuple transactions: every non-replicated strategy scores zero.
-    trace = make_trace([(i,) for i in range(100)])
+    # Single-tuple updates: every non-replicated strategy scores zero.
+    trace = make_trace([(i,) for i in range(100)], writes=[(i,) for i in range(100)])
     result = validate_strategies(
         [block_strategy(2), HashPartitioning(2), FullReplication(2)],
         trace,
@@ -62,17 +62,17 @@ def test_simplicity_tie_break_prefers_hash():
     assert result.recommendation == "hashing"
 
 
-def test_replication_scores_zero_on_reads_but_concentrates_load():
+def test_replication_serves_reads_locally_and_spreads_them():
     # Pairs crossing blocks: hashing distributes them; replication serves every
-    # read locally (0% distributed) but concentrates all reads on one replica,
-    # so the balance guard keeps it from being selected.
+    # read locally (0% distributed), each transaction from the replica its id
+    # picks, so the load stays even and the simplest candidate wins.
     trace = make_trace([(i, i + 100) for i in range(0, 100, 10)])
     result = validate_strategies(
         [HashPartitioning(2), FullReplication(2)], trace, row_cache=row_cache()
     )
     assert result.reports["replication"].distributed_fraction == 0.0
-    assert result.reports["replication"].partition_load_imbalance() > 1.6
-    assert result.recommendation == "hashing"
+    assert result.reports["replication"].partition_transaction_counts == [5, 5]
+    assert result.recommendation == "replication"
 
 
 def test_imbalanced_candidate_rejected():

@@ -1,8 +1,13 @@
 """End-to-end integration tests across the whole library."""
 
+import pytest
+
 from repro import Pipeline, SchismOptions, evaluate_strategy, split_workload
+from repro.core.config import default_options
+from repro.core.validation import MAX_LOAD_IMBALANCE
 from repro.distributed import Cluster, TwoPhaseCommitCoordinator
 from repro.routing import Router, build_lookup_table
+from repro.workload.trace import Workload
 from repro.workloads import EpinionsConfig, generate_epinions
 
 
@@ -26,6 +31,24 @@ def test_tpcc_pipeline_matches_manual_partitioning(tiny_tpcc):
     assert stock_attributes == ("s_w_id",)
 
 
+@pytest.mark.parametrize(
+    "seed", [0, pytest.param(1, marks=pytest.mark.slow), pytest.param(2, marks=pytest.mark.slow)]
+)
+def test_epinions_winner_halves_hashing_at_the_benchmark_size(seed):
+    """The paper's Epinions claim (Section 6): on a read-mostly social
+    workload the validated plan is far less distributed than hashing — and
+    not by loading one partition with every transaction."""
+    bundle = generate_epinions(EpinionsConfig(1000, 1000, 10, seed=seed), num_transactions=750)
+    transactions = bundle.workload.transactions
+    train, test = Workload("train", transactions[:600]), Workload("test", transactions[600:])
+    options = default_options(4, seed=seed)
+    options.hash_columns = bundle.hash_columns
+    validation = Pipeline(options).run(bundle.database, train, test).state.validation
+    winner = validation.winner_report
+    assert winner.distributed_fraction <= 0.5 * validation.reports["hashing"].distributed_fraction
+    assert winner.partition_load_imbalance() <= MAX_LOAD_IMBALANCE
+
+
 def test_epinions_lookup_beats_manual_and_survives_routing():
     bundle = generate_epinions(
         EpinionsConfig(num_users=200, num_items=200, num_communities=8), num_transactions=1500
@@ -36,9 +59,9 @@ def test_epinions_lookup_beats_manual_and_survives_routing():
     manual = evaluate_strategy(bundle.manual_strategy(2), run.state.test_trace, bundle.database)
     lookup_fraction = validation.reports["lookup-table"].distributed_fraction
     assert lookup_fraction < manual.distributed_fraction
-    # The fine-grained solutions win; at this small scale the validation may
-    # pick either the lookup table or a range explanation of it.
-    assert run.recommendation in ("lookup-table", "range-predicates")
+    # Schism's solutions win: the lookup table, a range explanation of it, or —
+    # Epinions being read-mostly — replication, whose reads are all local.
+    assert run.recommendation in ("lookup-table", "range-predicates", "replication")
     assert (
         validation.winner_report.distributed_fraction
         <= manual.distributed_fraction + 0.05

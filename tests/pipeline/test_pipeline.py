@@ -9,7 +9,7 @@ from repro.pipeline import (
     SchismOptions,
     STAGE_NAMES,
 )
-from repro.sqlparse.ast import SelectStatement, in_list
+from repro.sqlparse.ast import SelectStatement, UpdateStatement, eq, in_list
 from repro.utils.rng import SeededRng
 from repro.workload.rwsets import extract_access_trace
 from repro.workload.trace import Workload
@@ -18,7 +18,9 @@ from repro.workload.trace import Workload
 def clustered_workload(
     num_rows_per_cluster: int = 50, num_clusters: int = 2, transactions: int = 200
 ) -> Workload:
-    """Transactions touch pairs of accounts from the same hidden cluster."""
+    """Transactions read pairs of accounts from the same hidden cluster and
+    update the first (without writes, replication would serve every read
+    locally and rightly win)."""
     rng = SeededRng(0)
     workload = Workload("clustered")
     for _ in range(transactions):
@@ -27,7 +29,10 @@ def clustered_workload(
         first = base + rng.randint(0, num_rows_per_cluster - 1)
         second = base + rng.randint(0, num_rows_per_cluster - 1)
         workload.add_statements(
-            [SelectStatement(("account",), where=in_list("id", sorted({first, second})))]
+            [
+                SelectStatement(("account",), where=in_list("id", sorted({first, second}))),
+                UpdateStatement("account", {"bal": 1}, where=eq("id", first)),
+            ]
         )
     return workload
 

@@ -11,6 +11,7 @@ replicated — under it a transaction naming one warehouse is single-partition.
 import pytest
 
 from repro.catalog.tuples import TupleId
+from repro.core.cost import transaction_partitions
 from repro.core.strategies import LookupTablePartitioning
 from repro.distributed.cluster import Cluster
 from repro.distributed.coordinator import TwoPhaseCommitCoordinator
@@ -21,7 +22,7 @@ from repro.pipeline import PartitionPlan, Pipeline, SchismOptions
 from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 from repro.sqlparse.ast import InsertStatement, SelectStatement, eq, is_write, statement_tables
-from repro.sqlparse.predicates import conjunctive_conditions, statement_where
+from repro.sqlparse.predicates import conjunctive_conditions, pinned_values, statement_where
 from repro.storage import SqliteStorageCluster
 from repro.utils.rng import SeededRng
 from repro.workload.rwsets import extract_access_trace
@@ -186,6 +187,36 @@ def test_history_rows_are_placed_by_their_row_and_found_by_their_key(tpcc_deploy
     unseen = TupleId("history", (10**9,))
     fallback = LookupTablePartitioning(2, strategy.assignment, "hash")
     assert router.placement_of(unseen) == fallback.partitions_for_tuple(unseen)
+
+
+# -- the cost model scores what the router serves ---------------------------------------
+def _pins_primary_keys(statement, schema):
+    if isinstance(statement, InsertStatement):
+        return True
+    conditions = conjunctive_conditions(statement_where(statement))
+    return all(
+        pinned_values(
+            [condition for condition in conditions if condition.table in (None, table)],
+            schema.table(table).primary_key,
+        )
+        is not None
+        for table in statement_tables(statement)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_cost_model_scores_the_partitions_the_router_serves(name):
+    bundle, _test, run, plan = _planned(name)
+    schema = bundle.database.schema
+    strategy, router = _deploy(plan, schema)
+    checked = 0
+    for access in run.state.test_trace:
+        transaction = access.transaction
+        if all(_pins_primary_keys(statement, schema) for statement in transaction.statements):
+            checked += 1
+            served = router.transaction_participants(transaction)
+            assert served == transaction_partitions(strategy, access, bundle.database), transaction
+    assert checked
 
 
 # -- a moved tuple is still found --------------------------------------------------------

@@ -56,6 +56,16 @@ def test_replicated_read_prefers_touched_partition(bank_schema):
     assert decision.partitions == {2}
 
 
+def test_replicated_read_with_nothing_touched_is_spread_by_transaction_id(bank_schema):
+    router = Router(FullReplication(3), schema=bank_schema)
+    read = SelectStatement(("account",), where=eq("id", 1))
+    served = [
+        router.transaction_participants(Transaction((read,), transaction_id=tid))
+        for tid in range(6)
+    ]
+    assert served == [{0}, {1}, {2}, {0}, {1}, {2}]
+
+
 def test_replicated_write_goes_everywhere(bank_schema):
     strategy = FullReplication(3)
     router = Router(strategy, schema=bank_schema)

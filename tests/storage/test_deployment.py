@@ -9,15 +9,19 @@ from repro.core.strategies import hash_home
 from repro.online.migration import MemoryJournalSink
 from repro.pipeline import Pipeline, SchismOptions
 from repro.storage import StorageDeployment
-from repro.workloads import generate_simplecount
+from repro.workloads import TpccConfig, generate_tpcc
 
 pytestmark = pytest.mark.storage
 
 
 @pytest.fixture
 def deployment(tmp_path):
-    """A Schism-planned 2-partition simplecount deployment on real workers."""
-    bundle = generate_simplecount(num_rows=60, num_transactions=80, num_blocks=3, seed=0)
+    """A Schism-planned 2-partition TPC-C deployment on real workers (a
+    read-only workload plans replication, which a resize leaves in place)."""
+    config = TpccConfig(
+        warehouses=2, districts_per_warehouse=1, customers_per_district=5, items=10
+    )
+    bundle = generate_tpcc(config, num_transactions=60)
     plan = (
         Pipeline(SchismOptions(num_partitions=2))
         .run(bundle.database, bundle.workload)
