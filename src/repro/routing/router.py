@@ -42,6 +42,9 @@ class RoutingDecision:
     statement: Statement
     partitions: frozenset[int]
     broadcast: bool
+    #: primary keys of the statement's one table it can touch, as resolved for
+    #: routing; ``None`` when it could touch any row or spans several tables.
+    keys: list[tuple[object, ...]] | None = None
 
     @property
     def is_single_partition(self) -> bool:
@@ -166,14 +169,21 @@ class Router:
         broadcast = False
         conditions = self._statement_conditions(statement)
         mechanism = EXPLICIT
-        for table in statement_tables(statement):
+        tables = statement_tables(statement)
+        keys = None
+        for table in tables:
             table_conditions = [
                 condition
                 for condition in conditions
                 if condition.table in (None, table)
             ]
+            keys = (
+                pinned_values(table_conditions, self.schema.table(table).primary_key)
+                if self.schema is not None and self.schema.has_table(table)
+                else None
+            )
             resolved_by_lookup = False
-            resolved = self._lookup_route(table, table_conditions, statement, context)
+            resolved = self._lookup_route(table, keys, statement, context)
             if resolved is not None:
                 resolved_by_lookup = True
                 partitions, weakest = resolved
@@ -207,7 +217,9 @@ class Router:
             broadcast = True
         self._routed[BROADCAST if broadcast else mechanism].inc()
         context.touched_partitions.update(destinations)
-        return RoutingDecision(statement, frozenset(destinations), broadcast)
+        return RoutingDecision(
+            statement, frozenset(destinations), broadcast, keys if len(tables) == 1 else None
+        )
 
     def route_transaction(self, transaction: Transaction) -> list[RoutingDecision]:
         """Route every statement of a transaction, sharing one routing context."""
@@ -259,11 +271,11 @@ class Router:
     def _lookup_route(
         self,
         table: str,
-        conditions: list[AttributeCondition],
+        keys: list[tuple[object, ...]] | None,
         statement: Statement,
         context: TransactionRoutingContext,
     ) -> tuple[frozenset[int], int] | None:
-        """Resolve primary-key equality conditions through the lookup table.
+        """Resolve the primary keys a statement pins through the lookup table.
 
         Each matched key contributes its placement; for reads, a key stored on
         several partitions (a replicated tuple) only contributes the one
@@ -272,12 +284,7 @@ class Router:
         Returns the partitions and the weakest mechanism that placed a key.
         """
         lookup_table = self.lookup_table
-        if lookup_table is None and not self.strategy.per_tuple:
-            return None
-        if self.schema is None or not self.schema.has_table(table):
-            return None
-        keys = pinned_values(conditions, self.schema.table(table).primary_key)
-        if keys is None:
+        if keys is None or (lookup_table is None and not self.strategy.per_tuple):
             return None
         partitions: set[int] = set()
         weakest = EXPLICIT

@@ -3,17 +3,23 @@
 :class:`StorageCoordinator` is the client-facing layer: it routes each
 transaction's statements with the existing
 :class:`~repro.routing.router.Router`, executes reads (falling back across
-the plan's replica set when the chosen replica's worker is unreachable),
-applies writes partition by partition under the seeded retry/backoff
-policy, and mirrors every committed write into an in-memory **oracle**
-database for the post-run audits.
+the plan's replica set when a read-only participant's worker is
+unreachable), applies writes partition by partition under the seeded
+retry/backoff policy, and mirrors every committed write into an in-memory
+**oracle** database for the post-run audits.
 
-**Reads run grouped by participant, in sorted partition order, before the
-first apply**: one ``read`` request per partition carries every read routed
-there, so a transaction pays round-trips per participant, not per statement.
-That is sound because statements are routed up front and pre-bound (no read
-feeds a later statement), reads take no locks, and every read always ran
-before the first write was applied.
+**One request per participant, carrying compiled SQL.**  Every routed
+statement is compiled once, here, to a ``(sql, params)`` pair; the wire
+carries only pairs.  A participant that only reads gets one ``read`` request
+carrying every read routed there; these go first, in sorted partition order,
+before the first apply.  A participant that writes gets its reads inside its
+``apply`` request, ``(txn_id, writes, reads)``, where the worker runs them in
+the same SQLite transaction just before the writes.  Either way every read
+observes its partition's state before this transaction's writes.  A carried
+read has its apply's failure handling and no replica fallback: that
+partition must answer for the apply anyway.  Regrouping is sound because
+statements are routed up front and pre-bound (no read feeds a later
+statement) and reads take no locks.
 
 **Commit point and in-doubt completion.**  A transaction's writes are
 applied to its participants in sorted partition order; the transaction is
@@ -39,22 +45,17 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
-from repro.catalog.schema import Schema
 from repro.catalog.tuples import TupleId
 from repro.engine.database import Database
 from repro.obs import get_telemetry
 from repro.routing.router import Router, RoutingDecision
-from repro.sqlparse.ast import InsertStatement, Statement, is_write, statement_tables
-from repro.sqlparse.predicates import (
-    conjunctive_conditions,
-    pinned_values,
-    statement_where,
-)
+from repro.sqlparse.ast import is_write, statement_tables
 from repro.storage.cluster import SqliteStorageCluster
 from repro.storage.retry import RetryBudgetExhausted, RetryOptions, RetryPolicy
-from repro.storage.sqlite_store import StoreConstraintError
+from repro.storage.sql import compile_statement
+from repro.storage.sqlite_store import CompiledSql, StoreConstraintError
 from repro.storage.worker import RemoteStoreError, WorkerTimeout, WorkerUnavailable
 from repro.workload.trace import Transaction
 
@@ -63,6 +64,9 @@ from repro.workload.trace import Transaction
 #: restart cycles before giving up loudly.
 PATIENT_ATTEMPTS = 60
 PATIENT_DELAY_S = 0.05
+
+#: a routed read and its compiled SQL.
+_Read = tuple[RoutingDecision, CompiledSql]
 
 
 class InDoubtError(RuntimeError):
@@ -157,44 +161,19 @@ class LockManager:
                 self._table_lock(token[1]).release(exclusive=token[0] == "table-x")
 
 
-def pinned_keys(
-    statement: Statement, table: str, schema: Schema
-) -> list[tuple[object, ...]] | None:
-    """Primary keys of ``table`` the statement's WHERE pins, or ``None`` if it could
-    touch any row (one derivation, so read fallbacks and write locks agree on keys)."""
-    return pinned_values(
-        (
-            condition
-            for condition in conjunctive_conditions(statement_where(statement))
-            if condition.table in (None, table)
-        ),
-        schema.table(table).primary_key,
-    )
-
-
-def pinned_write_keys(statement: Statement, schema: Schema) -> list[tuple[object, ...]] | None:
-    """Primary keys a write statement pins, or ``None`` if it could touch any row."""
-    if isinstance(statement, InsertStatement):
-        try:
-            return [schema.table(statement.table).primary_key_of(statement.row)]
-        except KeyError:
-            return None
-    return pinned_keys(statement, statement.table, schema)
-
-
-def write_lock_tokens(transaction: Transaction, schema: Schema) -> list[tuple]:
-    """The sorted lock tokens guarding a transaction's writes."""
+def write_lock_tokens(decisions: Sequence[RoutingDecision]) -> list[tuple]:
+    """The sorted lock tokens guarding a transaction's writes, built from the
+    keys the router resolved (so read fallbacks and write locks agree on keys)."""
     tokens: set[tuple] = set()
-    for statement in transaction.statements:
-        if not is_write(statement):
+    for decision in decisions:
+        if not is_write(decision.statement):
             continue
-        table = statement.table
-        keys = pinned_write_keys(statement, schema)
-        if keys is None:
+        table = decision.statement.table
+        if decision.keys is None:
             tokens.add(("table-x", table))
         else:
             tokens.add(("table-s", table))
-            for key in keys:
+            for key in decision.keys:
                 tokens.add(("key", table, tuple(key)))
     return sorted(tokens, key=repr)
 
@@ -232,7 +211,8 @@ class StorageCoordinator:
             labels=("outcome", "scope"),
         )
         self._read_statements = metrics.counter(
-            "storage.read_statements", "statements carried by successful read requests"
+            "storage.read_statements",
+            "read statements answered by a successful read request or inside an apply",
         )
         self._read_fallbacks = metrics.counter(
             "storage.read_fallbacks", "reads answered by a fallback replica"
@@ -254,11 +234,9 @@ class StorageCoordinator:
         self._requests.inc(op=op, outcome="ok")
         return result
 
-    def _apply_with_retries(self, partition: int, txn_id: str, statements: list[Statement]) -> str:
+    def _apply_with_retries(self, partition: int, payload: tuple) -> object:
         return self.policy.run(
-            "apply",
-            (txn_id, partition),
-            lambda: self._attempt(partition, "apply", (txn_id, list(statements))),
+            "apply", (payload[0], partition), lambda: self._attempt(partition, "apply", payload)
         )
 
     def _patiently(self, describe: str, attempt: Callable[[], object]) -> object:
@@ -294,33 +272,32 @@ class StorageCoordinator:
         )
 
     # -- reads -------------------------------------------------------------------------
-    def _read(self, key: tuple, partition: int, statements: list[Statement]) -> list[list[tuple]]:
-        """One ``read`` request under the retry policy: a row list per statement."""
-        rows = self.policy.run("read", key, lambda: self._attempt(partition, "read", statements))
-        self._read_statements.inc(len(statements))
+    def _read(self, key: tuple, partition: int, reads: list[CompiledSql]) -> list[list[tuple]]:
+        """One ``read`` request under the retry policy: a row list per read."""
+        rows = self.policy.run("read", key, lambda: self._attempt(partition, "read", reads))
+        self._read_statements.inc(len(reads))
         return rows
 
     def _read_fallback_partitions(self, decision: RoutingDecision) -> list[int]:
         """Replica-set fallbacks of a single-table, single-replica read, nearest-first."""
-        tables = statement_tables(decision.statement)
-        schema = self.router.schema
-        single = len(decision.partitions) == 1 and len(tables) == 1
-        if not single or schema is None or not schema.has_table(tables[0]):
+        if len(decision.partitions) != 1 or decision.keys is None:
             return []
+        (table,) = statement_tables(decision.statement)
         replicas: set[int] = set()
-        for key in pinned_keys(decision.statement, tables[0], schema) or ():
-            replicas.update(self.router.placement_of(TupleId(tables[0], key)))
+        for key in decision.keys:
+            replicas.update(self.router.placement_of(TupleId(table, key)))
         return sorted(replicas - decision.partitions)
 
     def _read_from_fallback(
-        self, decision: RoutingDecision, outcome: StorageOutcome, error: RetryBudgetExhausted
+        self, read: _Read, outcome: StorageOutcome, error: RetryBudgetExhausted
     ) -> list[tuple]:
-        """Retry one statement of a failed batch alone on its other replicas;
+        """Retry one read of a failed batch alone on its other replicas;
         re-raises ``error`` when none of them answers."""
+        decision, pair = read
         for fallback in self._read_fallback_partitions(decision):
             key = (outcome.txn_id, "read-fallback", fallback, repr(decision.statement))
             try:
-                (rows,) = self._read(key, fallback, [decision.statement])
+                (rows,) = self._read(key, fallback, [pair])
             except RetryBudgetExhausted:
                 continue
             self._read_fallbacks.inc()
@@ -329,14 +306,16 @@ class StorageCoordinator:
         raise error
 
     def _execute_reads(
-        self, reads: list[RoutingDecision], outcome: StorageOutcome
+        self, reads: list[_Read], outcome: StorageOutcome, writers: Container[int] = ()
     ) -> list[list[tuple]]:
-        """Run the transaction's reads, one request per participant in sorted
-        partition order; returns one row list per read, in statement order."""
+        """Run the reads routed to partitions outside ``writers`` (whose reads
+        ride in their apply), one request per partition in sorted order;
+        returns one row list per read, in statement order."""
         batches: dict[int, list[int]] = {}
-        for index, decision in enumerate(reads):
+        for index, (decision, _) in enumerate(reads):
             for partition in decision.partitions:
-                batches.setdefault(partition, []).append(index)
+                if partition not in writers:
+                    batches.setdefault(partition, []).append(index)
         rows: list[list[tuple]] = [[] for _ in reads]
         for partition in sorted(batches):
             indexes = batches[partition]
@@ -344,7 +323,7 @@ class StorageCoordinator:
                 results = self._read(
                     (outcome.txn_id, "read", partition),
                     partition,
-                    [reads[index].statement for index in indexes],
+                    [reads[index][1] for index in indexes],
                 )
             except RetryBudgetExhausted as error:
                 results = [self._read_from_fallback(reads[i], outcome, error) for i in indexes]
@@ -356,11 +335,11 @@ class StorageCoordinator:
     def execute_transaction(self, transaction: Transaction, txn_id: str) -> StorageOutcome:
         """Route and execute one transaction; returns its outcome.
 
-        Reads and writes are each batched per participant and sent in sorted
-        partition order — every read before the first apply, the writes under
-        the transaction's write locks.  Committed writes are mirrored into the
-        oracle before the locks release, so cluster and oracle agree on per-key
-        order.
+        Each participant gets one request, sent in sorted partition order
+        under the transaction's write locks: read-only participants first,
+        then each writing participant's apply, which carries its share of the
+        reads.  Committed writes are mirrored into the oracle before the locks
+        release, so cluster and oracle agree on per-key order.
         """
         decisions = self.router.route_transaction(transaction)
         participants: set[int] = set()
@@ -373,29 +352,33 @@ class StorageCoordinator:
             scope=scope,
             participants=tuple(sorted(participants)),
         )
-        write_batches: dict[int, list[Statement]] = {}
-        write_statements: list[Statement] = []
+        reads: list[_Read] = []
+        # partition -> (its write pairs, the reads its apply carries)
+        batches: dict[int, tuple[list[CompiledSql], list[CompiledSql]]] = {}
         for decision in decisions:
+            pair = compile_statement(decision.statement)
             if is_write(decision.statement):
-                write_statements.append(decision.statement)
-                for partition in sorted(decision.partitions):
-                    write_batches.setdefault(partition, []).append(decision.statement)
+                for partition in decision.partitions:
+                    batches.setdefault(partition, ([], []))[0].append(pair)
+            else:
+                reads.append((decision, pair))
+        for decision, pair in reads:
+            for partition in decision.partitions & batches.keys():
+                batches[partition][1].append(pair)
         tokens = (
-            write_lock_tokens(transaction, self.router.schema)
-            if write_batches and self.router.schema is not None
-            else []
+            write_lock_tokens(decisions) if batches and self.router.schema is not None else []
         )
         self.locks.acquire(tokens)
         try:
             try:
-                self._execute_reads([d for d in decisions if not is_write(d.statement)], outcome)
+                self._execute_reads(reads, outcome, writers=batches)
             except RetryBudgetExhausted as error:
                 outcome.status = "aborted"
                 outcome.reason = f"read unavailable: {error.operation}"
                 self._transactions.inc(outcome="aborted", scope=scope)
                 return outcome
-            if write_batches:
-                self._apply_writes(outcome, write_batches, write_statements)
+            if batches:
+                self._apply_writes(outcome, batches, decisions)
             self._transactions.inc(outcome=outcome.status, scope=scope)
             return outcome
         finally:
@@ -404,22 +387,22 @@ class StorageCoordinator:
     def _apply_writes(
         self,
         outcome: StorageOutcome,
-        write_batches: dict[int, list[Statement]],
-        write_statements: list[Statement],
+        batches: dict[int, tuple[list[CompiledSql], list[CompiledSql]]],
+        decisions: list[RoutingDecision],
     ) -> None:
-        ordered = sorted(write_batches)
         committed = False  # flips once the first participant durably applied
-        for index, partition in enumerate(ordered):
-            statements = write_batches[partition]
+        for partition in sorted(batches):
+            writes, reads = batches[partition]
+            payload = (outcome.txn_id, writes, reads)
             try:
                 if not committed:
-                    self._apply_with_retries(partition, outcome.txn_id, statements)
+                    self._apply_with_retries(partition, payload)
                     committed = True
                 else:
                     outcome.in_doubt_completed = (
-                        self._complete_forward(partition, outcome.txn_id, statements)
-                        or outcome.in_doubt_completed
+                        self._complete_forward(partition, payload) or outcome.in_doubt_completed
                     )
+                self._read_statements.inc(len(reads))
             except StoreConstraintError as error:
                 if committed:  # pragma: no cover - workload never splits constraints
                     raise InDoubtError(
@@ -451,20 +434,22 @@ class StorageCoordinator:
                 return
         if committed and self.oracle is not None:
             with self._oracle_lock:
-                for statement in write_statements:
-                    self.oracle.execute(statement)
+                for decision in decisions:
+                    if is_write(decision.statement):
+                        self.oracle.execute(decision.statement)
 
-    def _complete_forward(self, partition: int, txn_id: str, statements: list[Statement]) -> bool:
-        """Apply one participant's batch past the commit point (patiently).
+    def _complete_forward(self, partition: int, payload: tuple) -> bool:
+        """Apply one participant's batch past the commit point (patiently);
+        the resent payload's reads are idempotent.
 
         Returns whether completion needed the patient path (the normal
         retry budget did not suffice)."""
         try:
-            self._apply_with_retries(partition, txn_id, statements)
+            self._apply_with_retries(partition, payload)
             return False
         except RetryBudgetExhausted:
             self._patiently(
-                f"forward-complete txn {txn_id} on partition {partition}",
-                lambda: self._attempt(partition, "apply", (txn_id, list(statements))),
+                f"forward-complete txn {payload[0]} on partition {partition}",
+                lambda: self._attempt(partition, "apply", payload),
             )
             return True

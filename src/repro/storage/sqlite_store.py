@@ -14,22 +14,39 @@ neither; a retried apply whose id is already present is a no-op reporting
 ``"duplicate"``.  This is what makes the coordinator's retry loop safe: a
 timeout tells the client nothing about whether the write landed, and the
 dedup table resolves the ambiguity instead of double-applying delta updates.
+
+**Compiled SQL only.**  Every statement arrives as a ``(sql, params)`` pair
+the coordinator compiled (:func:`repro.storage.sql.compile_statement`); the
+store checks each pair's verb before running it, so a read batch can never
+autocommit a write and anything else fails closed with a ``ValueError``.
 """
 
 from __future__ import annotations
 
 import sqlite3
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.catalog.schema import Schema
 from repro.catalog.tuples import TupleId
-from repro.sqlparse.ast import Statement
-from repro.storage.sql import compile_statement, create_schema_sql, quote_identifier
+from repro.storage.sql import create_schema_sql, quote_identifier
 
 #: dedup table name; underscore-prefixed so it can never collide with a
 #: catalog table (catalog identifiers are plain words).
 APPLIED_TABLE = "_repro_applied"
+
+#: a compiled statement: parameterised SQL text and its bind values.
+CompiledSql = tuple[str, Sequence[object]]
+_READ_VERBS = ("SELECT ",)
+_WRITE_VERBS = ("INSERT ", "UPDATE ", "DELETE ")
+
+
+def _checked(pairs: Sequence[CompiledSql], verbs: tuple[str, ...]) -> Iterator[CompiledSql]:
+    """``pairs`` one by one, refusing any whose SQL is not a string starting with ``verbs``."""
+    for sql, params in pairs:
+        if not isinstance(sql, str) or not sql.startswith(verbs):
+            raise ValueError(f"expected compiled SQL starting with {verbs}, got {sql!r}")
+        yield sql, params
 
 
 class StoreConstraintError(ValueError):
@@ -71,34 +88,40 @@ class SqlitePartitionStore:
         self.close()
 
     # -- writes ------------------------------------------------------------------------
-    def apply_transaction(self, txn_id: str, statements: Sequence[Statement]) -> str:
-        """Apply this partition's share of one transaction, exactly once.
+    def apply_transaction(
+        self, txn_id: str, writes: Sequence[CompiledSql], reads: Sequence[CompiledSql]
+    ) -> tuple[str, list[list[tuple]]]:
+        """Apply this partition's share of one transaction, exactly once, and
+        answer the transaction's reads routed here.
 
-        Returns ``"applied"`` on first application and ``"duplicate"`` when
-        ``txn_id`` was already durably applied (the retried-after-timeout
-        case).  All statements plus the dedup marker commit atomically; any
-        failure rolls the whole batch back, so a fatal error leaves this
-        partition untouched by the transaction.
+        The reads run first, inside the same ``BEGIN IMMEDIATE`` as the writes,
+        so on first application they observe this partition's state before
+        the transaction's writes.  Returns ``("applied", rows)``, or
+        ``("duplicate", rows)`` when ``txn_id`` was already durably applied
+        (the retried-after-timeout case; its rows then include the writes).
+        ``rows`` holds one row list per read.  All writes plus the dedup marker
+        commit atomically; any failure rolls the whole batch back, so a fatal
+        error leaves this partition untouched by the transaction.
         """
         cursor = self._connection.cursor()
         cursor.execute("BEGIN IMMEDIATE")
         try:
+            rows = [cursor.execute(*pair).fetchall() for pair in _checked(reads, _READ_VERBS)]
             cursor.execute(
                 f"SELECT 1 FROM {quote_identifier(APPLIED_TABLE)} WHERE txn_id = ?",
                 (txn_id,),
             )
             if cursor.fetchone() is not None:
                 cursor.execute("ROLLBACK")
-                return "duplicate"
-            for statement in statements:
-                sql, params = compile_statement(statement)
+                return "duplicate", rows
+            for sql, params in _checked(writes, _WRITE_VERBS):
                 cursor.execute(sql, params)
             cursor.execute(
                 f"INSERT INTO {quote_identifier(APPLIED_TABLE)} (txn_id) VALUES (?)",
                 (txn_id,),
             )
             cursor.execute("COMMIT")
-            return "applied"
+            return "applied", rows
         except sqlite3.IntegrityError as error:
             cursor.execute("ROLLBACK")
             raise StoreConstraintError(str(error)) from error
@@ -227,11 +250,10 @@ class SqlitePartitionStore:
         return cursor.fetchone() is not None
 
     # -- reads -------------------------------------------------------------------------
-    def execute_read(self, statements: Sequence[Statement]) -> list[list[tuple]]:
-        """Execute a batch of read statements: one raw row list per statement, in order."""
+    def execute_read(self, reads: Sequence[CompiledSql]) -> list[list[tuple]]:
+        """Execute a batch of compiled reads: one raw row list per read, in order."""
         return [
-            self._connection.execute(*compile_statement(statement)).fetchall()
-            for statement in statements
+            self._connection.execute(*pair).fetchall() for pair in _checked(reads, _READ_VERBS)
         ]
 
     # -- audit walks -------------------------------------------------------------------

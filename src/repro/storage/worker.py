@@ -16,13 +16,23 @@ classification (:data:`~repro.storage.retry.RETRYABLE` /
 whose ``seq`` belongs to a request that already timed out, so one slow
 response does not desynchronise the stream.
 
-Payloads by op: ``apply`` takes ``(txn_id, statements)``; ``read`` takes a
-**list of statements** — a transaction's whole share of reads for this
-partition, a single read being a batch of one — and replies with a list of
-row lists, one per statement in request order.  A batch is idempotent, so
-the client retries it as a unit.  A payload the store cannot serve (say a
-bare statement where ``read`` expects a list) is answered with a FATAL
-error reply and the worker keeps serving.
+Statements travel compiled: each is a ``(sql, params)`` pair the coordinator
+built with :func:`~repro.storage.sql.compile_statement`, so the worker
+neither unpickles statement trees nor compiles.  Payloads by op:
+
+* ``read`` takes a **list of pairs** — a transaction's reads routed to a
+  partition it does not write, a single read being a batch of one — and
+  replies with a list of row lists, one per read in request order;
+* ``apply`` takes ``(txn_id, writes, reads)``: the partition's write pairs
+  and the transaction's reads routed here, which run first inside the same
+  SQLite transaction.  It replies ``(status, rows)``, ``status`` being
+  ``"applied"`` or ``"duplicate"`` and ``rows`` one row list per read.
+
+Both are idempotent (reads change nothing, applies dedup by ``txn_id``), so
+the client retries either as a unit.  A payload the store cannot serve — a
+bare or uncompiled statement, SQL that is not a string, a read that is not
+a ``SELECT`` or a write that is not an ``INSERT``/``UPDATE``/``DELETE`` — is
+answered with a FATAL error reply and the worker keeps serving.
 """
 
 from __future__ import annotations
@@ -88,8 +98,8 @@ def worker_main(connection: Connection, db_path: str, schema: Schema) -> None:
                 if op == "ping":
                     result: object = "pong"
                 elif op == "apply":
-                    txn_id, statements = payload
-                    result = store.apply_transaction(txn_id, statements)
+                    txn_id, writes, reads = payload
+                    result = store.apply_transaction(txn_id, writes, reads)
                 elif op == "read":
                     result = store.execute_read(payload)
                 elif op == "has_txn":

@@ -12,7 +12,7 @@ import pytest
 
 from repro.catalog.tuples import TupleId
 from repro.core.cost import transaction_partitions
-from repro.core.strategies import LookupTablePartitioning
+from repro.core.strategies import HashPartitioning, LookupTablePartitioning
 from repro.distributed.cluster import Cluster
 from repro.distributed.coordinator import TwoPhaseCommitCoordinator
 from repro.experiments.audit import audit_against_oracle, cluster_rows
@@ -24,6 +24,7 @@ from repro.routing.router import Router
 from repro.sqlparse.ast import InsertStatement, SelectStatement, eq, is_write, statement_tables
 from repro.sqlparse.predicates import conjunctive_conditions, pinned_values, statement_where
 from repro.storage import SqliteStorageCluster
+from repro.storage.coordinator import write_lock_tokens
 from repro.utils.rng import SeededRng
 from repro.workload.rwsets import extract_access_trace
 from repro.workload.splitter import split_workload
@@ -217,6 +218,63 @@ def test_cost_model_scores_the_partitions_the_router_serves(name):
             served = router.transaction_participants(transaction)
             assert served == transaction_partitions(strategy, access, bundle.database), transaction
     assert checked
+
+
+# -- one derivation of a statement's keys ------------------------------------------------
+def _derived_keys(statement, table, schema):
+    """The keys the storage coordinator derived itself before routing carried them."""
+    if isinstance(statement, InsertStatement):
+        try:
+            return [schema.table(table).primary_key_of(statement.row)]
+        except KeyError:
+            return None
+    return pinned_values(
+        [
+            condition
+            for condition in conjunctive_conditions(statement_where(statement))
+            if condition.table in (None, table)
+        ],
+        schema.table(table).primary_key,
+    )
+
+
+def _derived_lock_tokens(transaction, schema):
+    tokens = set()
+    for statement in transaction.statements:
+        if is_write(statement):
+            keys = _derived_keys(statement, statement.table, schema)
+            if keys is None:
+                tokens.add(("table-x", statement.table))
+            else:
+                tokens.add(("table-s", statement.table))
+                tokens.update(("key", statement.table, tuple(key)) for key in keys)
+    return sorted(tokens, key=repr)
+
+
+@pytest.mark.parametrize("name, deployed", [("tpcc", "plan"), ("epinions", "plan"), ("tpcc", "hash")])
+def test_lock_tokens_and_read_keys_are_the_keys_routing_resolved(name, deployed):
+    if deployed == "plan":
+        bundle, _test, _run, plan = _planned(name)
+        _strategy, router = _deploy(plan, bundle.database.schema)
+    else:
+        bundle = BUNDLES[name][0]()
+        router = Router(HashPartitioning(2), bundle.database.schema)
+    schema = bundle.database.schema
+    locked = pinned = 0
+    for transaction in bundle.workload:
+        decisions = router.route_transaction(transaction)
+        tokens = write_lock_tokens(decisions)
+        assert tokens == _derived_lock_tokens(transaction, schema), transaction
+        locked += len(tokens)
+        for decision in decisions:
+            tables = statement_tables(decision.statement)
+            if len(tables) == 1:
+                expected = _derived_keys(decision.statement, tables[0], schema)
+                assert decision.keys == expected, decision.statement
+                pinned += expected is not None
+            else:
+                assert decision.keys is None
+    assert locked and pinned
 
 
 # -- a moved tuple is still found --------------------------------------------------------

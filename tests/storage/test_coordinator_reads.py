@@ -4,9 +4,10 @@ A stub cluster stands in for :class:`SqliteStorageCluster` behind the same
 ``handle(p).request(op, payload, timeout_s=)`` seam: each partition is a real
 :class:`SqlitePartitionStore` served in this process, every request is logged,
 and a partition can be declared dead (its requests raise
-:class:`WorkerUnavailable`).  That makes the request *count and order* of a
-transaction, the fallback walk and the ``read unavailable`` abort checkable
-without worker processes; one last test sends a malformed ``read`` payload to
+:class:`WorkerUnavailable`) or down for its next few requests.  That makes the
+request *count and order* of a transaction, the reads an apply carries, the
+fallback walk, the ``read unavailable`` abort and the apply's failure handling
+checkable without worker processes; the last tests send malformed payloads to
 a real worker.
 """
 
@@ -23,6 +24,7 @@ from repro.routing.router import Router
 from repro.sqlparse.ast import (
     ColumnRef,
     Comparison,
+    InsertStatement,
     SelectStatement,
     UpdateStatement,
     eq,
@@ -30,6 +32,7 @@ from repro.sqlparse.ast import (
 )
 from repro.storage import RetryOptions, SqliteStorageCluster, StorageCoordinator
 from repro.storage.coordinator import StorageOutcome
+from repro.storage.sql import compile_statement
 from repro.storage.worker import RemoteStoreError, WorkerHandle, WorkerUnavailable
 from repro.workload.trace import Transaction
 
@@ -44,6 +47,9 @@ class StubHandle:
         cluster.log.append((self.partition, op, payload))
         if self.partition in cluster.dead:
             raise WorkerUnavailable(self.partition, "stub: declared dead")
+        if cluster.down.get(self.partition):
+            cluster.down[self.partition] -= 1
+            raise WorkerUnavailable(self.partition, "stub: killed, not yet restarted")
         store = cluster.stores[self.partition]
         if op == "read":
             return store.execute_read(payload)
@@ -62,6 +68,8 @@ class StubCluster:
         self.num_partitions = files.num_partitions
         self.stores = {p: files.open_store(p) for p in range(files.num_partitions)}
         self.dead: set[int] = set()
+        #: partition -> how many of its next requests fail before it answers again.
+        self.down: dict[int, int] = {}
         self.log: list[tuple[int, str, object]] = []
 
     def handle(self, partition: int) -> StubHandle:
@@ -78,6 +86,23 @@ class StubCluster:
 
 def _read(account_id: int) -> SelectStatement:
     return SelectStatement(("account",), where=eq("id", account_id))
+
+
+def _debit(account_id: int, amount: int = 10) -> UpdateStatement:
+    return UpdateStatement("account", {"bal": ("delta", -amount)}, where=eq("id", account_id))
+
+
+def _execute_reads(coordinator, decisions, outcome):
+    """The coordinator's read path over every decision (none of them writes)."""
+    reads = [(decision, compile_statement(decision.statement)) for decision in decisions]
+    return coordinator._execute_reads(reads, outcome)
+
+
+def _audit(cluster, oracle) -> None:
+    """Every row on every partition equals the oracle's row."""
+    for store in cluster.stores.values():
+        for key, row in store.all_rows("account").items():
+            assert row == oracle.get_row(TupleId("account", key)), key
 
 
 def _counter(telemetry, name: str, **labels: object) -> float:
@@ -110,26 +135,78 @@ def bank(tmp_path, bank_database):
 
 def test_one_read_per_read_participant_and_one_apply_per_write_participant(bank):
     cluster, coordinator, telemetry = bank
-    transaction = Transaction(
-        [
-            _read(3),
-            _read(1),
-            UpdateStatement("account", {"bal": ("delta", -10)}, where=eq("id", 1)),
-            _read(4),
-            _read(2),
-        ]
-    )
+    transaction = Transaction([_read(3), _read(1), _debit(1), _read(4), _read(2)])
     outcome = coordinator.execute_transaction(transaction, "txn-1")
     assert outcome.committed and outcome.participants == (0, 1)
-    # sorted partition order, every read before the first apply.
-    assert [(p, op) for p, op, _ in cluster.log] == [(0, "read"), (1, "read"), (0, "apply")]
-    assert len(cluster.log) <= 2 * len(outcome.participants)
-    # each batch carries its partition's statements in statement order.
-    assert cluster.log[0][2] == [_read(1), _read(2)]
-    assert cluster.log[1][2] == [_read(3), _read(4)]
-    assert _counter(telemetry, "storage.requests", op="read", outcome="ok") == 2
+    # one request per participant: the read-only one first, then the writer's
+    # apply, which carries that partition's reads.
+    assert [(p, op) for p, op, _ in cluster.log] == [(1, "read"), (0, "apply")]
+    # every batch holds compiled pairs of its partition's statements, in statement order.
+    assert cluster.log[0][2] == [compile_statement(_read(3)), compile_statement(_read(4))]
+    assert cluster.log[1][2] == (
+        "txn-1",
+        [compile_statement(_debit(1))],
+        [compile_statement(_read(1)), compile_statement(_read(2))],
+    )
+    assert _counter(telemetry, "storage.requests", op="read", outcome="ok") == 1
     assert _counter(telemetry, "storage.requests", op="apply", outcome="ok") == 1
+    # carried reads count like batched ones.
     assert _counter(telemetry, "storage.read_statements") == 4
+
+
+def test_a_carried_read_of_a_row_its_apply_updates_sees_the_old_value(
+    bank, bank_database, monkeypatch
+):
+    cluster, coordinator, _ = bank
+    before = bank_database.get_row(TupleId("account", (1,)))["bal"]
+    replies = []
+    request = StubHandle.request
+
+    def recording(handle, op, payload=None, timeout_s=1.0):
+        reply = request(handle, op, payload, timeout_s)
+        replies.append((op, reply))
+        return reply
+
+    monkeypatch.setattr(StubHandle, "request", recording)
+    # the update precedes the read in the transaction, yet the read sees the
+    # partition as it was before any of the transaction's writes.
+    outcome = coordinator.execute_transaction(Transaction([_debit(1), _read(1)]), "txn-1")
+    assert outcome.committed
+    ((op, (status, (rows,))),) = replies
+    assert (op, status) == ("apply", "applied")
+    assert [row[2] for row in rows] == [before]
+    assert bank_database.get_row(TupleId("account", (1,)))["bal"] == before - 10
+    _audit(cluster, bank_database)
+
+
+def test_a_killed_first_writer_aborts_cleanly_before_its_carried_apply(bank, bank_database):
+    cluster, coordinator, telemetry = bank
+    balances = {i: bank_database.get_row(TupleId("account", (i,)))["bal"] for i in (1, 3)}
+    cluster.down[0] = 3  # the whole apply budget (max_retries=2) on partition 0
+    outcome = coordinator.execute_transaction(
+        Transaction([_read(1), _debit(1), _read(3), _debit(3)]), "txn-1"
+    )
+    assert outcome.status == "aborted"
+    assert outcome.reason == "write fast-fail: retry budget exhausted"
+    # no read request: both participants write, so their reads ride in the applies.
+    assert [(p, op) for p, op, _ in cluster.log] == [(0, "apply")] * 3 + [(0, "has_txn")]
+    assert {i: bank_database.get_row(TupleId("account", (i,)))["bal"] for i in (1, 3)} == balances
+    assert _counter(telemetry, "storage.read_statements") == 0
+    _audit(cluster, bank_database)
+
+
+def test_a_killed_later_writer_completes_forward_with_its_carried_reads(bank, bank_database):
+    cluster, coordinator, telemetry = bank
+    cluster.down[1] = 3  # the retry budget runs out past the commit point
+    outcome = coordinator.execute_transaction(
+        Transaction([_read(1), _debit(1), _read(3), _debit(3)]), "txn-1"
+    )
+    assert outcome.committed and outcome.in_doubt_completed
+    applies = [payload for p, op, payload in cluster.log if op == "apply" and p == 1]
+    assert len(applies) == 4 and len(set(map(repr, applies))) == 1  # the same payload resent
+    assert applies[0][2] == [compile_statement(_read(3))]
+    assert _counter(telemetry, "storage.read_statements") == 2
+    _audit(cluster, bank_database)
 
 
 def test_rows_come_back_per_statement_in_statement_order(bank, bank_database):
@@ -139,7 +216,7 @@ def test_rows_come_back_per_statement_in_statement_order(bank, bank_database):
     scan = SelectStatement(("account",), where=Comparison(ColumnRef("bal"), ">", 20_000))
     statements = [_read(3), _read(1), scan, _read(4)]
     decisions = coordinator.router.route_transaction(Transaction(statements))
-    rows = coordinator._execute_reads(decisions, StorageOutcome("txn-1", "committed", "", ()))
+    rows = _execute_reads(coordinator, decisions, StorageOutcome("txn-1", "committed", "", ()))
     assert cluster.sent("read") == [0, 1]
     assert [sorted(statement_rows) for statement_rows in rows] == [
         sorted(tuple(row.values()) for row in bank_database.execute(statement).rows)
@@ -168,13 +245,13 @@ def test_batched_reads_match_per_statement_execution_on_a_tpcc_slice(tmp_path, t
                 for d in decisions
             ]
             outcome = StorageOutcome(f"txn-{index}", "committed", "", ())
-            batched = coordinator._execute_reads(decisions, outcome)
+            batched = _execute_reads(coordinator, decisions, outcome)
             assert [sorted(rows) for rows in batched] == expected
             reads_checked += len(decisions)
             before = len(cluster.log)
             outcome = coordinator.execute_transaction(transaction, f"txn-{index}")
             assert outcome.committed
-            assert len(cluster.log) - before <= 2 * len(outcome.participants)
+            assert len(cluster.log) - before == len(outcome.participants)
         assert reads_checked > 100
     finally:
         cluster.close()
@@ -234,7 +311,44 @@ def test_a_bare_statement_as_read_payload_is_a_fatal_error_and_the_worker_keeps_
             handle.request("read", _read(1), timeout_s=10.0)
         assert info.value.kind == "fatal"
         assert handle.request("ping", timeout_s=10.0) == "pong"
-        assert handle.request("read", [_read(1)], timeout_s=10.0) == [[]]
+        assert handle.request("read", [compile_statement(_read(1))], timeout_s=10.0) == [[]]
+    finally:
+        handle.close()
+    assert not handle.process.is_alive()
+
+
+@pytest.mark.storage
+def test_the_worker_fails_closed_on_anything_but_compiled_sql_and_keeps_serving(
+    tmp_path, bank_schema
+):
+    insert = compile_statement(InsertStatement("account", {"id": 9, "name": "x", "bal": 1}))
+    select = compile_statement(_read(9))
+    malformed = {
+        "statement objects in a read batch": ("read", [_read(9)]),
+        "old-format apply of statement objects": ("apply", ("t-1", [_debit(9)])),
+        "statement objects in an apply": ("apply", ("t-1", [_debit(9)], [])),
+        "read SQL that is not a str": ("read", [(b"SELECT 1", [])]),
+        "write SQL that is not a str": ("apply", ("t-1", [(42, [])], [])),
+        "a write in a read batch": ("read", [insert]),
+        "a write among an apply's reads": ("apply", ("t-1", [], [insert])),
+        # the insert runs before the check refuses the SELECT: it must roll back.
+        "a read among an apply's writes": ("apply", ("t-1", [insert, select], [])),
+    }
+    handle = WorkerHandle(0, tmp_path / "p0.sqlite", bank_schema)
+    try:
+        for case, (op, payload) in malformed.items():
+            with pytest.raises(RemoteStoreError) as info:
+                handle.request(op, payload, timeout_s=10.0)
+            assert info.value.kind == "fatal", case
+            assert handle.request("ping", timeout_s=10.0) == "pong", case
+        # nothing autocommitted or half-applied, and the txn id is still free.
+        assert handle.request("row_count", timeout_s=10.0) == 0
+        assert handle.request("has_txn", "t-1", timeout_s=10.0) is False
+        assert handle.request("apply", ("t-1", [insert], [select]), timeout_s=10.0) == (
+            "applied",
+            [[]],
+        )
+        assert handle.request("read", [select], timeout_s=10.0) == [[(9, "x", 1)]]
     finally:
         handle.close()
     assert not handle.process.is_alive()

@@ -41,6 +41,7 @@ from repro.sqlparse.ast import (
     Or,
     UpdateStatement,
 )
+from repro.storage.sql import compile_statement
 from repro.storage.sqlite_store import SqlitePartitionStore
 
 pytestmark = pytest.mark.storage
@@ -169,16 +170,18 @@ def test_compiled_statements_match_engine_row_state(tmp_path, seed, array_backen
             for index in range(NUM_STATEMENTS):
                 statement = _random_statement(rng, state)
                 database.execute(statement)
-                outcome = store.apply_transaction(f"fuzz-{seed}-{index}", [statement])
-                assert outcome == "applied"
+                outcome = store.apply_transaction(
+                    f"fuzz-{seed}-{index}", [compile_statement(statement)], []
+                )
+                assert outcome == ("applied", [])
                 if index % 50 == 0:
                     assert store.all_rows("item") == _engine_rows(database)
             assert store.all_rows("item") == _engine_rows(database)
             # Exactly-once: replaying any txn id is a durable no-op.
             replay = store.apply_transaction(
-                f"fuzz-{seed}-0", [DeleteStatement("item", where=None)]
+                f"fuzz-{seed}-0", [compile_statement(DeleteStatement("item", where=None))], []
             )
-            assert replay == "duplicate"
+            assert replay == ("duplicate", [])
             assert store.all_rows("item") == _engine_rows(database)
         finally:
             store.close()
