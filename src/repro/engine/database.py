@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.catalog.schema import Schema, Table
 from repro.catalog.tuples import TupleId
@@ -15,10 +15,9 @@ from repro.sqlparse.parser import parse_statement
 class Database:
     """A single-node in-memory database for one :class:`Schema`.
 
-    Besides normal statement execution it exposes the helpers the Schism
-    pipeline needs: executing a list of statements as one transaction and
-    reporting the combined read/write sets, and enumerating tuples/sizes for
-    graph construction.
+    Besides statement execution (which reports each statement's read/write
+    sets) it exposes what graph construction needs: enumerating tuples and
+    their sizes.
     """
 
     def __init__(self, schema: Schema) -> None:
@@ -64,16 +63,6 @@ class Database:
         if isinstance(statement, str):
             statement = parse_statement(statement)
         return self._executor.execute(statement)
-
-    def execute_transaction(self, statements: Sequence[Statement | str]) -> StatementResult:
-        """Execute statements sequentially, merging their read/write sets."""
-        combined = StatementResult()
-        for statement in statements:
-            result = self.execute(statement)
-            combined.rows.extend(result.rows)
-            combined.read_set.update(result.read_set)
-            combined.write_set.update(result.write_set)
-        return combined
 
     # -- introspection -------------------------------------------------------------------
     def row_count(self, table: str | None = None) -> int:

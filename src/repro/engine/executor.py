@@ -6,6 +6,24 @@ which were written, identified by :class:`~repro.catalog.tuples.TupleId`.
 That is the information the paper extracts from SQL traces (Section 5.3) to
 build the partitioning graph, and it also drives the distributed-transaction
 cost model.
+
+One rule finds the rows of a table that a statement can touch — for SELECT,
+UPDATE, DELETE and for every table of a join.  The candidates are the first
+of:
+
+1. the primary keys :func:`~repro.sqlparse.predicates.pinned_values` derives
+   from the table's conjunctive conditions (the router's derivation), in
+   first-seen order, skipping keys that are not stored;
+2. the smallest secondary-index bucket among ``=`` conditions on indexed
+   columns (the first such condition on a tie), sorted by ``repr``;
+3. every stored key, in insertion order.
+
+Each candidate is then checked against the WHERE clause with
+:func:`~repro.sqlparse.predicates.evaluate_predicate`; candidates only skip
+rows that provably cannot match.  Read/write sets are sets, so the rule only
+decides which rows are *examined* (counted by ``engine.rows_examined``); the
+order of matches matters only under ``LIMIT``, and an index bucket comes out
+in the same ``repr`` order whichever equality picked it.
 """
 
 from __future__ import annotations
@@ -14,9 +32,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from repro.catalog.tuples import TupleId
+from repro.obs import get_telemetry
 from repro.sqlparse.ast import (
+    And,
+    Comparison,
     DeleteStatement,
     InsertStatement,
+    JoinCondition,
+    Predicate,
     SelectStatement,
     Statement,
     UpdateStatement,
@@ -24,10 +47,11 @@ from repro.sqlparse.ast import (
 from repro.sqlparse.predicates import (
     conjunctive_conditions,
     evaluate_predicate,
-    iter_join_conditions,
+    pinned_values,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.catalog.schema import Table
     from repro.engine.storage import TableStorage
 
 
@@ -43,6 +67,25 @@ class StatementResult:
     def touched(self) -> set[TupleId]:
         """Union of read and write sets."""
         return self.read_set | self.write_set
+
+
+def _conjuncts(predicate: Predicate | None) -> list[Predicate]:
+    """The predicates every matching row satisfies: ``predicate``'s top-level AND terms."""
+    if predicate is None:
+        return []
+    if isinstance(predicate, And):
+        return [term for child in predicate.children for term in _conjuncts(child)]
+    return [predicate]
+
+
+def _on_table(table: "Table", qualifier: str | None, column: str) -> bool:
+    return qualifier == table.name or (qualifier is None and table.has_column(column))
+
+
+def _examined(count: int) -> None:
+    get_telemetry().metrics.counter(
+        "engine.rows_examined", "candidate rows checked against a WHERE clause"
+    ).inc(count)
 
 
 class Executor:
@@ -73,185 +116,109 @@ class Executor:
             raise KeyError(f"unknown table {table!r}")
         return storage
 
+    @staticmethod
     def _matching_keys(
-        self, storage: "TableStorage", statement: Statement
+        storage: "TableStorage", where: Predicate | None
     ) -> list[tuple[object, ...]]:
-        """Find primary keys of rows matching the statement's WHERE clause.
-
-        Uses the primary key or a secondary index for conjunctive equality
-        conditions and falls back to a full scan otherwise.
-        """
-        where = getattr(statement, "where", None)
-        if where is None:
-            return list(storage.keys())
+        """Primary keys of the rows of ``storage`` that satisfy ``where`` (see module doc)."""
         table = storage.table
-        conditions = conjunctive_conditions(where)
-        # Fast path 1: full primary key bound by equality conditions.
-        key_values: dict[str, object] = {}
-        for condition in conditions:
-            if condition.operator == "=" and condition.column in table.primary_key:
-                if condition.table in (None, table.name):
-                    key_values[condition.column] = condition.value
-        if len(key_values) == len(table.primary_key):
-            key = tuple(key_values[column] for column in table.primary_key)
-            if key in storage:
-                row = storage.get(key)
-                assert row is not None
-                if evaluate_predicate(where, row):
-                    return [key]
-            return []
-        # Fast path 2: single equality condition on an indexed column.
-        for condition in conditions:
-            usable_table = condition.table in (None, table.name)
-            if condition.operator == "=" and usable_table and condition.column in storage.indexed_columns:
-                candidates = storage.lookup_equal(condition.column, condition.value)
-                matches = []
-                for key in candidates:
-                    row = storage.get(key)
-                    if row is not None and evaluate_predicate(where, row):
-                        matches.append(key)
-                return matches
-        # IN over the primary key (single-column primary keys only).
-        if len(table.primary_key) == 1:
-            for condition in conditions:
-                on_pk = condition.column == table.primary_key[0]
-                if condition.operator == "in" and on_pk and condition.table in (None, table.name):
-                    matches = []
-                    for value in condition.values:
-                        key = (value,)
-                        row = storage.get(key)
-                        if row is not None and evaluate_predicate(where, row):
-                            matches.append(key)
-                    return matches
-        # Slow path: full scan.
-        return [key for key, row in storage.rows() if evaluate_predicate(where, row)]
+        conditions = [
+            condition
+            for condition in conjunctive_conditions(where)
+            if _on_table(table, condition.table, condition.column)
+        ]
+        pinned = pinned_values(conditions, table.primary_key)
+        if pinned is not None:
+            candidates = [key for key in dict.fromkeys(pinned) if key in storage]
+        else:
+            indexed = [
+                (condition.column, condition.value)
+                for condition in conditions
+                if condition.operator == "=" and condition.column in storage.indexed_columns
+            ]
+            if indexed:
+                candidates = storage.lookup_equal(
+                    *min(indexed, key=lambda pair: storage.count_equal(*pair))
+                )
+            else:
+                candidates = list(storage.keys())
+        if where is None:
+            return candidates
+        _examined(len(candidates))
+        return [key for key in candidates if evaluate_predicate(where, storage.peek(key))]
 
     # -- statement kinds ----------------------------------------------------------------
     def _execute_select(self, statement: SelectStatement) -> StatementResult:
         storage = self._storage(statement.tables[0])
         result = StatementResult()
-        keys = self._matching_keys(storage, statement)
+        keys = self._matching_keys(storage, statement.where)
         if statement.limit is not None:
             keys = keys[: statement.limit]
         for key in keys:
-            row = storage.get(key)
-            assert row is not None
-            result.rows.append(self._project(row, statement))
+            result.rows.append(self._project(storage.peek(key), statement))
             result.read_set.add(TupleId(storage.table.name, key))
         return result
 
     def _execute_join_select(self, statement: SelectStatement) -> StatementResult:
-        """Nested-loop equi-join over two or more tables.
+        """Nested-loop join over two or more tables.
 
-        Every table named in the FROM clause is filtered by its own
-        conjunctive conditions first, then joined pairwise on the equality
-        join conditions.  The read set includes the matching rows of every
-        table (they must all be fetched to answer the query).
+        Each table's rows are found by the one rule, checked against that
+        table's own conjunctive comparisons; tables are then joined in FROM
+        order, pruning on the conjunctive join conditions whose two sides are
+        present, and every joined row is checked against the whole WHERE
+        clause.  The read set is the rows that contribute to a result row.
         """
-        result = StatementResult()
-        conditions = conjunctive_conditions(statement.where)
-        joins = list(iter_join_conditions(statement.where))
-        per_table_rows: dict[str, list[tuple[tuple[object, ...], dict[str, object]]]] = {}
+        where = statement.where
+        conjuncts = _conjuncts(where)
+        joins = [term for term in conjuncts if isinstance(term, JoinCondition)]
+        joined: list[tuple[dict[str, object], frozenset[TupleId]]] = [({}, frozenset())]
         for table_name in statement.tables:
             storage = self._storage(table_name)
-            table_conditions = [
-                condition
-                for condition in conditions
-                if condition.table == table_name
-                or (condition.table is None and storage.table.has_column(condition.column))
+            own = tuple(
+                term
+                for term in conjuncts
+                if isinstance(term, Comparison)
+                and _on_table(storage.table, term.column.table, term.column.name)
+            )
+            rows = [
+                (TupleId(table_name, key), storage.peek(key))
+                for key in self._matching_keys(storage, And(own) if own else None)
             ]
-            keys = self._filter_keys(storage, table_conditions)
-            per_table_rows[table_name] = [(key, storage.get(key) or {}) for key in keys]
-        # Build joined rows incrementally, table by table.
-        joined: list[dict[str, object]] = [{}]
-        contributing: list[set[TupleId]] = [set()]
-        for table_name in statement.tables:
-            new_joined: list[dict[str, object]] = []
-            new_contributing: list[set[TupleId]] = []
-            for partial, sources in zip(joined, contributing):
-                for key, row in per_table_rows[table_name]:
+            extended = []
+            for partial, sources in joined:
+                for tuple_id, row in rows:
                     candidate = dict(partial)
                     for column, value in row.items():
                         candidate[f"{table_name}.{column}"] = value
                         candidate.setdefault(column, value)
-                    if self._joins_satisfied(candidate, joins, statement.tables, table_name):
-                        new_joined.append(candidate)
-                        new_contributing.append(sources | {TupleId(table_name, key)})
-            joined = new_joined
-            contributing = new_contributing
-        rows = joined
+                    if self._joins_satisfied(candidate, joins):
+                        extended.append((candidate, sources | {tuple_id}))
+            joined = extended
+        if where is not None:
+            _examined(len(joined))
+            joined = [(row, sources) for row, sources in joined if evaluate_predicate(where, row)]
         if statement.limit is not None:
-            rows = rows[: statement.limit]
-            contributing = contributing[: statement.limit]
-        for row, sources in zip(rows, contributing):
+            joined = joined[: statement.limit]
+        result = StatementResult()
+        for row, sources in joined:
             result.rows.append(row)
             result.read_set.update(sources)
         return result
 
     @staticmethod
-    def _joins_satisfied(
-        candidate: Mapping[str, object],
-        joins: list,
-        tables: tuple[str, ...],
-        last_table: str,
-    ) -> bool:
-        """Check join conditions whose two sides are already present in ``candidate``."""
+    def _joins_satisfied(candidate: Mapping[str, object], joins: list[JoinCondition]) -> bool:
+        """Check the join conditions whose two sides are already present in ``candidate``."""
         for join in joins:
-            left_key = f"{join.left.table}.{join.left.name}" if join.left.table else join.left.name
-            right_key = (
-                f"{join.right.table}.{join.right.name}" if join.right.table else join.right.name
+            left, right = (
+                f"{side.table}.{side.name}" if side.table else side.name
+                for side in (join.left, join.right)
             )
-            if left_key in candidate and right_key in candidate:
-                if candidate[left_key] != candidate[right_key]:
-                    return False
-        return True
-
-    def _filter_keys(self, storage: "TableStorage", conditions: list) -> list[tuple[object, ...]]:
-        """Filter one table by its own attribute conditions (no join logic)."""
-        if not conditions:
-            return list(storage.keys())
-        # Equality on an indexed or primary-key column narrows the scan.
-        for condition in conditions:
-            if condition.operator == "=" and condition.column in storage.indexed_columns:
-                candidates = storage.lookup_equal(condition.column, condition.value)
-                return [
-                    key
-                    for key in candidates
-                    if self._row_matches_conditions(storage.get(key) or {}, conditions)
-                ]
-        return [
-            key
-            for key, row in storage.rows()
-            if self._row_matches_conditions(row, conditions)
-        ]
-
-    @staticmethod
-    def _row_matches_conditions(row: Mapping[str, object], conditions: list) -> bool:
-        for condition in conditions:
-            value = row.get(condition.column)
-            if value is None and condition.column not in row:
-                return False
-            operator = condition.operator
-            if operator == "=" and not value == condition.value:
-                return False
-            if operator == "<>" and not value != condition.value:
-                return False
-            if operator == "<" and not value < condition.value:  # type: ignore[operator]
-                return False
-            if operator == "<=" and not value <= condition.value:  # type: ignore[operator]
-                return False
-            if operator == ">" and not value > condition.value:  # type: ignore[operator]
-                return False
-            if operator == ">=" and not value >= condition.value:  # type: ignore[operator]
-                return False
-            if operator == "between" and not condition.low <= value <= condition.high:  # type: ignore[operator]
-                return False
-            if operator == "in" and value not in condition.values:
+            if left in candidate and right in candidate and candidate[left] != candidate[right]:
                 return False
         return True
 
     @staticmethod
-    def _project(row: dict[str, object], statement: SelectStatement) -> dict[str, object]:
+    def _project(row: Mapping[str, object], statement: SelectStatement) -> dict[str, object]:
         if not statement.columns:
             return dict(row)
         projected: dict[str, object] = {}
@@ -270,7 +237,7 @@ class Executor:
     def _execute_update(self, statement: UpdateStatement) -> StatementResult:
         storage = self._storage(statement.table)
         result = StatementResult()
-        for key in self._matching_keys(storage, statement):
+        for key in self._matching_keys(storage, statement.where):
             storage.update(key, statement.assignments)
             result.write_set.add(TupleId(storage.table.name, key))
         return result
@@ -278,7 +245,7 @@ class Executor:
     def _execute_delete(self, statement: DeleteStatement) -> StatementResult:
         storage = self._storage(statement.table)
         result = StatementResult()
-        for key in self._matching_keys(storage, statement):
+        for key in self._matching_keys(storage, statement.where):
             storage.delete(key)
             result.write_set.add(TupleId(storage.table.name, key))
         return result

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.catalog.schema import Table
 from repro.catalog.tuples import TupleId
@@ -99,6 +99,10 @@ class TableStorage:
         row = self._rows.get(key)
         return dict(row) if row is not None else None
 
+    def peek(self, key: tuple[object, ...]) -> dict[str, object] | None:
+        """The live row with primary key ``key`` (or None); do not mutate it."""
+        return self._rows.get(key)
+
     def __contains__(self, key: tuple[object, ...]) -> bool:
         return key in self._rows
 
@@ -114,18 +118,13 @@ class TableStorage:
         """Iterate over ``(key, row)`` pairs (rows are the live dicts; do not mutate)."""
         return iter(self._rows.items())
 
-    def scan(
-        self, matches: Callable[[Mapping[str, object]], bool]
-    ) -> list[tuple[tuple[object, ...], dict[str, object]]]:
-        """Full scan returning ``(key, row)`` pairs for which ``matches`` is true."""
-        return [(key, row) for key, row in self._rows.items() if matches(row)]
+    def count_equal(self, column: str, value: object) -> int:
+        """Number of rows with ``row[column] == value`` (``column`` must be indexed)."""
+        return len(self._indexes[column].get(value, ()))
 
     def lookup_equal(self, column: str, value: object) -> list[tuple[object, ...]]:
-        """Return keys of rows with ``row[column] == value`` using an index if present."""
-        index = self._indexes.get(column)
-        if index is not None:
-            return sorted(index.get(value, set()), key=repr)
-        return [key for key, row in self._rows.items() if row[column] == value]
+        """Keys of rows with ``row[column] == value`` in ``repr`` order (``column`` indexed)."""
+        return sorted(self._indexes[column].get(value, ()), key=repr)
 
     def tuple_ids(self) -> list[TupleId]:
         """All tuple ids currently stored."""

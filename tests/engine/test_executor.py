@@ -1,6 +1,11 @@
 """Tests for statement execution and read/write-set extraction."""
 
+import pytest
+
+from repro.catalog.schema import Schema, Table, integer_column
 from repro.catalog.tuples import TupleId
+from repro.engine.database import Database
+from repro.obs import Telemetry, use_telemetry
 from repro.sqlparse.ast import (
     ColumnRef,
     DeleteStatement,
@@ -100,12 +105,51 @@ class TestWrites:
         assert result.read_set == {TupleId("account", (4,))}
 
 
-class TestTransactions:
-    def test_execute_transaction_merges_sets(self, bank_database):
-        statements = [
-            SelectStatement(("account",), where=eq("id", 1)),
-            UpdateStatement("account", {"bal": 0}, where=eq("id", 2)),
-        ]
-        result = bank_database.execute_transaction(statements)
-        assert TupleId("account", (1,)) in result.read_set
-        assert TupleId("account", (2,)) in result.write_set
+
+class TestAccessRule:
+    """Which rows a statement examines: pinned keys, else the smallest bucket, else a scan."""
+
+    @pytest.fixture
+    def lines(self) -> Database:
+        table = Table(
+            "line",
+            [integer_column("w"), integer_column("o"), integer_column("n"), integer_column("q")],
+            ["w", "o", "n"],
+        )
+        database = Database(Schema("lines", [table]))
+        for w in range(2):
+            for o in range(5):
+                for n in range(3):
+                    database.insert_row("line", {"w": w, "o": o, "n": n, "q": 0})
+        return database
+
+    @staticmethod
+    def _examined(database: Database, statement) -> tuple[int, object]:
+        with use_telemetry(Telemetry.create()) as telemetry:
+            result = database.execute(statement)
+            snapshot = telemetry.metrics.snapshot()
+        [series] = snapshot["families"]["engine.rows_examined"]["series"]
+        return series["value"], result
+
+    def test_pinned_composite_keys_skip_missing_and_repeated(self, lines):
+        where = conj(eq("w", 1), eq("o", 2), in_list("n", [0, 0, 2, 7]))
+        examined, result = self._examined(lines, SelectStatement(("line",), where=where))
+        assert examined == 2
+        assert result.read_set == {TupleId("line", (1, 2, 0)), TupleId("line", (1, 2, 2))}
+
+    def test_repeated_in_values_update_each_row_once(self, lines):
+        where = conj(eq("w", 0), eq("o", 1), in_list("n", [1, 1, 1]))
+        lines.execute(UpdateStatement("line", {"q": ("delta", 5)}, where=where))
+        assert lines.get_row(TupleId("line", (0, 1, 1)))["q"] == 5
+
+    def test_smallest_index_bucket_is_examined(self, lines):
+        statement = SelectStatement(("line",), where=conj(eq("w", 0), eq("o", 3)))
+        examined, result = self._examined(lines, statement)
+        assert examined == 3 * 2  # o = 3 (6 rows), not w = 0 (15 rows)
+        assert len(result.read_set) == 3
+
+    def test_range_scans_every_row(self, lines):
+        examined, result = self._examined(
+            lines, SelectStatement(("line",), where=between("o", 1, 2))
+        )
+        assert examined == 30 and len(result.read_set) == 12

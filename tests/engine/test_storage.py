@@ -76,10 +76,8 @@ def test_index_on_unknown_column(storage):
         storage.create_index("missing")
 
 
-def test_scan_and_tuple_ids(storage):
-    rich = storage.scan(lambda row: row["bal"] >= 300)
-    assert {key for key, _row in rich} == {(3,), (4,)}
-    assert len(storage.tuple_ids()) == 5
+def test_tuple_ids(storage):
+    assert storage.tuple_ids() == [TupleId("account", (i,)) for i in range(5)]
 
 
 def test_byte_size(storage):

@@ -15,6 +15,12 @@ drift between the two execution paths — predicate evaluation, delta
 updates, empty IN lists, type affinity — shows up as a row diff with the
 seed that produced it.  Runs under both array backends, since the engine's
 row state is the oracle every storage audit compares against.
+
+A second, two-table schema (one table with a composite primary key) checks
+the engine's reads: random join SELECTs with AND/OR over both tables must
+return the rows SQLite returns, and the engine's read set must be exactly
+the primary keys of those rows; ``k1 = ? AND k2 IN (...)`` delta UPDATEs
+whose IN lists repeat values must apply once per row.
 """
 
 from __future__ import annotations
@@ -24,12 +30,14 @@ import random
 import pytest
 
 from repro.catalog.schema import (
+    ForeignKey,
     Schema,
     Table,
     float_column,
     integer_column,
     string_column,
 )
+from repro.catalog.tuples import TupleId
 from repro.engine.database import Database
 from repro.graph.backend import backend_context, numpy
 from repro.sqlparse.ast import (
@@ -38,7 +46,9 @@ from repro.sqlparse.ast import (
     Comparison,
     DeleteStatement,
     InsertStatement,
+    JoinCondition,
     Or,
+    SelectStatement,
     UpdateStatement,
 )
 from repro.storage.sql import compile_statement
@@ -183,5 +193,144 @@ def test_compiled_statements_match_engine_row_state(tmp_path, seed, array_backen
             )
             assert replay == ("duplicate", [])
             assert store.all_rows("item") == _engine_rows(database)
+        finally:
+            store.close()
+
+
+# -- joins and composite keys -------------------------------------------------------------
+NUM_JOIN_STATEMENTS = 150
+
+A_ID, A_X = ColumnRef("id", "a"), ColumnRef("x", "a")
+B_K1, B_K2 = ColumnRef("k1", "b"), ColumnRef("k2", "b")
+B_A_ID, B_W = ColumnRef("a_id", "b"), ColumnRef("w", "b")
+JOIN = JoinCondition(A_ID, B_A_ID)
+
+#: shapes the engine once answered wrongly: an OR under the join's AND was
+#: never checked, and a join condition under an OR still pruned the product.
+FIXED_JOIN_WHERES = [
+    And(
+        children=(
+            JOIN,
+            Or(children=(Comparison(A_X, "=", value=1), Comparison(B_W, "=", value=2))),
+        )
+    ),
+    Or(children=(JOIN, Comparison(A_X, "=", value=1))),
+]
+
+
+def _join_schema() -> Schema:
+    return Schema(
+        "fuzz-join",
+        [
+            Table("a", [integer_column("id"), integer_column("x")], primary_key=["id"]),
+            Table(
+                "b",
+                [
+                    integer_column("k1"),
+                    integer_column("k2"),
+                    integer_column("a_id"),
+                    integer_column("w"),
+                ],
+                primary_key=["k1", "k2"],
+                foreign_keys=[ForeignKey(("a_id",), "a", ("id",))],
+            ),
+        ],
+    )
+
+
+def _join_seed_rows() -> dict[str, list[dict]]:
+    return {
+        "a": [{"id": i, "x": i % 3} for i in range(6)],
+        "b": [
+            {"k1": k1, "k2": k2, "a_id": (k1 + 2 * k2) % 7, "w": (3 * k1 + k2) % 4}
+            for k1 in range(3)
+            for k2 in range(4)
+        ],
+    }
+
+
+def _join_leaf(rng: random.Random) -> Comparison:
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Comparison(A_ID, "=", value=rng.randrange(7))
+    if kind == 1:
+        return Comparison(A_X, rng.choice(("=", "<>", "<", ">=")), value=rng.randrange(3))
+    if kind == 2:
+        return Comparison(B_K1, "=", value=rng.randrange(4))
+    if kind == 3:
+        return Comparison(B_K2, "in", values=tuple(rng.choices(range(5), k=rng.randrange(4))))
+    if kind == 4:
+        low = rng.randrange(4)
+        return Comparison(B_W, "between", low=low, high=low + rng.randrange(2))
+    return Comparison(B_A_ID, "=", value=rng.randrange(7))
+
+
+def _random_join_where(rng: random.Random):
+    shape = rng.randrange(6)
+    if shape == 0:
+        return And(children=(JOIN, _join_leaf(rng)))
+    if shape == 1:
+        return And(children=(JOIN, Or(children=(_join_leaf(rng), _join_leaf(rng)))))
+    if shape == 2:
+        return Or(children=(JOIN, _join_leaf(rng)))
+    if shape == 3:
+        return And(children=(JOIN, _join_leaf(rng), _join_leaf(rng)))
+    if shape == 4:
+        return Or(children=(And(children=(JOIN, _join_leaf(rng))), _join_leaf(rng)))
+    return And(children=(_join_leaf(rng), _join_leaf(rng)))
+
+
+def _composite_key_update(rng: random.Random) -> tuple[UpdateStatement, list[tuple[int, int]]]:
+    """``k1 = ? AND k2 IN (...)`` with repeated values, and the keys it names."""
+    k1 = rng.randrange(4)
+    values = tuple(rng.choices(range(5), k=rng.randrange(1, 6)))
+    where = And(children=(Comparison(B_K1, "=", value=k1), Comparison(B_K2, "in", values=values)))
+    statement = UpdateStatement(
+        "b", assignments={"w": ("delta", rng.randrange(1, 4))}, where=where
+    )
+    return statement, [(k1, k2) for k2 in values]
+
+
+def _check_join(database: Database, store: SqlitePartitionStore, where) -> None:
+    statement = SelectStatement(("a", "b"), columns=(A_ID, B_K1, B_K2), where=where)
+    result = database.execute(statement)
+    [expected] = store.execute_read([compile_statement(statement)])
+    engine_rows = [(row["a.id"], row["b.k1"], row["b.k2"]) for row in result.rows]
+    assert sorted(engine_rows) == sorted(expected), str(where)
+    contributing = {TupleId("a", (a_id,)) for a_id, _k1, _k2 in expected}
+    contributing |= {TupleId("b", (k1, k2)) for _a_id, k1, k2 in expected}
+    assert result.read_set == contributing, str(where)
+
+
+@pytest.mark.parametrize("array_backend", BACKENDS)
+@pytest.mark.parametrize("seed", range(3))
+def test_join_selects_and_composite_key_updates_match_sqlite(tmp_path, seed, array_backend):
+    with backend_context(array_backend):
+        rng = random.Random(seed)
+        schema = _join_schema()
+        database = Database(schema)
+        store = SqlitePartitionStore(tmp_path / f"join-{seed}.sqlite", schema)
+        try:
+            for table, rows in _join_seed_rows().items():
+                for row in rows:
+                    database.insert_row(table, row)
+                store.bulk_load(table, rows)
+            for where in FIXED_JOIN_WHERES:
+                _check_join(database, store, where)
+            for index in range(NUM_JOIN_STATEMENTS):
+                if rng.randrange(3):
+                    _check_join(database, store, _random_join_where(rng))
+                    continue
+                statement, keys = _composite_key_update(rng)
+                stored = store.all_rows("b")
+                result = database.execute(statement)
+                assert result.write_set == {TupleId("b", key) for key in keys if key in stored}
+                outcome = store.apply_transaction(
+                    f"join-{seed}-{index}", [compile_statement(statement)], []
+                )
+                assert outcome == ("applied", [])
+                assert store.all_rows("b") == {
+                    key: dict(row) for key, row in database.storage("b").rows()
+                }
         finally:
             store.close()

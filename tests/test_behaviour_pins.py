@@ -25,6 +25,14 @@ change that stopped boxing the graph on the numpy path (zero-copy row reads,
 lazy gain rows, attracted-nodes-only polish), again on both backends.  They
 use the benchmark's smoke size — above the 2 048-entry threshold, so the
 vectorised kernels, not their scalar fallbacks, are what is pinned.
+
+The trace pins (``TRACE_PINS``) were recorded at the parent commit of the
+change that gave the engine one rule for finding a statement's rows
+(pinned primary keys, else the smallest index bucket, else a scan), on both
+array backends.  Each is the digest of an extracted ``AccessTrace``: every
+statement with its sorted read and write sets.  The TPC-E stream carries
+primary-key ``IN`` lists and ``LIMIT`` reads, the cases where the access
+path could change which rows a statement sees.
 """
 
 import hashlib
@@ -36,8 +44,15 @@ from repro.experiments.figure5 import synthetic_access_graph
 from repro.graph.partitioner import PartitionerOptions, cut_weight, partition_graph
 from repro.pipeline import Pipeline, SchismOptions
 from repro.utils.rng import SeededRng
+from repro.workload.rwsets import extract_access_trace
 from repro.workload.splitter import split_workload
-from repro.workloads import generate_simplecount
+from repro.workloads import (
+    EpinionsConfig,
+    TpceConfig,
+    generate_epinions,
+    generate_simplecount,
+    generate_tpce,
+)
 
 PARTITION_PINS = {
     (0, 2): "b1c90eb332a572526055cbf4acd77c19dd7126ef1ee4ebc0e0002c4796dd240c",
@@ -56,6 +71,12 @@ SCALE_PINS = {
 }
 SIMPLECOUNT_PLAN_PIN = "ce7bb028f45abb9135e14730f3abf897dd6392794b8e13e2d7f4f9cfb9af9182"
 TPCC_PLAN_PIN = "b91a31b583fbf1909117ab43eea0f62d224636f944af0a26a586ddbd3b5e37c9"
+#: workload -> sha256 of its extracted access trace (see ``_trace_digest``).
+TRACE_PINS = {
+    "tpcc": "175e9ea6ad1395575eee67f36f6fdf1a2ceecff53cc155636b352a29075bccbe",
+    "epinions": "19d480b2e2280ca5c8c53345226f4dbf0510faff9234ee3e81fc0cb8bf545fc7",
+    "tpce": "c54f1a0eb6995dbb4d2eb7fdf9ca35693d0cf0ea92089c5df72d6aec48d651c7",
+}
 
 
 @pytest.mark.parametrize("seed", (0, 1))
@@ -93,3 +114,35 @@ def test_simplecount_plan_is_pinned():
 
 def test_tiny_tpcc_plan_is_pinned(tiny_tpcc):
     assert _plan_fingerprint(tiny_tpcc, 2) == TPCC_PLAN_PIN
+
+
+def _trace_digest(bundle):
+    digest = hashlib.sha256()
+    for access in extract_access_trace(bundle.database, bundle.workload):
+        for statement in access.statement_accesses:
+            line = (
+                str(statement.statement),
+                sorted(map(repr, statement.read_set)),
+                sorted(map(repr, statement.write_set)),
+            )
+            digest.update(repr(line).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def _tiny_epinions():
+    config = EpinionsConfig(num_users=100, num_items=100, num_communities=5, seed=0)
+    return generate_epinions(config, num_transactions=300)
+
+
+def _tiny_tpce():
+    config = TpceConfig(customers=60, securities=30, companies=15, brokers=5, seed=0)
+    return generate_tpce(config, num_transactions=300)
+
+
+def test_tiny_tpcc_trace_is_pinned(tiny_tpcc):
+    assert _trace_digest(tiny_tpcc) == TRACE_PINS["tpcc"]
+
+
+@pytest.mark.parametrize("name, generate", [("epinions", _tiny_epinions), ("tpce", _tiny_tpce)])
+def test_tiny_trace_is_pinned(name, generate):
+    assert _trace_digest(generate()) == TRACE_PINS[name]
