@@ -11,9 +11,9 @@ One rule finds the rows of a table that a statement can touch — for SELECT,
 UPDATE, DELETE and for every table of a join.  The candidates are the first
 of:
 
-1. the primary keys :func:`~repro.sqlparse.predicates.pinned_values` derives
-   from the table's conjunctive conditions (the router's derivation), in
-   first-seen order, skipping keys that are not stored;
+1. the primary keys the table's conjunctive conditions pin, taken from the
+   statement's shape (:func:`~repro.sqlparse.shape.analyse`, the router's
+   derivation), in first-seen order, skipping keys that are not stored;
 2. the smallest secondary-index bucket among ``=`` conditions on indexed
    columns (the first such condition on a tie), sorted by ``repr``;
 3. every stored key, in insertion order.
@@ -44,11 +44,8 @@ from repro.sqlparse.ast import (
     Statement,
     UpdateStatement,
 )
-from repro.sqlparse.predicates import (
-    conjunctive_conditions,
-    evaluate_predicate,
-    pinned_values,
-)
+from repro.sqlparse.predicates import evaluate_predicate
+from repro.sqlparse.shape import StatementShape, analyse
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.schema import Table
@@ -118,22 +115,22 @@ class Executor:
 
     @staticmethod
     def _matching_keys(
-        storage: "TableStorage", where: Predicate | None
+        storage: "TableStorage",
+        where: Predicate | None,
+        shape: StatementShape,
+        values: list[object],
     ) -> list[tuple[object, ...]]:
-        """Primary keys of the rows of ``storage`` that satisfy ``where`` (see module doc)."""
+        """Primary keys of the rows of ``storage`` that satisfy ``where`` (see
+        module doc); the candidates come from the statement's ``shape`` and
+        bind ``values``."""
         table = storage.table
-        conditions = [
-            condition
-            for condition in conjunctive_conditions(where)
-            if _on_table(table, condition.table, condition.column)
-        ]
-        pinned = pinned_values(conditions, table.primary_key)
+        pinned = shape.keys(table.name, table.primary_key, values)
         if pinned is not None:
             candidates = [key for key in dict.fromkeys(pinned) if key in storage]
         else:
             indexed = [
                 (condition.column, condition.value)
-                for condition in conditions
+                for condition in shape.conditions(table.name, values)
                 if condition.operator == "=" and condition.column in storage.indexed_columns
             ]
             if indexed:
@@ -151,7 +148,7 @@ class Executor:
     def _execute_select(self, statement: SelectStatement) -> StatementResult:
         storage = self._storage(statement.tables[0])
         result = StatementResult()
-        keys = self._matching_keys(storage, statement.where)
+        keys = self._matching_keys(storage, statement.where, *analyse(statement))
         if statement.limit is not None:
             keys = keys[: statement.limit]
         for key in keys:
@@ -169,6 +166,7 @@ class Executor:
         clause.  The read set is the rows that contribute to a result row.
         """
         where = statement.where
+        shape, values = analyse(statement)
         conjuncts = _conjuncts(where)
         joins = [term for term in conjuncts if isinstance(term, JoinCondition)]
         joined: list[tuple[dict[str, object], frozenset[TupleId]]] = [({}, frozenset())]
@@ -182,7 +180,9 @@ class Executor:
             )
             rows = [
                 (TupleId(table_name, key), storage.peek(key))
-                for key in self._matching_keys(storage, And(own) if own else None)
+                for key in self._matching_keys(
+                    storage, And(own) if own else None, shape, values
+                )
             ]
             extended = []
             for partial, sources in joined:
@@ -237,7 +237,7 @@ class Executor:
     def _execute_update(self, statement: UpdateStatement) -> StatementResult:
         storage = self._storage(statement.table)
         result = StatementResult()
-        for key in self._matching_keys(storage, statement.where):
+        for key in self._matching_keys(storage, statement.where, *analyse(statement)):
             storage.update(key, statement.assignments)
             result.write_set.add(TupleId(storage.table.name, key))
         return result
@@ -245,7 +245,7 @@ class Executor:
     def _execute_delete(self, statement: DeleteStatement) -> StatementResult:
         storage = self._storage(statement.table)
         result = StatementResult()
-        for key in self._matching_keys(storage, statement.where):
+        for key in self._matching_keys(storage, statement.where, *analyse(statement)):
             storage.delete(key)
             result.write_set.add(TupleId(storage.table.name, key))
         return result

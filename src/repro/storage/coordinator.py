@@ -8,9 +8,11 @@ unreachable), applies writes partition by partition under the seeded
 retry/backoff policy, and mirrors every committed write into an in-memory
 **oracle** database for the post-run audits.
 
-**One request per participant, carrying compiled SQL.**  Every routed
-statement is compiled once, here, to a ``(sql, params)`` pair; the wire
-carries only pairs.  A participant that only reads gets one ``read`` request
+**One request per participant, carrying compiled SQL.**  SQL is compiled
+once per statement *shape*, not once per statement: the router's analysis
+(:mod:`repro.sqlparse.shape`) hands every decision its shape's text and the
+statement's bind values, and the wire carries only those ``(sql, params)``
+pairs.  A participant that only reads gets one ``read`` request
 carrying every read routed there; these go first, in sorted partition order,
 before the first apply.  A participant that writes gets its reads inside its
 ``apply`` request, ``(txn_id, writes, reads)``, where the worker runs them in
@@ -54,7 +56,7 @@ from repro.routing.router import Router, RoutingDecision
 from repro.sqlparse.ast import is_write, statement_tables
 from repro.storage.cluster import SqliteStorageCluster
 from repro.storage.retry import RetryBudgetExhausted, RetryOptions, RetryPolicy
-from repro.storage.sql import compile_statement
+from repro.storage.sql import UnsupportedStatementError
 from repro.storage.sqlite_store import CompiledSql, StoreConstraintError
 from repro.storage.worker import RemoteStoreError, WorkerTimeout, WorkerUnavailable
 from repro.workload.trace import Transaction
@@ -128,26 +130,35 @@ class LockManager:
     ``("table-x", table)`` (exclusive: a write that could touch any row).
     Acquisition follows the tokens' global sort order and holds everything
     until release, so no cycle — and therefore no deadlock — can form.
+
+    A key's mutex exists only while some transaction holds or awaits it:
+    each entry counts those transactions and is dropped by the last release,
+    so the table does not grow with every key ever written.
     """
 
     def __init__(self) -> None:
         self._guard = threading.Lock()
-        self._key_locks: dict[tuple, threading.Lock] = {}
+        #: key token -> [its mutex, transactions holding or awaiting it].
+        self._key_locks: dict[tuple, list] = {}
         self._table_locks: dict[str, _TableLock] = {}
-
-    def _key_lock(self, token: tuple) -> threading.Lock:
-        with self._guard:
-            return self._key_locks.setdefault(token, threading.Lock())
 
     def _table_lock(self, table: str) -> _TableLock:
         with self._guard:
-            return self._table_locks.setdefault(table, _TableLock())
+            lock = self._table_locks.get(table)
+            if lock is None:
+                lock = self._table_locks[table] = _TableLock()
+            return lock
 
     def acquire(self, tokens: Sequence[tuple]) -> list[tuple]:
         """Acquire ``tokens`` (pre-sorted); returns them for :meth:`release`."""
         for token in tokens:
             if token[0] == "key":
-                self._key_lock(token).acquire()
+                with self._guard:
+                    entry = self._key_locks.get(token)
+                    if entry is None:
+                        entry = self._key_locks[token] = [threading.Lock(), 0]
+                    entry[1] += 1
+                entry[0].acquire()
             else:
                 self._table_lock(token[1]).acquire(exclusive=token[0] == "table-x")
         return list(tokens)
@@ -156,7 +167,12 @@ class LockManager:
         """Release ``tokens`` in reverse acquisition order."""
         for token in reversed(tokens):
             if token[0] == "key":
-                self._key_lock(token).release()
+                with self._guard:
+                    entry = self._key_locks[token]
+                    entry[0].release()
+                    entry[1] -= 1
+                    if not entry[1]:
+                        del self._key_locks[token]
             else:
                 self._table_lock(token[1]).release(exclusive=token[0] == "table-x")
 
@@ -356,7 +372,9 @@ class StorageCoordinator:
         # partition -> (its write pairs, the reads its apply carries)
         batches: dict[int, tuple[list[CompiledSql], list[CompiledSql]]] = {}
         for decision in decisions:
-            pair = compile_statement(decision.statement)
+            if decision.sql is None:
+                raise UnsupportedStatementError(f"cannot compile {decision.statement!r}")
+            pair = (decision.sql, decision.params)
             if is_write(decision.statement):
                 for partition in decision.partitions:
                     batches.setdefault(partition, ([], []))[0].append(pair)

@@ -4,7 +4,9 @@ The workload generators and the parser both produce
 :data:`repro.sqlparse.ast.Statement` values; this module turns them into
 ``(sql, params)`` pairs for :mod:`sqlite3`.  Values always travel as bind
 parameters — never interpolated — so the compiled text depends only on the
-statement *shape* and SQLite's statement cache can actually hit.
+statement *shape*: :mod:`repro.sqlparse.shape` renders it once per shape,
+and SQLite's statement cache can actually hit.  This module also holds the
+DDL that materialises a catalog schema.
 
 The dialect is intentionally small (conjunctions/disjunctions of
 comparisons, implicit joins, delta updates); anything outside it is a
@@ -15,115 +17,16 @@ guessing.
 from __future__ import annotations
 
 from repro.catalog.schema import ColumnType, Schema, Table
-from repro.sqlparse.ast import (
-    And,
-    ColumnRef,
-    Comparison,
-    DeleteStatement,
-    InsertStatement,
-    JoinCondition,
-    Or,
-    Predicate,
-    SelectStatement,
-    Statement,
-    UpdateStatement,
-)
-
-
-class UnsupportedStatementError(ValueError):
-    """The statement uses a construct the SQLite backend cannot compile."""
-
-
-def quote_identifier(name: str) -> str:
-    """Quote an identifier for SQLite (doubling embedded quotes)."""
-    return '"' + name.replace('"', '""') + '"'
-
-
-def _column_sql(column: ColumnRef) -> str:
-    if column.table:
-        return f"{quote_identifier(column.table)}.{quote_identifier(column.name)}"
-    return quote_identifier(column.name)
-
-
-def compile_predicate(predicate: Predicate) -> tuple[str, list[object]]:
-    """Compile a predicate tree to ``(sql, params)``."""
-    if isinstance(predicate, Comparison):
-        column = _column_sql(predicate.column)
-        if predicate.operator == "between":
-            return f"{column} BETWEEN ? AND ?", [predicate.low, predicate.high]
-        if predicate.operator == "in":
-            if not predicate.values:
-                # An empty IN list matches nothing; SQLite has no literal for
-                # that, so emit a constant-false predicate.
-                return "0 = 1", []
-            marks = ", ".join("?" for _ in predicate.values)
-            return f"{column} IN ({marks})", list(predicate.values)
-        return f"{column} {predicate.operator} ?", [predicate.value]
-    if isinstance(predicate, JoinCondition):
-        return f"{_column_sql(predicate.left)} = {_column_sql(predicate.right)}", []
-    if isinstance(predicate, (And, Or)):
-        keyword = " AND " if isinstance(predicate, And) else " OR "
-        parts: list[str] = []
-        params: list[object] = []
-        for child in predicate.children:
-            child_sql, child_params = compile_predicate(child)
-            parts.append(f"({child_sql})")
-            params.extend(child_params)
-        return keyword.join(parts), params
-    raise UnsupportedStatementError(f"cannot compile predicate {predicate!r}")
+from repro.sqlparse.ast import Statement
+from repro.sqlparse.shape import UnsupportedStatementError, analyse, quote_identifier
 
 
 def compile_statement(statement: Statement) -> tuple[str, list[object]]:
     """Compile one statement AST to ``(sql, params)`` for SQLite."""
-    if isinstance(statement, SelectStatement):
-        columns = (
-            ", ".join(_column_sql(column) for column in statement.columns)
-            if statement.columns
-            else "*"
-        )
-        tables = ", ".join(quote_identifier(table) for table in statement.tables)
-        sql = f"SELECT {columns} FROM {tables}"
-        params: list[object] = []
-        if statement.where is not None:
-            where_sql, params = compile_predicate(statement.where)
-            sql += f" WHERE {where_sql}"
-        if statement.limit is not None:
-            sql += f" LIMIT {int(statement.limit)}"
-        return sql, params
-    if isinstance(statement, InsertStatement):
-        if not statement.row:
-            raise UnsupportedStatementError("INSERT with no columns")
-        columns = ", ".join(quote_identifier(column) for column in statement.row)
-        marks = ", ".join("?" for _ in statement.row)
-        sql = f"INSERT INTO {quote_identifier(statement.table)} ({columns}) VALUES ({marks})"
-        return sql, list(statement.row.values())
-    if isinstance(statement, UpdateStatement):
-        if not statement.assignments:
-            raise UnsupportedStatementError("UPDATE with no assignments")
-        parts = []
-        params = []
-        for column, value in statement.assignments.items():
-            quoted = quote_identifier(column)
-            if isinstance(value, tuple) and len(value) == 2 and value[0] == "delta":
-                parts.append(f"{quoted} = {quoted} + ?")
-                params.append(value[1])
-            else:
-                parts.append(f"{quoted} = ?")
-                params.append(value)
-        sql = f"UPDATE {quote_identifier(statement.table)} SET {', '.join(parts)}"
-        if statement.where is not None:
-            where_sql, where_params = compile_predicate(statement.where)
-            sql += f" WHERE {where_sql}"
-            params.extend(where_params)
-        return sql, params
-    if isinstance(statement, DeleteStatement):
-        sql = f"DELETE FROM {quote_identifier(statement.table)}"
-        params = []
-        if statement.where is not None:
-            where_sql, params = compile_predicate(statement.where)
-            sql += f" WHERE {where_sql}"
-        return sql, params
-    raise UnsupportedStatementError(f"cannot compile statement {statement!r}")
+    shape, values = analyse(statement)
+    if shape.sql is None:
+        raise UnsupportedStatementError(f"cannot compile statement {statement!r}")
+    return shape.sql, values
 
 
 _TYPE_AFFINITY = {

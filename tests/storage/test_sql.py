@@ -17,7 +17,6 @@ from repro.sqlparse.ast import (
 )
 from repro.storage.sql import (
     UnsupportedStatementError,
-    compile_predicate,
     compile_statement,
     create_schema_sql,
     quote_identifier,
@@ -55,10 +54,10 @@ def test_delete_with_predicate():
 
 
 def test_between_and_empty_in_predicates():
-    sql, params = compile_predicate(
-        And((between("bal", 10, 20), in_list("id", ())))
+    sql, params = compile_statement(
+        DeleteStatement("account", where=And((between("bal", 10, 20), in_list("id", ()))))
     )
-    assert sql == '("bal" BETWEEN ? AND ?) AND (0 = 1)'
+    assert sql == 'DELETE FROM "account" WHERE ("bal" BETWEEN ? AND ?) AND (0 = 1)'
     assert params == [10, 20]
 
 

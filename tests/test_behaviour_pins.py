@@ -33,6 +33,13 @@ array backends.  Each is the digest of an extracted ``AccessTrace``: every
 statement with its sorted read and write sets.  The TPC-E stream carries
 primary-key ``IN`` lists and ``LIMIT`` reads, the cases where the access
 path could change which rows a statement sees.
+
+The route pins (``ROUTE_PINS``) were recorded at the parent commit of the
+change that analyses each statement shape once, on both array backends.
+Each is the digest of every statement of a tiny TPC-C, Epinions or TPC-E
+stream routed through the plan deployed for it: destination partitions,
+broadcast flag, resolved keys and the compiled ``(sql, params)`` pair (at
+the parent, ``compile_statement`` of the statement).
 """
 
 import hashlib
@@ -42,7 +49,9 @@ import pytest
 
 from repro.experiments.figure5 import synthetic_access_graph
 from repro.graph.partitioner import PartitionerOptions, cut_weight, partition_graph
-from repro.pipeline import Pipeline, SchismOptions
+from repro.pipeline import PartitionPlan, Pipeline, SchismOptions
+from repro.routing.lookup import build_lookup_table
+from repro.routing.router import Router
 from repro.utils.rng import SeededRng
 from repro.workload.rwsets import extract_access_trace
 from repro.workload.splitter import split_workload
@@ -76,6 +85,12 @@ TRACE_PINS = {
     "tpcc": "175e9ea6ad1395575eee67f36f6fdf1a2ceecff53cc155636b352a29075bccbe",
     "epinions": "19d480b2e2280ca5c8c53345226f4dbf0510faff9234ee3e81fc0cb8bf545fc7",
     "tpce": "c54f1a0eb6995dbb4d2eb7fdf9ca35693d0cf0ea92089c5df72d6aec48d651c7",
+}
+#: workload -> sha256 of every routing decision of its deployed plan (see ``_route_digest``).
+ROUTE_PINS = {
+    "tpcc": "8070d315d329b140138616caa9e04b1f6aa10ac4affb6d4a429ea734650be3b4",
+    "epinions": "6f9b93ca8bb144991d370b92250686b8f4e27d1665a520c6f56e5a6de333a3c5",
+    "tpce": "7e4ba08f91574b623983d2d93e4aaaf6afef9298fb6f36bfff73c5fd2d785936",
 }
 
 
@@ -146,3 +161,32 @@ def test_tiny_tpcc_trace_is_pinned(tiny_tpcc):
 @pytest.mark.parametrize("name, generate", [("epinions", _tiny_epinions), ("tpce", _tiny_tpce)])
 def test_tiny_trace_is_pinned(name, generate):
     assert _trace_digest(generate()) == TRACE_PINS[name]
+
+
+def _route_digest(bundle):
+    train, test = split_workload(bundle.workload, 0.7, rng=SeededRng(0))
+    run = Pipeline(SchismOptions(num_partitions=2)).run(bundle.database, train, test)
+    plan = PartitionPlan.loads(run.plan(workload=bundle.name).dumps())
+    strategy = plan.deployment_strategy()
+    router = Router(strategy, bundle.database.schema, build_lookup_table(strategy.assignment))
+    digest = hashlib.sha256()
+    for transaction in bundle.workload:
+        for decision in router.route_transaction(transaction):
+            line = (
+                sorted(decision.partitions),
+                decision.broadcast,
+                decision.keys,
+                decision.sql,
+                decision.params,
+            )
+            digest.update(repr(line).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_tiny_tpcc_routes_are_pinned(tiny_tpcc):
+    assert _route_digest(tiny_tpcc) == ROUTE_PINS["tpcc"]
+
+
+@pytest.mark.parametrize("name, generate", [("epinions", _tiny_epinions), ("tpce", _tiny_tpce)])
+def test_tiny_routes_are_pinned(name, generate):
+    assert _route_digest(generate()) == ROUTE_PINS[name]
