@@ -12,7 +12,8 @@ Two consumers drive this module:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.sqlparse.ast import (
     And,
@@ -179,30 +180,61 @@ def _collect_conjunctive(predicate: Predicate | None, out: list[AttributeConditi
             _collect_conjunctive(child, out)
 
 
+def key_recipe(
+    comparisons: Iterable[tuple[str, str, int, int]], columns: Sequence[str]
+) -> Callable[[Sequence[object]], list[tuple[object, ...]]] | None:
+    """The rule for "which keys can this statement touch", as a recipe.
+
+    Each comparison is ``(column, operator, start, count)``: its values are
+    ``values[start:start + count]`` of the sequence the recipe is applied to.
+    A column is pinned by an ``=`` or non-empty ``IN`` comparison on it, the
+    last one winning.  Returns ``None`` when any of ``columns`` is left
+    unpinned, else a function of the values giving the cross product of the
+    pinned values in ``columns`` order.  :func:`pinned_values` applies it to
+    attribute conditions; statement shapes (:mod:`repro.sqlparse.shape`)
+    build it once per shape and apply it to each statement's bind values.
+    """
+    pins: dict[str, tuple[int, int]] = {}
+    for column, operator, start, count in comparisons:
+        if count and operator in ("=", "in") and column in columns:
+            pins[column] = (start, start + count)
+    if any(column not in pins for column in columns):
+        return None
+    slices = [pins[column] for column in columns]
+    if columns and all(stop - start == 1 for start, stop in slices):
+        # Every column is pinned by one value: one key.
+        if len(columns) == 1:
+            position = slices[0][0]
+            return lambda values: [(values[position],)]
+        key_of = itemgetter(*(start for start, _ in slices))
+        return lambda values: [key_of(values)]
+
+    def cross(values: Sequence[object]) -> list[tuple[object, ...]]:
+        pinned: list[tuple[object, ...]] = [()]
+        for start, stop in slices:
+            pinned = [prefix + (value,) for prefix in pinned for value in values[start:stop]]
+        return pinned
+
+    return cross
+
+
 def pinned_values(
     conditions: Iterable[AttributeCondition], columns: Sequence[str]
 ) -> list[tuple[object, ...]] | None:
     """Every value tuple over ``columns`` that ``conditions`` admit, or ``None``.
 
-    A column is pinned by an ``=`` or ``IN`` condition on it; the result is
-    the cross product of the pinned values in ``columns`` order, ``None``
-    when any column is left unpinned.  Callers pass the conditions of one
-    table (:func:`conjunctive_conditions`, filtered), so this is the single
-    derivation of "which keys can this statement touch" for hash routing,
-    lookup-table routing, read fallbacks and write locks.
+    Applies :func:`key_recipe` to the conditions of one table
+    (:func:`conjunctive_conditions`, filtered); the partitioning strategies
+    use it to hash or range-route a statement by its conditions.
     """
-    values: dict[str, tuple[object, ...]] = {}
+    values: list[object] = []
+    comparisons = []
     for condition in conditions:
-        if condition.column in columns:
-            candidates = condition.candidate_values()
-            if candidates:
-                values[condition.column] = candidates
-    if set(values) != set(columns):
-        return None
-    pinned: list[tuple[object, ...]] = [()]
-    for column in columns:
-        pinned = [prefix + (value,) for prefix in pinned for value in values[column]]
-    return pinned
+        candidates = condition.candidate_values()
+        comparisons.append((condition.column, condition.operator, len(values), len(candidates)))
+        values.extend(candidates)
+    recipe = key_recipe(comparisons, columns)
+    return None if recipe is None else recipe(values)
 
 
 def statement_where(statement: Statement) -> Predicate | None:

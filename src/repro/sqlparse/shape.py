@@ -13,22 +13,24 @@ the shape is seen, and kept for the life of the process:
 * the *conjunctive* comparisons (reachable through ANDs only, so they hold
   for every matching row), each with the positions of its values among the
   bind values.  An INSERT's columns count as ``=`` comparisons on its table;
-* per table and primary key, the recipe
-  :func:`~repro.sqlparse.predicates.pinned_values` applies: the last ``=``
-  or non-empty ``IN`` on each key column wins, and the keys are the cross
-  product of their values in key-column order.
+* per table and primary key, the key recipe
+  (:func:`~repro.sqlparse.predicates.key_recipe`, the rule
+  :func:`~repro.sqlparse.predicates.pinned_values` also applies): the last
+  ``=`` or non-empty ``IN`` on each key column wins, and the keys are the
+  cross product of their values in key-column order.
 
 :func:`analyse` is the one walk each statement gets: it returns the shape
 and the statement's bind values in SQL order.  The router, the SQL compiler
-and the engine all start from it.  First sights are counted by the
-``sqlparse.shapes`` counter (label ``kind``), against the telemetry active
-when the shape is first seen.
+and the engine all start from it.  The ``sqlparse.shapes`` counter (label
+``kind``) counts the distinct shapes each metrics registry sees: a shape is
+counted again when it is met under a registry other than the one that last
+counted it, so a run's snapshot does not depend on what the process ran
+before it.
 """
 
 from __future__ import annotations
 
 import threading
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from repro.obs import get_telemetry
@@ -44,7 +46,7 @@ from repro.sqlparse.ast import (
     Statement,
     UpdateStatement,
 )
-from repro.sqlparse.predicates import AttributeCondition
+from repro.sqlparse.predicates import AttributeCondition, key_recipe
 
 
 class UnsupportedStatementError(ValueError):
@@ -185,7 +187,9 @@ class StatementShape:
     need it.
     """
 
-    __slots__ = ("kind", "tables", "write", "sql", "_conditions", "_by_table", "_recipes")
+    __slots__ = (
+        "kind", "tables", "write", "sql", "counted_by", "_conditions", "_by_table", "_recipes"
+    )
 
     def __init__(self, key: tuple) -> None:
         kind = key[0]
@@ -232,6 +236,8 @@ class StatementShape:
         if kind == "select" and limit is not None:
             sql += f" LIMIT {int(limit)}"
         self.sql: str | None = sql
+        #: the metrics registry that last counted this shape in ``sqlparse.shapes``.
+        self.counted_by: object = None
         self._conditions = conditions
         self._by_table: dict[str, list[_Condition]] = {}
         self._recipes: dict[tuple, Callable[[Sequence[object]], list[tuple]] | None] = {}
@@ -275,28 +281,10 @@ class StatementShape:
     def _recipe(
         self, table: str, primary_key: tuple[str, ...]
     ) -> Callable[[Sequence[object]], list[tuple[object, ...]]] | None:
-        pins: dict[str, tuple[int, int]] = {}
-        for _, column, operator, start, count in self._on(table):
-            if column in primary_key and count and operator in ("=", "in"):
-                pins[column] = (start, count)
-        if any(column not in pins for column in primary_key):
-            return None
-        if any(pins[column][1] > 1 for column in primary_key):
-            slices = [(pins[column][0], sum(pins[column])) for column in primary_key]
-
-            def cross(values: Sequence[object]) -> list[tuple[object, ...]]:
-                pinned: list[tuple[object, ...]] = [()]
-                for start, stop in slices:
-                    pinned = [prefix + (value,) for prefix in pinned for value in values[start:stop]]
-                return pinned
-
-            return cross
-        # Every key column is pinned by one value: one key.
-        if len(primary_key) == 1:
-            position = pins[primary_key[0]][0]
-            return lambda values: [(values[position],)]
-        key_of = itemgetter(*(pins[column][0] for column in primary_key))
-        return lambda values: [key_of(values)]
+        return key_recipe(
+            [(column, operator, start, count) for _, column, operator, start, count in self._on(table)],
+            primary_key,
+        )
 
 
 # -- the cache -----------------------------------------------------------------------
@@ -312,14 +300,17 @@ def analyse(statement: Statement) -> tuple[StatementShape, list[object]]:
     values: list[object] = []
     key = key_of(statement, values)
     shape = _SHAPES.get(key)
-    if shape is None:
+    metrics = get_telemetry().metrics
+    if shape is None or shape.counted_by is not metrics:
         with _FIRST_SIGHT:
             shape = _SHAPES.get(key)
             if shape is None:
                 shape = _SHAPES[key] = StatementShape(key)
-                get_telemetry().metrics.counter(
+            if shape.counted_by is not metrics:
+                shape.counted_by = metrics
+                metrics.counter(
                     "sqlparse.shapes",
-                    "distinct statement shapes analysed (shape-cache misses)",
+                    "distinct statement shapes analysed under this registry",
                     labels=("kind",),
                 ).inc(kind=shape.kind)
     return shape, values

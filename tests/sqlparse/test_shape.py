@@ -215,6 +215,27 @@ def test_last_pin_wins_and_in_lists_cross_in_key_order():
     assert shape.keys("a", ("k1", "k2"), bound) is None and shape.conditions("a", bound) == []
 
 
+def test_pinned_values_follows_the_key_rule():
+    def condition(column, operator, *values):
+        if operator == "in":
+            return AttributeCondition(None, column, operator, values=values)
+        return AttributeCondition(None, column, operator, values[0])
+
+    conditions = [
+        condition("k2", "in", 5, 6),
+        condition("k1", "=", 1),
+        condition("k1", "in", 2, 3),
+        condition("k2", "in"),
+        condition("k1", ">", 9),
+    ]
+    assert pinned_values(conditions, ("k1", "k2")) == [(2, 5), (2, 6), (3, 5), (3, 6)]
+    assert pinned_values(conditions, ("k2", "k1")) == [(5, 2), (5, 3), (6, 2), (6, 3)]
+    assert pinned_values(conditions[1:2], ("k1",)) == [(1,)]
+    assert pinned_values(conditions[1:2], ("k1", "k2")) is None
+    assert pinned_values(conditions[3:], ("k2",)) is None
+    assert pinned_values([], ()) == [()]
+
+
 def test_first_sights_are_counted_once_per_shape():
     table = "shape_counter_probe"
     with use_telemetry(Telemetry.create()) as telemetry:
@@ -228,6 +249,20 @@ def test_first_sights_are_counted_once_per_shape():
         "insert": 1,
         "select": 1,
     }
+
+
+def test_each_registry_counts_the_shapes_it_sees():
+    statement = SelectStatement(("shape_registry_probe",), where=eq("id", 1))
+    shape, _ = analyse(statement)
+    counts = []
+    for _ in range(2):
+        with use_telemetry(Telemetry.create()) as telemetry:
+            assert analyse(statement)[0] is shape
+            analyse(statement)
+            snapshot = telemetry.metrics.snapshot()
+        [series] = snapshot["families"]["sqlparse.shapes"]["series"]
+        counts.append(series["value"])
+    assert counts == [1, 1]
 
 
 def test_concurrent_first_sights_build_and_count_each_shape_once():

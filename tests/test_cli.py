@@ -117,6 +117,32 @@ def test_run_metrics_out_is_schema_valid_and_byte_deterministic(tmp_path, capsys
     assert "pipeline.stage_seconds" not in families
 
 
+def test_metrics_out_counts_shapes_per_run_not_per_process(tmp_path, capsys):
+    """The shape cache outlives a run; the shapes counter must not."""
+    import json
+    import sys
+    from pathlib import Path
+
+    from repro.sqlparse.shape import _SHAPES
+
+    tools_dir = str(Path(__file__).resolve().parent.parent / "tools")
+    if tools_dir not in sys.path:
+        sys.path.insert(0, tools_dir)
+    import check_metrics
+
+    _SHAPES.clear()
+    first = tmp_path / "cold.json"
+    second = tmp_path / "warm.json"
+    for out in (first, second):
+        assert main([
+            "run", "--workload", "simplecount", "--partitions", "2",
+            "--scale", "0.2", "--metrics-out", str(out),
+        ]) == 0
+        assert check_metrics.main(["--partial", str(out)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    assert json.loads(first.read_text())["families"]["sqlparse.shapes"]["series"]
+
+
 def test_metrics_out_leaves_no_telemetry_installed(tmp_path):
     from repro.obs import get_telemetry
 
