@@ -23,53 +23,50 @@ or, from a shell::
 A plan deploys as a live, self-adapting system with :func:`start_online`.
 """
 
-from repro.core.strategies import (
-    CompositePartitioning,
-    FullReplication,
-    HashPartitioning,
-    LookupTablePartitioning,
-    PartitioningStrategy,
-    RangePredicatePartitioning,
-)
-from repro.core.cost import CostReport, evaluate_strategy
-from repro.core.validation import validate_strategies
-from repro.engine.database import Database
-from repro.online import start_online
-from repro.pipeline import (
-    PartitionPlan,
-    Pipeline,
-    PipelineRun,
-    PipelineState,
-    PlanDiff,
-    SchismOptions,
-)
-from repro.workload.trace import Transaction, Workload
-from repro.workload.rwsets import extract_access_trace
-from repro.workload.splitter import split_workload
+from __future__ import annotations
+
+import importlib
 
 __version__ = "2.0.0"
 
-__all__ = [
-    "CompositePartitioning",
-    "CostReport",
-    "Database",
-    "FullReplication",
-    "HashPartitioning",
-    "LookupTablePartitioning",
-    "PartitionPlan",
-    "PartitioningStrategy",
-    "Pipeline",
-    "PipelineRun",
-    "PipelineState",
-    "PlanDiff",
-    "RangePredicatePartitioning",
-    "SchismOptions",
-    "Transaction",
-    "Workload",
-    "__version__",
-    "evaluate_strategy",
-    "extract_access_trace",
-    "split_workload",
-    "start_online",
-    "validate_strategies",
-]
+#: public name -> defining module, imported on first access (PEP 562), so a
+#: process that needs one corner of the package (a storage worker runs only
+#: SQLite) does not load the planner, numpy and the online controller.
+_EXPORTS = {
+    "CompositePartitioning": "repro.core.strategies",
+    "CostReport": "repro.core.cost",
+    "Database": "repro.engine.database",
+    "FullReplication": "repro.core.strategies",
+    "HashPartitioning": "repro.core.strategies",
+    "LookupTablePartitioning": "repro.core.strategies",
+    "PartitionPlan": "repro.pipeline",
+    "PartitioningStrategy": "repro.core.strategies",
+    "Pipeline": "repro.pipeline",
+    "PipelineRun": "repro.pipeline",
+    "PipelineState": "repro.pipeline",
+    "PlanDiff": "repro.pipeline",
+    "RangePredicatePartitioning": "repro.core.strategies",
+    "SchismOptions": "repro.pipeline",
+    "Transaction": "repro.workload.trace",
+    "Workload": "repro.workload.trace",
+    "evaluate_strategy": "repro.core.cost",
+    "extract_access_trace": "repro.workload.rwsets",
+    "split_workload": "repro.workload.splitter",
+    "start_online": "repro.online",
+    "validate_strategies": "repro.core.validation",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -27,6 +27,8 @@ class ColumnRef:
 
 #: Comparison operators supported in WHERE clauses.
 COMPARISON_OPERATORS = ("=", "<>", "<", "<=", ">", ">=")
+#: every operator a :class:`Comparison` accepts (built once, not per node).
+_VALID_OPERATORS = frozenset(COMPARISON_OPERATORS) | {"between", "in"}
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,7 @@ class Comparison:
     high: object = None
 
     def __post_init__(self) -> None:
-        valid = set(COMPARISON_OPERATORS) | {"between", "in"}
-        if self.operator not in valid:
+        if self.operator not in _VALID_OPERATORS:
             raise ValueError(f"unsupported comparison operator {self.operator!r}")
 
     def __str__(self) -> str:

@@ -40,42 +40,48 @@ Layers, bottom to top:
   migrator runs under the coordinator's own locks and router).
 """
 
-from repro.storage.cluster import SqliteStorageCluster
-from repro.storage.coordinator import StorageCoordinator, StorageOutcome
-from repro.storage.deployment import StorageDeployment
-from repro.storage.driver import ClosedLoopDriver, DriverReport
-from repro.storage.migrator import SqliteMigrationBackend, plan_storage_resize
-from repro.storage.retry import (
-    FATAL,
-    RETRYABLE,
-    RetryBudgetExhausted,
-    RetryOptions,
-    RetryPolicy,
-    classify_error,
-)
-from repro.storage.sqlite_store import SqlitePartitionStore, StoreConstraintError
-from repro.storage.supervisor import WorkerSupervisor
-from repro.storage.worker import WorkerHandle, WorkerTimeout, WorkerUnavailable
+from __future__ import annotations
 
-__all__ = [
-    "SqliteStorageCluster",
-    "StorageCoordinator",
-    "StorageOutcome",
-    "ClosedLoopDriver",
-    "DriverReport",
-    "SqliteMigrationBackend",
-    "StorageDeployment",
-    "plan_storage_resize",
-    "RetryOptions",
-    "RetryPolicy",
-    "RetryBudgetExhausted",
-    "RETRYABLE",
-    "FATAL",
-    "classify_error",
-    "SqlitePartitionStore",
-    "StoreConstraintError",
-    "WorkerSupervisor",
-    "WorkerHandle",
-    "WorkerTimeout",
-    "WorkerUnavailable",
-]
+import importlib
+
+#: public name -> defining module, imported on first access (PEP 562): a
+#: worker process imports :mod:`repro.storage.worker` through this package
+#: and must not pay for the coordinator, the router and the planner behind
+#: it -- it runs SQLite and nothing else.
+_EXPORTS = {
+    "SqliteStorageCluster": "repro.storage.cluster",
+    "StorageCoordinator": "repro.storage.coordinator",
+    "StorageOutcome": "repro.storage.coordinator",
+    "ClosedLoopDriver": "repro.storage.driver",
+    "DriverReport": "repro.storage.driver",
+    "SqliteMigrationBackend": "repro.storage.migrator",
+    "StorageDeployment": "repro.storage.deployment",
+    "plan_storage_resize": "repro.storage.migrator",
+    "RetryOptions": "repro.storage.retry",
+    "RetryPolicy": "repro.storage.retry",
+    "RetryBudgetExhausted": "repro.storage.retry",
+    "RETRYABLE": "repro.storage.retry",
+    "FATAL": "repro.storage.retry",
+    "classify_error": "repro.storage.retry",
+    "SqlitePartitionStore": "repro.storage.sqlite_store",
+    "StoreConstraintError": "repro.storage.sqlite_store",
+    "WorkerSupervisor": "repro.storage.supervisor",
+    "WorkerHandle": "repro.storage.worker",
+    "WorkerTimeout": "repro.storage.worker",
+    "WorkerUnavailable": "repro.storage.worker",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

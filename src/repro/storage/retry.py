@@ -67,6 +67,9 @@ EXCEPTION_CLASSIFICATION: dict[str, str] = {
     "UnsupportedStatementError": FATAL,
     "ValueError": FATAL,
     "RuntimeError": FATAL,
+    # A program defect (the package's lazy export hook asked for a name it
+    # does not have): the same lookup fails the same way every time.
+    "AttributeError": FATAL,
     # Terminal policy outcomes: already *past* retrying — re-entering the
     # policy with one of these would loop the budget on itself.
     "RetryBudgetExhausted": FATAL,

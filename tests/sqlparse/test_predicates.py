@@ -1,5 +1,7 @@
 """Tests for predicate evaluation and analysis."""
 
+import pytest
+
 from repro.sqlparse.ast import (
     And,
     ColumnRef,
@@ -33,6 +35,10 @@ class TestEvaluate:
         assert evaluate_predicate(Comparison(ColumnRef("bal"), ">=", 129_000), self.row)
         assert not evaluate_predicate(Comparison(ColumnRef("bal"), "<=", 1000), self.row)
         assert evaluate_predicate(Comparison(ColumnRef("id"), "<>", 9), self.row)
+
+    def test_unknown_operator_is_rejected(self):
+        with pytest.raises(ValueError, match="unsupported comparison operator 'like'"):
+            Comparison(ColumnRef("name"), "like", "s%")
 
     def test_between_and_in(self):
         assert evaluate_predicate(between("id", 1, 5), self.row)

@@ -7,6 +7,7 @@ is bounded, the cap binds, and fatal errors never consume it.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -256,6 +257,10 @@ def test_classification_walks_the_mro():
     assert classify_error(ConnectionResetError("peer reset")) == RETRYABLE
     # StoreConstraintError registers itself FATAL ahead of its ValueError base.
     assert classify_error(StoreConstraintError("UNIQUE constraint failed")) == FATAL
+    # A missing name (the storage package's lazy export hook raises
+    # AttributeError) is a defect: registered FATAL, and its subclasses with it.
+    assert retry.EXCEPTION_CLASSIFICATION["AttributeError"] == FATAL
+    assert classify_error(dataclasses.FrozenInstanceError("frozen")) == FATAL
 
 
 def test_remote_store_error_carries_its_own_kind():

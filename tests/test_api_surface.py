@@ -2,7 +2,10 @@
 
 import copy
 import importlib
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -77,6 +80,57 @@ def test_every_exported_name_imports(package):
     assert len(set(module.__all__)) == len(module.__all__)
     for name in module.__all__:
         assert hasattr(module, name), f"{package}.__all__ lists missing {name!r}"
+    with pytest.raises(AttributeError, match="has no attribute 'NoSuchName'"):
+        module.NoSuchName
+
+
+#: run in a fresh interpreter, where no import made by the test session can
+#: hide one the worker would pay for.
+_IMPORT_CLOSURE_SNIPPET = """
+import sys
+
+HEAVY = ("graph", "online", "pipeline", "engine", "explain", "core", "routing",
+         "workloads", "experiments", "distributed", "analysis")
+
+def heavy_modules():
+    return sorted(
+        name for name in sys.modules
+        if name.split(".")[0] == "numpy"
+        or (name.startswith("repro.") and name.split(".")[1] in HEAVY)
+    )
+
+import repro
+assert heavy_modules() == [], heavy_modules()
+import repro.storage.worker
+assert heavy_modules() == [], heavy_modules()
+ours = sorted(name for name in sys.modules if name.split(".")[0] == "repro")
+assert len(ours) <= 25, ours  # 22 today; 79 with eager package __init__s
+
+from repro import Pipeline
+from repro.storage import StorageCoordinator
+assert Pipeline.__module__.startswith("repro.pipeline")
+assert StorageCoordinator.__module__ == "repro.storage.coordinator"
+assert set(repro.__all__) <= set(dir(repro))
+assert set(repro.storage.__all__) <= set(dir(repro.storage))
+"""
+
+
+def test_a_worker_imports_only_its_store():
+    """A spawned partition worker boots without numpy or the planner.
+
+    The ``repro`` and ``repro.storage`` package ``__init__``s re-export
+    lazily; an eager one would pull the whole system into every worker.
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CLOSURE_SNIPPET],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=str(root),
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_partitioner_options_are_exactly_the_five_knobs():
