@@ -86,7 +86,10 @@ def evaluate_strategy(
     ``database`` (or a pre-built ``row_cache``) supplies tuple attribute
     values to strategies that need them (range predicates, attribute
     hashing); strategies that only use the primary key work without it.
+    Given only a ``database``, each row the trace touches is read once.
     """
+    if row_cache is None and database is not None:
+        row_cache = trace_rows(trace, database)
     report = CostReport(strategy.name, strategy.num_partitions)
     report.partition_transaction_counts = [0] * strategy.num_partitions
     for access in trace:
@@ -103,6 +106,11 @@ def evaluate_strategy(
         else:
             report.single_partition_transactions += 1
     return report
+
+
+def trace_rows(trace: AccessTrace, database: Database) -> dict[TupleId, dict[str, object] | None]:
+    """The row behind every tuple ``trace`` touches (None when gone), each read once."""
+    return {tuple_id: database.get_row(tuple_id) for tuple_id in trace.all_tuples()}
 
 
 def transaction_partitions(

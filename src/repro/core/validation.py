@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.catalog.tuples import TupleId
-from repro.core.cost import CostReport, evaluate_strategy
+from repro.core.cost import CostReport, evaluate_strategy, trace_rows
 from repro.core.strategies import PartitioningStrategy
 from repro.engine.database import Database
 from repro.workload.rwsets import AccessTrace
@@ -81,6 +81,8 @@ def validate_strategies(
     """
     if not candidates:
         raise ValueError("at least one candidate strategy is required")
+    if row_cache is None and database is not None:
+        row_cache = trace_rows(test_trace, database)
     reports: dict[str, CostReport] = {}
     strategies: dict[str, PartitioningStrategy] = {}
     for strategy in candidates:

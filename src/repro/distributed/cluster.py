@@ -38,11 +38,10 @@ class Cluster:
         )
         cluster = cls(database.schema, strategy.num_partitions)
         for table in database.schema.tables:
-            storage = database.storage(table.name)
-            for key, row in storage.rows():
+            for key, row in database.rows(table.name).items():
                 placements = strategy.partitions_for_tuple(TupleId(table.name, key), row)
                 for partition in placements:
-                    cluster.partition_databases[partition].insert_row(table.name, dict(row))
+                    cluster.partition_databases[partition].insert_row(table.name, row)
         return cluster
 
     def database(self, partition: int) -> Database:
@@ -98,10 +97,8 @@ class Cluster:
         """
         locations: dict[TupleId, set[int]] = {}
         for partition, database in enumerate(self.partition_databases):
-            for table in self.schema.tables:
-                storage = database.storage(table.name)
-                for key, _row in storage.rows():
-                    locations.setdefault(TupleId(table.name, key), set()).add(partition)
+            for tuple_id in database.all_tuple_ids():
+                locations.setdefault(tuple_id, set()).add(partition)
         return {
             tuple_id: frozenset(partitions)
             for tuple_id, partitions in locations.items()
@@ -110,7 +107,7 @@ class Cluster:
     # -- tuple-level operations (live migration) ---------------------------------------
     def has_tuple(self, tuple_id: TupleId, partition: int) -> bool:
         """Whether ``partition`` physically stores ``tuple_id``."""
-        return tuple_id.key in self.database(partition).storage(tuple_id.table)
+        return self.database(partition).get_row(tuple_id) is not None
 
     def tuple_locations(self, tuple_id: TupleId) -> frozenset[int]:
         """Every partition physically storing ``tuple_id`` (replicas included)."""
@@ -131,18 +128,14 @@ class Cluster:
         if row is None:
             return None
         target_database = self.database(target)
-        if tuple_id.key in target_database.storage(tuple_id.table):
+        if target_database.get_row(tuple_id) is not None:
             return 0
-        target_database.insert_row(tuple_id.table, dict(row))
+        target_database.insert_row(tuple_id.table, row)
         return target_database.tuple_byte_size(tuple_id)
 
     def drop_tuple(self, tuple_id: TupleId, partition: int) -> bool:
         """Delete ``tuple_id``'s replica on ``partition``; False when absent."""
-        storage = self.database(partition).storage(tuple_id.table)
-        if tuple_id.key not in storage:
-            return False
-        storage.delete(tuple_id.key)
-        return True
+        return self.database(partition).delete_row(tuple_id)
 
     def row_counts(self) -> list[int]:
         """Number of rows stored on each partition (replicas counted everywhere)."""

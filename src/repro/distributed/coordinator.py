@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.distributed.cluster import Cluster
 from repro.distributed.faults import FaultInjector, MessageDropped
-from repro.engine.executor import StatementResult
+from repro.engine.database import StatementResult
 from repro.obs import get_telemetry
 from repro.routing.router import Router
 from repro.workload.trace import Transaction, Workload

@@ -2,11 +2,12 @@
 
 Two consumers drive this module:
 
-* the storage engine evaluates WHERE clauses against rows to compute read and
-  write sets (:func:`evaluate_predicate`);
 * the explanation phase and the router analyse WHERE clauses structurally —
   which attributes are referenced and with which operators/values
-  (:func:`referenced_attributes`, :func:`conjunctive_conditions`).
+  (:func:`referenced_attributes`, :func:`conjunctive_conditions`);
+* the tests evaluate WHERE clauses against rows in Python
+  (:func:`evaluate_predicate`): a brute-force oracle, independent of SQL,
+  for the read/write sets the Database computes on SQLite.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ def evaluate_predicate(predicate: Predicate | None, row: Mapping[str, object]) -
     """Evaluate ``predicate`` against a row mapping column names to values.
 
     Join conditions are evaluated by looking up both column names in the same
-    mapping (the executor materialises joined rows with prefixed keys where
-    necessary); missing columns make the comparison false rather than raising
+    mapping (a joined row carries ``table.column`` keys as well as plain
+    column names); missing columns make the comparison false rather than raising
     so that the same predicate can be evaluated against rows of either joined
     table.
     """

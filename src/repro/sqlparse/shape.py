@@ -21,7 +21,7 @@ the shape is seen, and kept for the life of the process:
 
 :func:`analyse` is the one walk each statement gets: it returns the shape
 and the statement's bind values in SQL order.  The router, the SQL compiler
-and the engine all start from it.  The ``sqlparse.shapes`` counter (label
+and the Database all start from it.  The ``sqlparse.shapes`` counter (label
 ``kind``) counts the distinct shapes each metrics registry sees: a shape is
 counted again when it is met under a registry other than the one that last
 counted it, so a run's snapshot does not depend on what the process ran
@@ -183,12 +183,13 @@ class StatementShape:
     """What every statement of one shape shares (see the module doc).
 
     ``sql`` is ``None`` for a shape SQLite cannot run (an INSERT without
-    columns, an UPDATE without assignments); routing and the engine do not
-    need it.
+    columns, an UPDATE without assignments); routing does not need it, and
+    the Database refuses such an UPDATE.
     """
 
     __slots__ = (
-        "kind", "tables", "write", "sql", "counted_by", "_conditions", "_by_table", "_recipes"
+        "kind", "tables", "columns", "write", "sql", "counted_by",
+        "_conditions", "_by_table", "_recipes", "_projection", "_from", "_keyed",
     )
 
     def __init__(self, key: tuple) -> None:
@@ -198,12 +199,19 @@ class StatementShape:
         conditions: list[_Condition] = []
         where = None
         position = 0
+        #: a single-table SELECT's projected column names; empty for ``*`` and for a join,
+        #: whose rows carry every column.
+        self.columns: tuple[str, ...] = ()
+        self._projection: str | None = None
         if kind == "select":
             _, tables, columns, limit, where = key
             self.tables: tuple[str, ...] = tables
             selected = (
                 ", ".join(_column_sql(table, name) for table, name in columns) if columns else "*"
             )
+            if len(tables) == 1:
+                self.columns = tuple(name for _, name in columns)
+            self._projection = selected if self.columns else "*"
             sql = f"SELECT {selected} FROM {', '.join(map(quote_identifier, tables))}"
         elif kind == "insert":
             _, table, columns = key
@@ -236,6 +244,9 @@ class StatementShape:
         if kind == "select" and limit is not None:
             sql += f" LIMIT {int(limit)}"
         self.sql: str | None = sql
+        #: a SELECT's text after its select list.
+        self._from = sql[len("SELECT ") + len(selected) :] if kind == "select" else None
+        self._keyed: dict[tuple[tuple[str, ...], ...], str] = {}
         #: the metrics registry that last counted this shape in ``sqlparse.shapes``.
         self.counted_by: object = None
         self._conditions = conditions
@@ -277,6 +288,31 @@ class StatementShape:
         else:
             recipe = self._recipes[recipe_key] = self._recipe(table, primary_key)
         return None if recipe is None else recipe(values)
+
+    def keyed_sql(self, primary_keys: tuple[tuple[str, ...], ...]) -> str:
+        """The paper's §5.3 rewrite: SQL that also returns the primary key of
+        every tuple the statement touches, ``primary_keys[i]`` being the key of
+        ``tables[i]``.
+
+        A SELECT projects each table's key columns after its own (a join
+        selects ``*``); an UPDATE or DELETE returns its table's key.  An
+        INSERT's key is its row's, so it has no rewrite.
+        """
+        sql = self._keyed.get(primary_keys)
+        if sql is None:
+            if self.kind == "insert" or self.sql is None:
+                raise UnsupportedStatementError(f"no key rewrite for a {self.kind} of {self.tables}")
+            keys = ", ".join(
+                _column_sql(table, column)
+                for table, key in zip(self.tables, primary_keys, strict=True)
+                for column in key
+            )
+            if self.kind == "select":
+                sql = f"SELECT {self._projection}, {keys}{self._from}"
+            else:
+                sql = f"{self.sql} RETURNING {keys}"
+            self._keyed[primary_keys] = sql
+        return sql
 
     def _recipe(
         self, table: str, primary_key: tuple[str, ...]

@@ -95,11 +95,10 @@ class SqliteStorageCluster:
             partition: {} for partition in range(strategy.num_partitions)
         }
         for table in database.schema.tables:
-            storage = database.storage(table.name)
-            for key, row in storage.rows():
+            for key, row in database.rows(table.name).items():
                 placements = strategy.partitions_for_tuple(TupleId(table.name, key), row)
                 for partition in placements:
-                    per_partition[partition].setdefault(table.name, []).append(dict(row))
+                    per_partition[partition].setdefault(table.name, []).append(row)
         for partition, tables in per_partition.items():
             with SqlitePartitionStore(cluster.paths[partition], database.schema) as store:
                 for table_name, rows in tables.items():

@@ -53,10 +53,11 @@ def create_table_sql(table: Table) -> str:
 def create_schema_sql(schema: Schema) -> list[str]:
     """DDL statements materialising ``schema`` (tables + secondary indexes).
 
-    Mirrors :class:`~repro.engine.database.Database`'s default indexing:
-    primary-key prefix columns come with the table's primary key; foreign-key
-    columns get explicit secondary indexes, since OLTP statements
-    overwhelmingly filter on them.
+    Every SQLite store runs it, the in-memory one behind
+    :class:`~repro.engine.database.Database` included, so the planner and the
+    partitions see the same tables and indexes.  Primary-key prefix columns
+    come with the table's primary key; foreign-key columns get explicit
+    secondary indexes, since OLTP statements overwhelmingly filter on them.
     """
     statements = []
     for table in schema.tables:

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import sqlite3
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from repro.catalog.schema import Schema
+from repro.catalog.schema import Schema, Table
 from repro.catalog.tuples import TupleId
 from repro.storage.sql import create_schema_sql, quote_identifier
 
@@ -49,6 +49,49 @@ def _checked(pairs: Sequence[CompiledSql], verbs: tuple[str, ...]) -> Iterator[C
         yield sql, params
 
 
+class _TableSql(NamedTuple):
+    """The per-table SQL text the row operations run, built once per store."""
+
+    columns: tuple[str, ...]
+    #: every column of the rows with this primary key.
+    select: str
+    #: every row, in rowid order (key order for a single INTEGER key).
+    scan: str
+    #: every primary key, in the same order as ``scan``.
+    keys: str
+    insert: str
+    delete: str
+    count: str
+
+
+def _table_sql(table: Table) -> _TableSql:
+    name = quote_identifier(table.name)
+    selected = ", ".join(map(quote_identifier, table.column_names))
+    key = ", ".join(map(quote_identifier, table.primary_key))
+    at_key = " AND ".join(f"{quote_identifier(column)} = ?" for column in table.primary_key)
+    return _TableSql(
+        columns=table.column_names,
+        select=f"SELECT {selected} FROM {name} WHERE {at_key}",
+        # NOT INDEXED keeps both walks in rowid order: a covering primary-key
+        # index would otherwise return the rows sorted by key.  Rowid order is
+        # insertion order, except that a single INTEGER primary key *is* the
+        # rowid, so such a table walks in key order.
+        scan=f"SELECT {selected} FROM {name} NOT INDEXED",
+        keys=f"SELECT {key} FROM {name} NOT INDEXED",
+        insert=(
+            f"INSERT INTO {name} ({selected}) "
+            f"VALUES ({', '.join('?' * len(table.column_names))})"
+        ),
+        delete=f"DELETE FROM {name} WHERE {at_key}",
+        count=f"SELECT COUNT(*) FROM {name}",
+    )
+
+
+_APPLIED = quote_identifier(APPLIED_TABLE)
+_IS_APPLIED = f"SELECT 1 FROM {_APPLIED} WHERE txn_id = ?"
+_MARK_APPLIED = f"INSERT INTO {_APPLIED} (txn_id) VALUES (?)"
+
+
 class StoreConstraintError(ValueError):
     """A statement violated a constraint (duplicate key, type error).
 
@@ -63,7 +106,9 @@ class SqlitePartitionStore:
     def __init__(self, path: str | Path, schema: Schema, *, synchronous: str = "FULL") -> None:
         self.path = Path(path)
         self.schema = schema
-        self._connection = sqlite3.connect(str(self.path))
+        self._tables = {table.name: _table_sql(table) for table in schema.tables}
+        # Callers serialise their own use of one store; it may move between threads.
+        self._connection = sqlite3.connect(str(self.path), check_same_thread=False)
         self._connection.isolation_level = None  # explicit BEGIN/COMMIT only
         cursor = self._connection.cursor()
         cursor.execute("PRAGMA journal_mode=WAL")
@@ -71,10 +116,7 @@ class SqlitePartitionStore:
         cursor.execute("PRAGMA busy_timeout=5000")
         for ddl in create_schema_sql(schema):
             cursor.execute(ddl)
-        cursor.execute(
-            f"CREATE TABLE IF NOT EXISTS {quote_identifier(APPLIED_TABLE)} "
-            "(txn_id TEXT PRIMARY KEY)"
-        )
+        cursor.execute(f"CREATE TABLE IF NOT EXISTS {_APPLIED} (txn_id TEXT PRIMARY KEY)")
         self._connection.commit()
 
     def close(self) -> None:
@@ -107,19 +149,12 @@ class SqlitePartitionStore:
         cursor.execute("BEGIN IMMEDIATE")
         try:
             rows = [cursor.execute(*pair).fetchall() for pair in _checked(reads, _READ_VERBS)]
-            cursor.execute(
-                f"SELECT 1 FROM {quote_identifier(APPLIED_TABLE)} WHERE txn_id = ?",
-                (txn_id,),
-            )
-            if cursor.fetchone() is not None:
+            if cursor.execute(_IS_APPLIED, (txn_id,)).fetchone() is not None:
                 cursor.execute("ROLLBACK")
                 return "duplicate", rows
             for sql, params in _checked(writes, _WRITE_VERBS):
                 cursor.execute(sql, params)
-            cursor.execute(
-                f"INSERT INTO {quote_identifier(APPLIED_TABLE)} (txn_id) VALUES (?)",
-                (txn_id,),
-            )
+            cursor.execute(_MARK_APPLIED, (txn_id,))
             cursor.execute("COMMIT")
             return "applied", rows
         except sqlite3.IntegrityError as error:
@@ -129,14 +164,24 @@ class SqlitePartitionStore:
             cursor.execute("ROLLBACK")
             raise
 
-    # -- migration primitives ----------------------------------------------------------
-    def _pk_predicate(self, table: str) -> tuple[tuple[str, ...], str]:
-        meta = self.schema.table(table)
-        predicate = " AND ".join(
-            f"{quote_identifier(column)} = ?" for column in meta.primary_key
-        )
-        return meta.primary_key, predicate
+    def execute(self, sql: str, params: Sequence[object]) -> list[tuple]:
+        """Run one compiled statement on its own (autocommit) and return its rows.
 
+        The single-node path: no dedup marker, so a write here is not
+        exactly-once.  A constraint violation raises
+        :class:`StoreConstraintError`.
+        """
+        [(sql, params)] = _checked([(sql, params)], _READ_VERBS + _WRITE_VERBS)
+        try:
+            return self._connection.execute(sql, params).fetchall()
+        except sqlite3.IntegrityError as error:
+            raise StoreConstraintError(str(error)) from error
+
+    def delete_row(self, table: str, key: Sequence[object]) -> bool:
+        """Delete the row of ``table`` at primary key ``key``; False when absent."""
+        return self._connection.execute(self._tables[table].delete, tuple(key)).rowcount > 0
+
+    # -- migration primitives ----------------------------------------------------------
     def export_row(self, table: str, key: Sequence[object]) -> dict[str, object] | None:
         """The row of ``table`` at primary key ``key``, or ``None`` if absent.
 
@@ -144,17 +189,11 @@ class SqlitePartitionStore:
         the source replica here and ships it to the destination's
         :meth:`migrate_in`.
         """
-        meta = self.schema.table(table)
-        columns = meta.column_names
-        _, predicate = self._pk_predicate(table)
-        selected = ", ".join(quote_identifier(column) for column in columns)
-        values = self._connection.execute(
-            f"SELECT {selected} FROM {quote_identifier(table)} WHERE {predicate}",
-            tuple(key),
-        ).fetchone()
+        sql = self._tables[table]
+        values = self._connection.execute(sql.select, tuple(key)).fetchone()
         if values is None:
             return None
-        return dict(zip(columns, values))
+        return dict(zip(sql.columns, values))
 
     def migrate_in(
         self, txn_id: str, table: str, key: Sequence[object], row: dict[str, object]
@@ -168,36 +207,18 @@ class SqlitePartitionStore:
         marker — either way the resident row is newer-or-equal and must win),
         and ``"duplicate"`` when ``txn_id``'s marker is already durable.
         """
-        meta = self.schema.table(table)
-        columns = meta.column_names
-        _, predicate = self._pk_predicate(table)
+        sql = self._tables[table]
         cursor = self._connection.cursor()
         cursor.execute("BEGIN IMMEDIATE")
         try:
-            cursor.execute(
-                f"SELECT 1 FROM {quote_identifier(APPLIED_TABLE)} WHERE txn_id = ?",
-                (txn_id,),
-            )
-            if cursor.fetchone() is not None:
+            if cursor.execute(_IS_APPLIED, (txn_id,)).fetchone() is not None:
                 cursor.execute("ROLLBACK")
                 return "duplicate"
-            cursor.execute(
-                f"SELECT 1 FROM {quote_identifier(table)} WHERE {predicate}",
-                tuple(key),
-            )
             outcome = "present"
-            if cursor.fetchone() is None:
-                cursor.execute(
-                    f"INSERT INTO {quote_identifier(table)} "
-                    f"({', '.join(quote_identifier(column) for column in columns)}) "
-                    f"VALUES ({', '.join('?' for _ in columns)})",
-                    [row[column] for column in columns],
-                )
+            if cursor.execute(sql.select, tuple(key)).fetchone() is None:
+                cursor.execute(sql.insert, [row[column] for column in sql.columns])
                 outcome = "applied"
-            cursor.execute(
-                f"INSERT INTO {quote_identifier(APPLIED_TABLE)} (txn_id) VALUES (?)",
-                (txn_id,),
-            )
+            cursor.execute(_MARK_APPLIED, (txn_id,))
             cursor.execute("COMMIT")
             return outcome
         except sqlite3.IntegrityError as error:
@@ -215,26 +236,16 @@ class SqlitePartitionStore:
         ``"duplicate"`` when ``txn_id``'s marker is already durable.  Delete
         and marker commit atomically, like :meth:`migrate_in`.
         """
-        _, predicate = self._pk_predicate(table)
+        sql = self._tables[table]
         cursor = self._connection.cursor()
         cursor.execute("BEGIN IMMEDIATE")
         try:
-            cursor.execute(
-                f"SELECT 1 FROM {quote_identifier(APPLIED_TABLE)} WHERE txn_id = ?",
-                (txn_id,),
-            )
-            if cursor.fetchone() is not None:
+            if cursor.execute(_IS_APPLIED, (txn_id,)).fetchone() is not None:
                 cursor.execute("ROLLBACK")
                 return "duplicate"
-            cursor.execute(
-                f"DELETE FROM {quote_identifier(table)} WHERE {predicate}",
-                tuple(key),
-            )
+            cursor.execute(sql.delete, tuple(key))
             outcome = "applied" if cursor.rowcount else "absent"
-            cursor.execute(
-                f"INSERT INTO {quote_identifier(APPLIED_TABLE)} (txn_id) VALUES (?)",
-                (txn_id,),
-            )
+            cursor.execute(_MARK_APPLIED, (txn_id,))
             cursor.execute("COMMIT")
             return outcome
         except Exception:
@@ -243,11 +254,7 @@ class SqlitePartitionStore:
 
     def has_transaction(self, txn_id: str) -> bool:
         """Whether ``txn_id`` was durably applied on this partition."""
-        cursor = self._connection.execute(
-            f"SELECT 1 FROM {quote_identifier(APPLIED_TABLE)} WHERE txn_id = ?",
-            (txn_id,),
-        )
-        return cursor.fetchone() is not None
+        return self._connection.execute(_IS_APPLIED, (txn_id,)).fetchone() is not None
 
     # -- reads -------------------------------------------------------------------------
     def execute_read(self, reads: Sequence[CompiledSql]) -> list[list[tuple]]:
@@ -259,54 +266,49 @@ class SqlitePartitionStore:
     # -- audit walks -------------------------------------------------------------------
     def all_rows(self, table: str) -> dict[tuple[object, ...], dict[str, object]]:
         """Every row of ``table`` keyed by primary key (audit surface)."""
-        meta = self.schema.table(table)
-        columns = meta.column_names
-        selected = ", ".join(quote_identifier(column) for column in columns)
+        sql = self._tables[table]
+        key_of = self.schema.table(table).primary_key_of
         rows: dict[tuple[object, ...], dict[str, object]] = {}
-        for values in self._connection.execute(
-            f"SELECT {selected} FROM {quote_identifier(table)}"
-        ):
-            row = dict(zip(columns, values))
-            rows[meta.primary_key_of(row)] = row
+        for values in self._connection.execute(sql.scan):
+            row = dict(zip(sql.columns, values))
+            rows[key_of(row)] = row
         return rows
 
-    def tuple_ids(self) -> list[TupleId]:
-        """Every tuple stored on this partition."""
-        out: list[TupleId] = []
-        for table in self.schema.tables:
-            out.extend(
-                TupleId(table.name, key) for key in self.all_rows(table.name)
-            )
-        return out
+    def tuple_ids(self, table: str | None = None) -> list[TupleId]:
+        """Every tuple stored on this partition (or in its ``table``)."""
+        names = [table] if table is not None else list(self._tables)
+        return [
+            TupleId(name, key)
+            for name in names
+            for key in self._connection.execute(self._tables[name].keys)
+        ]
 
-    def row_count(self) -> int:
-        """Total rows stored across the catalog tables (dedup table excluded)."""
-        total = 0
-        for table in self.schema.tables:
-            (count,) = self._connection.execute(
-                f"SELECT COUNT(*) FROM {quote_identifier(table.name)}"
-            ).fetchone()
-            total += count
-        return total
+    def row_count(self, table: str | None = None) -> int:
+        """Rows stored in ``table``, or across the catalog tables (dedup table excluded)."""
+        names = [table] if table is not None else list(self._tables)
+        return sum(
+            self._connection.execute(self._tables[name].count).fetchone()[0] for name in names
+        )
 
     # -- bulk loading ------------------------------------------------------------------
-    def bulk_load(self, table: str, rows) -> int:
-        """Insert ``rows`` (mapping iterable) in one transaction; returns count."""
-        meta = self.schema.table(table)
-        columns = meta.column_names
-        sql = (
-            f"INSERT INTO {quote_identifier(table)} "
-            f"({', '.join(quote_identifier(column) for column in columns)}) "
-            f"VALUES ({', '.join('?' for _ in columns)})"
-        )
+    def bulk_load(self, table: str, rows: Iterable[Mapping[str, object]]) -> int:
+        """Insert ``rows`` in one transaction; returns count.
+
+        A duplicate key rolls the whole load back and raises
+        :class:`StoreConstraintError`.
+        """
+        sql = self._tables[table]
         cursor = self._connection.cursor()
         cursor.execute("BEGIN IMMEDIATE")
         count = 0
         try:
             for row in rows:
-                cursor.execute(sql, [row[column] for column in columns])
+                cursor.execute(sql.insert, [row[column] for column in sql.columns])
                 count += 1
             cursor.execute("COMMIT")
+        except sqlite3.IntegrityError as error:
+            cursor.execute("ROLLBACK")
+            raise StoreConstraintError(str(error)) from error
         except Exception:
             cursor.execute("ROLLBACK")
             raise

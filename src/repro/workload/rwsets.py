@@ -1,12 +1,14 @@
 """Read/write-set extraction.
 
-The paper (Section 5.3) rewrites SQL statements from a trace into SELECTs that
-return the primary keys of the tuples each statement accesses.  Our substrate
-is the in-memory engine, so extraction simply executes the workload against a
-loaded :class:`~repro.engine.database.Database` and records the tuple ids each
-statement touched.  Write statements are executed for real so that later
-statements in the trace observe their effects, exactly as the online
-extraction mode of the paper would.
+The paper (Section 5.3) rewrites SQL statements from a trace into queries that
+return the primary keys of the tuples each statement accesses.  Extraction
+does exactly that: it executes the workload against a loaded
+:class:`~repro.engine.database.Database`, which runs every statement as its
+shape's SQL on SQLite with the key columns added (a SELECT projects them, an
+UPDATE or DELETE returns them), and records the tuple ids each statement
+touched.  Write statements are executed for real so that later statements in
+the trace observe their effects, exactly as the online extraction mode of the
+paper would.
 """
 
 from __future__ import annotations

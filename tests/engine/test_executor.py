@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.catalog.schema import Schema, Table, integer_column
+from repro.catalog.schema import ForeignKey, Schema, Table, integer_column
 from repro.catalog.tuples import TupleId
 from repro.engine.database import Database
-from repro.obs import Telemetry, use_telemetry
 from repro.sqlparse.ast import (
     ColumnRef,
+    Comparison,
     DeleteStatement,
     InsertStatement,
     JoinCondition,
@@ -55,21 +55,41 @@ class TestSelect:
 
 
 class TestJoin:
-    def test_self_join_reads_both_sides(self, bank_database):
-        statement = SelectStatement(
-            ("account",),
-            where=eq("id", 1),
+    def test_join_reads_the_contributing_rows_of_both_tables(self):
+        schema = Schema(
+            "shop",
+            [
+                Table("customer", [integer_column("id"), integer_column("tier")], ["id"]),
+                Table(
+                    "orders",
+                    [integer_column("o_id"), integer_column("c_id"), integer_column("tier")],
+                    ["o_id"],
+                    foreign_keys=[ForeignKey(("c_id",), "customer", ("id",))],
+                ),
+            ],
         )
-        single = bank_database.execute(statement)
+        database = Database(schema)
+        for customer in range(3):
+            database.insert_row("customer", {"id": customer, "tier": customer % 2})
+        for order in range(6):
+            database.insert_row("orders", {"o_id": order, "c_id": order % 3, "tier": 7})
         join = SelectStatement(
-            ("account", "account"),
+            ("customer", "orders"),
             where=conj(
-                JoinCondition(ColumnRef("id", "account"), ColumnRef("id", "account")),
-                eq("id", 1),
+                JoinCondition(ColumnRef("id", "customer"), ColumnRef("c_id", "orders")),
+                Comparison(ColumnRef("tier", "customer"), "=", 1),
             ),
         )
-        result = bank_database.execute(join)
-        assert single.read_set <= result.read_set
+        result = database.execute(join)
+        assert result.read_set == {
+            TupleId("customer", (1,)),
+            TupleId("orders", (1,)),
+            TupleId("orders", (4,)),
+        }
+        assert {row["orders.o_id"] for row in result.rows} == {1, 4}
+        # A column both tables have reads, unqualified, as the first table's.
+        assert all(row["tier"] == row["customer.tier"] == 1 for row in result.rows)
+        assert all(row["orders.tier"] == 7 for row in result.rows)
 
 
 class TestWrites:
@@ -86,8 +106,6 @@ class TestWrites:
         assert bank_database.get_row(TupleId("account", (1,)))["bal"] == 79_000
 
     def test_update_by_range_touches_multiple(self, bank_database):
-        from repro.sqlparse.ast import Comparison
-
         statement = UpdateStatement(
             "account", {"bal": ("delta", 1)}, where=Comparison(ColumnRef("bal"), "<", 100_000)
         )
@@ -107,7 +125,7 @@ class TestWrites:
 
 
 class TestAccessRule:
-    """Which rows a statement examines: pinned keys, else the smallest bucket, else a scan."""
+    """The rows a statement touches when its keys are pinned, partly pinned or ranged."""
 
     @pytest.fixture
     def lines(self) -> Database:
@@ -123,19 +141,11 @@ class TestAccessRule:
                     database.insert_row("line", {"w": w, "o": o, "n": n, "q": 0})
         return database
 
-    @staticmethod
-    def _examined(database: Database, statement) -> tuple[int, object]:
-        with use_telemetry(Telemetry.create()) as telemetry:
-            result = database.execute(statement)
-            snapshot = telemetry.metrics.snapshot()
-        [series] = snapshot["families"]["engine.rows_examined"]["series"]
-        return series["value"], result
-
     def test_pinned_composite_keys_skip_missing_and_repeated(self, lines):
         where = conj(eq("w", 1), eq("o", 2), in_list("n", [0, 0, 2, 7]))
-        examined, result = self._examined(lines, SelectStatement(("line",), where=where))
-        assert examined == 2
+        result = lines.execute(SelectStatement(("line",), where=where))
         assert result.read_set == {TupleId("line", (1, 2, 0)), TupleId("line", (1, 2, 2))}
+        assert len(result.rows) == 2
 
     def test_repeated_in_values_update_each_row_once(self, lines):
         where = conj(eq("w", 0), eq("o", 1), in_list("n", [1, 1, 1]))
@@ -144,12 +154,10 @@ class TestAccessRule:
 
     def test_smallest_index_bucket_is_examined(self, lines):
         statement = SelectStatement(("line",), where=conj(eq("w", 0), eq("o", 3)))
-        examined, result = self._examined(lines, statement)
-        assert examined == 3 * 2  # o = 3 (6 rows), not w = 0 (15 rows)
-        assert len(result.read_set) == 3
+        result = lines.execute(statement)
+        assert result.read_set == {TupleId("line", (0, 3, n)) for n in range(3)}
 
     def test_range_scans_every_row(self, lines):
-        examined, result = self._examined(
-            lines, SelectStatement(("line",), where=between("o", 1, 2))
-        )
-        assert examined == 30 and len(result.read_set) == 12
+        result = lines.execute(SelectStatement(("line",), where=between("o", 1, 2)))
+        assert len(result.read_set) == 12
+        assert {tuple_id.key[1] for tuple_id in result.read_set} == {1, 2}

@@ -1,91 +1,72 @@
-"""Tests for table storage."""
+"""Tests for the Database's row storage (its in-memory SQLite store)."""
 
 import pytest
 
-from repro.catalog.schema import Table, integer_column, string_column
+from repro.catalog.schema import Schema, Table, integer_column, string_column
 from repro.catalog.tuples import TupleId
-from repro.engine.storage import DuplicateKeyError, MissingRowError, TableStorage
+from repro.engine.database import Database
+from repro.sqlparse.ast import UpdateStatement, eq
 
 
 @pytest.fixture
-def storage() -> TableStorage:
+def database() -> Database:
     table = Table(
         "account",
         [integer_column("id"), string_column("name"), integer_column("bal")],
         ["id"],
     )
-    store = TableStorage(table)
+    database = Database(Schema("bank", [table]))
     for i in range(5):
-        store.insert({"id": i, "name": f"user{i}", "bal": i * 100})
-    return store
+        database.insert_row("account", {"id": i, "name": f"user{i}", "bal": i * 100})
+    return database
 
 
-def test_insert_returns_tuple_id(storage):
-    tuple_id = storage.insert({"id": 10, "name": "new", "bal": 1})
+def test_insert_returns_tuple_id(database):
+    tuple_id = database.insert_row("account", {"id": 10, "name": "new", "bal": 1})
     assert tuple_id == TupleId("account", (10,))
-    assert len(storage) == 6
+    assert database.row_count("account") == 6
 
 
-def test_duplicate_key_rejected(storage):
-    with pytest.raises(DuplicateKeyError):
-        storage.insert({"id": 0, "name": "dup", "bal": 0})
-
-
-def test_get_returns_copy(storage):
-    row = storage.get((1,))
-    row["bal"] = 999_999
-    assert storage.get((1,))["bal"] == 100
-
-
-def test_update_literal_and_delta(storage):
-    storage.update((2,), {"bal": 500})
-    assert storage.get((2,))["bal"] == 500
-    storage.update((2,), {"bal": ("delta", -100)})
-    assert storage.get((2,))["bal"] == 400
-
-
-def test_update_missing_row(storage):
-    with pytest.raises(MissingRowError):
-        storage.update((99,), {"bal": 1})
-
-
-def test_delete(storage):
-    storage.delete((3,))
-    assert (3,) not in storage
-    with pytest.raises(MissingRowError):
-        storage.delete((3,))
-
-
-def test_secondary_index_lookup(storage):
-    storage.create_index("name")
-    assert storage.lookup_equal("name", "user4") == [(4,)]
-    storage.update((4,), {"name": "renamed"})
-    assert storage.lookup_equal("name", "user4") == []
-    assert storage.lookup_equal("name", "renamed") == [(4,)]
-
-
-def test_index_backfill_and_delete_maintenance(storage):
-    storage.create_index("bal")
-    assert storage.lookup_equal("bal", 200) == [(2,)]
-    storage.delete((2,))
-    assert storage.lookup_equal("bal", 200) == []
-
-
-def test_index_on_unknown_column(storage):
-    with pytest.raises(KeyError):
-        storage.create_index("missing")
-
-
-def test_tuple_ids(storage):
-    assert storage.tuple_ids() == [TupleId("account", (i,)) for i in range(5)]
-
-
-def test_byte_size(storage):
-    assert storage.byte_size == 5 * storage.table.row_byte_size
-
-
-def test_validation_of_rows(storage):
+def test_duplicate_key_rejected(database):
     with pytest.raises(ValueError):
-        storage.insert({"id": 11, "name": "x"})
+        database.insert_row("account", {"id": 0, "name": "dup", "bal": 0})
+    assert database.get_row(TupleId("account", (0,)))["name"] == "user0"
+
+
+def test_get_returns_copy(database):
+    row = database.get_row(TupleId("account", (1,)))
+    row["bal"] = 999_999
+    assert database.get_row(TupleId("account", (1,)))["bal"] == 100
+
+
+def test_update_literal_and_delta(database):
+    database.execute(UpdateStatement("account", {"bal": 500}, where=eq("id", 2)))
+    assert database.get_row(TupleId("account", (2,)))["bal"] == 500
+    database.execute(UpdateStatement("account", {"bal": ("delta", -100)}, where=eq("id", 2)))
+    assert database.get_row(TupleId("account", (2,)))["bal"] == 400
+
+
+def test_update_missing_row(database):
+    result = database.execute(UpdateStatement("account", {"bal": 1}, where=eq("id", 99)))
+    assert result.write_set == set()
+    assert database.get_row(TupleId("account", (99,))) is None
+    assert database.row_count() == 5
+
+
+def test_delete(database):
+    tuple_id = TupleId("account", (3,))
+    assert database.delete_row(tuple_id)
+    assert database.get_row(tuple_id) is None
+    assert not database.delete_row(tuple_id)
+
+
+def test_tuple_ids(database):
+    assert database.all_tuple_ids("account") == [TupleId("account", (i,)) for i in range(5)]
+
+
+def test_validation_of_rows(database):
+    with pytest.raises(ValueError):
+        database.insert_row("account", {"id": 11, "name": "x"})
     with pytest.raises(TypeError):
-        storage.insert({"id": 12, "name": 5, "bal": 0})
+        database.insert_row("account", {"id": 12, "name": 5, "bal": 0})
+    assert database.row_count() == 5

@@ -138,8 +138,7 @@ def test_cluster_consistent_with_lookup_table(scenario):
     for tuple_id in assignment:
         placement = assignment.partitions_of(tuple_id)
         for partition in placement:
-            storage = controller.cluster.database(partition).storage(tuple_id.table)
-            assert tuple_id.key in storage
+            assert controller.cluster.has_tuple(tuple_id, partition)
         # The router resolves through the swapped lookup table identically.
         assert controller.router.lookup_table.get(tuple_id) == placement
 

@@ -1,26 +1,30 @@
-"""Property-based fuzz: the SQLite compiler agrees with the simulated engine.
+"""Property-based fuzz: the Database agrees with a brute-force Python model.
+
+The :class:`~repro.engine.database.Database` runs every statement as
+compiled SQL on SQLite, so comparing it with a SQLite partition store would
+compare SQLite with SQLite.  The oracle here is independent of SQL: a model
+that keeps rows in a dict, finds a statement's rows by checking
+:func:`~repro.sqlparse.predicates.evaluate_predicate` on every row, and
+applies deltas, assignments and deletes in Python.
 
 Seeded random write-statement ASTs (inserts, delta and assignment updates,
 deletes, over the mini-dialect's predicate grammar: =, <>, range
 inequalities, BETWEEN, IN — alone and under AND/OR) are applied in the same
-order to
-
-* an in-memory :class:`~repro.engine.database.Database` (the simulated
-  engine the planner and oracle audits trust), and
-* a real :class:`~repro.storage.sqlite_store.SqlitePartitionStore` through
-  :mod:`repro.storage.sql`'s compiled ``(sql, params)`` pairs,
-
-and after every burst the two row states must be identical.  Any semantic
-drift between the two execution paths — predicate evaluation, delta
-updates, empty IN lists, type affinity — shows up as a row diff with the
-seed that produced it.  Runs under both array backends, since the engine's
-row state is the oracle every storage audit compares against.
+order to the Database, to the model, and to a real
+:class:`~repro.storage.sqlite_store.SqlitePartitionStore` through
+:mod:`repro.storage.sql`'s compiled ``(sql, params)`` pairs.  Each
+statement's write set must equal the model's, and after every burst the
+three row states must be identical.  Any semantic drift — predicate
+evaluation, delta updates, empty IN lists, type affinity — shows up as a
+diff with the seed that produced it.  Runs under both array backends.
 
 A second, two-table schema (one table with a composite primary key) checks
-the engine's reads: random join SELECTs with AND/OR over both tables must
-return the rows SQLite returns, and the engine's read set must be exactly
-the primary keys of those rows; ``k1 = ? AND k2 IN (...)`` delta UPDATEs
-whose IN lists repeat values must apply once per row.
+reads: random join SELECTs with AND/OR over both tables must return the
+model's rows, both from the Database and, as the explicit-column SQL a
+partition serves, from a partition store; the Database's read set must be
+exactly the primary keys of the rows that contribute to them.
+``k1 = ? AND k2 IN (...)`` delta UPDATEs whose IN lists repeat values must
+apply once per row, in all three.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from repro.sqlparse.ast import (
     SelectStatement,
     UpdateStatement,
 )
+from repro.sqlparse.predicates import evaluate_predicate
 from repro.storage.sql import compile_statement
 from repro.storage.sqlite_store import SqlitePartitionStore
 
@@ -160,8 +165,54 @@ def _seed_rows() -> list[dict]:
     ]
 
 
-def _engine_rows(database: Database) -> dict:
-    return {key: dict(row) for key, row in database.storage("item").rows()}
+class _Model:
+    """Brute force: rows in a dict per table, every row checked against the WHERE clause."""
+
+    def __init__(self, schema: Schema) -> None:
+        self.schema = schema
+        self.rows: dict[str, dict[tuple, dict]] = {table.name: {} for table in schema.tables}
+
+    def insert(self, table: str, row: dict) -> TupleId:
+        key = self.schema.table(table).primary_key_of(row)
+        assert key not in self.rows[table]
+        self.rows[table][key] = dict(row)
+        return TupleId(table, key)
+
+    def _matching(self, table: str, where) -> list[tuple]:
+        return [key for key, row in self.rows[table].items() if evaluate_predicate(where, row)]
+
+    def write(self, statement) -> set[TupleId]:
+        """Apply one write statement; its write set."""
+        if isinstance(statement, InsertStatement):
+            return {self.insert(statement.table, statement.row)}
+        rows = self.rows[statement.table]
+        keys = self._matching(statement.table, statement.where)
+        for key in keys:
+            if isinstance(statement, DeleteStatement):
+                del rows[key]
+                continue
+            for column, value in statement.assignments.items():
+                if isinstance(value, tuple) and value[0] == "delta":
+                    rows[key][column] += value[1]
+                else:
+                    rows[key][column] = value
+        return {TupleId(statement.table, key) for key in keys}
+
+    def select(self, statement: SelectStatement) -> tuple[list[dict], set[TupleId]]:
+        """A nested-loop join in FROM order: the joined rows and their contributing keys."""
+        joined: list[tuple[dict, frozenset]] = [({}, frozenset())]
+        for table in statement.tables:
+            extended = []
+            for partial, sources in joined:
+                for key, row in self.rows[table].items():
+                    candidate = dict(partial)
+                    for column, value in row.items():
+                        candidate[f"{table}.{column}"] = value
+                        candidate.setdefault(column, value)
+                    extended.append((candidate, sources | {TupleId(table, key)}))
+            joined = extended
+        matched = [pair for pair in joined if evaluate_predicate(statement.where, pair[0])]
+        return [row for row, _ in matched], {t for _, sources in matched for t in sources}
 
 
 @pytest.mark.parametrize("array_backend", BACKENDS)
@@ -171,28 +222,34 @@ def test_compiled_statements_match_engine_row_state(tmp_path, seed, array_backen
         rng = random.Random(seed)
         schema = _schema()
         database = Database(schema)
+        model = _Model(schema)
         for row in _seed_rows():
             database.insert_row("item", row)
+            model.insert("item", row)
         store = SqlitePartitionStore(tmp_path / f"fuzz-{seed}.sqlite", schema)
         try:
             store.bulk_load("item", _seed_rows())
             state = {"next_id": NUM_SEED_ROWS}
             for index in range(NUM_STATEMENTS):
                 statement = _random_statement(rng, state)
-                database.execute(statement)
+                result = database.execute(statement)
+                assert result.write_set == model.write(statement), str(statement)
+                assert result.read_set == set()
                 outcome = store.apply_transaction(
                     f"fuzz-{seed}-{index}", [compile_statement(statement)], []
                 )
                 assert outcome == ("applied", [])
                 if index % 50 == 0:
-                    assert store.all_rows("item") == _engine_rows(database)
-            assert store.all_rows("item") == _engine_rows(database)
+                    assert database.rows("item") == model.rows["item"]
+                    assert store.all_rows("item") == model.rows["item"]
+            assert database.rows("item") == model.rows["item"]
+            assert store.all_rows("item") == model.rows["item"]
             # Exactly-once: replaying any txn id is a durable no-op.
             replay = store.apply_transaction(
                 f"fuzz-{seed}-0", [compile_statement(DeleteStatement("item", where=None))], []
             )
             assert replay == ("duplicate", [])
-            assert store.all_rows("item") == _engine_rows(database)
+            assert store.all_rows("item") == model.rows["item"]
         finally:
             store.close()
 
@@ -291,15 +348,20 @@ def _composite_key_update(rng: random.Random) -> tuple[UpdateStatement, list[tup
     return statement, [(k1, k2) for k2 in values]
 
 
-def _check_join(database: Database, store: SqlitePartitionStore, where) -> None:
+def _check_join(
+    database: Database, model: _Model, store: SqlitePartitionStore, where
+) -> None:
     statement = SelectStatement(("a", "b"), columns=(A_ID, B_K1, B_K2), where=where)
     result = database.execute(statement)
-    [expected] = store.execute_read([compile_statement(statement)])
-    engine_rows = [(row["a.id"], row["b.k1"], row["b.k2"]) for row in result.rows]
-    assert sorted(engine_rows) == sorted(expected), str(where)
-    contributing = {TupleId("a", (a_id,)) for a_id, _k1, _k2 in expected}
-    contributing |= {TupleId("b", (k1, k2)) for _a_id, k1, k2 in expected}
-    assert result.read_set == contributing, str(where)
+    expected_rows, expected_reads = model.select(statement)
+    assert sorted(map(sorted, (row.items() for row in result.rows))) == sorted(
+        map(sorted, (row.items() for row in expected_rows))
+    ), str(where)
+    assert result.read_set == expected_reads, str(where)
+    # The explicit-column SQL a partition serves returns the projected rows.
+    [served] = store.execute_read([compile_statement(statement)])
+    projected = [(row["a.id"], row["b.k1"], row["b.k2"]) for row in expected_rows]
+    assert sorted(served) == sorted(projected), str(where)
 
 
 @pytest.mark.parametrize("array_backend", BACKENDS)
@@ -309,28 +371,29 @@ def test_join_selects_and_composite_key_updates_match_sqlite(tmp_path, seed, arr
         rng = random.Random(seed)
         schema = _join_schema()
         database = Database(schema)
+        model = _Model(schema)
         store = SqlitePartitionStore(tmp_path / f"join-{seed}.sqlite", schema)
         try:
             for table, rows in _join_seed_rows().items():
                 for row in rows:
                     database.insert_row(table, row)
+                    model.insert(table, row)
                 store.bulk_load(table, rows)
             for where in FIXED_JOIN_WHERES:
-                _check_join(database, store, where)
+                _check_join(database, model, store, where)
             for index in range(NUM_JOIN_STATEMENTS):
                 if rng.randrange(3):
-                    _check_join(database, store, _random_join_where(rng))
+                    _check_join(database, model, store, _random_join_where(rng))
                     continue
                 statement, keys = _composite_key_update(rng)
-                stored = store.all_rows("b")
-                result = database.execute(statement)
-                assert result.write_set == {TupleId("b", key) for key in keys if key in stored}
+                written = database.execute(statement).write_set
+                assert written == model.write(statement)
+                assert written == {TupleId("b", key) for key in keys if key in model.rows["b"]}
                 outcome = store.apply_transaction(
                     f"join-{seed}-{index}", [compile_statement(statement)], []
                 )
                 assert outcome == ("applied", [])
-                assert store.all_rows("b") == {
-                    key: dict(row) for key, row in database.storage("b").rows()
-                }
+                assert database.rows("b") == model.rows["b"]
+                assert store.all_rows("b") == model.rows["b"]
         finally:
             store.close()

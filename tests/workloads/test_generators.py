@@ -133,7 +133,7 @@ class TestEpinions:
         # Most reviews stay within the author's community.
         within = 0
         total = 0
-        for _key, row in database.storage("reviews").rows():
+        for row in database.rows("reviews").values():
             total += 1
             if row["u_id"] % 5 == row["i_id"] % 5:
                 within += 1
