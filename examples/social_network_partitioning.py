@@ -14,7 +14,6 @@ Run with::
 """
 
 from repro import Pipeline, SchismOptions, evaluate_strategy, split_workload, start_online
-from repro.routing import build_lookup_table
 from repro.workloads import EpinionsConfig, generate_epinions
 
 
@@ -43,20 +42,10 @@ def main() -> None:
         improvement = 1.0 - schism_fraction / manual_report.distributed_fraction
         print(f"improvement over manual: {improvement:.0%}")
 
-    # The fine-grained placement can be served from different lookup-table
-    # backends; compare their memory footprints.  The bit-array backend only
-    # supports single-integer keys, so it cannot hold the composite-key trust
-    # table and is skipped here.
+    # The fine-grained placement is the router's lookup table.
     assignment = plan.to_assignment()
     print()
-    print("lookup-table backends:")
-    for backend in ("dict", "bitarray", "bloom"):
-        try:
-            table = build_lookup_table(assignment, backend=backend)
-        except TypeError as error:
-            print(f"  {backend:>9}: not applicable ({error})")
-            continue
-        print(f"  {backend:>9}: {table.memory_bytes():>9} bytes for {len(assignment)} tuples")
+    print(f"lookup table: ~{assignment.memory_bytes()} bytes for {len(assignment)} tuples")
 
     # Deploy the plan live on a fresh instance and export the (unchanged)
     # placement back as a plan — what a production rollout would persist.

@@ -7,7 +7,6 @@ from repro.core.strategies import (
     LookupTablePartitioning,
     PartitioningStrategy,
     RangePredicatePartitioning,
-    RoundRobinPartitioning,
     TablePolicy,
     hash_on,
     range_on,
@@ -24,7 +23,6 @@ __all__ = [
     "LookupTablePartitioning",
     "PartitioningStrategy",
     "RangePredicatePartitioning",
-    "RoundRobinPartitioning",
     "TablePolicy",
     "ValidationResult",
     "evaluate_strategy",

@@ -13,7 +13,7 @@ Every strategy answers two questions:
 The concrete strategies mirror the candidates compared in the paper's final
 validation phase: fine-grained lookup tables, range predicates produced by
 the explanation phase, hash partitioning, full-table replication, plus
-round-robin and composable per-table manual strategies used as baselines.
+composable per-table manual strategies used as baselines.
 """
 
 from __future__ import annotations
@@ -218,28 +218,6 @@ class HashPartitioning(PartitioningStrategy):
         if pinned is None:
             return None
         return frozenset(stable_hash(value) % self.num_partitions for value in pinned)
-
-
-class RoundRobinPartitioning(PartitioningStrategy):
-    """Round-robin placement: tuples are spread evenly with no locality at all."""
-
-    name = "round-robin"
-    complexity = 1
-
-    def __init__(self, num_partitions: int) -> None:
-        super().__init__(num_partitions)
-        self._assigned: dict[TupleId, int] = {}
-        self._next = 0
-
-    def partitions_for_tuple(
-        self, tuple_id: TupleId, row: Mapping[str, object] | None = None
-    ) -> frozenset[int]:
-        partition = self._assigned.get(tuple_id)
-        if partition is None:
-            partition = self._next
-            self._assigned[tuple_id] = partition
-            self._next = (self._next + 1) % self.num_partitions
-        return frozenset({partition})
 
 
 # ---------------------------------------------------------------------------

@@ -19,23 +19,13 @@ class Cluster:
         self.partition_databases = [Database(schema) for _ in range(num_partitions)]
 
     @classmethod
-    def from_database(cls, database: Database, placement) -> "Cluster":
+    def from_database(cls, database: Database, strategy: PartitioningStrategy) -> "Cluster":
         """Materialise a cluster by placing every tuple of ``database``.
 
-        ``placement`` is a :class:`PartitioningStrategy` or a
-        :class:`~repro.pipeline.plan.PartitionPlan` (deployed via its
-        winning strategy).  This is the physical "data migration" step: each
-        tuple is copied to every partition the placement assigns it to
-        (replicated tuples appear on several partitions).
+        This is the physical "data migration" step: each tuple is copied to
+        every partition ``strategy`` assigns it to (replicated tuples appear
+        on several partitions).  Pass the strategy the router routes by.
         """
-        # Imported lazily so the distributed layer stays importable alone.
-        from repro.pipeline.plan import PartitionPlan
-
-        strategy: PartitioningStrategy = (
-            placement.build_strategy()
-            if isinstance(placement, PartitionPlan)
-            else placement
-        )
         cluster = cls(database.schema, strategy.num_partitions)
         for table in database.schema.tables:
             for key, row in database.rows(table.name).items():

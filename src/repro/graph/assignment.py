@@ -29,6 +29,8 @@ class PartitionAssignment:
     'R0_1'
     >>> assignment.partition_tuple_counts()
     [2, 1]
+    >>> assignment.memory_bytes()
+    200
     """
 
     num_partitions: int
@@ -72,6 +74,10 @@ class PartitionAssignment:
     def replicated_count(self) -> int:
         """Number of tuples placed on more than one partition."""
         return sum(1 for placement in self.placements.values() if len(placement) > 1)
+
+    def memory_bytes(self) -> int:
+        """Approximate footprint as a router lookup table: ~100 B of Python per entry."""
+        return 100 * len(self.placements)
 
     def partition_tuple_counts(self) -> list[int]:
         """Number of tuples stored on each partition (replicas counted everywhere)."""

@@ -200,8 +200,7 @@ def inspect_journal(journal) -> str:
     header = [
         f"journal: {journal.kind} migration, "
         f"{journal.old_num_partitions} -> {journal.new_num_partitions} partitions",
-        f"flip mode: {journal.flip_mode} (backend {journal.lookup_backend}, "
-        f"default policy {journal.default_policy})",
+        f"flip mode: {journal.flip_mode} (default policy {journal.default_policy})",
         f"plan: {len(plan.copies)} copies, {len(plan.drops)} drops, "
         f"{plan.tuples_changed} tuples changed "
         f"({plan.tuples_replicated} replicated, {plan.tuples_moved} moved)",

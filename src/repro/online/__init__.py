@@ -57,7 +57,6 @@ from repro.online.repartitioner import (
     align_partition_labels,
 )
 from repro.pipeline.plan import PartitionPlan
-from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 from repro.workload.rwsets import AccessTrace
 
@@ -137,7 +136,7 @@ def start_online(
     """
     strategy = plan.deployment_strategy("hash")
     cluster = Cluster.from_database(database, strategy)
-    router = Router(strategy, database.schema, build_lookup_table(strategy.assignment))
+    router = Router(strategy, database.schema)
     controller = OnlineSchism(cluster, router, online_options)
     controller.source_plan = plan
     if warm_up_trace is not None:

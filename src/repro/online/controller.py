@@ -14,16 +14,16 @@ Wiring of the online loop:
    offline builder's §3.1 expansion) — warm-starts the
    :class:`~repro.online.repartitioner.BudgetedRepartitioner` from the
    deployed placement, and deploys the resulting replica sets: copies
-   (one per added replica), then the routing update — an in-place entry
-   delta for exact lookup backends, an atomic wholesale table swap
-   otherwise — then drops of the stale replicas;
+   (one per added replica), then the routing update — an in-place delta
+   of the deployed strategy's entries — then drops of the stale replicas;
 4. independently of cut drift, the **elastic policy**
    (:class:`~repro.online.policy.ElasticOptions`) watches the monitor's
    decayed transaction rate and proposes growing or shrinking
    ``num_partitions``;
    :meth:`OnlineSchism.resize` re-seeds the k-way kernel at the new k and
-   deploys through the same budgeted copy-before-drop path, pinning every
-   tuple the lookup table routed implicitly (a resize changes the hash
+   deploys through the same budgeted copy-before-drop path, publishing the
+   new strategy in one atomic swap and pinning every tuple the deployed
+   strategy routed implicitly (a resize changes the hash
    default policy's modulus, so implicit placements must become explicit
    or those tuples would become unreachable).
 
@@ -266,8 +266,8 @@ class OnlineSchism:
     router:
         The deployed router; its strategy must be a
         :class:`LookupTablePartitioning` (fine-grained placement is what
-        live migration updates).  A resize republishes strategy and lookup
-        table wholesale via :meth:`Router.replace_strategy`.
+        live migration updates).  A resize republishes the strategy
+        wholesale via :meth:`Router.replace_strategy`.
     options:
         Loop configuration (:class:`OnlineOptions`): monitor / repartition
         knobs, the ``replication_*`` thresholds and the
@@ -479,9 +479,7 @@ class OnlineSchism:
         state changes, every affected tuple is resident at both its old and
         new location, so reads routed under either placement succeed.  The
         plan and routing update touch only the maintained graph's tuples —
-        O(drifted working set), not O(all deployed tuples) — unless the
-        lookup backend cannot update in place (then a full rebuild + atomic
-        swap is the only sound publication).
+        O(drifted working set), not O(all deployed tuples).
         """
         self._adapt_counter.inc()
         with get_telemetry().tracer.span("online.adapt", k=self.num_partitions) as span:
@@ -493,12 +491,9 @@ class OnlineSchism:
         before = self.monitor.window_stats().distributed_fraction
         result, target = self._repartition(self.num_partitions)
         plan = plan_migration(self.strategy.partitions_for_tuple, target)
-        table = self.router.lookup_table
-        flip_mode = "delta" if table is not None and table.supports_update() else "swap"
         journal = MigrationJournal.for_plan(
             plan,
             kind="adapt",
-            flip_mode=flip_mode,
             old_num_partitions=self.num_partitions,
             default_policy=self.strategy.default_policy,
         )
@@ -552,9 +547,9 @@ class OnlineSchism:
           re-walks storage, so tuples inserted while the migration is in
           flight are pinned too.)
         * the routing state is republished by **atomic wholesale swap**
-          (new strategy + new lookup table at the new k) regardless of
-          backend: an in-place entry delta cannot express the change of
-          k, which invalidates every implicit placement at once.
+          (a new strategy, entries included, at the new k): an in-place
+          entry delta cannot express the change of k, which invalidates
+          every implicit placement at once.
 
         Growing adds the empty partitions *before* the copies (so data can
         land on them); shrinking removes the evacuated partitions only
@@ -622,7 +617,6 @@ class OnlineSchism:
         journal = MigrationJournal.for_plan(
             plan,
             kind="resize",
-            flip_mode="swap",
             old_num_partitions=old_partitions,
             new_num_partitions=new_partitions,
             default_policy=self.strategy.default_policy,

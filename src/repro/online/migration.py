@@ -5,7 +5,7 @@ emits per-tuple steps in a **copy-before-drop** order: every tuple is first
 copied to each newly-assigned partition (reading from one of its current
 replicas), and only once all copies exist are the stale replicas dropped.
 At no point is a tuple stored on zero of its old-or-new partitions, so reads
-routed under either the old or the new lookup table always find a replica —
+routed under either the old or the new placement always find a replica —
 the downtime-free property the executor reports progress on.
 
 The one executor, :class:`JournaledMigrator`, applies the plan to any
@@ -16,14 +16,15 @@ message accounting consistent with the 2PC coordinator (one
 request/response pair per remote read, write, or delete).  It sequences the
 journal as copies -> routing flip -> drops, so the routing state is only
 ever consulted while every affected tuple exists at both its old and its
-new location.  The flip has two modes (``MigrationJournal.flip_mode``):
+new location.  The routing state is the deployed
+:class:`~repro.core.strategies.LookupTablePartitioning`'s assignment, and the
+flip has two modes (``MigrationJournal.flip_mode``, set by the journal's kind):
 
-* ``"delta"`` — for exact lookup backends (``supports_update()``), only the
-  changed entries are re-written in place: O(moved tuples), each entry flip
-  atomic;
-* ``"swap"`` — for backends that cannot narrow entries (Bloom filters) and
-  for every resize, the replacement strategy and table are fully built off
-  to the side and published with :meth:`Router.replace_strategy`.
+* ``"delta"`` — every ``adapt``: only the changed entries are re-written in
+  place through ``strategy.place``: O(moved tuples), each entry flip atomic;
+* ``"swap"`` — every ``resize``: the replacement strategy is fully built off
+  to the side at the new partition count and published with
+  :meth:`Router.replace_strategy`.
 
 :class:`MigrationSession` paces a migrator's batches between live
 transactions, whichever backend it runs against.
@@ -43,7 +44,6 @@ from repro.distributed.faults import FaultInjector, MessageDropped
 from repro.graph.assignment import PartitionAssignment
 from repro.obs import get_telemetry
 from repro.online.policy import MigrationPacer
-from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 from repro.utils.canonical_json import dumps_canonical
 
@@ -103,7 +103,7 @@ class MigrationPlan:
     #: all copy steps, ordered before every drop step.
     copies: list[MigrationStep] = field(default_factory=list)
     drops: list[MigrationStep] = field(default_factory=list)
-    #: the routing delta: new placement per changed tuple, for apply_delta.
+    #: the routing delta: new placement per changed tuple, for the flip.
     changes: list[tuple[TupleId, frozenset[int]]] = field(default_factory=list)
     #: the *old* placement per changed tuple (parallel to ``changes``) — what
     #: a cancelled migration rolls the routing state back to.
@@ -295,10 +295,12 @@ class MigrationJournal:
     plan: MigrationPlan
     #: "adapt" (placement delta at fixed k) or "resize" (k changes).
     kind: str = "adapt"
-    #: "delta" (in-place lookup entry updates) or "swap" (wholesale rebuild).
+    #: "delta" (in-place entry updates) or "swap" (wholesale rebuild);
+    #: :meth:`for_plan` picks it from ``kind``.
     flip_mode: str = "delta"
     old_num_partitions: int = 0
     new_num_partitions: int = 0
+    #: kept in the format so journals stay byte-identical; nothing reads it.
     lookup_backend: str = "dict"
     default_policy: str = "hash"
     #: stable identifier of this migration, journalled so resumed executors
@@ -341,18 +343,18 @@ class MigrationJournal:
         plan: MigrationPlan,
         *,
         kind: str,
-        flip_mode: str,
         old_num_partitions: int,
         new_num_partitions: int | None = None,
         default_policy: str = "hash",
         migration_id: str = "mig",
         backend: str = "simulated",
     ) -> "MigrationJournal":
-        """Open a fresh journal for ``plan``."""
+        """Open a fresh journal for ``plan``: an ``adapt`` flips entry by
+        entry (``"delta"``), a ``resize`` swaps the whole strategy (``"swap"``)."""
         return cls(
             plan=plan,
             kind=kind,
-            flip_mode=flip_mode,
+            flip_mode="swap" if kind == "resize" else "delta",
             old_num_partitions=old_num_partitions,
             new_num_partitions=(
                 plan.num_partitions if new_num_partitions is None else new_num_partitions
@@ -803,7 +805,7 @@ class JournaledMigrator:
     def _flip_forward(self) -> None:
         journal = self.journal
         if journal.flip_mode == "delta":
-            # Re-write only the changed entries: each ``put`` flips one
+            # Re-write only the changed entries: each entry write flips one
             # tuple from its old to its new placement — individually atomic,
             # and safe at any interleaving because the copies already ran
             # (both placements are physically valid until the drops execute).
@@ -818,10 +820,7 @@ class JournaledMigrator:
         self.router.migration_window.close()
 
     def _publish_entries(self, entries: list[tuple[TupleId, frozenset[int]]]) -> None:
-        """In-place routing update: O(len(entries)) lookup + strategy writes."""
-        table = self.router.lookup_table
-        if table is not None:
-            table.apply_delta(entries)
+        """In-place routing update: O(len(entries)) strategy entry writes."""
         strategy = self.router.strategy
         if isinstance(strategy, LookupTablePartitioning):
             strategy.place(entries)
@@ -829,7 +828,7 @@ class JournaledMigrator:
     def _publish_swap(
         self, num_partitions: int, overrides: list[tuple[TupleId, frozenset[int]]]
     ) -> int:
-        """Wholesale swap: a full explicit strategy + table at ``num_partitions``.
+        """Wholesale swap: a full explicit strategy at ``num_partitions``.
 
         ``overrides`` (the routing delta, or its inverse during rollback)
         wins; every other *stored* tuple is pinned to its physical location
@@ -854,12 +853,10 @@ class JournaledMigrator:
             merged.assign(tuple_id, placement_at(tuple_id, locations, num_partitions))
             if deployed is None or tuple_id not in deployed:
                 pinned += 1
-        journal = self.journal
         self.router.replace_strategy(
             strategy.with_assignment(num_partitions, merged)
             if isinstance(strategy, LookupTablePartitioning)
-            else LookupTablePartitioning(num_partitions, merged, journal.default_policy),
-            build_lookup_table(merged, backend=journal.lookup_backend),
+            else LookupTablePartitioning(num_partitions, merged, self.journal.default_policy)
         )
         return pinned
 

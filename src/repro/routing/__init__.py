@@ -1,4 +1,4 @@
-"""Middleware routing layer: lookup-table backends and the statement router.
+"""Middleware routing layer: the statement router and its lookup table.
 
 Corresponds to Appendix C of the paper: the router parses each statement's
 WHERE clause, compares the extracted conditions to the partitioning scheme
@@ -8,20 +8,10 @@ the destination.  Reads of replicated tuples prefer partitions the transaction
 has already touched.
 """
 
-from repro.routing.lookup import (
-    BitArrayLookupTable,
-    BloomFilterLookupTable,
-    DictLookupTable,
-    LookupTable,
-    build_lookup_table,
-)
+from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router, RoutingDecision, TransactionRoutingContext
 
 __all__ = [
-    "BitArrayLookupTable",
-    "BloomFilterLookupTable",
-    "DictLookupTable",
-    "LookupTable",
     "Router",
     "RoutingDecision",
     "TransactionRoutingContext",

@@ -1,283 +1,25 @@
-"""Lookup-table backends (Appendix C.1 of the paper).
+"""The router's lookup table (Appendix C.1 of the paper).
 
-Three physical representations of the tuple -> partition-set mapping:
-
-* :class:`DictLookupTable` — a hash index; works for any key type, largest
-  memory footprint, exact answers.
-* :class:`BitArrayLookupTable` — one byte per key for dense integer keys and
-  up to 255 partitions (the paper's "one byte per ID for 15 billion tuples"
-  back-of-envelope); replicated tuples fall back to a small side dict.
-* :class:`BloomFilterLookupTable` — one Bloom filter per partition; compact
-  but allows false positives, which cost extra participants, never
-  correctness.
+A deployment keeps one map of explicit placements: the
+:class:`~repro.graph.assignment.PartitionAssignment` of its
+:class:`~repro.core.strategies.LookupTablePartitioning`.  The router reads
+it through the strategy, and live migration writes it through
+:meth:`~repro.core.strategies.LookupTablePartitioning.place`, so there is no
+second copy to keep in step.
 """
 
 from __future__ import annotations
 
-import math
-from abc import ABC, abstractmethod
-from typing import Iterable, Iterator
-
-from repro.catalog.tuples import TupleId
-from repro.core.strategies import stable_hash
 from repro.graph.assignment import PartitionAssignment
 
 
-class LookupTable(ABC):
-    """Mapping from tuple id to the set of partitions storing the tuple."""
-
-    def __init__(self, num_partitions: int) -> None:
-        if num_partitions <= 0:
-            raise ValueError("num_partitions must be positive")
-        self.num_partitions = num_partitions
-
-    @abstractmethod
-    def put(self, tuple_id: TupleId, partitions: frozenset[int]) -> None:
-        """Record that ``tuple_id`` lives on ``partitions`` (overwriting any prior entry)."""
-
-    @abstractmethod
-    def get(self, tuple_id: TupleId) -> frozenset[int] | None:
-        """Partitions storing ``tuple_id`` (None when unknown)."""
-
-    @abstractmethod
-    def memory_bytes(self) -> int:
-        """Approximate memory footprint of the backend."""
-
-    def supports_update(self) -> bool:
-        """Whether :meth:`put` can correctly *narrow* an existing entry.
-
-        Bloom filters cannot unset bits, so re-partitioning must rebuild
-        them; the exact backends update in place.  Live migration uses this
-        to decide between ``apply_delta`` and a full table rebuild + swap.
-        """
-        return True
-
-    def entries(self) -> Iterator[tuple[TupleId, frozenset[int]]]:
-        """Iterate all ``(tuple_id, replica set)`` entries (exact backends only).
-
-        Bloom filters cannot enumerate their members, so they raise
-        ``NotImplementedError`` — callers that need enumeration (consistency
-        checks, rebuilds at a new partition count) must keep the authoritative
-        :class:`PartitionAssignment` around, which is exactly what the
-        elastic controller's wholesale-swap path does.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} cannot enumerate its entries"
-        )
-
-    def load(self, assignment: PartitionAssignment) -> "LookupTable":
-        """Bulk-load from a :class:`PartitionAssignment`."""
-        for tuple_id in assignment:
-            placement = assignment.partitions_of(tuple_id)
-            assert placement is not None
-            self.put(tuple_id, placement)
-        return self
-
-    def apply_delta(self, changes: Iterable[tuple[TupleId, frozenset[int]]]) -> int:
-        """Apply placement changes in bulk; returns the number of entries written.
-
-        This is the live-migration update path: after a budgeted
-        re-partition only the moved tuples are re-written, instead of
-        rebuilding the whole table.  Backends for which in-place narrowing
-        is unsound (``supports_update() == False``) must be rebuilt instead.
-        """
-        if not self.supports_update():
-            raise ValueError(
-                f"{type(self).__name__} cannot update entries in place; rebuild it"
-            )
-        count = 0
-        for tuple_id, partitions in changes:
-            self.put(tuple_id, partitions)
-            count += 1
-        return count
-
-
-class DictLookupTable(LookupTable):
-    """Exact lookup table backed by a Python dict.
+def build_lookup_table(assignment: PartitionAssignment) -> PartitionAssignment:
+    """The lookup table of a deployment placed by ``assignment``: the assignment itself.
 
     >>> from repro.catalog.tuples import TupleId
-    >>> table = DictLookupTable(num_partitions=2)
-    >>> table.put(TupleId("users", (7,)), frozenset({1}))
-    >>> sorted(table.get(TupleId("users", (7,))))
-    [1]
-    >>> table.get(TupleId("users", (8,))) is None
+    >>> assignment = PartitionAssignment(num_partitions=2)
+    >>> assignment.assign(TupleId("users", (7,)), {1})
+    >>> build_lookup_table(assignment) is assignment
     True
     """
-
-    def __init__(self, num_partitions: int) -> None:
-        super().__init__(num_partitions)
-        self._mapping: dict[TupleId, frozenset[int]] = {}
-
-    def put(self, tuple_id: TupleId, partitions: frozenset[int]) -> None:
-        self._mapping[tuple_id] = frozenset(partitions)
-
-    def get(self, tuple_id: TupleId) -> frozenset[int] | None:
-        return self._mapping.get(tuple_id)
-
-    def memory_bytes(self) -> int:
-        # Rough: ~100 bytes of Python overhead per entry.
-        return 100 * len(self._mapping)
-
-    def entries(self) -> Iterator[tuple[TupleId, frozenset[int]]]:
-        return iter(self._mapping.items())
-
-    def __len__(self) -> int:
-        return len(self._mapping)
-
-    def __iter__(self) -> Iterator[TupleId]:
-        return iter(self._mapping)
-
-
-class BitArrayLookupTable(LookupTable):
-    """One byte per dense integer key, per table.
-
-    Requires single-column integer primary keys.  The byte stores
-    ``partition + 1`` (0 means "unknown"); replicated tuples are stored in a
-    small overflow dict because a single byte cannot encode a set.
-    """
-
-    _UNKNOWN = 0
-
-    def __init__(self, num_partitions: int, initial_capacity: int = 1024) -> None:
-        super().__init__(num_partitions)
-        if num_partitions > 255:
-            raise ValueError("BitArrayLookupTable supports at most 255 partitions")
-        self._arrays: dict[str, bytearray] = {}
-        self._replicated: dict[TupleId, frozenset[int]] = {}
-        self._initial_capacity = max(16, initial_capacity)
-
-    def _array_for(self, table: str, key: int) -> bytearray:
-        array = self._arrays.get(table)
-        if array is None:
-            array = bytearray(max(self._initial_capacity, key + 1))
-            self._arrays[table] = array
-        if key >= len(array):
-            grown = bytearray(max(key + 1, len(array) * 2))
-            grown[: len(array)] = array
-            self._arrays[table] = grown
-            array = grown
-        return array
-
-    @staticmethod
-    def _int_key(tuple_id: TupleId) -> int:
-        if len(tuple_id.key) != 1 or not isinstance(tuple_id.key[0], int) or tuple_id.key[0] < 0:
-            raise TypeError(
-                "BitArrayLookupTable requires dense non-negative single-integer keys; "
-                f"got {tuple_id!r}"
-            )
-        return tuple_id.key[0]
-
-    def put(self, tuple_id: TupleId, partitions: frozenset[int]) -> None:
-        key = self._int_key(tuple_id)
-        if len(partitions) > 1:
-            self._replicated[tuple_id] = frozenset(partitions)
-            array = self._array_for(tuple_id.table, key)
-            array[key] = self._UNKNOWN
-            return
-        # A tuple that used to be replicated may collapse to a single
-        # partition (live migration dropping replicas): clear the overflow
-        # entry or ``get`` would keep answering the stale replica set.
-        self._replicated.pop(tuple_id, None)
-        partition = next(iter(partitions))
-        array = self._array_for(tuple_id.table, key)
-        array[key] = partition + 1
-
-    def get(self, tuple_id: TupleId) -> frozenset[int] | None:
-        if tuple_id in self._replicated:
-            return self._replicated[tuple_id]
-        try:
-            key = self._int_key(tuple_id)
-        except TypeError:
-            return None
-        array = self._arrays.get(tuple_id.table)
-        if array is None or key >= len(array):
-            return None
-        value = array[key]
-        if value == self._UNKNOWN:
-            return None
-        return frozenset({value - 1})
-
-    def entries(self) -> Iterator[tuple[TupleId, frozenset[int]]]:
-        for table, array in self._arrays.items():
-            for key, value in enumerate(array):
-                if value != self._UNKNOWN:
-                    yield TupleId(table, (key,)), frozenset({value - 1})
-        yield from self._replicated.items()
-
-    def memory_bytes(self) -> int:
-        return sum(len(array) for array in self._arrays.values()) + 100 * len(self._replicated)
-
-
-class BloomFilterLookupTable(LookupTable):
-    """One Bloom filter per partition.
-
-    ``get`` returns the set of partitions whose filter claims the tuple; this
-    may include false positives (extra participants) but never misses a true
-    location.  Unknown tuples typically hit zero filters, reported as None.
-    """
-
-    def __init__(
-        self,
-        num_partitions: int,
-        expected_items: int = 10_000,
-        false_positive_rate: float = 0.01,
-    ) -> None:
-        super().__init__(num_partitions)
-        if not 0.0 < false_positive_rate < 1.0:
-            raise ValueError("false_positive_rate must be in (0, 1)")
-        self._bits_per_filter = max(
-            64,
-            int(-expected_items * math.log(false_positive_rate) / (math.log(2) ** 2)),
-        )
-        self._hash_count = max(1, int(round(self._bits_per_filter / max(1, expected_items) * math.log(2))))
-        self._filters = [bytearray(self._bits_per_filter // 8 + 1) for _ in range(num_partitions)]
-
-    def _positions(self, tuple_id: TupleId) -> list[int]:
-        base = stable_hash((tuple_id.table, tuple_id.key))
-        second = stable_hash((tuple_id.key, tuple_id.table, "salt"))
-        return [
-            (base + index * second) % self._bits_per_filter for index in range(self._hash_count)
-        ]
-
-    def supports_update(self) -> bool:
-        # Bits can only be set, never cleared: moving a tuple off a partition
-        # cannot be expressed, so migration rebuilds Bloom tables wholesale.
-        return False
-
-    def put(self, tuple_id: TupleId, partitions: frozenset[int]) -> None:
-        positions = self._positions(tuple_id)
-        for partition in partitions:
-            filter_bits = self._filters[partition]
-            for position in positions:
-                filter_bits[position // 8] |= 1 << (position % 8)
-
-    def get(self, tuple_id: TupleId) -> frozenset[int] | None:
-        positions = self._positions(tuple_id)
-        hits = set()
-        for partition, filter_bits in enumerate(self._filters):
-            if all(filter_bits[position // 8] & (1 << (position % 8)) for position in positions):
-                hits.add(partition)
-        return frozenset(hits) if hits else None
-
-    def memory_bytes(self) -> int:
-        return sum(len(filter_bits) for filter_bits in self._filters)
-
-
-def build_lookup_table(
-    assignment: PartitionAssignment,
-    backend: str = "dict",
-    **kwargs: object,
-) -> LookupTable:
-    """Build and load a lookup table of the requested backend.
-
-    ``backend`` is one of ``"dict"``, ``"bitarray"``, ``"bloom"``.
-    """
-    if backend == "dict":
-        table: LookupTable = DictLookupTable(assignment.num_partitions)
-    elif backend == "bitarray":
-        table = BitArrayLookupTable(assignment.num_partitions, **kwargs)  # type: ignore[arg-type]
-    elif backend == "bloom":
-        table = BloomFilterLookupTable(assignment.num_partitions, **kwargs)  # type: ignore[arg-type]
-    else:
-        raise ValueError(f"unknown lookup-table backend {backend!r}")
-    return table.load(assignment)
+    return assignment

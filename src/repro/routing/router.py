@@ -1,10 +1,11 @@
 """Statement and transaction routing (Appendix C.2 of the paper).
 
-Given a partitioning strategy (and, for fine-grained schemes, a lookup
-table), the router decides which partitions each statement must be sent to:
+Given a partitioning strategy, the router decides which partitions each
+statement must be sent to:
 
 * statements whose WHERE clause pins the partitioning attributes (or the
-  primary key, for lookup tables) are sent only to the owning partition(s);
+  primary key, for a per-tuple strategy: its lookup table's entries, then
+  its rules and default) are sent only to the owning partition(s);
 * statements over other attributes are broadcast to every partition and the
   results unioned;
 * reads of replicated tuples are sent to the single replica
@@ -24,8 +25,8 @@ from repro.catalog.tuples import TupleId
 from repro.core.strategies import (
     BASE, BROADCAST, EXPLICIT, MECHANISMS, PartitioningStrategy, choose_replica
 )
+from repro.graph.assignment import PartitionAssignment
 from repro.obs import get_telemetry
-from repro.routing.lookup import LookupTable
 from repro.sqlparse.ast import Statement
 from repro.sqlparse.shape import analyse
 from repro.workload.trace import Transaction
@@ -71,7 +72,7 @@ class MigrationWindow:
     changing must reach the replicas being *added* as well as the current
     ones — otherwise an update landing after the copy step would be lost at
     the new location.  Reads keep preferring the source placement (the
-    lookup table is untouched until the routing flip), so the window only
+    strategy's entries are untouched until the routing flip), so the window only
     widens the destination set of pk-resolved **writes**; a write the
     strategy would route by its conditions is broadcast while it is open.
 
@@ -114,17 +115,25 @@ class MigrationWindow:
 
 
 class Router:
-    """Routes statements according to a partitioning strategy."""
+    """Routes statements according to a partitioning strategy.
+
+    A per-tuple strategy's explicit entries are the router's lookup table:
+    ``lookup_table`` may only name that same assignment (or be omitted), so
+    the router can never consult placements the strategy does not hold.
+    """
 
     def __init__(
         self,
         strategy: PartitioningStrategy,
         schema: Schema | None = None,
-        lookup_table: LookupTable | None = None,
+        lookup_table: PartitionAssignment | None = None,
     ) -> None:
+        if lookup_table is not None and lookup_table is not getattr(
+            strategy, "assignment", None
+        ):
+            raise ValueError("a router's lookup table is its strategy's own assignment")
         self.strategy = strategy
         self.schema = schema
-        self.lookup_table = lookup_table
         self.num_partitions = strategy.num_partitions
         self._all_partitions = frozenset(range(self.num_partitions))
         #: dual-write window of an in-flight migration (empty when idle).
@@ -141,19 +150,16 @@ class Router:
         #: one series per entry of MECHANISMS, held so routing pays no label lookup.
         self._routed = [routed.labels(mechanism=name) for name in MECHANISMS]
 
-    def replace_strategy(
-        self, strategy: PartitioningStrategy, lookup_table: LookupTable | None = None
-    ) -> None:
-        """Swap in a new strategy (and lookup table), e.g. after an elastic resize.
+    def replace_strategy(self, strategy: PartitioningStrategy) -> None:
+        """Swap in a new strategy, e.g. after an elastic resize.
 
-        All three fields change together so ``num_partitions`` can never
+        The fields change together so ``num_partitions`` can never
         disagree with the strategy; in CPython each rebind is atomic, and the
         elastic controller only calls this after the migration copies have
         completed, so statements routed under either generation of the state
         find resident replicas.
         """
         self.strategy = strategy
-        self.lookup_table = lookup_table
         self.num_partitions = strategy.num_partitions
         self._all_partitions = frozenset(range(self.num_partitions))
 
@@ -255,17 +261,13 @@ class Router:
         ]
 
     def placement_of(self, tuple_id: TupleId) -> frozenset[int]:
-        """Full replica set of one tuple (lookup table first, then strategy).
+        """Full replica set of one tuple, as the strategy places it.
 
         Where :meth:`route_statement` narrows a replicated read to a single
         replica, this returns every partition holding the tuple — the
         fallback set a storage coordinator walks when the chosen replica's
         worker is unreachable.
         """
-        if self.lookup_table is not None:
-            placement = self.lookup_table.get(tuple_id)
-            if placement is not None:
-                return placement
         return self.strategy.partitions_for_tuple(tuple_id)
 
     # -- helpers ------------------------------------------------------------------------
@@ -277,7 +279,7 @@ class Router:
         row: Mapping[str, object] | None,
         context: TransactionRoutingContext,
     ) -> tuple[frozenset[int], int] | None:
-        """Resolve the primary keys a statement pins through the lookup table.
+        """Resolve the primary keys a statement pins through a per-tuple strategy.
 
         Each matched key contributes its placement; for reads, a key stored on
         several partitions (a replicated tuple) only contributes the one
@@ -286,20 +288,18 @@ class Router:
         insert's row, for strategies that place a new tuple by it.
         Returns the partitions and the weakest mechanism that placed a key.
         """
-        lookup_table = self.lookup_table
-        if keys is None or (lookup_table is None and not self.strategy.per_tuple):
+        strategy = self.strategy
+        if keys is None or not strategy.per_tuple:
             return None
         partitions: set[int] = set()
         weakest = EXPLICIT
         window = self.migration_window
         for key in keys:
             tuple_id = TupleId(table, key)
-            placement = lookup_table.get(tuple_id) if lookup_table is not None else None
-            if placement is None:
-                # No entry in the table: the strategy decides (its own entries,
-                # its rules on the key or the row, its default policy).
-                placement, mechanism = self.strategy.resolve(tuple_id, row)
-                weakest = max(weakest, mechanism)
+            # The strategy decides: its explicit entry, its rules on the key
+            # or the row, or its default policy.
+            placement, mechanism = strategy.resolve(tuple_id, row)
+            weakest = max(weakest, mechanism)
             if not writing and len(placement) > 1:
                 visited = partitions | context.touched_partitions
                 partitions.add(choose_replica(placement, visited, context.transaction_id))

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from repro.catalog.schema import Schema
 from repro.catalog.tuples import TupleId
+from repro.core.strategies import PartitioningStrategy
 from repro.engine.database import Database
 from repro.obs import get_telemetry
 from repro.storage.sqlite_store import SqlitePartitionStore
@@ -73,23 +74,15 @@ class SqliteStorageCluster:
         cls,
         directory: str | Path,
         database: Database,
-        placement,
+        strategy: PartitioningStrategy,
         **kwargs: object,
     ) -> "SqliteStorageCluster":
         """Materialise and load a cluster by placing every tuple of ``database``.
 
-        ``placement`` is a :class:`~repro.core.strategies.PartitioningStrategy`
-        or a :class:`~repro.pipeline.plan.PartitionPlan`; replicated tuples
-        are copied to every partition in their placement set.  Workers are
+        Replicated tuples are copied to every partition ``strategy`` names
+        for them (pass the strategy the router routes by).  Workers are
         *not* started — call :meth:`start` once loading is done.
         """
-        from repro.pipeline.plan import PartitionPlan
-
-        strategy = (
-            placement.build_strategy()
-            if isinstance(placement, PartitionPlan)
-            else placement
-        )
         cluster = cls(directory, database.schema, strategy.num_partitions, **kwargs)
         per_partition: dict[int, dict[str, list[dict]]] = {
             partition: {} for partition in range(strategy.num_partitions)

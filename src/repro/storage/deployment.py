@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.strategies import LookupTablePartitioning, PartitioningStrategy
+from repro.core.strategies import PartitioningStrategy
 from repro.distributed.faults import FaultInjector
 from repro.engine.database import Database
 from repro.online.migration import (
@@ -30,7 +30,6 @@ from repro.online.migration import (
     MigrationSession,
 )
 from repro.online.policy import MigrationPacer
-from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 from repro.storage.cluster import SqliteStorageCluster
 from repro.storage.coordinator import StorageCoordinator
@@ -60,17 +59,12 @@ class StorageDeployment:
         """Load ``database`` into files under ``directory`` by ``strategy``,
         put a coordinator in front of them, and start the workers.
 
-        The router's lookup table is built from the assignment the files are
-        loaded with.  ``oracle`` receives every committed write (the audits'
+        The router routes by the same strategy the files are loaded with.
+        ``oracle`` receives every committed write (the audits'
         reference); ``retry_options``/``seed`` are the coordinator's and
         every later resize's.
         """
-        explicit = isinstance(strategy, LookupTablePartitioning)
-        router = Router(
-            strategy,
-            database.schema,
-            build_lookup_table(strategy.assignment) if explicit else None,
-        )
+        router = Router(strategy, database.schema)
         cluster = SqliteStorageCluster.from_database(directory, database, strategy)
         coordinator = StorageCoordinator(
             cluster, router, oracle=oracle, retry_options=retry_options, seed=seed

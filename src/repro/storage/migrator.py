@@ -207,7 +207,6 @@ def plan_storage_resize(
     return MigrationJournal.for_plan(
         plan,
         kind="resize",
-        flip_mode="swap",
         old_num_partitions=backend.num_partitions,
         new_num_partitions=new_num_partitions,
         migration_id=backend.migration_id,

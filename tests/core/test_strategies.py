@@ -9,7 +9,6 @@ from repro.core.strategies import (
     HashPartitioning,
     LookupTablePartitioning,
     RangePredicatePartitioning,
-    RoundRobinPartitioning,
     hash_on,
     range_on,
     replicate,
@@ -56,19 +55,6 @@ class TestHashPartitioning:
         assert routed == strategy.partitions_for_tuple(TupleId("stock", (3, 1)), {"w_id": 3})
         assert strategy.partitions_for_conditions("stock", [condition("other", 3)]) is None
         assert HashPartitioning(4).partitions_for_conditions("stock", [condition("w_id", 3)]) is None
-
-
-class TestRoundRobin:
-    def test_cycles_through_partitions(self):
-        strategy = RoundRobinPartitioning(3)
-        placements = [strategy.partitions_for_tuple(TupleId("t", (i,))) for i in range(6)]
-        assert [next(iter(p)) for p in placements] == [0, 1, 2, 0, 1, 2]
-
-    def test_stable_for_same_tuple(self):
-        strategy = RoundRobinPartitioning(3)
-        first = strategy.partitions_for_tuple(TupleId("t", (1,)))
-        again = strategy.partitions_for_tuple(TupleId("t", (1,)))
-        assert first == again
 
 
 class TestFullReplication:

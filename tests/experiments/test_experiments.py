@@ -1,5 +1,7 @@
 """Tests for the experiment harness (scaled down to run quickly)."""
 
+import pytest
+
 from repro.experiments import (
     FIGURE4_EXPERIMENTS,
     format_figure1,
@@ -138,3 +140,17 @@ def test_resilience_survives_faults_with_zero_loss():
     assert report.deterministic
     text = format_resilience(report)
     assert "PASS" in text and "lost updates" in text
+
+
+#: one pass of the default ``resilience`` scenario (seed 0, 2 warehouses,
+#: 300 training / 400 live transactions, migration from transaction 50).
+RESILIENCE_FINGERPRINT = "3b4e0e895631583b4bede7b75b370a41fe702fb1d546719ccc1cc534a751a58b"
+
+
+@pytest.mark.slow
+def test_resilience_fingerprint_is_pinned():
+    """The chaos scenario's outcome is identical across commits, not only
+    within one (a routing or migration change that moves it shows here)."""
+    from repro.experiments.resilience import _run_scenario
+
+    assert _run_scenario(0, 2, 300, 400, 50).fingerprint == RESILIENCE_FINGERPRINT

@@ -67,10 +67,8 @@ def test_epinions_lookup_beats_manual_and_survives_routing():
         <= manual.distributed_fraction + 0.05
     )
 
-    # The assignment can be served by every lookup-table backend.
-    for backend in ("dict", "bloom"):
-        table = build_lookup_table(run.state.assignment, backend=backend)
-        assert table.memory_bytes() > 0
+    # The assignment is the lookup table a deployment routes by.
+    assert build_lookup_table(run.state.assignment).memory_bytes() > 0
 
     # Materialise the cluster and execute part of the test workload through
     # the router + 2PC coordinator; the measured distributed fraction should

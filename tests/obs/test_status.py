@@ -15,8 +15,8 @@ def _journal(copies: int = 3, drops: int = 2) -> MigrationJournal:
     plan.copies = [MigrationStep("copy", TupleId("t", (i,)), 0, 1) for i in range(copies)]
     plan.drops = [MigrationStep("drop", TupleId("t", (i,)), 0) for i in range(drops)]
     plan.tuples_changed = copies
-    return MigrationJournal.for_plan(
-        plan, kind="resize", flip_mode="delta",
+    return MigrationJournal(
+        plan=plan, kind="resize", flip_mode="delta",
         old_num_partitions=2, new_num_partitions=4,
     )
 

@@ -24,7 +24,6 @@ from repro.online import (
     start_online,
 )
 from repro.pipeline import Pipeline, SchismOptions
-from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 from repro.workload.rwsets import extract_access_trace
 from repro.workloads import generate_rotating_hotspot
@@ -82,7 +81,7 @@ def _deploy(backend_only: bool = False) -> OnlineSchism:
     with _ingest_batches_of(50):
         if backend_only:
             strategy = offline.plan().deployment_strategy("hash")
-            router = Router(strategy, database.schema, build_lookup_table(strategy.assignment))
+            router = Router(strategy, database.schema)
             online = OnlineSchism(
                 _BackendOnly(Cluster.from_database(database, strategy)), router, options
             )
@@ -157,12 +156,10 @@ def test_resize_pins_implicitly_routed_tuples(controller):
     assignment = controller.strategy.assignment
     for tuple_id in controller.cluster.all_tuple_ids():
         assert tuple_id in assignment
-    # The lookup table agrees entry by entry (exact backends enumerate via
-    # entries()), and no entry points past the shrunken cluster.
-    entries = dict(controller.router.lookup_table.entries())
-    assert set(entries) == set(assignment.placements)
-    for tuple_id, placement in entries.items():
-        assert placement == assignment.partitions_of(tuple_id)
+    # The router answers every entry, and no entry points past the shrunken
+    # cluster.
+    for tuple_id, placement in assignment.placements.items():
+        assert controller.router.placement_of(tuple_id) == placement
         assert all(part < controller.num_partitions for part in placement)
 
 

@@ -34,7 +34,6 @@ from repro.online.migration import (
     MigrationJournal,
     plan_migration,
 )
-from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 
 NUM_TUPLES = 12
@@ -67,7 +66,7 @@ def _build():
         database.insert_row("users", {"id": i, "name": f"u{i}"})
     strategy = LookupTablePartitioning(OLD_K, old, "hash")
     cluster = Cluster.from_database(database, strategy)
-    router = Router(strategy, schema, build_lookup_table(old))
+    router = Router(strategy, schema)
     new = PartitionAssignment(NEW_K)
     for i in range(NUM_TUPLES):
         new.assign(_tid(i), {i % NEW_K})
@@ -75,7 +74,6 @@ def _build():
     journal = MigrationJournal.for_plan(
         plan,
         kind="resize",
-        flip_mode="swap",
         old_num_partitions=OLD_K,
         new_num_partitions=NEW_K,
     )
@@ -87,12 +85,7 @@ def _assert_consistent(cluster, router):
     locations = cluster.tuple_locations_map()
     assert set(locations) == {_tid(i) for i in range(NUM_TUPLES)}
     for tuple_id in locations:
-        routed = router.strategy.partitions_for_tuple(tuple_id)
-        if router.lookup_table is not None:
-            entry = router.lookup_table.get(tuple_id)
-            if entry is not None:
-                routed = entry
-        assert routed == locations[tuple_id], tuple_id
+        assert router.placement_of(tuple_id) == locations[tuple_id], tuple_id
 
 
 def _total_records() -> int:

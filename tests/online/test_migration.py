@@ -14,7 +14,6 @@ from repro.online.migration import (
     MigrationJournal,
     plan_migration,
 )
-from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 
 
@@ -29,15 +28,15 @@ def _deployment(database, placements):
     """Cluster + router deployed under ``placements`` at two partitions."""
     strategy = LookupTablePartitioning(2, _assignment(2, placements), "hash")
     cluster = Cluster.from_database(database, strategy)
-    router = Router(strategy, database.schema, build_lookup_table(strategy.assignment))
+    router = Router(strategy, database.schema)
     return cluster, router
 
 
 def _migrator(cluster, router, plan, journal=None, flip_mode="delta", batch_size=64):
     """An adapt (fixed-k) migrator for ``plan`` plus its journal sink."""
     if journal is None:
-        journal = MigrationJournal.for_plan(
-            plan,
+        journal = MigrationJournal(
+            plan=plan,
             kind="adapt",
             flip_mode=flip_mode,
             old_num_partitions=cluster.num_partitions,
@@ -127,17 +126,17 @@ def test_executor_is_idempotent(bank_database):
 
 def test_swap_routing_is_atomic_and_complete(bank_database):
     cluster, router = _deployment(bank_database, DEPLOYED)
-    old_table = router.lookup_table
+    old_table = router.strategy.assignment
     new = _assignment(2, {1: {1}, 2: {0}, 3: {0}, 4: {1}, 5: {1}})
     plan = plan_migration(router.strategy.partitions_for_tuple, new)
     migrator, _ = _migrator(cluster, router, plan, flip_mode="swap")
     _step_until(migrator, "flipped")
     assert migrator.report.lookup_swapped
-    assert router.lookup_table is not old_table
+    assert router.strategy.assignment is not old_table
     assert router.strategy.assignment.placements == new.placements
-    assert router.lookup_table.get(TupleId("account", (1,))) == {1}
+    assert router.placement_of(TupleId("account", (1,))) == {1}
     # The old table object is untouched (readers mid-flight see a consistent view).
-    assert old_table.get(TupleId("account", (1,))) == {0}
+    assert old_table.partitions_of(TupleId("account", (1,))) == {0}
 
 
 def test_executor_partition_mismatch(bank_database):
@@ -171,19 +170,35 @@ def test_split_execution_copies_then_drops(bank_database):
 
 def test_apply_routing_delta_updates_live_table_in_place(bank_database):
     cluster, router = _deployment(bank_database, DEPLOYED)
-    live_table = router.lookup_table
+    live_table = router.strategy.assignment
     new = _assignment(2, {2: {1}, 3: {0, 1}})
     plan = plan_migration(router.strategy.partitions_for_tuple, new)
     migrator, _ = _migrator(cluster, router, plan)
     _step_until(migrator, "flipped")
     # Same table object, only the changed entries re-written.
-    assert router.lookup_table is live_table
-    assert live_table.get(TupleId("account", (2,))) == {1}
-    assert live_table.get(TupleId("account", (3,))) == {0, 1}
-    assert live_table.get(TupleId("account", (1,))) == {0}
-    # The deployed assignment tracks the delta too.
-    assert router.strategy.assignment.partitions_of(TupleId("account", (2,))) == {1}
+    assert router.strategy.assignment is live_table
+    assert live_table.partitions_of(TupleId("account", (2,))) == {1}
+    assert live_table.partitions_of(TupleId("account", (3,))) == {0, 1}
+    assert live_table.partitions_of(TupleId("account", (1,))) == {0}
+    assert router.placement_of(TupleId("account", (2,))) == {1}
     assert migrator.report.lookup_swapped
+
+
+@pytest.mark.parametrize("flip_mode", ["delta", "swap"])
+def test_cancel_after_the_flip_restores_the_deployed_placement(bank_database, flip_mode):
+    cluster, router = _deployment(bank_database, DEPLOYED)
+    new = _assignment(2, {2: {1}, 3: {0, 1}})
+    plan = plan_migration(router.strategy.partitions_for_tuple, new)
+    migrator, _ = _migrator(cluster, router, plan, flip_mode=flip_mode)
+    _step_until(migrator, "dropping")
+    assert router.placement_of(TupleId("account", (2,))) == {1}
+    migrator.cancel()
+    migrator.run()
+    assert migrator.journal.state == "cancelled"
+    for key, partitions in DEPLOYED.items():
+        tuple_id = TupleId("account", (key,))
+        assert router.placement_of(tuple_id) == partitions
+        assert cluster.tuple_locations(tuple_id) == partitions
 
 
 def test_replayed_copies_report_skips_not_copies(bank_database):

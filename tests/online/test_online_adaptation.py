@@ -139,8 +139,8 @@ def test_cluster_consistent_with_lookup_table(scenario):
         placement = assignment.partitions_of(tuple_id)
         for partition in placement:
             assert controller.cluster.has_tuple(tuple_id, partition)
-        # The router resolves through the swapped lookup table identically.
-        assert controller.router.lookup_table.get(tuple_id) == placement
+        # The router resolves the flipped entries identically.
+        assert controller.router.placement_of(tuple_id) == placement
 
 
 def test_monitor_rebaselined_after_adaptation(scenario):

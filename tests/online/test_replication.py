@@ -124,8 +124,8 @@ def test_replicas_physically_resident(adapted_controller):
         assert placement is not None and len(placement) > 1
         for partition in placement:
             assert controller.cluster.has_tuple(tuple_id, partition)
-        # The router's lookup table answers the same replica set.
-        assert controller.router.lookup_table.get(tuple_id) == placement
+        # The router answers the same replica set.
+        assert controller.router.placement_of(tuple_id) == placement
 
 
 def test_monitor_observed_read_hotness(adapted_controller, acceptance_report):

@@ -19,7 +19,6 @@ from repro.experiments.audit import audit_against_oracle, cluster_rows
 from repro.graph.assignment import PartitionAssignment
 from repro.online.migration import JournaledMigrator, MigrationJournal, plan_migration
 from repro.pipeline import PartitionPlan, Pipeline, SchismOptions
-from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 from repro.sqlparse.ast import InsertStatement, SelectStatement, eq, is_write, statement_tables
 from repro.sqlparse.predicates import conjunctive_conditions, pinned_values, statement_where
@@ -70,7 +69,7 @@ def _planned(name):
 
 def _deploy(plan, schema):
     strategy = plan.deployment_strategy("hash")
-    return strategy, Router(strategy, schema, build_lookup_table(strategy.assignment))
+    return strategy, Router(strategy, schema)
 
 
 @pytest.fixture(scope="module")
@@ -298,7 +297,6 @@ def test_scan_still_reaches_a_tuple_a_delta_flip_moved_off_its_rule_partition():
     journal = MigrationJournal.for_plan(
         plan_migration(strategy.partitions_for_tuple, target),
         kind="adapt",
-        flip_mode="delta",
         old_num_partitions=2,
     )
     _migrate(cluster, router, journal)
@@ -329,7 +327,6 @@ def test_resize_swap_pins_every_stored_tuple_and_audits_clean():
     journal = MigrationJournal.for_plan(
         plan_migration(lambda tuple_id: locations[tuple_id], target),
         kind="resize",
-        flip_mode="swap",
         old_num_partitions=2,
         new_num_partitions=3,
     )
@@ -359,9 +356,7 @@ def test_lookup_table_winner_and_plans_without_primary_keys_deploy_as_before():
     assert won.deployment_base is None
 
     before = LookupTablePartitioning(plan.num_partitions, plan.to_assignment(), "hash")
-    expected = Router(
-        before, schema, build_lookup_table(before.assignment)
-    ).participants_for_workload(test)
+    expected = Router(before, schema).participants_for_workload(test)
     for candidate in (old, won):
         strategy, router = _deploy(candidate, schema)
         assert strategy.base is None

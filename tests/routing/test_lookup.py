@@ -1,15 +1,12 @@
-"""Tests for lookup-table backends."""
+"""Tests for the router's lookup table: the deployed strategy's own assignment."""
 
 import pytest
 
 from repro.catalog.tuples import TupleId
+from repro.core.strategies import EXPLICIT, HashPartitioning, LookupTablePartitioning
 from repro.graph.assignment import PartitionAssignment
-from repro.routing.lookup import (
-    BitArrayLookupTable,
-    BloomFilterLookupTable,
-    DictLookupTable,
-    build_lookup_table,
-)
+from repro.routing.lookup import build_lookup_table
+from repro.routing.router import Router
 
 
 @pytest.fixture
@@ -21,113 +18,62 @@ def assignment() -> PartitionAssignment:
     return assignment
 
 
-@pytest.mark.parametrize("backend", ["dict", "bitarray", "bloom"])
-def test_backends_resolve_known_tuples(assignment, backend):
-    table = build_lookup_table(assignment, backend=backend)
+def test_lookup_table_resolves_known_tuples(assignment):
+    strategy = LookupTablePartitioning(4, assignment)
     for key in range(100):
-        placement = table.get(TupleId("t", (key,)))
-        assert placement is not None
-        assert key % 4 in placement
-    replicated = table.get(TupleId("t", (100,)))
-    assert replicated is not None and {0, 2} <= replicated
+        assert strategy.resolve(TupleId("t", (key,))) == (frozenset({key % 4}), EXPLICIT)
+    assert strategy.resolve(TupleId("t", (100,))) == (frozenset({0, 2}), EXPLICIT)
 
 
 def test_dict_backend_exact(assignment):
-    table = build_lookup_table(assignment, backend="dict")
-    assert table.get(TupleId("t", (3,))) == {3}
-    assert table.get(TupleId("t", (999,))) is None
+    table = build_lookup_table(assignment)
+    assert table.partitions_of(TupleId("t", (3,))) == {3}
+    assert table.partitions_of(TupleId("t", (999,))) is None
     assert len(table) == 101
 
 
-def test_bitarray_requires_integer_keys():
-    table = BitArrayLookupTable(2)
-    with pytest.raises(TypeError):
-        table.put(TupleId("t", ("abc",)), frozenset({0}))
-    # Non-integer lookups simply miss.
-    assert table.get(TupleId("t", ("abc",))) is None
-
-
-def test_bitarray_growth_and_unknown(assignment):
-    table = BitArrayLookupTable(4, initial_capacity=8)
-    table.put(TupleId("t", (1000,)), frozenset({3}))
-    assert table.get(TupleId("t", (1000,))) == {3}
-    assert table.get(TupleId("t", (999,))) is None
-
-
-def test_bitarray_partition_limit():
-    with pytest.raises(ValueError):
-        BitArrayLookupTable(300)
-
-
-def test_bloom_filter_no_false_negatives(assignment):
-    table = build_lookup_table(assignment, backend="bloom", expected_items=200)
-    for key in range(100):
-        placement = table.get(TupleId("t", (key,)))
-        assert key % 4 in placement
-
-
-def test_bloom_filter_memory_smaller_than_dict(assignment):
-    bloom = build_lookup_table(assignment, backend="bloom", expected_items=200)
-    exact = build_lookup_table(assignment, backend="dict")
-    assert bloom.memory_bytes() < exact.memory_bytes()
-
-
-def test_unknown_backend(assignment):
-    with pytest.raises(ValueError):
-        build_lookup_table(assignment, backend="nope")
-
-
 def test_memory_accounting(assignment):
-    table = DictLookupTable(4).load(assignment)
-    assert table.memory_bytes() > 0
+    # ~100 B per entry: the figure the benchmark reports as routing.lookup_bytes.
+    assert build_lookup_table(assignment).memory_bytes() == 100 * 101
+    assert PartitionAssignment(4).memory_bytes() == 0
 
 
-# -- update paths (exercised by live migration) --------------------------------------
-@pytest.mark.parametrize("backend", ["dict", "bitarray"])
-def test_put_overwrites_single_partition(assignment, backend):
-    table = build_lookup_table(assignment, backend=backend)
+# -- update path (live migration's routing flip) ----------------------------------------
+def test_place_overwrites_single_partition(assignment):
+    strategy = LookupTablePartitioning(4, assignment)
     tuple_id = TupleId("t", (7,))
-    table.put(tuple_id, frozenset({1}))
-    assert table.get(tuple_id) == {1}
+    strategy.place([(tuple_id, frozenset({1}))])
+    assert strategy.partitions_for_tuple(tuple_id) == {1}
 
 
-@pytest.mark.parametrize("backend", ["dict", "bitarray"])
-def test_put_narrows_replicated_to_single(assignment, backend):
+def test_place_narrows_replicated_to_single(assignment):
     # A replicated tuple collapsing to one copy (migration dropped replicas)
     # must not keep answering the stale replica set.
-    table = build_lookup_table(assignment, backend=backend)
+    strategy = LookupTablePartitioning(4, assignment)
     replicated = TupleId("t", (100,))
-    assert table.get(replicated) == {0, 2}
-    table.put(replicated, frozenset({2}))
-    assert table.get(replicated) == {2}
+    assert strategy.partitions_for_tuple(replicated) == {0, 2}
+    strategy.place([(replicated, frozenset({2}))])
+    assert strategy.partitions_for_tuple(replicated) == {2}
 
 
-def test_bitarray_single_to_replicated_roundtrip():
-    table = BitArrayLookupTable(4)
-    tuple_id = TupleId("t", (5,))
-    table.put(tuple_id, frozenset({1}))
-    table.put(tuple_id, frozenset({1, 3}))
-    assert table.get(tuple_id) == {1, 3}
-    table.put(tuple_id, frozenset({3}))
-    assert table.get(tuple_id) == {3}
-
-
-@pytest.mark.parametrize("backend", ["dict", "bitarray"])
-def test_apply_delta_bulk_updates(assignment, backend):
-    table = build_lookup_table(assignment, backend=backend)
-    changes = [
-        (TupleId("t", (0,)), frozenset({3})),
-        (TupleId("t", (1,)), frozenset({0, 1})),
-    ]
-    assert table.apply_delta(changes) == 2
-    assert table.get(TupleId("t", (0,))) == {3}
-    assert table.get(TupleId("t", (1,))) == {0, 1}
-    # Untouched entries keep their placement.
-    assert table.get(TupleId("t", (2,))) == {2}
-
-
-def test_bloom_rejects_in_place_updates(assignment):
-    bloom = build_lookup_table(assignment, backend="bloom", expected_items=200)
-    assert not bloom.supports_update()
+# -- one source of placements ----------------------------------------------------------
+def test_router_accepts_only_its_strategys_assignment(assignment):
+    strategy = LookupTablePartitioning(4, assignment)
+    assert Router(strategy, None, build_lookup_table(strategy.assignment)).strategy is strategy
+    copy = PartitionAssignment(4, dict(assignment.placements))
     with pytest.raises(ValueError):
-        bloom.apply_delta([(TupleId("t", (0,)), frozenset({1}))])
+        Router(strategy, None, copy)
+    with pytest.raises(ValueError):
+        Router(HashPartitioning(2), None, PartitionAssignment(2))
+
+
+def test_router_placements_follow_the_strategys_entries(assignment):
+    strategy = LookupTablePartitioning(4, assignment)
+    router = Router(strategy)
+    tuple_id = TupleId("t", (5,))
+    assert router.placement_of(tuple_id) == {1}
+    strategy.place([(tuple_id, frozenset({3}))])
+    assert router.placement_of(tuple_id) == {3}
+    assert router.placement_of(TupleId("t", (500,))) == strategy.partitions_for_tuple(
+        TupleId("t", (500,))
+    )

@@ -9,7 +9,6 @@ from repro.core.strategies import (
     replicate,
 )
 from repro.graph.assignment import PartitionAssignment
-from repro.routing.lookup import DictLookupTable
 from repro.routing.router import Router, TransactionRoutingContext
 from repro.sqlparse.ast import InsertStatement, SelectStatement, UpdateStatement, eq, in_list
 from repro.workload.trace import Transaction
@@ -80,8 +79,7 @@ def test_lookup_table_routing(bank_schema):
     assignment.assign(TupleId("account", (1,)), {1})
     assignment.assign(TupleId("account", (2,)), {0})
     strategy = LookupTablePartitioning(2, assignment, default_policy="hash")
-    lookup = DictLookupTable(2).load(assignment)
-    router = Router(strategy, schema=bank_schema, lookup_table=lookup)
+    router = Router(strategy, schema=bank_schema)
     decision = router.route_statement(SelectStatement(("account",), where=eq("id", 1)))
     assert decision.partitions == {1}
     decision = router.route_statement(SelectStatement(("account",), where=in_list("id", [1, 2])))
@@ -107,11 +105,8 @@ def _lookup_router(bank_schema, k=4, placements=None):
     assignment = PartitionAssignment(k)
     for key, partitions in (placements or {1: {0}, 2: {1}}).items():
         assignment.assign(TupleId("account", (key,)), set(partitions))
-    table = DictLookupTable(k)
-    for tuple_id in assignment:
-        table.put(tuple_id, assignment.partitions_of(tuple_id))
     strategy = LookupTablePartitioning(k, assignment, "hash")
-    return Router(strategy, schema=bank_schema, lookup_table=table)
+    return Router(strategy, schema=bank_schema)
 
 
 def test_window_widens_writes_but_not_reads(bank_schema):

@@ -19,7 +19,6 @@ from repro.catalog.tuples import TupleId
 from repro.core.strategies import LookupTablePartitioning
 from repro.graph.assignment import PartitionAssignment
 from repro.obs import Telemetry, use_telemetry
-from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 from repro.sqlparse.ast import (
     ColumnRef,
@@ -118,7 +117,7 @@ def bank(tmp_path, bank_database):
         assignment.assign(TupleId("account", (account_id,)), partitions)
     strategy = LookupTablePartitioning(2, assignment)
     cluster = StubCluster(tmp_path, bank_database, strategy)
-    router = Router(strategy, bank_database.schema, build_lookup_table(assignment))
+    router = Router(strategy, bank_database.schema)
     with use_telemetry(Telemetry.create(seed=0)) as telemetry:
         coordinator = StorageCoordinator(
             cluster,

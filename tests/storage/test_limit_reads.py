@@ -10,7 +10,6 @@ deployment never reads.
 import pytest
 
 from repro.pipeline import PartitionPlan, Pipeline, SchismOptions
-from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 from repro.sqlparse.ast import SelectStatement
 from repro.storage import SqliteStorageCluster
@@ -40,7 +39,7 @@ def test_single_partition_limit_reads_see_the_extracted_rows(tmp_path, generate)
     train, test = split_workload(bundle.workload, 0.7, rng=SeededRng(0))
     run = Pipeline(SchismOptions(num_partitions=2)).run(database, train, test)
     strategy = PartitionPlan.loads(run.plan(workload=bundle.name).dumps()).deployment_strategy()
-    router = Router(strategy, database.schema, build_lookup_table(strategy.assignment))
+    router = Router(strategy, database.schema)
     cluster = SqliteStorageCluster.from_database(tmp_path / "cluster", database, strategy)
     stores = {
         partition: SqlitePartitionStore(path, database.schema)

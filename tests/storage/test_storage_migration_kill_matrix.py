@@ -38,7 +38,6 @@ from repro.online.migration import (
     MigrationJournal,
     plan_migration,
 )
-from repro.routing.lookup import build_lookup_table
 from repro.routing.router import Router
 from repro.storage import StorageDeployment
 
@@ -95,7 +94,7 @@ def _dry_run_records() -> int:
     old = _old_assignment()
     strategy = LookupTablePartitioning(OLD_K, old, "hash")
     cluster = Cluster.from_database(database, strategy)
-    router = Router(strategy, database.schema, build_lookup_table(old))
+    router = Router(strategy, database.schema)
     new = PartitionAssignment(NEW_K)
     for i in range(NUM_TUPLES):
         new.assign(_tid(i), hash_home(_tid(i), NEW_K))
@@ -103,7 +102,6 @@ def _dry_run_records() -> int:
     journal = MigrationJournal.for_plan(
         plan,
         kind="resize",
-        flip_mode="swap",
         old_num_partitions=OLD_K,
         new_num_partitions=NEW_K,
     )

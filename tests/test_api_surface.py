@@ -265,9 +265,7 @@ def test_journal_with_lookup_backend_and_default_policy_still_loads():
         changes=[(tuple_id, frozenset({2}))],
         previous=[(tuple_id, frozenset({0}))],
     )
-    payload = MigrationJournal.for_plan(
-        plan, kind="resize", flip_mode="swap", old_num_partitions=2
-    ).to_payload()
+    payload = MigrationJournal.for_plan(plan, kind="resize", old_num_partitions=2).to_payload()
     assert (payload["lookup_backend"], payload["default_policy"]) == ("dict", "hash")
     payload.update(lookup_backend="bitarray", default_policy="replicate")
     old = MigrationJournal.from_payload(payload)

@@ -165,8 +165,8 @@ def _write_journal(
     plan.copies = [MigrationStep("copy", TupleId("t", (i,)), 0, 1) for i in range(2)]
     plan.drops = [MigrationStep("drop", TupleId("t", (i,)), 0) for i in range(2)]
     plan.tuples_changed = 2
-    journal = MigrationJournal.for_plan(
-        plan, kind="resize", flip_mode="delta",
+    journal = MigrationJournal(
+        plan=plan, kind="resize", flip_mode="delta",
         old_num_partitions=2, new_num_partitions=4,
         backend=backend, migration_id=migration_id,
     )

@@ -10,7 +10,6 @@ from repro.explain.rules import decode_label
 from repro.graph.assignment import PartitionAssignment
 from repro.graph.model import Graph
 from repro.graph.partitioner import PartitionerOptions, cut_weight, partition_graph, partition_weights
-from repro.routing.lookup import BitArrayLookupTable, DictLookupTable
 from repro.sqlparse.ast import SelectStatement, eq
 from repro.workload.rwsets import access_from_tuple_sets
 from repro.workload.trace import Transaction
@@ -125,18 +124,10 @@ def test_transaction_partitions_subset_of_tuple_placements(ids, k):
     )
 )
 @settings(max_examples=50, deadline=None)
-def test_lookup_backends_agree_with_assignment(mapping):
+def test_lookup_strategy_agrees_with_assignment(mapping):
     assignment = PartitionAssignment(8)
     for key, partitions in mapping.items():
         assignment.assign(TupleId("t", (key,)), partitions)
-    exact = DictLookupTable(8).load(assignment)
-    bits = BitArrayLookupTable(8).load(assignment)
-    for key, partitions in mapping.items():
-        tuple_id = TupleId("t", (key,))
-        assert exact.get(tuple_id) == frozenset(partitions)
-        looked_up = bits.get(tuple_id)
-        assert looked_up is not None
-        assert looked_up == frozenset(partitions) or looked_up <= frozenset(partitions)
     strategy = LookupTablePartitioning(8, assignment)
     for key, partitions in mapping.items():
         assert strategy.partitions_for_tuple(TupleId("t", (key,))) == frozenset(partitions)
