@@ -60,6 +60,7 @@ class Cluster:
         The partitions being removed must already be empty: the elastic
         controller migrates their tuples away (copy -> routing update ->
         drop) before shrinking, so removal never destroys a live replica.
+        The removed partitions' databases are closed.
         """
         if not 0 < new_num_partitions < self.num_partitions:
             raise ValueError("shrink_to requires fewer (but at least 1) partitions")
@@ -70,6 +71,8 @@ class Cluster:
                     f"partition {partition} still stores {remaining} rows; "
                     "migrate them away before shrinking"
                 )
+        for database in self.partition_databases[new_num_partitions:]:
+            database.close()
         del self.partition_databases[new_num_partitions:]
         self.num_partitions = new_num_partitions
 

@@ -44,6 +44,10 @@ class Database:
         #: per statement shape: its keyed SQL and how to read its rows.
         self._plans: dict[StatementShape, tuple] = {}
 
+    def close(self) -> None:
+        """Release the in-memory store; the database is unusable afterwards."""
+        self._store.close()
+
     def table(self, name: str) -> Table:
         """Return table metadata."""
         return self.schema.table(name)

@@ -5,12 +5,15 @@ static training trace and then freezes the system — the limitation the paper
 itself flags when workloads drift.  This package keeps the partitioning
 live:
 
-* :mod:`repro.online.monitor` — streaming workload monitor: sliding-window /
-  exponentially-decayed access statistics plus a drift detector (distributed
-  fraction, per-partition load skew, hot-tuple churn vs. the baseline).
+* :mod:`repro.online.monitor` — streaming workload monitor: sliding window,
+  transaction rate and a drift detector (distributed fraction,
+  per-partition load skew, hot-tuple churn vs. the baseline); it feeds the
+  maintainer and reads its hot set and read fractions from it.
 * :mod:`repro.online.maintainer` — incremental tuple-graph maintenance:
   decayed edge/node-weight deltas applied to a mutable
-  :class:`~repro.graph.model.Graph`, re-frozen to CSR only on demand.
+  :class:`~repro.graph.model.Graph`, re-frozen to CSR only on demand; its
+  node weights and read/write splits are the loop's one decayed per-tuple
+  access ledger.
 * :mod:`repro.online.repartitioner` — budgeted re-partitioning that
   warm-starts from the *current* assignment with an explicit migration-cost
   term, so small drifts produce small placement deltas.

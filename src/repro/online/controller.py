@@ -5,9 +5,9 @@ Wiring of the online loop:
 1. live transactions stream in as chunked batches (one code path with the
    offline trace pipeline, see :meth:`AccessTrace.iter_batches`);
 2. each batch feeds the :class:`~repro.online.monitor.WorkloadMonitor`
-   (statistics + drift detection) and the
+   (statistics + drift detection), which folds it into its
    :class:`~repro.online.maintainer.IncrementalGraphMaintainer` (decayed
-   graph deltas);
+   graph deltas, the loop's one per-tuple access ledger);
 3. when the monitor reports drift, :meth:`OnlineSchism.adapt` freezes the
    maintained graph — with the read-hot tuples expanded into **replication
    stars** (decayed read/write ratios decide the candidates, mirroring the
@@ -48,7 +48,6 @@ from repro.catalog.tuples import TupleId
 from repro.core.strategies import LookupTablePartitioning, placement_at
 from repro.distributed.faults import FaultInjector
 from repro.graph.assignment import PartitionAssignment
-from repro.online.maintainer import IncrementalGraphMaintainer
 from repro.online.migration import (
     MIGRATION_BATCH_SIZE,
     FileJournalSink,
@@ -80,7 +79,7 @@ from repro.workload.trace import TransactionAccess, iter_chunks
 #: suppress re-adaptation for this many batches after an adaptation.
 ADAPT_COOLDOWN_BATCHES = 2
 #: transactions per ingest batch of :meth:`OnlineSchism.observe` and
-#: :meth:`OnlineSchism.warm_up` (= one monitor/maintainer epoch).
+#: :meth:`OnlineSchism.warm_up` (= one monitor epoch).
 INGEST_BATCH_SIZE = 100
 #: retention hysteresis: a tuple that is *already replicated* stays a
 #: replication candidate down to ``replication_min_read_fraction`` minus
@@ -293,7 +292,8 @@ class OnlineSchism:
         self.source_plan: PartitionPlan | None = None
         self.options = options or OnlineOptions()
         self.monitor = WorkloadMonitor(self.options.monitor, router.strategy)
-        self.maintainer = IncrementalGraphMaintainer()
+        #: the monitor's access ledger: the decayed tuple graph adaptation freezes.
+        self.maintainer = self.monitor.maintainer
         # Declared at construction so the family shows in metric snapshots
         # of deployments that never migrate.
         migration_steps_counter()
@@ -323,7 +323,7 @@ class OnlineSchism:
 
     # -- ingest -----------------------------------------------------------------------
     def warm_up(self, trace: AccessTrace | Iterable[TransactionAccess]) -> None:
-        """Seed monitor and maintainer from the training trace, then baseline.
+        """Seed the monitor and its ledger from the training trace, then baseline.
 
         Gives the online loop the same starting knowledge the offline
         pipeline trained on: the maintained graph starts as the (decayed)
@@ -333,7 +333,6 @@ class OnlineSchism:
         accesses = trace.accesses if isinstance(trace, AccessTrace) else trace
         for batch in iter_chunks(accesses, INGEST_BATCH_SIZE):
             self.monitor.ingest_batch(batch)
-            self.maintainer.apply_batch(batch)
         self.monitor.set_baseline()
 
     def observe(
@@ -378,7 +377,6 @@ class OnlineSchism:
         result = ObservationResult()
         for batch in batches:
             self.monitor.ingest_batch(batch)
-            self.maintainer.apply_batch(batch)
             result.batches += 1
             result.transactions += len(batch)
             # Elastic scaling watches offered load, not placement quality, so

@@ -13,15 +13,19 @@ placement) and maintains:
   balancing mode);
 * clique edges among the tuples touched by each transaction, weights
   accumulating exactly as in the offline builder;
-* exponential aging at the monitor's ``EPOCH_DECAY`` (one constant, so the
-  graph and the monitor's counts age alike) via a **global scale factor**
-  (the same trick the workload monitor uses): stored weights are true
-  weights divided by ``_scale``, so one epoch of decay is a single multiplication of the
-  scale, not an O(V + E) sweep.  Fresh contributions are added as
-  ``1 / _scale``; the stored values are renormalised only when that
-  increment risks losing precision.  The periodic prune
+* exponential aging at ``EPOCH_DECAY`` per epoch via a **global scale
+  factor**: stored weights are true weights divided by ``_scale``, so one
+  epoch of decay is a single multiplication of the scale, not an O(V + E)
+  sweep.  Fresh contributions are added as ``1 / _scale``; the stored
+  values are renormalised only when that increment risks losing
+  precision.  The periodic prune
   (:meth:`Graph.prune_edges`, with the threshold expressed in stored
   units) drops decayed-out co-access pairs so the graph stays bounded.
+
+The node weights and their read/write splits are the online loop's only
+decayed per-tuple ledger: the :class:`~repro.online.monitor.WorkloadMonitor`
+feeds this maintainer and reads its hot set, hot-set weight share, tracked
+population and read fractions from it, so one clock ages everything.
 
 ``freeze`` folds the pending scale into the weights and re-compiles to CSR
 only when the controller decides to re-partition — never per transaction.
@@ -45,6 +49,7 @@ in the frozen copy handed to the re-partitioner.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -53,9 +58,10 @@ from typing import Iterable, Sequence
 from repro.catalog.tuples import TupleId
 from repro.graph.builder import REPLICATION_EPSILON
 from repro.graph.model import CSRGraph, Graph
-from repro.online.monitor import EPOCH_DECAY
 from repro.workload.trace import TransactionAccess
 
+#: Per-epoch decay factor of every decayed weight of the online loop.
+EPOCH_DECAY = 0.95
 #: Renormalise stored weights once the per-access increment grows past this.
 _RENORMALISE_LIMIT = 1e12
 #: Edges whose decayed (true) weight falls below this are dropped.
@@ -159,6 +165,19 @@ class IncrementalGraphMaintainer:
         if total <= 0.0:
             return 0.0
         return reads / total
+
+    def heaviest(self, count: int) -> list[int]:
+        """The ``count`` heaviest nodes in ``(-weight, tuple)`` order.
+
+        ``nsmallest`` is the O(N log k) top-k selection: the monitor ranks
+        its hot set on every drift check, so a full sort would dominate the
+        ingest path once many tuples are tracked.  Ties rank by tuple id.
+        """
+        weights = self.graph.node_weights
+        tuple_of = self._tuple_of
+        return heapq.nsmallest(
+            count, range(len(tuple_of)), key=lambda node: (-weights[node], tuple_of[node])
+        )
 
     def _node_for(self, tuple_id: TupleId) -> int:
         node = self._node_of.get(tuple_id)

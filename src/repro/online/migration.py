@@ -627,6 +627,13 @@ class JournaledMigrator:
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        if journal.flip_mode == "delta" and not router.strategy.per_tuple:
+            # A delta flip rewrites per-tuple entries; a strategy without
+            # them would serve the old placement after the drops ran.
+            raise ValueError(
+                f"a delta-flip journal needs a per-tuple routing strategy, "
+                f"not {router.strategy.name}"
+            )
         self.cluster = cluster
         self.router = router
         self.journal = journal
@@ -821,9 +828,7 @@ class JournaledMigrator:
 
     def _publish_entries(self, entries: list[tuple[TupleId, frozenset[int]]]) -> None:
         """In-place routing update: O(len(entries)) strategy entry writes."""
-        strategy = self.router.strategy
-        if isinstance(strategy, LookupTablePartitioning):
-            strategy.place(entries)
+        self.router.strategy.place(entries)
 
     def _publish_swap(
         self, num_partitions: int, overrides: list[tuple[TupleId, frozenset[int]]]

@@ -7,13 +7,14 @@ stream through :meth:`AccessTrace.iter_batches`) and maintains:
 * a **sliding window** of the most recent transactions, used to re-evaluate
   placement quality (distributed fraction, per-partition load) against the
   *current* routing strategy;
-* **exponentially-decayed tuple access counts**, aged once per ingest epoch,
-  from which the current hot set is derived.  The decay uses a global scale
-  factor so per-access work stays O(touched tuples) — the stored counts are
-  renormalised only when the scale risks underflow.  Alongside the total,
-  separate decayed **read** and **write** counts are kept per tuple: their
-  ratio identifies read-mostly tuples, which is what the replication-aware
-  online placement widens into replica sets;
+* the online loop's **access ledger**, an
+  :class:`~repro.online.maintainer.IncrementalGraphMaintainer`: its node
+  weights are the exponentially-decayed per-tuple access counts (aged once
+  per ingest epoch) from which the current hot set is derived, and its
+  decayed **read** and **write** splits identify read-mostly tuples, which
+  is what the replication-aware online placement widens into replica sets.
+  The monitor keeps no per-tuple counts of its own; it feeds the ledger and
+  reads it;
 * a decayed **transaction rate** (transactions per ingest epoch), the load
   signal the elastic partition-scaling policy watches;
 * a **baseline snapshot** (hot set + distributed fraction) taken right after
@@ -29,24 +30,17 @@ overlap between the current and baseline hot sets) exceeds
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterable
+from typing import Deque, Sequence
 
 from repro.catalog.tuples import TupleId
 from repro.core.cost import transaction_partitions
 from repro.core.strategies import PartitioningStrategy
 from repro.obs import get_telemetry
+from repro.online.maintainer import IncrementalGraphMaintainer
 from repro.workload.trace import TransactionAccess
 
-#: Renormalise stored counts once the inverse scale grows past this.
-_RENORMALISE_LIMIT = 1e12
-#: Drop decayed counts below this fraction of one fresh access.
-_PRUNE_FRACTION = 1e-4
-#: Per-epoch decay factor of every decayed count of the online loop: the
-#: monitor's access counts and the maintainer's graph weights age together.
-EPOCH_DECAY = 0.95
 #: Size of the tracked hot-tuple set.
 HOT_SET_SIZE = 32
 #: Smoothing factor of the decayed transactions-per-epoch rate estimate
@@ -145,24 +139,13 @@ class WorkloadMonitor:
         )
         self._window_distributed = 0
         self._partition_load = [0] * num_partitions
-        # Decayed per-tuple access counts via the global-scale trick:
-        # true_count = stored * _scale; ingest adds 1 / _scale, aging divides
-        # _scale by decay, and the stored values are renormalised only when
-        # the increment would lose precision.
-        self._counts: dict[TupleId, float] = {}
-        # Decayed read/write splits of the same counts (shared scale): the
-        # read fraction of a tuple decides whether it is a replication
-        # candidate (read-mostly) or must stay single-homed (write-heavy).
-        self._read_counts: dict[TupleId, float] = {}
-        self._write_counts: dict[TupleId, float] = {}
-        self._scale = 1.0
-        self._increment = 1.0
+        #: the access ledger: the decayed tuple graph whose node weights
+        #: and read/write splits are the per-tuple access counts.
+        self.maintainer = IncrementalGraphMaintainer()
         # Decayed transactions-per-epoch estimate (the elastic load signal).
         self._epoch_ingested = 0
         self._rate = 0.0
         self._rate_primed = False
-        self.transactions_seen = 0
-        self.epochs = 0
         self._baseline_hot: frozenset[TupleId] = frozenset()
         self._baseline_distributed = 0.0
         self._baseline_skew = 1.0
@@ -178,7 +161,28 @@ class WorkloadMonitor:
 
     # -- ingest -----------------------------------------------------------------------
     def ingest(self, access: TransactionAccess) -> None:
-        """Observe one transaction."""
+        """Observe one transaction: window, rate and access ledger."""
+        self._observe(access)
+        self.maintainer.apply(access)
+
+    def ingest_batch(self, batch: Sequence[TransactionAccess]) -> None:
+        """Observe one chunk of transactions, then age everything one epoch.
+
+        The ledger folds the chunk in one batched pass, which also ages it.
+        """
+        for access in batch:
+            self._observe(access)
+        self.maintainer.apply_batch(batch)
+        self._close_rate_epoch()
+        self._batches_counter.inc()
+
+    def advance_epoch(self) -> None:
+        """Age the ledger one epoch and fold the epoch into the rate."""
+        self.maintainer.advance_epoch()
+        self._close_rate_epoch()
+
+    def _observe(self, access: TransactionAccess) -> None:
+        """Window slot, partition load and rate count of one transaction."""
         participants = (
             transaction_partitions(self.strategy, access)
             if self.strategy is not None
@@ -191,34 +195,9 @@ class WorkloadMonitor:
             self._window_distributed += 1
         for partition in participants:
             self._partition_load[partition] += 1
-        increment = self._increment
-        # read_set/write_set/touched are recomputing properties; evaluate
-        # the two base sets once and union locally (touched would rebuild
-        # all three).
-        read_set = access.read_set
-        write_set = access.write_set
-        counts = self._counts
-        for tuple_id in read_set | write_set:
-            counts[tuple_id] = counts.get(tuple_id, 0.0) + increment
-        read_counts = self._read_counts
-        for tuple_id in read_set:
-            read_counts[tuple_id] = read_counts.get(tuple_id, 0.0) + increment
-        write_counts = self._write_counts
-        for tuple_id in write_set:
-            write_counts[tuple_id] = write_counts.get(tuple_id, 0.0) + increment
-        self.transactions_seen += 1
         self._epoch_ingested += 1
 
-    def ingest_batch(self, batch: Iterable[TransactionAccess]) -> None:
-        """Observe one chunk of transactions, then age the counts one epoch."""
-        for access in batch:
-            self.ingest(access)
-        self.advance_epoch()
-        self._batches_counter.inc()
-
-    def advance_epoch(self) -> None:
-        """Age the decayed counts by one epoch (cheap; amortised O(1) per call)."""
-        self.epochs += 1
+    def _close_rate_epoch(self) -> None:
         if self._rate_primed:
             self._rate += RATE_SMOOTHING * (self._epoch_ingested - self._rate)
         else:
@@ -227,27 +206,6 @@ class WorkloadMonitor:
             self._rate = float(self._epoch_ingested)
             self._rate_primed = True
         self._epoch_ingested = 0
-        self._scale *= EPOCH_DECAY
-        self._increment = 1.0 / self._scale
-        if self._increment > _RENORMALISE_LIMIT:
-            self._renormalise()
-
-    def _renormalise(self) -> None:
-        scale = self._scale
-        prune_below = _PRUNE_FRACTION / scale
-
-        def rescaled(counts: dict[TupleId, float]) -> dict[TupleId, float]:
-            return {
-                tuple_id: stored * scale
-                for tuple_id, stored in counts.items()
-                if stored >= prune_below
-            }
-
-        self._counts = rescaled(self._counts)
-        self._read_counts = rescaled(self._read_counts)
-        self._write_counts = rescaled(self._write_counts)
-        self._scale = 1.0
-        self._increment = 1.0
 
     def _evict(self, slot: tuple[TransactionAccess, frozenset[int]]) -> None:
         _, participants = slot
@@ -257,48 +215,23 @@ class WorkloadMonitor:
             self._partition_load[partition] -= 1
 
     # -- statistics -------------------------------------------------------------------
-    def access_count(self, tuple_id: TupleId) -> float:
-        """Decayed access count of ``tuple_id``."""
-        return self._counts.get(tuple_id, 0.0) * self._scale
-
-    def read_count(self, tuple_id: TupleId) -> float:
-        """Decayed count of transactions that *read* ``tuple_id``."""
-        return self._read_counts.get(tuple_id, 0.0) * self._scale
-
-    def write_count(self, tuple_id: TupleId) -> float:
-        """Decayed count of transactions that *wrote* ``tuple_id``."""
-        return self._write_counts.get(tuple_id, 0.0) * self._scale
-
     def read_fraction(self, tuple_id: TupleId) -> float:
         """Decayed fraction of accesses to ``tuple_id`` that are reads.
 
         1.0 for read-only tuples, 0.0 for write-only ones (and for tuples
         never observed — an unknown tuple must not look replication-worthy).
         """
-        reads = self._read_counts.get(tuple_id, 0.0)
-        writes = self._write_counts.get(tuple_id, 0.0)
-        total = reads + writes
-        if total <= 0.0:
-            return 0.0
-        return reads / total
+        node = self.maintainer.node_of(tuple_id)
+        return 0.0 if node is None else self.maintainer.read_fraction(node)
 
     def transaction_rate(self) -> float:
         """Decayed transactions-per-epoch estimate (the elastic load signal)."""
         return self._rate
 
     def hot_tuples(self) -> tuple[TupleId, ...]:
-        """The ``HOT_SET_SIZE`` most-accessed tuples (deterministic tie-break).
-
-        ``nsmallest`` over ``(-count, id)`` is the O(N log k) top-k selection
-        — this runs inside every drift check, so a full sort of the counts
-        dict would dominate the ingest path once many tuples are tracked.
-        """
-        ranked = heapq.nsmallest(
-            HOT_SET_SIZE,
-            self._counts.items(),
-            key=lambda item: (-item[1], item[0]),
-        )
-        return tuple(tuple_id for tuple_id, _ in ranked)
+        """The ``HOT_SET_SIZE`` most-accessed tuples (ties rank by tuple id)."""
+        ledger = self.maintainer
+        return tuple(ledger.tuple_of(node) for node in ledger.heaviest(HOT_SET_SIZE))
 
     def window_stats(self) -> WindowStats:
         """Current window statistics (distributed fraction, skew, churn)."""
@@ -426,7 +359,7 @@ class WorkloadMonitor:
         keep a 10% bar and a tiny tracked population cannot push the bar
         above what even total skew could reach.
         """
-        tracked = len(self._counts)
+        tracked = self.maintainer.num_tuples
         if tracked <= 0:
             return CHURN_SHARE_FLOOR
         uniform_expectation = min(1.0, HOT_SET_SIZE / tracked)
@@ -438,10 +371,12 @@ class WorkloadMonitor:
 
         Near 1.0 for genuinely skewed traffic, ~``HOT_SET_SIZE / tuples``
         for uniform traffic (where the "hot set" is just sampling noise).
-        The stored counts share one global scale, so the ratio is exact.
+        The ledger's stored weights share one global scale, so the ratio is
+        exact, and both sums run in node-id order, which does not depend on
+        the process's string-hash seed.
         """
-        total = sum(self._counts.values())
+        weights = self.maintainer.graph.node_weights
+        total = sum(weights)
         if total <= 0.0:
             return 0.0
-        hot = sum(self._counts.get(tuple_id, 0.0) for tuple_id in self.hot_tuples())
-        return hot / total
+        return sum(weights[node] for node in self.maintainer.heaviest(HOT_SET_SIZE)) / total

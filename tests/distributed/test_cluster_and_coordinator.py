@@ -189,6 +189,26 @@ def test_cluster_copy_and_drop_tuple(bank_database):
     assert cluster.copy_tuple(TupleId("account", (99,)), 0, 1) is None
 
 
+def test_shrink_closes_the_removed_partitions(bank_database):
+    import sqlite3
+
+    cluster = Cluster.from_database(bank_database, range_strategy())
+    cluster.grow_to(3)
+    kept, removed = cluster.database(1), cluster.database(2)
+    cluster.shrink_to(2)
+    with pytest.raises(sqlite3.ProgrammingError):
+        removed.row_count()
+    assert kept.row_count() == 3
+
+
+def test_refused_shrink_closes_nothing(bank_database):
+    cluster = Cluster.from_database(bank_database, range_strategy())
+    stored = cluster.database(1)
+    with pytest.raises(ValueError, match="still stores"):
+        cluster.shrink_to(1)
+    assert stored.row_count() == 3
+
+
 # -- fault-injected execution (resilience substrate) ---------------------------------
 def _faulty_coordinator(bank_database, plan):
     strategy = range_strategy()

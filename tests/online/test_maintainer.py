@@ -126,9 +126,3 @@ def test_freeze_returns_csr_and_mapping(no_aging):
     assert csr.num_nodes == 2
     assert csr.num_edges == 1
     assert tuples == [TupleId("t", (1,)), TupleId("t", (2,))]
-
-
-def test_monitor_and_maintainer_age_at_one_rate():
-    from repro.online import monitor
-
-    assert maintainer_module.EPOCH_DECAY is monitor.EPOCH_DECAY

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.catalog.tuples import TupleId
-from repro.core.strategies import LookupTablePartitioning
+from repro.core.strategies import HashPartitioning, LookupTablePartitioning
 from repro.distributed.cluster import Cluster
 from repro.graph.assignment import PartitionAssignment
 from repro.online.migration import (
@@ -146,6 +146,23 @@ def test_executor_partition_mismatch(bank_database):
     )
     with pytest.raises(ValueError):
         _migrator(cluster, router, plan)
+
+
+def test_delta_flip_over_a_strategy_without_entries_is_refused(bank_database):
+    """A delta flip rewrites per-tuple entries; over a hash router it would
+    report the flip done while routing still names the old partition."""
+    strategy = HashPartitioning(2)
+    cluster = Cluster.from_database(bank_database, strategy)
+    router = Router(strategy, bank_database.schema)
+    tuple_id = TupleId("account", (2,))
+    home = strategy.partitions_for_tuple(tuple_id)
+    (other,) = {0, 1} - home
+    plan = plan_migration(strategy.partitions_for_tuple, _assignment(2, {2: {other}}))
+    with pytest.raises(ValueError, match="per-tuple"):
+        _migrator(cluster, router, plan)
+    # Refused before any step: data and routing are where they were.
+    assert cluster.tuple_locations(tuple_id) == home
+    assert router.placement_of(tuple_id) == home
 
 
 def test_plan_records_routing_changes():

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.catalog.tuples import TupleId
 from repro.core.strategies import LookupTablePartitioning
 from repro.graph.assignment import PartitionAssignment
+from repro.online import maintainer as maintainer_module
 from repro.online import monitor as monitor_module
 from repro.online.monitor import (
     CHURN_SHARE_FLOOR,
@@ -32,14 +38,21 @@ def _access(keys, write_keys=(), txn_id=0):
 
 @pytest.fixture
 def constants(monkeypatch):
-    """Patch the monitor's module constants for one test."""
+    """Patch module constants of the monitor or of its ledger for one test."""
 
     def patch(**values):
         for name, value in values.items():
-            assert hasattr(monitor_module, name), name
-            monkeypatch.setattr(monitor_module, name, value)
+            module = monitor_module if hasattr(monitor_module, name) else maintainer_module
+            assert hasattr(module, name), name
+            monkeypatch.setattr(module, name, value)
 
     return patch
+
+
+def _weight(monitor, key):
+    """Decayed access count of tuple ``key`` as the monitor's ledger holds it."""
+    ledger = monitor.maintainer
+    return ledger.node_weight(ledger.node_of(TupleId("t", (key,))))
 
 
 def _strategy(num_partitions=2, placements=None):
@@ -80,9 +93,9 @@ def test_decayed_counts_and_hot_set(constants):
     monitor.advance_epoch()
     monitor.ingest(_access([3]))
     # Tuple 1: 2 accesses decayed once = 1.0; tuple 3: fresh = 1.0; tuple 2: 0.5.
-    assert monitor.access_count(TupleId("t", (1,))) == pytest.approx(1.0)
-    assert monitor.access_count(TupleId("t", (2,))) == pytest.approx(0.5)
-    assert monitor.access_count(TupleId("t", (3,))) == pytest.approx(1.0)
+    assert _weight(monitor, 1) == pytest.approx(1.0)
+    assert _weight(monitor, 2) == pytest.approx(0.5)
+    assert _weight(monitor, 3) == pytest.approx(1.0)
     # Deterministic tie-break: equal counts rank by tuple id.
     assert monitor.hot_tuples() == (TupleId("t", (1,)), TupleId("t", (3,)))
 
@@ -96,7 +109,7 @@ def test_renormalisation_preserves_relative_counts(constants):
     for _ in range(60):  # decay far past the renormalisation limit
         monitor.advance_epoch()
     monitor.ingest(_access([3]))
-    assert monitor.access_count(TupleId("t", (3,))) == pytest.approx(1.0)
+    assert _weight(monitor, 3) == pytest.approx(1.0)
     # Tuple 1 decayed to ~2*2^-60 but is still ranked above tuple 2.
     hot = monitor.hot_tuples()
     assert hot.index(TupleId("t", (3,))) == 0
@@ -173,8 +186,68 @@ def test_ingest_batch_advances_epoch(constants):
     constants(EPOCH_DECAY=0.5)
     monitor = WorkloadMonitor(MonitorOptions())
     monitor.ingest_batch([_access([1])])
-    assert monitor.epochs == 1
-    assert monitor.access_count(TupleId("t", (1,))) == pytest.approx(0.5)
+    assert monitor.maintainer.epochs == 1
+    assert _weight(monitor, 1) == pytest.approx(0.5)
+    assert monitor.transaction_rate() == 1.0
+
+
+def test_blanket_transaction_leaves_hot_set_and_graph_unchanged(constants):
+    """A transaction past the blanket threshold is skipped by the one ledger,
+    so it neither enters the hot set nor adds nodes or edges."""
+    constants(HOT_SET_SIZE=2, BLANKET_TRANSACTION_THRESHOLD=3)
+    monitor = WorkloadMonitor(MonitorOptions())
+    monitor.ingest_batch([_access([1, 2])])
+    hot = monitor.hot_tuples()
+    graph = monitor.maintainer.graph
+    before = (list(graph.node_weights), list(graph.edges()))
+    monitor.ingest(_access(list(range(10, 20))))  # 10 tuples > 3: blanket
+    assert monitor.hot_tuples() == hot
+    assert (list(graph.node_weights), list(graph.edges())) == before
+    assert monitor.maintainer.num_tuples == 2
+    # The window still sees it: placement quality counts every transaction.
+    assert monitor.window_stats().transactions == 2
+
+
+_HASH_SEED_SCRIPT = """
+import random
+from repro.catalog.tuples import TupleId
+from repro.online.monitor import WorkloadMonitor
+from repro.sqlparse.ast import SelectStatement
+from repro.workload.rwsets import access_from_tuple_sets
+from repro.workload.trace import Transaction
+
+rng = random.Random(7)
+monitor = WorkloadMonitor()
+for epoch in range(30):
+    batch = []
+    for txn in range(40):
+        touched = [
+            TupleId(rng.choice(("warehouse", "district", "stock")), (rng.randrange(60),))
+            for _ in range(rng.randrange(1, 8))
+        ]
+        transaction = Transaction((SelectStatement(("t",)),), transaction_id=txn)
+        batch.append(access_from_tuple_sets(transaction, touched, touched[:1]))
+    monitor.ingest_batch(batch)
+print(repr(monitor.hot_weight_share()), monitor.hot_tuples()[:3])
+"""
+
+
+def test_hot_weight_share_is_identical_across_hash_seeds():
+    """The hot set and its weight share depend only on the trace, not on the
+    order a process's string-hash seed gives set iteration."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    outputs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        completed = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.add(completed.stdout)
+    assert len(outputs) == 1, outputs
 
 
 def test_min_window_fill_clamped_to_window_size():

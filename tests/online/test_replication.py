@@ -134,7 +134,6 @@ def test_monitor_observed_read_hotness(adapted_controller, acceptance_report):
     monitor = controller.monitor
     for key in bundle.metadata["hot_keys"]:
         tuple_id = TupleId("usertable", (key,))
-        assert monitor.read_count(tuple_id) > monitor.write_count(tuple_id)
         assert monitor.read_fraction(tuple_id) >= 0.8
     # An unseen tuple must not look replication-worthy.
     assert monitor.read_fraction(TupleId("usertable", (10**9,))) == 0.0
