@@ -28,11 +28,12 @@ def main() -> None:
     print(f"schism selected {plan.recommendation} "
           f"({plan.provenance.metrics['distributed_fraction']:.1%} distributed transactions)")
 
-    # 2. Materialise a 4-node cluster from the plan's winning strategy and
-    #    run the test workload through the router and the two-phase-commit
-    #    coordinator (one strategy object, shared by cluster and router).
+    # 2. Materialise a 4-node cluster from the plan's deployed strategy (the
+    #    form validation scored) and run the test workload through the router
+    #    and the two-phase-commit coordinator (one strategy object, shared by
+    #    cluster and router).
     fresh_bundle = generate_tpcc(config, num_transactions=200, name="tpcc-online")
-    strategy = plan.build_strategy()
+    strategy = plan.deployment_strategy()
     cluster = Cluster.from_database(fresh_bundle.database, strategy)
     router = Router(strategy, schema=fresh_bundle.database.schema)
     coordinator = TwoPhaseCommitCoordinator(cluster, router)

@@ -178,6 +178,11 @@ class Schema:
         """All table names in insertion order."""
         return tuple(self._tables)
 
+    @property
+    def primary_keys(self) -> dict[str, tuple[str, ...]]:
+        """Every table's primary-key columns, in key order."""
+        return {name: table.primary_key for name, table in self._tables.items()}
+
     def validate_foreign_keys(self) -> None:
         """Check that every foreign key references an existing table and columns."""
         for table in self.tables:

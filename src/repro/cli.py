@@ -258,8 +258,8 @@ def _deploy(args: argparse.Namespace) -> int:
         f"\nmaterialised {cluster.num_partitions} partitions: "
         f"row counts {cluster.row_counts()} (imbalance {cluster.imbalance():.2f})"
     )
-    # The router sees every statement first (an insert's row places it), the
-    # monitor then attributes the extracted read/write sets.
+    # Serve the stream (in memory, routing is all a deployment does with it):
+    # the routing report counts these routes; the monitor's count nowhere.
     controller.router.participants_for_workload(bundle.workload)
     trace = extract_access_trace(bundle.database, bundle.workload)
     observation = controller.observe(trace, auto_adapt=args.adapt)

@@ -3,8 +3,8 @@
 Every strategy answers two questions:
 
 * **storage**: which partition(s) store a given tuple
-  (:meth:`PartitioningStrategy.partitions_for_tuple`), which is what the
-  distributed-transaction cost model needs;
+  (:meth:`PartitioningStrategy.partitions_for_tuple`), which is what loading
+  a cluster and routing a pinned key need;
 * **routing**: which partitions could hold the tuples matching a set of
   equality conditions (:meth:`PartitioningStrategy.partitions_for_conditions`),
   which is what the middleware router needs; ``None`` means "cannot tell —
@@ -69,7 +69,7 @@ def choose_replica(
     """The one of ``replicas`` a read is served from: the lowest partition the
     transaction already ``visited``, else one spread by transaction id (so
     reads that share nothing with their transaction do not all land on
-    partition 0).  The one rule the cost model and the router share.
+    partition 0).  The router's one replica rule.
     """
     shared = replicas & visited
     if shared:
@@ -491,6 +491,28 @@ class LookupTablePartitioning(PartitioningStrategy):
         )
 
 
+def deployed_form(
+    strategy: PartitioningStrategy,
+    primary_keys: Mapping[str, Sequence[str]],
+    default_policy: str,
+) -> LookupTablePartitioning:
+    """The strategy a deployment of ``strategy`` routes by.
+
+    Live migration updates per-tuple placements, which only a lookup table
+    can express: explicit entries, empty until a row or a migration places a
+    tuple, over ``strategy`` on the ``primary_keys`` columns, then
+    ``default_policy``.  A lookup table is its own form, copied so that
+    routing the form places nothing in ``strategy``.
+    """
+    num_partitions = strategy.num_partitions
+    if isinstance(strategy, LookupTablePartitioning):
+        entries = PartitionAssignment(num_partitions, dict(strategy.assignment.placements))
+        return strategy.with_assignment(num_partitions, entries)
+    return LookupTablePartitioning(
+        num_partitions, PartitionAssignment(num_partitions), default_policy, strategy, primary_keys
+    )
+
+
 # ---------------------------------------------------------------------------
 # Composite (manual) partitioning
 # ---------------------------------------------------------------------------
@@ -573,11 +595,15 @@ class CompositePartitioning(PartitioningStrategy):
                 numeric = float(row[column])  # type: ignore[arg-type]
             except (TypeError, ValueError):
                 return frozenset({stable_hash(row[column]) % self.num_partitions})
-            for partition, boundary in enumerate(policy.boundaries):
-                if numeric <= boundary:
-                    return frozenset({min(partition, self.num_partitions - 1)})
-            return frozenset({self.num_partitions - 1})
+            return frozenset({self._range_partition(policy, numeric)})
         raise ValueError(f"unknown policy kind {policy.kind!r}")
+
+    def _range_partition(self, policy: TablePolicy, numeric: float) -> int:
+        """The partition of a range policy holding ``numeric``."""
+        for partition, boundary in enumerate(policy.boundaries):
+            if numeric <= boundary:
+                return min(partition, self.num_partitions - 1)
+        return self.num_partitions - 1
 
     def partitions_for_conditions(
         self, table: str, conditions: Sequence[AttributeCondition]
@@ -595,10 +621,23 @@ class CompositePartitioning(PartitioningStrategy):
         if policy.kind == "range":
             column = policy.columns[0]
             pinned = pinned_values(conditions, (column,))
-            if pinned is None:
-                return None
             partitions: set[int] = set()
-            for (value,) in pinned:
-                partitions.update(self._apply_policy(policy, TupleId(table, (value,)), {column: value}))
-            return frozenset(partitions)
+            if pinned is not None:
+                for (value,) in pinned:
+                    partitions.update(self._apply_policy(policy, TupleId(table, (value,)), {column: value}))
+            else:
+                # A numeric BETWEEN reaches the partitions its interval spans.
+                for condition in conditions:
+                    low, high = condition.low, condition.high
+                    if condition.column == column and condition.operator == "between" and all(
+                        isinstance(bound, (int, float)) for bound in (low, high)
+                    ):
+                        first = self._range_partition(policy, low)
+                        partitions.update(range(first, self._range_partition(policy, high) + 1))
+                        break
+                else:
+                    return None
+            # Matches on every partition are not a replica set the router may
+            # read one copy of: broadcast them.
+            return frozenset(partitions) if len(partitions) < self.num_partitions else None
         return None

@@ -3,8 +3,11 @@
 Compare the candidate strategies — fine-grained lookup table, range
 predicates, hash partitioning, full replication — by the number of
 distributed transactions they incur on a held-out test trace, and pick the
-winner.  When several strategies are within a small tolerance of the best,
-the *simplest* one wins (hash or replication before range predicates, range
+winner.  Each candidate is scored in the form a deployment of it routes by
+(:func:`~repro.core.strategies.deployed_form`, under the plan's last-resort
+policy), so the winner's fraction is what the router then serves.  When
+several strategies are within a small tolerance of the best, the *simplest*
+one wins (hash or replication before range predicates, range
 predicates before lookup tables), which is how the paper ends up recommending
 plain hashing for YCSB-A and the Random workload.
 """
@@ -12,11 +15,11 @@ plain hashing for YCSB-A and the Random workload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.catalog.tuples import TupleId
 from repro.core.cost import CostReport, evaluate_strategy, trace_rows
-from repro.core.strategies import PartitioningStrategy
+from repro.core.strategies import LookupTablePartitioning, PartitioningStrategy
 from repro.engine.database import Database
 from repro.workload.rwsets import AccessTrace
 
@@ -54,11 +57,18 @@ class ValidationResult:
         return "\n".join(lines)
 
 
+def default_policy(candidates: Iterable[PartitioningStrategy]) -> str:
+    """The last resort a plan records and every candidate is deployed under:
+    the lookup-table candidate's, else ``"hash"``."""
+    lookups = [s for s in candidates if isinstance(s, LookupTablePartitioning)]
+    return lookups[0].default_policy if lookups else "hash"
+
+
 def validate_strategies(
     candidates: Sequence[PartitioningStrategy],
     test_trace: AccessTrace,
-    database: Database | None = None,
-    row_cache: Mapping[TupleId, Mapping[str, object]] | None = None,
+    database: Database,
+    row_cache: Mapping[TupleId, Mapping[str, object] | None] | None = None,
     tie_tolerance: float = 0.01,
     relative_tie_tolerance: float = 0.10,
 ) -> ValidationResult:
@@ -71,7 +81,8 @@ def validate_strategies(
     test_trace:
         Access trace of the held-out test workload.
     database, row_cache:
-        Attribute sources for strategies that need row values.
+        The schema's primary keys and the rows of the tuples the trace
+        touches (see :func:`~repro.core.cost.evaluate_strategy`).
     tie_tolerance:
         Absolute tolerance on the distributed fraction within which a simpler
         strategy is preferred over a better-scoring complex one.
@@ -81,12 +92,13 @@ def validate_strategies(
     """
     if not candidates:
         raise ValueError("at least one candidate strategy is required")
-    if row_cache is None and database is not None:
+    if row_cache is None:
         row_cache = trace_rows(test_trace, database)
+    policy = default_policy(candidates)
     reports: dict[str, CostReport] = {}
     strategies: dict[str, PartitioningStrategy] = {}
     for strategy in candidates:
-        report = evaluate_strategy(strategy, test_trace, database, row_cache)
+        report = evaluate_strategy(strategy, test_trace, database, row_cache, policy)
         reports[strategy.name] = report
         strategies[strategy.name] = strategy
     balanced = [

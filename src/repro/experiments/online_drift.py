@@ -110,7 +110,7 @@ def run_online_drift(
     drifted_trace = extract_access_trace(database, bundle.phases[1])
     observation = controller.observe(drifted_trace, auto_adapt=False)
     distributed_before = evaluate_strategy(
-        controller.strategy, drifted_trace
+        controller.strategy, drifted_trace, database
     ).distributed_fraction
     drift_detected = any(report.drifted for report in observation.drift_reports)
 
@@ -123,11 +123,13 @@ def run_online_drift(
             tuples, [frozenset({part}) for part in full.assignment]
         ),
     )
-    distributed_full = evaluate_strategy(full_strategy, drifted_trace).distributed_fraction
+    distributed_full = evaluate_strategy(
+        full_strategy, drifted_trace, database
+    ).distributed_fraction
 
     record = controller.adapt()
     distributed_budgeted = evaluate_strategy(
-        controller.strategy, drifted_trace
+        controller.strategy, drifted_trace, database
     ).distributed_fraction
     return OnlineDriftReport(
         num_partitions=num_partitions,
@@ -213,11 +215,11 @@ def run_read_hot_drift(
     drifted = extract_access_trace(database, bundle.phases[1])
     observation = controller.observe(drifted, auto_adapt=False)
     distributed_before = evaluate_strategy(
-        controller.strategy, drifted
+        controller.strategy, drifted, database
     ).distributed_fraction
     record = controller.adapt()
     distributed_after = evaluate_strategy(
-        controller.strategy, drifted
+        controller.strategy, drifted, database
     ).distributed_fraction
     hot_keys = bundle.metadata["hot_keys"]
     assignment = controller.strategy.assignment

@@ -291,7 +291,7 @@ class OnlineSchism:
         #: round-trips the artifact.
         self.source_plan: PartitionPlan | None = None
         self.options = options or OnlineOptions()
-        self.monitor = WorkloadMonitor(self.options.monitor, router.strategy)
+        self.monitor = WorkloadMonitor(self.options.monitor, router)
         #: the monitor's access ledger: the decayed tuple graph adaptation freezes.
         self.maintainer = self.monitor.maintainer
         # Declared at construction so the family shows in metric snapshots

@@ -6,7 +6,9 @@ stream through :meth:`AccessTrace.iter_batches`) and maintains:
 
 * a **sliding window** of the most recent transactions, used to re-evaluate
   placement quality (distributed fraction, per-partition load) against the
-  *current* routing strategy;
+  *current* routing strategy: a transaction's participants are the
+  partitions a router over that strategy sends it to (a scoring router:
+  what the monitor routes counts in no serving metric);
 * the online loop's **access ledger**, an
   :class:`~repro.online.maintainer.IncrementalGraphMaintainer`: its node
   weights are the exponentially-decayed per-tuple access counts (aged once
@@ -35,10 +37,10 @@ from dataclasses import dataclass, field
 from typing import Deque, Sequence
 
 from repro.catalog.tuples import TupleId
-from repro.core.cost import transaction_partitions
 from repro.core.strategies import PartitioningStrategy
 from repro.obs import get_telemetry
 from repro.online.maintainer import IncrementalGraphMaintainer
+from repro.routing.router import Router, scoring_router
 from repro.workload.trace import TransactionAccess
 
 #: Size of the tracked hot-tuple set.
@@ -119,20 +121,23 @@ class WorkloadMonitor:
     ----------
     options:
         Monitor tuning knobs.
-    strategy:
-        The routing strategy currently deployed; used to attribute each
-        observed transaction to partitions.  Replace it via
-        :meth:`rebaseline` after a re-partition.
+    router:
+        The deployment's router: each observed transaction is routed over
+        its strategy and schema.  Adopt a re-partitioned strategy via
+        :meth:`rebaseline`.
     """
 
     def __init__(
         self,
         options: MonitorOptions | None = None,
-        strategy: PartitioningStrategy | None = None,
+        router: Router | None = None,
     ) -> None:
         self.options = options or MonitorOptions()
-        self.strategy = strategy
-        num_partitions = strategy.num_partitions if strategy is not None else 0
+        #: routes observed transactions over the deployed strategy.
+        self._router = (
+            scoring_router(router.strategy, router.schema) if router is not None else None
+        )
+        num_partitions = router.num_partitions if router is not None else 0
         #: (access, participant partitions) per window slot.
         self._window: Deque[tuple[TransactionAccess, frozenset[int]]] = deque(
             maxlen=self.options.window_size
@@ -183,9 +188,14 @@ class WorkloadMonitor:
 
     def _observe(self, access: TransactionAccess) -> None:
         """Window slot, partition load and rate count of one transaction."""
+        self._slot(access)
+        self._epoch_ingested += 1
+
+    def _slot(self, access: TransactionAccess) -> None:
+        """Route one transaction into the window and the partition load."""
         participants = (
-            transaction_partitions(self.strategy, access)
-            if self.strategy is not None
+            self._router.transaction_participants(access.transaction)
+            if self._router is not None
             else frozenset()
         )
         if len(self._window) == self._window.maxlen:
@@ -195,7 +205,6 @@ class WorkloadMonitor:
             self._window_distributed += 1
         for partition in participants:
             self._partition_load[partition] += 1
-        self._epoch_ingested += 1
 
     def _close_rate_epoch(self) -> None:
         if self._rate_primed:
@@ -272,27 +281,26 @@ class WorkloadMonitor:
         self._baseline_skew = self.window_stats().load_skew
         self._baseline_window = window
 
+    @property
+    def strategy(self) -> PartitioningStrategy | None:
+        """The strategy observed transactions are routed over."""
+        return self._router.strategy if self._router is not None else None
+
     def rebaseline(self, strategy: PartitioningStrategy) -> None:
         """Adopt a newly deployed ``strategy`` and reset the drift baseline.
 
         The window's recorded participant sets reflect routing at observation
-        time; they are re-attributed under the new strategy so the baseline
+        time; they are re-routed under the new strategy so the baseline
         distributed fraction matches the post-migration reality.
         """
-        self.strategy = strategy
-        self._partition_load = [0] * strategy.num_partitions
+        assert self._router is not None
+        self._router = scoring_router(strategy, self._router.schema)
+        accesses = [access for access, _ in self._window]
+        self._window.clear()
         self._window_distributed = 0
-        reattributed: Deque[tuple[TransactionAccess, frozenset[int]]] = deque(
-            maxlen=self.options.window_size
-        )
-        for access, _ in self._window:
-            participants = transaction_partitions(strategy, access)
-            reattributed.append((access, participants))
-            if len(participants) > 1:
-                self._window_distributed += 1
-            for partition in participants:
-                self._partition_load[partition] += 1
-        self._window = reattributed
+        self._partition_load = [0] * strategy.num_partitions
+        for access in accesses:
+            self._slot(access)
         self.set_baseline()
 
     def check_drift(self) -> DriftReport:

@@ -43,6 +43,7 @@ from repro.core.strategies import (
     LookupTablePartitioning,
     PartitioningStrategy,
     RangePredicatePartitioning,
+    deployed_form,
 )
 from repro.explain.rules import RuleSet, rule_set_from_payload, rule_set_to_payload
 from repro.graph.assignment import PartitionAssignment
@@ -258,31 +259,18 @@ class PartitionPlan:
     def deployment_strategy(
         self, lookup_default_policy: str | None = None
     ) -> LookupTablePartitioning:
-        """The strategy a deployment routes by: the validated winner under a
-        lookup table of explicit placements.
-
-        Live migration updates per-tuple placements, which only a lookup
-        table can express — so deployment is always a
-        :class:`LookupTablePartitioning`.  When the lookup table won the
-        validation it starts from the plan's placements; otherwise it starts
-        *empty* over the winning strategy (see the class for the placement
-        order), so tuples the training trace never saw and tuples inserted
-        later are routed the way the winner was validated.
-        ``lookup_default_policy`` overrides the plan's recorded last-resort
-        policy (online deployments usually force ``"hash"``).
+        """The strategy a deployment routes by: the validated winner in its
+        :func:`~repro.core.strategies.deployed_form`, the form validation
+        scored it in (the plan's placements when the lookup table won or the
+        plan predates ``primary_keys``).  ``lookup_default_policy`` overrides
+        the plan's recorded last resort (online deployments force ``"hash"``).
         """
         policy = lookup_default_policy or self.lookup_default_policy
         if self.deployment_base is None:
             return LookupTablePartitioning(
                 self.num_partitions, self.to_assignment(), policy
             )
-        return LookupTablePartitioning(
-            self.num_partitions,
-            PartitionAssignment(self.num_partitions),
-            policy,
-            base=self.build_strategy(),
-            primary_keys=self.primary_keys,
-        )
+        return deployed_form(self.build_strategy(), self.primary_keys, policy)
 
     # -- serialisation ----------------------------------------------------------------
     def to_payload(self) -> dict:
@@ -593,6 +581,7 @@ def build_plan(
     workload: str | None = None,
 ) -> PartitionPlan:
     """Assemble the plan artifact from a completed pipeline state."""
+    from repro.core.validation import default_policy
     from repro.pipeline.stages import PipelineError
 
     if state.assignment is None or state.validation is None or state.explanation is None:
@@ -607,10 +596,6 @@ def build_plan(
             "partition stage (Pipeline.run_stage) before building a plan"
         )
     validation = state.validation
-    lookup = validation.strategies.get("lookup-table")
-    lookup_policy = (
-        lookup.default_policy if isinstance(lookup, LookupTablePartitioning) else "hash"
-    )
     metrics: dict = {
         "distributed_fraction": validation.winner_report.distributed_fraction,
         "candidate_fractions": {
@@ -639,12 +624,9 @@ def build_plan(
         num_partitions=options.num_partitions,
         placements=dict(state.assignment.placements),
         strategy=validation.recommendation,
-        lookup_default_policy=lookup_policy,
+        lookup_default_policy=default_policy(validation.strategies.values()),
         rule_sets=state.explanation.rule_sets(),
         hash_columns=options.hash_columns,
-        primary_keys={
-            table.name: tuple(table.primary_key)
-            for table in state.database.schema.tables
-        },
+        primary_keys=state.database.schema.primary_keys,
         provenance=provenance,
     )

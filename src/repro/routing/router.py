@@ -12,7 +12,10 @@ statement must be sent to:
   :func:`repro.core.strategies.choose_replica` picks — one the transaction
   already touches, else one spread by transaction id.  The paper credits this
   replica selection with fewer distributed transactions on read-mostly
-  workloads; the cost model scores it with the same function.
+  workloads.
+
+The router is the only code that decides a transaction's participants: the
+cost model and the online monitor score through a :func:`scoring_router`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.core.strategies import (
     BASE, BROADCAST, EXPLICIT, MECHANISMS, PartitioningStrategy, choose_replica
 )
 from repro.graph.assignment import PartitionAssignment
-from repro.obs import get_telemetry
+from repro.obs import get_telemetry, use_telemetry
 from repro.sqlparse.ast import Statement
 from repro.sqlparse.shape import analyse
 from repro.workload.trace import Transaction
@@ -315,3 +318,10 @@ class Router:
                         partitions.update(extra)
                         self._dual_writes.inc()
         return (frozenset(partitions), weakest) if partitions else None
+
+
+def scoring_router(strategy: PartitioningStrategy, schema: Schema | None) -> Router:
+    """A router whose routes count in no metric (scoring is not serving), so
+    ``router.statements`` counts only what a deployment served."""
+    with use_telemetry(None):
+        return Router(strategy, schema)

@@ -20,7 +20,6 @@ from repro.catalog.tuples import TupleId
 from repro.engine.database import Database
 from repro.workload.trace import (
     StatementAccess,
-    Transaction,
     TransactionAccess,
     Workload,
     iter_chunks,
@@ -112,25 +111,3 @@ def extract_access_trace(
             continue
         trace.accesses.append(access)
     return trace
-
-
-def access_from_tuple_sets(
-    transaction: Transaction,
-    read_set: Sequence[TupleId],
-    write_set: Sequence[TupleId] = (),
-) -> TransactionAccess:
-    """Build a :class:`TransactionAccess` directly from tuple sets.
-
-    Convenience used by tests and by synthetic traces where the read/write
-    sets are known without executing SQL.
-    """
-    return TransactionAccess(
-        transaction,
-        (
-            StatementAccess(
-                transaction.statements[0],
-                frozenset(read_set),
-                frozenset(write_set),
-            ),
-        ),
-    )

@@ -6,7 +6,15 @@ import pytest
 
 from repro.catalog.schema import Schema, Table, integer_column, string_column
 from repro.engine.database import Database
-from repro.sqlparse.ast import ColumnRef, Comparison, SelectStatement, UpdateStatement, eq
+from repro.sqlparse.ast import (
+    ColumnRef,
+    Comparison,
+    SelectStatement,
+    UpdateStatement,
+    eq,
+    in_list,
+)
+from repro.workload.rwsets import AccessTrace, extract_access_trace
 from repro.workload.trace import Workload
 from repro.workloads import TpccConfig, generate_tpcc
 
@@ -87,3 +95,42 @@ def tiny_tpcc():
         items=50,
     )
     return generate_tpcc(config, num_transactions=300)
+
+
+class KeyedTable:
+    """A table ``t(id, v)`` holding ids ``0 .. rows - 1``, and SQL over its keys.
+
+    What cost-model and validation tests score: each transaction is real SQL
+    whose read/write sets come from executing it, so the router and the
+    extracted trace see the same statements.
+    """
+
+    schema = Schema("keyed", [Table("t", [integer_column("id"), integer_column("v")], ["id"])])
+
+    def __init__(self, rows: int = 400) -> None:
+        self.database = Database(self.schema)
+        for key in range(rows):
+            self.database.insert_row("t", {"id": key, "v": 0})
+
+    @staticmethod
+    def read(*keys: int) -> SelectStatement:
+        """``SELECT * FROM t WHERE id IN (keys)``."""
+        return SelectStatement(("t",), where=in_list("id", keys))
+
+    @staticmethod
+    def write(*keys: int) -> UpdateStatement:
+        """``UPDATE t SET v = v + 1 WHERE id IN (keys)``."""
+        return UpdateStatement("t", {"v": ("delta", 1)}, where=in_list("id", keys))
+
+    def trace(self, *transactions) -> AccessTrace:
+        """Execute ``transactions`` (statement sequences) and record their accesses."""
+        workload = Workload("keyed")
+        for statements in transactions:
+            workload.add_statements(statements)
+        return extract_access_trace(self.database, workload)
+
+
+@pytest.fixture
+def keyed() -> KeyedTable:
+    """A fresh :class:`KeyedTable` (execution mutates its database)."""
+    return KeyedTable()

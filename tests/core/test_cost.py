@@ -1,7 +1,12 @@
-"""Tests for the distributed-transaction cost model."""
+"""Tests for the distributed-transaction cost model.
+
+Every trace is SQL executed against a :class:`KeyedTable`, and the cost
+model routes it as a deployment would: a transaction costs the partitions
+the router cannot skip.
+"""
 
 from repro.catalog.tuples import TupleId
-from repro.core.cost import evaluate_strategy, transaction_partitions
+from repro.core.cost import evaluate_strategy
 from repro.core.strategies import (
     CompositePartitioning,
     FullReplication,
@@ -10,31 +15,7 @@ from repro.core.strategies import (
     range_on,
 )
 from repro.graph.assignment import PartitionAssignment
-from repro.sqlparse.ast import SelectStatement, eq
-from repro.workload.rwsets import AccessTrace, access_from_tuple_sets
-from repro.workload.trace import StatementAccess, Transaction, TransactionAccess
-
-
-def make_access(read_ids, write_ids=(), transaction_id=0):
-    statement = SelectStatement(("t",), where=eq("id", 0))
-    transaction = Transaction((statement,), transaction_id=transaction_id)
-    return access_from_tuple_sets(
-        transaction,
-        [TupleId("t", (i,)) for i in read_ids],
-        [TupleId("t", (i,)) for i in write_ids],
-    )
-
-
-def make_statements(read_write_sets):
-    """One statement access per ``(read_set, write_set)`` pair, in order."""
-    statements = [SelectStatement(("t",), where=eq("id", 0)) for _ in read_write_sets]
-    return TransactionAccess(
-        Transaction(tuple(statements)),
-        tuple(
-            StatementAccess(statement, reads, writes)
-            for statement, (reads, writes) in zip(statements, read_write_sets)
-        ),
-    )
+from repro.sqlparse.ast import SelectStatement, between, eq
 
 
 def block_strategy(num_partitions: int, block: int = 100) -> CompositePartitioning:
@@ -44,97 +25,102 @@ def block_strategy(num_partitions: int, block: int = 100) -> CompositePartitioni
     )
 
 
+def score(strategy, keyed, *transactions):
+    return evaluate_strategy(strategy, keyed.trace(*transactions), keyed.database)
+
+
 class TestTransactionPartitions:
-    def test_single_partition_transaction(self):
-        strategy = block_strategy(2)
-        access = make_access([1, 2, 3])
-        partitions = transaction_partitions(strategy, access, row_cache={
-            TupleId("t", (i,)): {"id": i} for i in (1, 2, 3)
-        })
-        assert partitions == {0}
+    def test_single_partition_transaction(self, keyed):
+        report = score(block_strategy(2), keyed, [keyed.read(1, 2, 3)])
+        assert report.partition_transaction_counts == [1, 0]
+        assert report.distributed_transactions == 0
 
-    def test_cross_partition_transaction(self):
-        strategy = block_strategy(2)
-        access = make_access([1, 150])
-        partitions = transaction_partitions(strategy, access, row_cache={
-            TupleId("t", (1,)): {"id": 1},
-            TupleId("t", (150,)): {"id": 150},
-        })
-        assert partitions == {0, 1}
+    def test_cross_partition_transaction(self, keyed):
+        report = score(block_strategy(2), keyed, [keyed.read(1), keyed.read(150)])
+        assert report.partition_transaction_counts == [1, 1]
+        assert report.distributed_transactions == 1
 
-    def test_replicated_read_uses_one_partition(self):
-        strategy = FullReplication(4)
-        access = make_access([1, 2, 3])
-        assert len(transaction_partitions(strategy, access)) == 1
+    def test_replicated_read_uses_one_partition(self, keyed):
+        report = score(FullReplication(4), keyed, [keyed.read(1, 2), keyed.read(3)])
+        assert report.total_participations == 1
 
-    def test_replicated_write_touches_all(self):
-        strategy = FullReplication(4)
-        access = make_access([], write_ids=[1])
-        assert transaction_partitions(strategy, access) == {0, 1, 2, 3}
+    def test_replicated_write_touches_all(self, keyed):
+        report = score(FullReplication(4), keyed, [keyed.write(1)])
+        assert report.partition_transaction_counts == [1, 1, 1, 1]
 
-    def test_read_prefers_partition_already_involved(self):
+    def test_read_prefers_partition_already_involved(self, keyed):
         # The write pins tuple 5's partition 1; the replicated tuple 2 is read
         # from there, although transaction 0 would otherwise be spread to 0.
         assignment = PartitionAssignment(3)
         assignment.assign(TupleId("t", (5,)), {1})
         assignment.assign(TupleId("t", (2,)), {0, 1, 2})
         strategy = LookupTablePartitioning(3, assignment)
-        write = (frozenset(), frozenset({TupleId("t", (5,))}))
-        read = (frozenset({TupleId("t", (2,))}), frozenset())
-        assert transaction_partitions(strategy, make_statements([write, read])) == {1}
+        report = score(strategy, keyed, [keyed.write(5), keyed.read(2)])
+        assert report.partition_transaction_counts == [0, 1, 0]
         # Statement order, as the router serves it: a read that comes first
         # cannot know where a later write will go.
-        assert transaction_partitions(strategy, make_statements([read, write])) == {0, 1}
+        report = score(strategy, keyed, [keyed.read(2), keyed.write(5)])
+        assert report.partition_transaction_counts == [1, 1, 0]
+        # Scoring routes a copy: the candidate's entries are untouched.
+        assert assignment.placements == {
+            TupleId("t", (5,)): frozenset({1}),
+            TupleId("t", (2,)): frozenset({0, 1, 2}),
+        }
 
-    def test_uncovered_replicated_reads_spread_over_the_replicas(self):
-        strategy = FullReplication(3)
-        counts = [0, 0, 0]
-        for transaction_id in range(10):
-            access = make_access([7], transaction_id=transaction_id)
-            (partition,) = transaction_partitions(strategy, access)
-            counts[partition] += 1
+    def test_uncovered_replicated_reads_spread_over_the_replicas(self, keyed):
+        report = score(FullReplication(3), keyed, *([keyed.read(7)] for _ in range(10)))
+        counts = report.partition_transaction_counts
+        assert sum(counts) == 10
         assert min(counts) >= 1 and max(counts) - min(counts) <= 1
 
 
 class TestEvaluateStrategy:
-    def make_trace(self):
-        trace = AccessTrace("test")
-        trace.accesses.append(make_access([1, 2]))       # same block
-        trace.accesses.append(make_access([1, 150]))     # crosses blocks
-        trace.accesses.append(make_access([150, 199]))   # same block
-        return trace
+    def make_transactions(self, keyed):
+        return (
+            [keyed.read(1, 2)],  # same block
+            [keyed.read(1, 150)],  # crosses blocks
+            [keyed.read(150, 199)],  # same block
+        )
 
-    def row_cache(self):
-        return {TupleId("t", (i,)): {"id": i} for i in (1, 2, 150, 199)}
-
-    def test_counts_and_fraction(self):
-        report = evaluate_strategy(block_strategy(2), self.make_trace(), row_cache=self.row_cache())
+    def test_counts_and_fraction(self, keyed):
+        report = score(block_strategy(2), keyed, *self.make_transactions(keyed))
         assert report.total_transactions == 3
         assert report.distributed_transactions == 1
-        assert report.single_partition_transactions == 2
+        assert report.total_transactions - report.distributed_transactions == 2
         assert abs(report.distributed_fraction - 1 / 3) < 1e-9
         assert report.mean_participants > 1.0
 
-    def test_partition_counts(self):
-        report = evaluate_strategy(block_strategy(2), self.make_trace(), row_cache=self.row_cache())
+    def test_partition_counts(self, keyed):
+        report = score(block_strategy(2), keyed, *self.make_transactions(keyed))
         assert report.partition_transaction_counts == [2, 2]
         assert report.partition_load_imbalance() == 1.0
 
-    def test_empty_transactions_ignored(self):
-        trace = self.make_trace()
-        trace.accesses.append(make_access([]))
-        report = evaluate_strategy(block_strategy(2), trace, row_cache=self.row_cache())
-        assert report.empty_transactions == 1
-        assert abs(report.distributed_fraction - 1 / 3) < 1e-9
+    def test_a_statement_no_key_pins_is_served_everywhere(self, keyed):
+        # The rows it reads all live in block 0, but the router cannot tell
+        # from ``v = 0``: the partitions it cannot skip are the cost.
+        scan = SelectStatement(("t",), where=eq("v", 0))
+        report = score(block_strategy(2), keyed, [keyed.read(1), scan])
+        assert report.partition_transaction_counts == [1, 1]
+        assert report.distributed_fraction == 1.0
 
-    def test_hash_partitioning_splits_pairs(self):
-        trace = AccessTrace("pairs")
-        for i in range(0, 200, 2):
-            trace.accesses.append(make_access([i, i + 1]))
-        report = evaluate_strategy(HashPartitioning(2), trace)
+    def test_a_scan_reaches_the_blocks_its_range_spans(self, keyed):
+        def scan(low, high):
+            return [SelectStatement(("t",), where=between("id", low, high))]
+
+        report = score(block_strategy(3), keyed, scan(10, 20), scan(150, 250))
+        assert report.partition_transaction_counts == [1, 1, 1]
+        assert report.distributed_transactions == 1
+        # Rows on every partition are read from every partition, not from the
+        # one replica a replicated read would take.
+        report = score(block_strategy(2), keyed, scan(95, 105))
+        assert report.partition_transaction_counts == [1, 1]
+
+    def test_hash_partitioning_splits_pairs(self, keyed):
+        pairs = ([keyed.read(i, i + 1)] for i in range(0, 200, 2))
+        report = score(HashPartitioning(2), keyed, *pairs)
         # Uniform random pairs land on the same of two partitions about half the time.
         assert 0.3 < report.distributed_fraction < 0.7
 
-    def test_describe_contains_percentages(self):
-        report = evaluate_strategy(block_strategy(2), self.make_trace(), row_cache=self.row_cache())
+    def test_describe_contains_percentages(self, keyed):
+        report = score(block_strategy(2), keyed, *self.make_transactions(keyed))
         assert "%" in report.describe()

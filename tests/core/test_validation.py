@@ -1,6 +1,5 @@
 """Tests for the final validation phase."""
 
-from repro.catalog.tuples import TupleId
 from repro.core.strategies import (
     CompositePartitioning,
     FullReplication,
@@ -8,29 +7,21 @@ from repro.core.strategies import (
     range_on,
 )
 from repro.core.validation import validate_strategies
-from repro.sqlparse.ast import SelectStatement, eq
-from repro.workload.rwsets import AccessTrace, access_from_tuple_sets
-from repro.workload.trace import Transaction
+from repro.obs import Telemetry, use_telemetry
+from repro.pipeline import Pipeline, SchismOptions, candidate_strategies
+from repro.utils.rng import SeededRng
+from repro.workload.splitter import split_workload
 
 
-def make_trace(pairs, writes=()):
-    trace = AccessTrace("validation")
+def make_trace(keyed, pairs, writes=()):
+    """One transaction per pair: it reads the pair, then writes ``writes[i]``."""
+    transactions = []
     for index, pair in enumerate(pairs):
-        statement = SelectStatement(("t",), where=eq("id", pair[0]))
-        transaction = Transaction((statement,), transaction_id=index)
-        write_ids = writes[index] if index < len(writes) else ()
-        trace.accesses.append(
-            access_from_tuple_sets(
-                transaction,
-                [TupleId("t", (i,)) for i in pair],
-                [TupleId("t", (i,)) for i in write_ids],
-            )
-        )
-    return trace
-
-
-def row_cache(max_id=400):
-    return {TupleId("t", (i,)): {"id": i} for i in range(max_id)}
+        statements = [keyed.read(*pair)]
+        if index < len(writes):
+            statements.append(keyed.write(*writes[index]))
+        transactions.append(statements)
+    return keyed.trace(*transactions)
 
 
 def block_strategy(k, block=100):
@@ -41,59 +32,59 @@ def block_strategy(k, block=100):
     return strategy
 
 
-def test_best_strategy_wins():
+def test_best_strategy_wins(keyed):
     # Pairs always within a block: the range strategy is perfect, hashing is not.
-    trace = make_trace([(i, i + 1) for i in range(0, 200, 10)])
+    trace = make_trace(keyed, [(i, i + 1) for i in range(0, 200, 10)])
     result = validate_strategies(
-        [block_strategy(2), HashPartitioning(2)], trace, row_cache=row_cache()
+        [block_strategy(2), HashPartitioning(2)], trace, keyed.database
     )
     assert result.recommendation == "manual-range"
     assert result.winner_report.distributed_fraction == 0.0
 
 
-def test_simplicity_tie_break_prefers_hash():
+def test_simplicity_tie_break_prefers_hash(keyed):
     # Single-tuple updates: every non-replicated strategy scores zero.
-    trace = make_trace([(i,) for i in range(100)], writes=[(i,) for i in range(100)])
+    trace = make_trace(keyed, [(i,) for i in range(100)], writes=[(i,) for i in range(100)])
     result = validate_strategies(
         [block_strategy(2), HashPartitioning(2), FullReplication(2)],
         trace,
-        row_cache=row_cache(),
+        keyed.database,
     )
     assert result.recommendation == "hashing"
 
 
-def test_replication_serves_reads_locally_and_spreads_them():
+def test_replication_serves_reads_locally_and_spreads_them(keyed):
     # Pairs crossing blocks: hashing distributes them; replication serves every
     # read locally (0% distributed), each transaction from the replica its id
     # picks, so the load stays even and the simplest candidate wins.
-    trace = make_trace([(i, i + 100) for i in range(0, 100, 10)])
+    trace = make_trace(keyed, [(i, i + 100) for i in range(0, 100, 10)])
     result = validate_strategies(
-        [HashPartitioning(2), FullReplication(2)], trace, row_cache=row_cache()
+        [HashPartitioning(2), FullReplication(2)], trace, keyed.database
     )
     assert result.reports["replication"].distributed_fraction == 0.0
     assert result.reports["replication"].partition_transaction_counts == [5, 5]
     assert result.recommendation == "replication"
 
 
-def test_imbalanced_candidate_rejected():
+def test_imbalanced_candidate_rejected(keyed):
     # A "strategy" that puts every tuple on partition 0 has no distributed
     # transactions but is useless; the balance guard must reject it.
     everything_on_zero = CompositePartitioning(2, {"t": range_on("id", [10_000])})
     everything_on_zero.name = "degenerate"
-    trace = make_trace([(i, i + 1) for i in range(0, 200, 10)])
+    trace = make_trace(keyed, [(i, i + 1) for i in range(0, 200, 10)])
     result = validate_strategies(
-        [everything_on_zero, HashPartitioning(2)], trace, row_cache=row_cache()
+        [everything_on_zero, HashPartitioning(2)], trace, keyed.database
     )
     assert result.recommendation == "hashing"
 
 
-def test_wide_tie_tolerance_prefers_simpler_strategy():
-    trace = make_trace([(i, i + 1) for i in range(0, 300, 3)])
+def test_wide_tie_tolerance_prefers_simpler_strategy(keyed):
+    trace = make_trace(keyed, [(i, i + 1) for i in range(0, 300, 3)])
     lookup_like = block_strategy(2)
     result = validate_strategies(
         [lookup_like, HashPartitioning(2)],
         trace,
-        row_cache=row_cache(),
+        keyed.database,
         tie_tolerance=1.0,  # absurdly wide: everything ties
     )
     # With everything tied the simplest (hashing, complexity 1) wins over the
@@ -101,31 +92,50 @@ def test_wide_tie_tolerance_prefers_simpler_strategy():
     assert result.recommendation == "hashing"
 
 
-def test_relative_tie_tolerance_breaks_near_ties():
+def test_relative_tie_tolerance_breaks_near_ties(keyed):
     # Hashing scores marginally worse than the range strategy on a workload
     # where almost every pair crosses a block boundary; the relative tolerance
     # treats them as tied and the simpler hashing wins.
-    trace = make_trace([(i, i + 100) for i in range(0, 99)])
+    trace = make_trace(keyed, [(i, i + 100) for i in range(0, 99)])
     result = validate_strategies(
         [block_strategy(2), HashPartitioning(2)],
         trace,
-        row_cache=row_cache(),
+        keyed.database,
         relative_tie_tolerance=2.0,
     )
     assert result.recommendation == "hashing"
 
 
-def test_reports_contain_all_candidates():
-    trace = make_trace([(1, 2)])
+def test_reports_contain_all_candidates(keyed):
+    trace = make_trace(keyed, [(1, 2)])
     result = validate_strategies(
-        [HashPartitioning(2), FullReplication(2)], trace, row_cache=row_cache()
+        [HashPartitioning(2), FullReplication(2)], trace, keyed.database
     )
     assert set(result.reports) == {"hashing", "replication"}
     assert "selected" in result.describe()
 
 
-def test_requires_candidates():
+def test_requires_candidates(keyed):
     import pytest
 
     with pytest.raises(ValueError):
-        validate_strategies([], make_trace([(1,)]))
+        validate_strategies([], make_trace(keyed, [(1,)]), keyed.database)
+
+
+def test_scoring_changes_no_candidate_and_counts_no_route(tiny_tpcc):
+    # TPC-C's history rows are placed by their row under a range base, so
+    # scoring writes explicit entries — into each candidate's deployed form.
+    train, test = split_workload(tiny_tpcc.workload, 0.7, rng=SeededRng(0))
+    options = SchismOptions(num_partitions=2)
+    state = Pipeline(options).run(tiny_tpcc.database, train, test, stop_after="explain").state
+    candidates = candidate_strategies(
+        options, state.assignment, state.explanation, state.training_trace
+    )
+    lookup = candidates[0]
+    before = dict(lookup.assignment.placements)
+    telemetry = Telemetry.create()
+    with use_telemetry(telemetry):
+        result = validate_strategies(candidates, state.test_trace, state.database)
+    assert "range-predicates" in result.reports
+    assert lookup.assignment.placements == before
+    assert "router.statements" not in telemetry.metrics.family_names()

@@ -8,8 +8,7 @@ from repro.catalog.tuples import TupleId
 from repro.online import maintainer as maintainer_module
 from repro.online.maintainer import IncrementalGraphMaintainer
 from repro.sqlparse.ast import SelectStatement
-from repro.workload.rwsets import access_from_tuple_sets
-from repro.workload.trace import Transaction
+from repro.workload.trace import StatementAccess, Transaction, TransactionAccess
 
 
 @pytest.fixture
@@ -30,8 +29,12 @@ def no_aging(constants):
 
 
 def _access(keys, txn_id=0):
-    transaction = Transaction((SelectStatement(("t",)),), transaction_id=txn_id)
-    return access_from_tuple_sets(transaction, [TupleId("t", (key,)) for key in keys])
+    statement = SelectStatement(("t",))
+    read = frozenset(TupleId("t", (key,)) for key in keys)
+    return TransactionAccess(
+        Transaction((statement,), transaction_id=txn_id),
+        (StatementAccess(statement, read, frozenset()),),
+    )
 
 
 def test_nodes_created_on_first_sight_with_stable_ids(no_aging):

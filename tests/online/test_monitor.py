@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.catalog.schema import Schema, Table, integer_column
 from repro.catalog.tuples import TupleId
 from repro.core.strategies import LookupTablePartitioning
 from repro.graph.assignment import PartitionAssignment
@@ -20,19 +21,20 @@ from repro.online.monitor import (
     MonitorOptions,
     WorkloadMonitor,
 )
-from repro.workload.rwsets import access_from_tuple_sets
-from repro.workload.trace import Transaction
-from repro.sqlparse.ast import SelectStatement
+from repro.routing.router import Router
+from repro.sqlparse.ast import SelectStatement, in_list
+from repro.workload.trace import StatementAccess, Transaction, TransactionAccess
+
+SCHEMA = Schema("monitored", [Table("t", [integer_column("id")], ["id"])])
 
 
-def _access(keys, write_keys=(), txn_id=0):
-    transaction = Transaction(
-        (SelectStatement(("t",)),), transaction_id=txn_id
-    )
-    return access_from_tuple_sets(
-        transaction,
-        [TupleId("t", (key,)) for key in keys],
-        [TupleId("t", (key,)) for key in write_keys],
+def _access(keys, txn_id=0):
+    """A transaction reading ``keys`` of table ``t`` by primary key."""
+    statement = SelectStatement(("t",), where=in_list("id", keys))
+    read = frozenset(TupleId("t", (key,)) for key in keys)
+    return TransactionAccess(
+        Transaction((statement,), transaction_id=txn_id),
+        (StatementAccess(statement, read, frozenset()),),
     )
 
 
@@ -55,16 +57,17 @@ def _weight(monitor, key):
     return ledger.node_weight(ledger.node_of(TupleId("t", (key,))))
 
 
-def _strategy(num_partitions=2, placements=None):
+def _router(num_partitions=2, placements=None):
+    """A router over a lookup table placing key ``k`` on ``placements[k]``."""
     assignment = PartitionAssignment(num_partitions)
     for key, partition in (placements or {}).items():
         assignment.assign(TupleId("t", (key,)), {partition})
-    return LookupTablePartitioning(num_partitions, assignment, "hash")
+    return Router(LookupTablePartitioning(num_partitions, assignment, "hash"), SCHEMA)
 
 
 def test_window_distributed_fraction():
-    strategy = _strategy(2, {0: 0, 1: 0, 2: 1})
-    monitor = WorkloadMonitor(MonitorOptions(window_size=10), strategy)
+    router = _router(2, {0: 0, 1: 0, 2: 1})
+    monitor = WorkloadMonitor(MonitorOptions(window_size=10), router)
     monitor.ingest(_access([0, 1]))  # local
     monitor.ingest(_access([0, 2]))  # distributed
     stats = monitor.window_stats()
@@ -74,8 +77,8 @@ def test_window_distributed_fraction():
 
 
 def test_window_eviction_keeps_counters_consistent():
-    strategy = _strategy(2, {0: 0, 1: 1})
-    monitor = WorkloadMonitor(MonitorOptions(window_size=2), strategy)
+    router = _router(2, {0: 0, 1: 1})
+    monitor = WorkloadMonitor(MonitorOptions(window_size=2), router)
     monitor.ingest(_access([0, 1]))  # distributed
     monitor.ingest(_access([0]))
     monitor.ingest(_access([0]))  # evicts the distributed one
@@ -116,9 +119,9 @@ def test_renormalisation_preserves_relative_counts(constants):
 
 
 def test_drift_requires_window_fill():
-    strategy = _strategy(2, {0: 0, 1: 1})
+    router = _router(2, {0: 0, 1: 1})
     monitor = WorkloadMonitor(
-        MonitorOptions(window_size=100, min_window_fill=50), strategy
+        MonitorOptions(window_size=100, min_window_fill=50), router
     )
     for _ in range(10):
         monitor.ingest(_access([0, 1]))
@@ -127,9 +130,9 @@ def test_drift_requires_window_fill():
 
 
 def test_drift_on_distributed_fraction_increase():
-    strategy = _strategy(2, {0: 0, 1: 0, 2: 1})
+    router = _router(2, {0: 0, 1: 0, 2: 1})
     monitor = WorkloadMonitor(
-        MonitorOptions(window_size=100, min_window_fill=10), strategy
+        MonitorOptions(window_size=100, min_window_fill=10), router
     )
     for _ in range(20):
         monitor.ingest(_access([0, 1]))
@@ -142,7 +145,7 @@ def test_drift_on_distributed_fraction_increase():
 
 
 def test_drift_on_hot_tuple_churn(constants):
-    strategy = _strategy(2, {key: 0 for key in range(40)})
+    router = _router(2, {key: 0 for key in range(40)})
     constants(
         HOT_SET_SIZE=4,
         EPOCH_DECAY=0.5,
@@ -151,7 +154,7 @@ def test_drift_on_hot_tuple_churn(constants):
         DRIFT_CHURN_THRESHOLD=0.5,
     )
     options = MonitorOptions(window_size=200, min_window_fill=10)
-    monitor = WorkloadMonitor(options, strategy)
+    monitor = WorkloadMonitor(options, router)
     for key in (0, 1, 2, 3) * 5:
         monitor.ingest(_access([key]))
     monitor.set_baseline()
@@ -166,7 +169,7 @@ def test_drift_on_hot_tuple_churn(constants):
 
 def test_rebaseline_reattributes_window(constants):
     # Initially tuples 0/1 are split -> every transaction distributed.
-    split = _strategy(2, {0: 0, 1: 1})
+    split = _router(2, {0: 0, 1: 1})
     # Skew is out of scope here: with both tuples co-located on one of two
     # partitions the load is (correctly) maximally skewed.
     constants(DRIFT_SKEW_THRESHOLD=100.0)
@@ -175,8 +178,8 @@ def test_rebaseline_reattributes_window(constants):
         monitor.ingest(_access([0, 1]))
     assert monitor.window_stats().distributed_fraction == 1.0
     # After "migration" co-locates them, rebaseline re-attributes the window.
-    colocated = _strategy(2, {0: 0, 1: 0})
-    monitor.rebaseline(colocated)
+    colocated = _router(2, {0: 0, 1: 0})
+    monitor.rebaseline(colocated.strategy)
     stats = monitor.window_stats()
     assert stats.distributed_fraction == 0.0
     assert not monitor.check_drift().drifted
@@ -213,8 +216,7 @@ import random
 from repro.catalog.tuples import TupleId
 from repro.online.monitor import WorkloadMonitor
 from repro.sqlparse.ast import SelectStatement
-from repro.workload.rwsets import access_from_tuple_sets
-from repro.workload.trace import Transaction
+from repro.workload.trace import StatementAccess, Transaction, TransactionAccess
 
 rng = random.Random(7)
 monitor = WorkloadMonitor()
@@ -225,8 +227,9 @@ for epoch in range(30):
             TupleId(rng.choice(("warehouse", "district", "stock")), (rng.randrange(60),))
             for _ in range(rng.randrange(1, 8))
         ]
-        transaction = Transaction((SelectStatement(("t",)),), transaction_id=txn)
-        batch.append(access_from_tuple_sets(transaction, touched, touched[:1]))
+        statement = SelectStatement(("t",))
+        access = StatementAccess(statement, frozenset(touched), frozenset(touched[:1]))
+        batch.append(TransactionAccess(Transaction((statement,), transaction_id=txn), (access,)))
     monitor.ingest_batch(batch)
 print(repr(monitor.hot_weight_share()), monitor.hot_tuples()[:3])
 """
@@ -254,8 +257,8 @@ def test_min_window_fill_clamped_to_window_size():
     # A fill requirement above capacity would disable drift detection forever.
     options = MonitorOptions(window_size=40, min_window_fill=50)
     assert options.min_window_fill == 40
-    strategy = _strategy(2, {0: 0, 1: 1})
-    monitor = WorkloadMonitor(options, strategy)
+    router = _router(2, {0: 0, 1: 1})
+    monitor = WorkloadMonitor(options, router)
     for _ in range(40):
         monitor.ingest(_access([0, 1]))
     # The full (small) window satisfies the clamped fill gate.
@@ -264,9 +267,9 @@ def test_min_window_fill_clamped_to_window_size():
 
 def test_inherently_skewed_baseline_does_not_refire_skew_drift():
     # Everything lives on partition 0 of 4: maximally skewed, but stable.
-    strategy = _strategy(4, {0: 0, 1: 0})
+    router = _router(4, {0: 0, 1: 0})
     monitor = WorkloadMonitor(
-        MonitorOptions(window_size=50, min_window_fill=5), strategy
+        MonitorOptions(window_size=50, min_window_fill=5), router
     )
     for _ in range(20):
         monitor.ingest(_access([0, 1]))
@@ -280,9 +283,9 @@ def test_inherently_skewed_baseline_does_not_refire_skew_drift():
 
 
 def test_skew_drift_fires_on_increase_over_baseline():
-    strategy = _strategy(4, {0: 0, 1: 1, 2: 0})
+    router = _router(4, {0: 0, 1: 1, 2: 0})
     monitor = WorkloadMonitor(
-        MonitorOptions(window_size=40, min_window_fill=5), strategy
+        MonitorOptions(window_size=40, min_window_fill=5), router
     )
     for _ in range(20):
         monitor.ingest(_access([0]))
@@ -299,9 +302,9 @@ def test_empty_baseline_is_adopted_from_first_filled_window():
     """A baseline snapshot of an empty window (cold deploy, no warm-up) is
     replaced by the first filled window instead of reading steady traffic as
     drift against zeros."""
-    strategy = _strategy(2, {0: 0, 1: 0, 2: 1})
+    router = _router(2, {0: 0, 1: 0, 2: 1})
     monitor = WorkloadMonitor(
-        MonitorOptions(window_size=10, min_window_fill=4), strategy
+        MonitorOptions(window_size=10, min_window_fill=4), router
     )
     monitor.set_baseline()  # empty window: nothing learned yet
     for _ in range(4):
@@ -326,9 +329,9 @@ def test_small_real_warmup_baseline_is_kept():
     """A baseline from a small-but-nonempty warm-up window is genuine signal:
     the cold-deploy guard must not overwrite it, so drift against it is
     still detected once the window fills."""
-    strategy = _strategy(2, {0: 0, 1: 0, 2: 1})
+    router = _router(2, {0: 0, 1: 0, 2: 1})
     monitor = WorkloadMonitor(
-        MonitorOptions(window_size=10, min_window_fill=4), strategy
+        MonitorOptions(window_size=10, min_window_fill=4), router
     )
     monitor.ingest(_access([0, 1]))  # local traffic only
     monitor.set_baseline()  # 1 transaction < min_window_fill, but real
@@ -341,14 +344,14 @@ def test_small_real_warmup_baseline_is_kept():
 
 # -- auto-derived churn weight-share threshold ---------------------------------------
 def test_churn_threshold_floor_before_any_traffic():
-    monitor = WorkloadMonitor(MonitorOptions(), _strategy())
+    monitor = WorkloadMonitor(MonitorOptions(), _router())
     assert monitor.churn_weight_share_threshold() == CHURN_SHARE_FLOOR
 
 
 def test_churn_threshold_tracks_uniform_expectation(constants):
     constants(HOT_SET_SIZE=4)
     options = MonitorOptions(window_size=400)
-    monitor = WorkloadMonitor(options, _strategy(2, {k: 0 for k in range(20)}))
+    monitor = WorkloadMonitor(options, _router(2, {k: 0 for k in range(20)}))
     for key in range(20):
         monitor.ingest(_access([key]))
     # 20 tracked tuples, hot set 4: uniform expectation 0.2, lifted 1.25x.
@@ -363,7 +366,7 @@ def test_churn_threshold_tracks_uniform_expectation(constants):
 def test_churn_threshold_floor_on_wide_populations(constants):
     constants(HOT_SET_SIZE=4)
     options = MonitorOptions(window_size=2000)
-    monitor = WorkloadMonitor(options, _strategy(2, {k: 0 for k in range(100)}))
+    monitor = WorkloadMonitor(options, _router(2, {k: 0 for k in range(100)}))
     for key in range(100):
         monitor.ingest(_access([key]))
     # 4/100 lifted is 0.05 — below the floor, so the old 10% bar holds.
@@ -373,7 +376,7 @@ def test_churn_threshold_floor_on_wide_populations(constants):
 def test_churn_threshold_capped_for_tiny_populations(constants):
     constants(HOT_SET_SIZE=4)
     options = MonitorOptions(window_size=100)
-    monitor = WorkloadMonitor(options, _strategy(2, {k: 0 for k in range(4)}))
+    monitor = WorkloadMonitor(options, _router(2, {k: 0 for k in range(4)}))
     for key in range(4):
         monitor.ingest(_access([key]))
     # hot_set_size >= tracked: the uncapped bar would be 1.25 — unreachable.
@@ -388,7 +391,7 @@ def test_skewed_traffic_clears_the_derived_bar(constants):
         DRIFT_CHURN_THRESHOLD=0.5,
     )
     options = MonitorOptions(window_size=400, min_window_fill=10)
-    monitor = WorkloadMonitor(options, _strategy(2, {k: 0 for k in range(40)}))
+    monitor = WorkloadMonitor(options, _router(2, {k: 0 for k in range(40)}))
     # Baseline: tuples 0..3 hot, with the rest seen once (tracked = 20).
     for key in range(16, 32):
         monitor.ingest(_access([key]))
@@ -413,7 +416,7 @@ def test_uniform_churn_does_not_fire_derived_gate(constants):
         DRIFT_CHURN_THRESHOLD=0.5,
     )
     options = MonitorOptions(window_size=400, min_window_fill=10)
-    monitor = WorkloadMonitor(options, _strategy(2, {k: 0 for k in range(40)}))
+    monitor = WorkloadMonitor(options, _router(2, {k: 0 for k in range(40)}))
     # Uniform traffic over 20 tuples; the "hot set" is sampling noise.
     for key in list(range(20)) * 3:
         monitor.ingest(_access([key]))

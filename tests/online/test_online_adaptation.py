@@ -50,7 +50,7 @@ def _run_scenario():
     )
     drifted = extract_access_trace(database, bundle.phases[1])
     observation = controller.observe(drifted, auto_adapt=False)
-    before = evaluate_strategy(controller.strategy, drifted).distributed_fraction
+    before = evaluate_strategy(controller.strategy, drifted, database).distributed_fraction
 
     tuples = controller.maintainer.tuples()
     full = controller.preview_full_repartition()
@@ -59,13 +59,13 @@ def _run_scenario():
         controller.merged_placements(tuples, [frozenset({part}) for part in full.assignment]),
         "hash",
     )
-    full_fraction = evaluate_strategy(full_strategy, drifted).distributed_fraction
+    full_fraction = evaluate_strategy(full_strategy, drifted, database).distributed_fraction
 
     # The budget is the criterion itself: at most a quarter of what the
     # from-scratch re-partition would migrate.
     controller.options.repartition.migration_budget = 0.25 * full.migration_cost
     record = controller.adapt()
-    after = evaluate_strategy(controller.strategy, drifted).distributed_fraction
+    after = evaluate_strategy(controller.strategy, drifted, database).distributed_fraction
     return {
         "observation": observation,
         "before": before,

@@ -19,14 +19,13 @@ from pathlib import Path
 import pytest
 
 from repro.catalog.tuples import TupleId
-from repro.core.cost import transaction_partitions
 from repro.experiments.online_drift import run_read_hot_drift
 from repro.online import MonitorOptions, OnlineOptions, RepartitionOptions, start_online
 from repro.online import controller as controller_module
 from repro.pipeline import Pipeline, SchismOptions
 from repro.sqlparse.ast import SelectStatement, UpdateStatement, eq
 from repro.workload.rwsets import extract_access_trace
-from repro.workload.trace import StatementAccess, Transaction, TransactionAccess
+from repro.workload.trace import Transaction
 from repro.workloads import generate_read_hot_skew
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -149,17 +148,10 @@ def test_writes_still_charged_on_every_replica(adapted_controller):
     assert len(placement) > 1
     write = UpdateStatement("usertable", {"field0": 1}, where=eq("ycsb_key", key))
     read = SelectStatement(("usertable",), where=eq("ycsb_key", key))
-    write_access = TransactionAccess(
-        Transaction((write,)),
-        (StatementAccess(write, frozenset(), frozenset({tuple_id})),),
-    )
-    read_access = TransactionAccess(
-        Transaction((read,)),
-        (StatementAccess(read, frozenset({tuple_id}), frozenset()),),
-    )
     # A write involves every replica (consistency); a lone read exactly one.
-    assert transaction_partitions(controller.strategy, write_access) == placement
-    assert len(transaction_partitions(controller.strategy, read_access)) == 1
+    router = controller.router
+    assert router.transaction_participants(Transaction((write,))) == placement
+    assert len(router.transaction_participants(Transaction((read,)))) == 1
 
 
 def test_retention_hysteresis_keeps_paid_for_replicas(adapted_controller, monkeypatch):

@@ -3,15 +3,20 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.catalog.schema import Schema, Table, integer_column
 from repro.catalog.tuples import TupleId
-from repro.core.strategies import FullReplication, HashPartitioning, LookupTablePartitioning
-from repro.core.cost import transaction_partitions
+from repro.core.strategies import (
+    FullReplication,
+    HashPartitioning,
+    LookupTablePartitioning,
+    deployed_form,
+)
 from repro.explain.rules import decode_label
 from repro.graph.assignment import PartitionAssignment
 from repro.graph.model import Graph
 from repro.graph.partitioner import PartitionerOptions, cut_weight, partition_graph, partition_weights
-from repro.sqlparse.ast import SelectStatement, eq
-from repro.workload.rwsets import access_from_tuple_sets
+from repro.routing.router import Router
+from repro.sqlparse.ast import DeleteStatement, SelectStatement, in_list
 from repro.workload.trace import Transaction
 
 
@@ -87,24 +92,39 @@ def test_hash_partitioning_is_deterministic_and_in_range(tuple_id, k):
     assert all(0 <= partition < k for partition in placement)
 
 
+SCHEMA = Schema(
+    "properties", [Table(name, [integer_column("id")], ["id"]) for name in ("alpha", "beta")]
+)
+
+
+def _by_key(ids, statement):
+    """One ``statement(table, WHERE id IN keys)`` per table of ``ids``."""
+    keys: dict[str, list[int]] = {}
+    for tuple_id in ids:
+        keys.setdefault(tuple_id.table, []).append(tuple_id.key[0])
+    return tuple(statement(table, in_list("id", keys[table])) for table in sorted(keys))
+
+
+def _participants(strategy, statements):
+    """The partitions a deployment of ``strategy`` routes ``statements`` to."""
+    router = Router(deployed_form(strategy, SCHEMA.primary_keys, "hash"), SCHEMA)
+    return router.transaction_participants(Transaction(statements))
+
+
 @given(st.lists(tuple_ids, min_size=1, max_size=8, unique=True), st.integers(2, 8))
 @settings(max_examples=60, deadline=None)
 def test_full_replication_reads_are_never_distributed(ids, k):
-    strategy = FullReplication(k)
-    access = access_from_tuple_sets(
-        Transaction((SelectStatement(("alpha",), where=eq("id", 0)),)), ids, []
-    )
-    assert len(transaction_partitions(strategy, access)) == 1
+    reads = _by_key(ids, lambda table, where: SelectStatement((table,), where=where))
+    assert len(_participants(FullReplication(k), reads)) == 1
 
 
 @given(st.lists(tuple_ids, min_size=1, max_size=8, unique=True), st.integers(2, 8))
 @settings(max_examples=60, deadline=None)
 def test_transaction_partitions_subset_of_tuple_placements(ids, k):
     strategy = HashPartitioning(k)
-    access = access_from_tuple_sets(
-        Transaction((SelectStatement(("alpha",), where=eq("id", 0)),)), ids, ids
-    )
-    involved = transaction_partitions(strategy, access)
+    writes = _by_key(ids, lambda table, where: DeleteStatement(table, where=where))
+    reads = _by_key(ids, lambda table, where: SelectStatement((table,), where=where))
+    involved = _participants(strategy, writes + reads)
     union = set()
     for tuple_id in ids:
         union.update(strategy.partitions_for_tuple(tuple_id))

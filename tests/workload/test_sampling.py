@@ -5,13 +5,13 @@ import pytest
 from repro.catalog.tuples import TupleId
 from repro.sqlparse.ast import SelectStatement, eq
 from repro.utils.rng import SeededRng
-from repro.workload.rwsets import AccessTrace, access_from_tuple_sets
+from repro.workload.rwsets import AccessTrace
 from repro.workload.sampling import (
     filter_blanket_statements,
     sample_transactions,
     sample_tuples,
 )
-from repro.workload.trace import Transaction
+from repro.workload.trace import StatementAccess, Transaction, TransactionAccess
 
 
 def make_trace(num_transactions: int = 20, tuples_per_transaction: int = 3) -> AccessTrace:
@@ -20,7 +20,8 @@ def make_trace(num_transactions: int = 20, tuples_per_transaction: int = 3) -> A
         statement = SelectStatement(("t",), where=eq("id", index))
         transaction = Transaction((statement,), transaction_id=index)
         read = [TupleId("t", (index * tuples_per_transaction + offset,)) for offset in range(tuples_per_transaction)]
-        trace.accesses.append(access_from_tuple_sets(transaction, read))
+        access = StatementAccess(statement, frozenset(read), frozenset())
+        trace.accesses.append(TransactionAccess(transaction, (access,)))
     return trace
 
 
