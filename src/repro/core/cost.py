@@ -20,6 +20,7 @@ from typing import Mapping
 from repro.catalog.tuples import TupleId
 from repro.core.strategies import PartitioningStrategy, deployed_form
 from repro.engine.database import Database
+from repro.routing.router import scoring_router
 from repro.workload.rwsets import AccessTrace
 
 
@@ -81,8 +82,6 @@ def evaluate_strategy(
     ``default_policy`` is the deployed form's last resort (see
     :func:`~repro.core.validation.default_policy`).
     """
-    from repro.routing.router import scoring_router  # the router imports repro.core
-
     rows = trace_rows(trace, database) if row_cache is None else row_cache
     schema = database.schema
     deployed = deployed_form(strategy, schema.primary_keys, default_policy)

@@ -77,6 +77,20 @@ def choose_replica(
     return sorted(replicas)[transaction_id % len(replicas)]
 
 
+class ReplicaSet(frozenset):
+    """Partitions that each hold every row a statement may match.
+
+    What :meth:`PartitioningStrategy.partitions_for_conditions` answers when
+    the matching rows are one replica set — full replication, a
+    ``replicate`` policy or fallback, one range rule's label — so a read
+    needs only one of them.  A plain frozenset is a union of placements
+    (say, the hash homes of an ``IN`` list): each member may hold rows the
+    others lack, however many partitions it names.
+    """
+
+    __slots__ = ()
+
+
 #: which layer answered a placement question, weakest last: an explicit
 #: per-tuple entry, the strategy's own rule, the last-resort default policy,
 #: or nothing (the statement is broadcast).  Indexes into this tuple are what
@@ -149,7 +163,8 @@ class PartitioningStrategy(ABC):
         """Partitions a statement restricted by ``conditions`` may need to touch.
 
         ``None`` means the strategy cannot narrow the destination set and the
-        statement must be broadcast to every partition holding the table.
+        statement must be broadcast to every partition holding the table.  A
+        :class:`ReplicaSet` means any one member can answer a read.
         The default implementation routes only when the conditions pin down
         the full primary key via a synthesized row; subclasses override with
         cheaper/smarter logic.
@@ -242,7 +257,7 @@ class FullReplication(PartitioningStrategy):
     ) -> frozenset[int] | None:
         # Any single partition can answer a read; the router handles replica
         # choice, so reporting the full set keeps the semantics "stored here".
-        return self.all_partitions
+        return ReplicaSet(self.all_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +331,7 @@ class RangePredicatePartitioning(PartitioningStrategy):
         label = rule_set.classify(row)
         valid = self._valid.get(label)
         if valid is None:
-            valid = self._valid[label] = frozenset(
+            valid = self._valid[label] = ReplicaSet(
                 p for p in decode_label(label) if 0 <= p < self.num_partitions
             )
         return valid
@@ -337,7 +352,7 @@ class RangePredicatePartitioning(PartitioningStrategy):
         rule_set = self.rule_sets.get(table)
         if rule_set is None:
             if self.fallback == "replicate":
-                return self.all_partitions
+                return ReplicaSet(self.all_partitions)
             return None
         # Route by synthesising a row from equality conditions on the rule
         # attributes.  Range conditions cannot pin a single rule path, so any
@@ -610,7 +625,7 @@ class CompositePartitioning(PartitioningStrategy):
     ) -> frozenset[int] | None:
         policy = self.table_policies.get(table, self.default_policy)
         if policy.kind == "replicate":
-            return self.all_partitions
+            return ReplicaSet(self.all_partitions)
         if policy.kind == "hash":
             if not policy.columns:
                 return None

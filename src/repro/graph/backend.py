@@ -24,10 +24,10 @@ only; existing instances keep the arrays they were built with — both kinds
 keep working side by side because the scalar kernels read rows through
 :meth:`CSRGraph.rows` (list slices here, zero-copy ``memoryview`` slices
 over the ndarray buffers there; plain Python ints and floats either way).
-The numpy backend never turns a graph's adjacency into Python objects
-wholesale: the sequential kernels box one row at a time, and the k-way
-refiner's per-node gain rows are cut out of its vectorised connectivity
-matrix only for the nodes a move actually touches.
+The numpy backend never turns a graph into Python objects wholesale: the
+sequential kernels box one row at a time, and the k-way refiner's sparse
+gain rows are cut out of its vectorised connectivity's nonzeros only for
+the nodes a move actually touches.
 """
 
 from __future__ import annotations

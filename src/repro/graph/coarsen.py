@@ -17,7 +17,8 @@ coarse nodes) and a vectorised numpy path (gather entries in member-visit
 order, stable-sort by (row, column), ``reduceat`` the duplicate runs).  Both
 emit coarse rows in **sorted column order** and accumulate parallel fine
 edges in member-visit order, so the two backends produce bit-identical
-coarse graphs even for non-integer edge weights.
+coarse graphs for integer edge weights (see :func:`_contract_numpy` for the
+last-ulp exception).
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ class CoarseningLevel:
     """One level of the coarsening hierarchy."""
 
     graph: CSRGraph
-    #: fine node id -> coarse node id
-    fine_to_coarse: list[int]
-    #: ``fine_to_coarse`` as an int64 ndarray when the vectorised contraction
-    #: built one (projection then gathers with one fancy-index), else None.
-    fine_index: object = None
+    #: fine node id -> coarse node id: an int64 ndarray when the vectorised
+    #: contraction built the level (projection is then one gather), else a list.
+    fine_to_coarse: object
 
 
 def coarsen_once(csr: CSRGraph, rng: SeededRng) -> CoarseningLevel:
@@ -56,8 +55,7 @@ def coarsen_once(csr: CSRGraph, rng: SeededRng) -> CoarseningLevel:
         # on ties", so both paths match identically; the walk itself almost
         # always stops after one or two probes.
         np = backend.numpy
-        permutation = np.lexsort((-csr.edge_weights, entry_rows(csr.indptr)))
-        ranked = memoryview(csr.indices[permutation])
+        ranked = memoryview(csr.indices[np.lexsort((-csr.edge_weights, entry_rows(csr.indptr)))])
         for node in order:
             if match[node] != -1:
                 continue
@@ -71,6 +69,7 @@ def coarsen_once(csr: CSRGraph, rng: SeededRng) -> CoarseningLevel:
                 match[best_neighbor] = node
             else:
                 match[node] = node
+        del ranked
     else:
         for node in order:
             if match[node] != -1:
@@ -108,10 +107,11 @@ def coarsen_once(csr: CSRGraph, rng: SeededRng) -> CoarseningLevel:
             fine_to_coarse[node] = coarse_id
             fine_to_coarse[partner] = coarse_id
 
+    del order, match  # released before the contraction allocates
     if csr.vectorised:
-        fine_index = backend.numpy.asarray(fine_to_coarse, dtype=backend.numpy.int64)
-        coarse = _contract_numpy(csr, fine_index, members, coarse_weights)
-        return CoarseningLevel(coarse, fine_to_coarse, fine_index)
+        mapping = backend.numpy.asarray(fine_to_coarse, dtype=backend.numpy.int64)
+        del fine_to_coarse
+        return CoarseningLevel(_contract_numpy(csr, mapping, members, coarse_weights), mapping)
     coarse = _contract_scalar(
         indptr, indices, edge_weights, fine_to_coarse, members, coarse_weights
     )
@@ -184,10 +184,14 @@ def _contract_numpy(
     """Vectorised contraction: gather, stable-sort, reduce duplicate runs.
 
     Entries are gathered in the scalar path's visit order (coarse id, then
-    member, then CSR row order); the stable sort groups duplicates while
-    preserving that order, so ``reduceat`` accumulates parallel fine edges
-    in exactly the same sequence as the scalar accumulator (runs are at most
-    4 entries long, well below numpy's pairwise-summation threshold).
+    member, then CSR row order) straight into one sort key, ``coarse row *
+    num_coarse + coarse column``, filtered once (contracted edges vanish);
+    the stable sort groups duplicates in that order and ``reduceat`` sums
+    each run.  It adds a run as ``a0 + (a1 + a2 + ...)`` where the scalar
+    accumulator goes left to right: the same for integer weights and for
+    runs of at most two, the last ulp apart otherwise.  The coarse rows and
+    columns are the sorted unique keys' quotient and remainder by
+    ``num_coarse``; each entry-sized temporary is released once used.
     """
     np = backend.numpy
     num_coarse = len(coarse_weights)
@@ -199,30 +203,34 @@ def _contract_numpy(
     member_arr = pairs[present]
     member_coarse = np.repeat(np.arange(num_coarse, dtype=np.int64), 2)[present.ravel()]
     positions, degrees = row_entry_positions(csr.indptr, member_arr)
-    rows = np.repeat(member_coarse, degrees)
     cols = mapping[csr.indices[positions]]
+    key = np.repeat(member_coarse, degrees)
+    keep = cols != key  # intra-coarse-node (contracted) edges vanish
+    key *= num_coarse
+    key += cols
+    del cols
+    key = key[keep]
+    positions = positions[keep]
     weights = csr.edge_weights[positions]
-    keep = cols != rows  # intra-coarse-node (contracted) edges vanish
-    rows, cols, weights = rows[keep], cols[keep], weights[keep]
-    if len(rows) == 0:
-        coarse_indptr = np.zeros(num_coarse + 1, dtype=np.int64)
-        return CSRGraph(coarse_indptr, rows, weights, coarse_weights, [0.0] * num_coarse)
-    key = rows * num_coarse + cols
+    del positions
+    coarse_indptr = np.zeros(num_coarse + 1, dtype=np.int64)
+    if len(key) == 0:
+        return CSRGraph(coarse_indptr, key, weights, coarse_weights, np.zeros(num_coarse))
     permutation = np.argsort(key, kind="stable")
+    weights = weights[permutation]
     key = key[permutation]
+    del permutation
     run_flags = np.empty(len(key), dtype=bool)
     run_flags[0] = True
     np.not_equal(key[1:], key[:-1], out=run_flags[1:])
     run_starts = np.flatnonzero(run_flags)
-    run_heads = permutation[run_starts]
-    unique_rows = rows[run_heads]
-    unique_cols = cols[run_heads]
-    summed = np.add.reduceat(weights[permutation], run_starts)
-    coarse_indptr = np.zeros(num_coarse + 1, dtype=np.int64)
-    np.cumsum(np.bincount(unique_rows, minlength=num_coarse), out=coarse_indptr[1:])
-    weighted_degrees = np.bincount(
-        unique_rows, weights=summed, minlength=num_coarse
-    ).tolist()
+    key = key[run_starts]
+    summed = np.add.reduceat(weights, run_starts)
+    del weights, run_starts
+    unique_cols = key % num_coarse
+    key //= num_coarse  # the coarse row of each unique entry
+    np.cumsum(np.bincount(key, minlength=num_coarse), out=coarse_indptr[1:])
+    weighted_degrees = np.bincount(key, weights=summed, minlength=num_coarse)
     return CSRGraph(coarse_indptr, unique_cols, summed, coarse_weights, weighted_degrees)
 
 
@@ -313,10 +321,10 @@ def coarsen_to(
 
 def project_assignment(level: CoarseningLevel, coarse_assignment: list[int]) -> list[int]:
     """Project a partition assignment of the coarse graph back to the finer graph."""
-    if level.fine_index is not None:
-        np = backend.numpy
-        return np.asarray(coarse_assignment, dtype=np.int64)[level.fine_index].tolist()
-    return [coarse_assignment[coarse] for coarse in level.fine_to_coarse]
+    mapping = level.fine_to_coarse
+    if isinstance(mapping, list):
+        return [coarse_assignment[coarse] for coarse in mapping]
+    return backend.numpy.asarray(coarse_assignment, dtype=backend.numpy.int64)[mapping].tolist()
 
 
 def project_boundary(level: CoarseningLevel, coarse_external: list[float]) -> list[bool]:
@@ -325,7 +333,7 @@ def project_boundary(level: CoarseningLevel, coarse_external: list[float]) -> li
     A coarse node with zero external weight proves all its fine members are
     interior, so the finer refinement may skip their adjacency during init.
     """
-    if level.fine_index is not None:
-        np = backend.numpy
-        return (np.asarray(coarse_external) > 0.0)[level.fine_index].tolist()
-    return [coarse_external[coarse] > 0.0 for coarse in level.fine_to_coarse]
+    mapping = level.fine_to_coarse
+    if isinstance(mapping, list):
+        return [coarse_external[coarse] > 0.0 for coarse in mapping]
+    return (backend.numpy.asarray(coarse_external) > 0.0)[mapping].tolist()

@@ -17,11 +17,11 @@ Two representations share this module:
   gain initialisation, the cut) are vectorised under numpy, while inherently
   sequential kernels read one node's row at a time through
   :meth:`CSRGraph.rows` — list slices on the list backend, zero-copy
-  ``memoryview`` slices over the ndarray buffers on numpy.  The adjacency
-  (``indices``/``edge_weights``) is never boxed into Python objects
-  wholesale; only the two O(n) components (``indptr``, ``node_weights``)
-  are kept as plain lists.  Both backends produce bit-identical results
-  for a fixed seed.
+  ``memoryview`` slices over the ndarray buffers on numpy.  A numpy-backed
+  graph is never boxed into Python objects wholesale, and it keeps no
+  Python-object cache: its memory is its arrays (plus the cached weighted
+  degrees, one more float64 array).  Both backends produce bit-identical
+  results for a fixed seed.
 
 Lifecycle: build with :class:`Graph`, call :meth:`Graph.freeze` once, then
 hand the :class:`CSRGraph` to the partitioner.  A ``CSRGraph`` is immutable
@@ -239,13 +239,10 @@ def row_entry_positions(indptr, nodes):
     np = backend.numpy
     starts = indptr[nodes]
     degrees = indptr[nodes + 1] - starts
-    total = int(degrees.sum())
-    offsets = np.cumsum(degrees) - degrees
-    positions = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(offsets, degrees)
-        + np.repeat(starts, degrees)
-    )
+    # Each entry's position is its running index plus its row's (start - offset).
+    starts -= np.cumsum(degrees) - degrees
+    positions = np.arange(int(degrees.sum()), dtype=np.int64)
+    positions += np.repeat(starts, degrees)
     return positions, degrees
 
 
@@ -260,7 +257,7 @@ class CSRGraph:
     directly; sequential hot loops bind :meth:`rows` once and slice one
     node's row out of it at a time, which yields plain Python ints and
     floats on either backend (identical arithmetic) without ever turning
-    the whole adjacency into Python objects.
+    the graph into Python objects.
     """
 
     __slots__ = (
@@ -281,7 +278,7 @@ class CSRGraph:
         indices,
         edge_weights,
         node_weights,
-        weighted_degrees: list[float] | None = None,
+        weighted_degrees=None,
     ) -> None:
         self.indptr = backend.as_index_array(indptr)
         self.indices = backend.as_index_array(indices)
@@ -290,7 +287,8 @@ class CSRGraph:
         self._total_node_weight: float | None = None
         self._total_edge_weight: float | None = None
         #: producers that already know each row's weight sum (coarsening,
-        #: subview extraction) pass it in to skip the lazy recomputation.
+        #: subview extraction) pass it in — a float64 ndarray or a list — to
+        #: skip the lazy recomputation.
         self._weighted_degrees = weighted_degrees
         self._rows: tuple | None = None
         #: per-seed memoised coarsening chains (see ``coarsen.coarsen_chain``)
@@ -304,25 +302,18 @@ class CSRGraph:
         their weights are ``indices[indptr[u]:indptr[u + 1]]`` and the same
         slice of ``edge_weights``, and iterating (or indexing) either yields
         plain Python ints / floats, so scalar arithmetic is byte-identical
-        across backends.  ``indptr`` and ``node_weights`` are O(n) and always
-        plain lists.  Under the list backend ``indices``/``edge_weights`` are
-        the stored lists themselves; under numpy they are read-only
-        ``memoryview``\\ s of the ndarray buffers, so a row slice copies
-        nothing and the adjacency is never boxed wholesale.  Built once and
-        cached; read-only by convention.
+        across backends.  Under the list backend the four are the stored
+        lists themselves; under numpy they are read-only ``memoryview``\\ s
+        of the ndarray buffers, so a row slice copies nothing and no array
+        is ever boxed wholesale.  Built once and cached (four views, no
+        per-node objects).
         """
         cached = self._rows
         if cached is None:
-            indices, edge_weights = self.indices, self.edge_weights
+            arrays = (self.indptr, self.indices, self.edge_weights, self.node_weights)
             if self.is_numpy:
-                indices = memoryview(indices).toreadonly()
-                edge_weights = memoryview(edge_weights).toreadonly()
-            cached = self._rows = (
-                backend.to_list(self.indptr),
-                indices,
-                edge_weights,
-                backend.to_list(self.node_weights),
-            )
+                arrays = tuple(memoryview(array).toreadonly() for array in arrays)
+            cached = self._rows = arrays
         return cached
 
     def lists(self) -> tuple[list[int], list[int], list[float], list[float]]:
@@ -332,8 +323,7 @@ class CSRGraph:
         boxes every adjacency entry on each call and nothing is cached, so
         kernels use :meth:`rows` instead.
         """
-        indptr, indices, edge_weights, node_weights = self.rows()
-        return indptr, backend.to_list(indices), backend.to_list(edge_weights), node_weights
+        return tuple(backend.to_list(array) for array in self.rows())
 
     def __reduce__(self):
         # Pickle/copy the arrays only: a memoryview cannot be pickled, and
@@ -407,15 +397,16 @@ class CSRGraph:
             self._total_edge_weight = float(sum(self.rows()[2])) / 2.0
         return self._total_edge_weight
 
-    def weighted_degrees(self) -> list[float]:
+    def weighted_degrees(self):
         """Per-node sum of incident edge weights (computed once, then cached).
 
         The FM refiner uses this to derive move gains from the maintained
         external-weight array: ``gain(v) = 2 * external(v) - weighted_degree(v)``.
-        Always a plain list — it is consumed element-wise by scalar loops.
-        Under numpy the per-row sums come from an order-preserving
-        ``bincount`` (sequential accumulation in entry order), which is
-        bit-identical to the scalar left-to-right sums.
+        Consumed element-wise by scalar loops, so it reads like :meth:`rows`:
+        a list on the list backend, a read-only ``memoryview`` of a float64
+        ndarray on numpy.  Under numpy the per-row sums come from an
+        order-preserving ``bincount`` (sequential accumulation in entry
+        order), which is bit-identical to the scalar left-to-right sums.
         """
         cached = self._weighted_degrees
         if cached is None:
@@ -423,7 +414,7 @@ class CSRGraph:
             if self.vectorised:
                 cached = backend.numpy.bincount(
                     entry_rows(self.indptr), weights=self.edge_weights, minlength=num_nodes
-                ).tolist()
+                )
             else:
                 indptr, _, edge_weights, _ = self.rows()
                 cached = [
@@ -431,7 +422,7 @@ class CSRGraph:
                     for node in range(num_nodes)
                 ]
             self._weighted_degrees = cached
-        return cached
+        return cached if isinstance(cached, list) else memoryview(cached).toreadonly()
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Iterate over edges as ``(u, v, weight)`` with ``u < v``."""
@@ -504,9 +495,7 @@ class CSRGraph:
         kept_weights = self.edge_weights[positions][keep]
         sub_indptr = np.zeros(num_selected + 1, dtype=np.int64)
         np.cumsum(np.bincount(kept_rows, minlength=num_selected), out=sub_indptr[1:])
-        weighted_degrees = np.bincount(
-            kept_rows, weights=kept_weights, minlength=num_selected
-        ).tolist()
+        weighted_degrees = np.bincount(kept_rows, weights=kept_weights, minlength=num_selected)
         return CSRGraph(
             sub_indptr, kept_cols, kept_weights, self.node_weights[selected], weighted_degrees
         )

@@ -9,9 +9,10 @@ Three refiners are provided:
   minima.
 * :func:`kway_fm_refine` — the direct k-way counterpart: boundary FM over all
   k parts in one sweep, built on a **per-part gain structure** — each
-  boundary node keeps a dense connectivity row over the k parts plus its
-  cached best move, mirrored by one target-tagged entry in the move queue —
-  so the best admissible move is one heap pop and most row updates are O(1).
+  boundary node keeps a sparse connectivity row over the parts it touches
+  plus its cached best move, mirrored by one target-tagged entry in the
+  move queue — so the best admissible move is one pop and most row updates
+  are O(1).
   It powers the direct k-way multilevel path and, through an optional
   :class:`MoveCostModel`, the online budgeted re-partitioner's warm-start
   refinement.
@@ -39,14 +40,16 @@ numpy-backed, with order-preserving summation so both backends produce
 bit-identical refinements.  The sequential move loops read one node's row
 at a time through :meth:`CSRGraph.rows` and never box the adjacency.
 
-**Lazy gain rows.**  The vectorised k-way seeding keeps its boundary × k
-connectivity matrix as an ndarray and scatters only the cached best moves
-and the heap out of it.  A node's dense row (and its ``row_parts``) is cut
-out of that seed-time matrix the first time a move touches or pops the
-node — nothing updates a row before its first touch, so the values, and
-the ``row[a] -= w; row[b] += w`` stream applied to them afterwards, are
-those of an eagerly built row.  Rows of nodes no move ever reaches are
-never built.
+**Lazy, sparse gain rows.**  A row is a ``{part: weight}`` dict holding
+only the parts the node has weight towards; ``row.get(p, 0.0) + w`` adds
+in the order a dense row's ``0.0 + w`` did, and scans break ties to the
+smallest part explicitly, so the dict's key order never matters.  The
+vectorised k-way seeding keeps the boundary's nonzero connectivity as
+arrays and its queued moves as a sorted array stream; a node's row is cut
+out of the seed arrays the first time a move touches or pops the node —
+nothing updates a row before its first touch, so its values, and the
+``row[a] -= w; row[b] += w`` stream applied afterwards, are those of an
+eagerly built row.  Rows of nodes no move reaches are never built.
 """
 
 from __future__ import annotations
@@ -116,16 +119,17 @@ def compute_external(
     guaranteed to have zero external weight (e.g. fine nodes whose coarse
     parent was interior); the scalar path skips their adjacency entirely.
     The vectorised path computes every row — the hint's guarantee makes the
-    results identical.
+    results identical — and sums the cut entries in entry order, the scalar
+    loop's additions.
     """
     num_nodes = csr.num_nodes
     if csr.vectorised:
         np = backend.numpy
-        part = np.asarray(assignment, dtype=np.int64)
+        part = np.asarray(assignment, dtype=np.int32)  # halves the two gathers
         rows = entry_rows(csr.indptr)
         cut = part[csr.indices] != part[rows]
-        masked = np.where(cut, csr.edge_weights, 0.0)
-        return np.bincount(rows, weights=masked, minlength=num_nodes).tolist()
+        rows = rows[cut]
+        return np.bincount(rows, weights=csr.edge_weights[cut], minlength=num_nodes).tolist()
     indptr, indices, edge_weights, _ = csr.rows()
     external = [0.0] * num_nodes
     for node in range(num_nodes):
@@ -351,8 +355,8 @@ def kway_fm_refine(
     """Direct k-way FM with a per-part gain structure; returns the external array.
 
     Refines all ``num_parts`` parts in one sweep instead of log(k)
-    bisections.  The k-ary gain structure: every boundary node keeps a dense
-    **per-part connectivity row** (weight towards each of the k parts) plus
+    bisections.  The k-ary gain structure: every boundary node keeps a sparse
+    **per-part connectivity row** (weight towards each part it touches) plus
     its cached best move ``(gain, target)``, mirrored by one live
     target-tagged entry in the move queue.  When node ``u`` moves from ``a``
     to ``b``, each neighbour's row changes in exactly two slots
@@ -390,81 +394,69 @@ def kway_fm_refine(
     min_pass_delta = _TOL
     if pass_gain_tolerance > 0.0:
         min_pass_delta = max(_TOL, pass_gain_tolerance * (sum(external) / 2.0))
-    all_parts = range(num_parts)
     #: greedy mode converges within one seeding except for balance/budget
     #: blocked nodes; later passes re-seed only those.
     reseed_nodes: list[int] | None = None
 
     for _ in range(max_passes):
+        seed_slot = seed_rows = stream = None  # drop the last pass's before seeding anew
         #: per-pass k-ary gain state.  ``rows[v]`` is v's connectivity row,
         #: None until v reaches the boundary *or*, for a node the vectorised
-        #: seeding covered, until a move first touches or pops it:
-        #: ``seed_slot[v]`` (−1 = not seeded) is then its row in the
-        #: seed-time connectivity matrix.  ``best_gain``/``best_target``
-        #: mirror v's live queue entry (−inf/−1 = no entry).
-        rows: list[list[float] | None] = [None] * num_nodes
-        seed_slot = [-1] * num_nodes
-        #: parts each row has (ever had) weight towards — scan_best iterates
-        #: this short list instead of all k parts.  May contain duplicates or
-        #: parts whose weight decayed back to zero; both are skipped cheaply.
-        row_parts: list[list[int] | None] = [None] * num_nodes
+        #: seeding covered, until a move first touches or pops it (its row in
+        #: ``seed_rows`` is ``seed_slot[v]``, −1 = not seeded).  ``best_gain``
+        #: / ``best_target`` mirror v's live queue entry (−inf/−1 = none).
+        rows: list[dict[int, float] | None] = [None] * num_nodes
         best_gain = [neg_inf] * num_nodes
         best_target = [-1] * num_nodes
         generation = [0] * num_nodes
         locked = [False] * num_nodes
-        #: move queue: (−gain, node, target, generation).  One live entry per
-        #: node; the global minimum is exactly the best of the per-part
-        #: bucket tops, found in O(log) instead of a k-way peek.
+        #: move queue: (−gain, node, target, generation) entries pushed after
+        #: seeding, merged with the vectorised seeding's sorted ``stream``.
+        #: Every entry is unique, so taking the smaller head pops exactly the
+        #: sequence one heap of every entry would.
         heap: list[tuple[float, int, int, int]] = []
 
-        def build_row(node: int) -> list[float]:
-            row = [0.0] * num_parts
-            parts: list[int] = []
+        def build_row(node: int) -> dict[int, float]:
+            row: dict[int, float] = {}
             start, end = indptr[node], indptr[node + 1]
             for neighbor, weight in zip(indices[start:end], edge_weights[start:end]):
                 part = assignment[neighbor]
-                if row[part] == 0.0:
-                    parts.append(part)
-                row[part] += weight
+                row[part] = row.get(part, 0.0) + weight
             rows[node] = row
-            row_parts[node] = parts
             return row
 
-        def seeded_row(node: int) -> list[float]:
-            """Materialise ``node``'s row from the seed-time matrix (first touch).
+        def seeded_row(node: int) -> dict[int, float]:
+            """Materialise ``node``'s row from the seed-time rows (first touch).
 
             Nothing updates a row before its first touch, so the seed-time
             values are exactly what an eagerly built row would hold now.
             """
-            base = seed_slot[node] * num_parts
-            row = seed_matrix[base : base + num_parts].tolist()
-            rows[node] = row
-            row_parts[node] = list(itertools.compress(all_parts, row))
+            seed_indptr, seed_parts, seed_weights = seed_rows
+            slot = seed_slot[node]
+            first, last = seed_indptr[slot], seed_indptr[slot + 1]
+            row = rows[node] = dict(zip(seed_parts[first:last], seed_weights[first:last]))
             return row
 
-        def scan_best(node: int, row: list[float], blocked_target: int = -1) -> tuple[float, int]:
+        def scan_best(node: int, row: dict, blocked_target: int = -1) -> tuple[float, int]:
             """Best (gain, target) from ``node``'s row; ties to the smallest part.
 
             Only connected parts are candidates — an unconnected target's
             gain (``-internal``) can never beat a connected one, and boundary
             nodes always have at least one connected foreign part.  The
             explicit smallest-part tie-break makes the scan independent of
-            the candidate list's order (and of its harmless duplicates).
-            With ``blocked_target`` >= 0 only currently admissible targets
-            count (balance and, in greedy mode, budget), excluding the
-            blocked part itself so re-queueing makes progress.
+            the row's part order.  With ``blocked_target`` >= 0 only
+            currently admissible targets count (balance and, in greedy mode,
+            budget), excluding the blocked part itself so re-queueing makes
+            progress.
             """
             source = assignment[node]
-            internal = row[source]
+            internal = row.get(source, 0.0)
             node_weight = node_weights[node]
             check_admissible = blocked_target >= 0
             gain_best = neg_inf
             target_best = -1
-            for part in row_parts[node]:
-                if part == source:
-                    continue
-                towards = row[part]
-                if towards == 0.0:
+            for part, towards in row.items():
+                if part == source or towards == 0.0:
                     continue
                 if check_admissible:
                     if part == blocked_target:
@@ -482,12 +474,12 @@ def kway_fm_refine(
                     target_best = part
             return gain_best, target_best
 
-        seed_matrix = _seed_kway_queue(
+        seed_slot, seed_rows, stream = _seed_kway_queue(
             csr, assignment, num_parts, external, best_gain, best_target,
-            seed_slot, heap, build_row, scan_best, greedy, reseed_nodes,
-            cost_model,
+            heap, build_row, scan_best, greedy, reseed_nodes, cost_model,
         )
-        if not heap:
+        head = next(stream, None)
+        if head is None and not heap:
             break
         moves: list[tuple[int, int, int]] = []  # (node, source, target)
         best_cut_delta = 0.0
@@ -501,8 +493,12 @@ def kway_fm_refine(
         # not locked (each accepted move strictly decreases cut +
         # cost_weight·displacement, so the loop terminates), capped defensively.
         greedy_move_cap = num_nodes * max(max_passes, 4)
-        while heap and (greedy or negative_streak < max_negative_streak):
-            neg_gain, node, target, entry_generation = heappop(heap)
+        while (heap or head is not None) and (greedy or negative_streak < max_negative_streak):
+            if head is not None and not (heap and heap[0] < head):
+                neg_gain, node, target, entry_generation = head
+                head = next(stream, None)
+            else:
+                neg_gain, node, target, entry_generation = heappop(heap)
             if locked[node] or entry_generation != generation[node]:
                 continue
             gain = -neg_gain
@@ -535,7 +531,7 @@ def kway_fm_refine(
             weights[source] -= node_weight
             weights[target] += node_weight
             moved_this_pass += 1
-            external[node] = weighted_degrees[node] - node_row[target]
+            external[node] = weighted_degrees[node] - node_row.get(target, 0.0)
             if greedy:
                 cost_model.spent += cost_model.delta(node, source, target)
                 if moved_this_pass >= greedy_move_cap:
@@ -584,13 +580,8 @@ def kway_fm_refine(
                                 (-fresh_gain, neighbor, fresh_target, generation[neighbor]),
                             )
                     continue
-                row[source] -= weight
-                row[target] += weight
-                if row[target] == weight:
-                    # First weight towards this part (0 + w == w exactly);
-                    # a rare duplicate append (decay back through zero) is
-                    # harmless — scans skip zero entries and re-visits.
-                    row_parts[neighbor].append(target)
+                row[source] = row.get(source, 0.0) - weight
+                towards_target = row[target] = row.get(target, 0.0) + weight
                 old_gain = best_gain[neighbor]
                 old_target = best_target[neighbor]
                 if old_target == source or old_target == -1:
@@ -602,7 +593,7 @@ def kway_fm_refine(
                     elif neighbor_part == target:
                         new_gain -= weight
                     if target != neighbor_part:
-                        candidate = row[target] - row[neighbor_part]
+                        candidate = towards_target - row.get(neighbor_part, 0.0)
                         if greedy:
                             candidate -= cost_weight * cost_model.delta(
                                 neighbor, neighbor_part, target
@@ -655,6 +646,8 @@ def kway_fm_refine(
             # Unblocked candidates converged live; only the blocked nodes
             # need a fresh look now that part weights have shifted.
             reseed_nodes = blocked_list
+    # Release the last pass's gain state before the exit recompute allocates.
+    rows = heap = seed_slot = seed_rows = stream = None
     if not want_external:
         # Final-level callers discard the hint; skip the exit recompute.
         return []
@@ -673,12 +666,11 @@ def _connectivity_matrix(csr: CSRGraph, part, nodes, num_parts: int):
     """
     np = backend.numpy
     positions, degrees = row_entry_positions(csr.indptr, nodes)
-    local_rows = np.repeat(np.arange(len(nodes), dtype=np.int64), degrees)
-    return np.bincount(
-        local_rows * num_parts + part[csr.indices[positions]],
-        weights=csr.edge_weights[positions],
-        minlength=len(nodes) * num_parts,
-    )
+    slots = np.repeat(np.arange(0, len(nodes) * num_parts, num_parts, dtype=np.int64), degrees)
+    slots += part[csr.indices[positions]]
+    weights = csr.edge_weights[positions]
+    del positions
+    return np.bincount(slots, weights=weights, minlength=len(nodes) * num_parts)
 
 
 def _seed_kway_queue(
@@ -688,70 +680,78 @@ def _seed_kway_queue(
     external: list[float],
     best_gain: list[float],
     best_target: list[int],
-    seed_slot: list[int],
     heap: list[tuple[float, int, int, int]],
     build_row,
     scan_best,
     greedy: bool,
     reseed_nodes: list[int] | None = None,
     cost_model: MoveCostModel | None = None,
-) -> memoryview | None:
+):
     """Fill the k-ary gain structure with every boundary node's best move.
 
-    Seeded entries are appended to ``heap`` (empty on entry).  The numpy
-    path computes the whole boundary's connectivity matrix with one
-    order-preserving ``bincount``, takes a row-wise argmax — bit-identical
-    to the scalar ``build_row``/``scan_best`` pair: same accumulation order,
-    the same ``(towards - internal)`` then cost-adjustment operation order
-    in greedy mode, argmax picks the smallest part on ties, and unconnected
-    parts are masked out exactly as the scalar scan skips them — and
-    scatters the results into ``best_gain``/``best_target``/``heap``.  No
-    per-node row is built here: ``seed_slot[v]`` records v's row in the
-    matrix, whose flat ``memoryview`` is returned so the move loop can
-    materialise the few rows it actually touches.  Small graphs and
-    blocked-node re-seeds take the scalar path outright (rows built
-    eagerly, ``None`` returned): below a few thousand entries the ndarray
-    round-trips cost more than the loop.
+    Returns ``(seed_slot, seed_rows, stream)``.  The numpy path computes the
+    whole boundary's connectivity matrix with one order-preserving
+    ``bincount`` and takes a row-wise argmax — bit-identical to the scalar
+    ``build_row``/``scan_best`` pair: same accumulation order, the same
+    ``(towards - internal)`` then cost-adjustment operation order in greedy
+    mode, argmax picks the smallest part on ties, and unconnected parts are
+    masked out (in the matrix itself) exactly as the scalar scan skips them.
+    Before the mask, the matrix's nonzeros are cut out as ``seed_rows``, a
+    CSR ``(indptr, parts, weights)`` of views from which the move loop
+    builds the few rows it touches (``seed_slot[v]`` is v's row, −1 for
+    none).  Best moves go into ``best_gain``/``best_target``; the queued
+    ones come back as ``stream``, an iterator of ``(−gain, node, target, 0)``
+    entries over views sorted by ``(−gain, node)``, so seeding boxes no row
+    and no queue entry.  Small graphs and blocked-node re-seeds take the
+    scalar path: rows built eagerly, entries pushed onto ``heap``, an empty
+    stream.  Below a few thousand entries the ndarray round-trips cost more
+    than the loop.
     """
     if csr.vectorised and reseed_nodes is None:
         np = backend.numpy
         boundary = np.flatnonzero(np.asarray(external) > 0.0)
         if len(boundary) == 0:
-            return None
+            return [-1] * csr.num_nodes, None, iter(())
         part = np.asarray(assignment, dtype=np.int64)
         flat = _connectivity_matrix(csr, part, boundary, num_parts)
+        nonzero = np.flatnonzero(flat)
+        seed_indptr = np.zeros(len(boundary) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(nonzero // num_parts, minlength=len(boundary)), out=seed_indptr[1:])
+        seed_rows = tuple(
+            memoryview(array).toreadonly()
+            for array in (seed_indptr, nonzero % num_parts, flat[nonzero])
+        )
         connectivity = flat.reshape(len(boundary), num_parts)
         row_ids = np.arange(len(boundary))
         source_parts = part[boundary]
         internal = connectivity[row_ids, source_parts]
+        unconnected = connectivity == 0.0
         if greedy:
-            # Candidate gains with migration-cost charging, in the scalar
-            # operation order: (towards - internal), then -= cost_weight *
-            # cost_delta.  Leaving home charges every foreign target the
-            # same penalty (uniform row shift); a foreign node's home target
-            # gets the refund.  Unconnected parts are no candidates.
-            adjusted = connectivity - internal[:, None]
-            adjusted[connectivity == 0.0] = -np.inf
-            adjusted[row_ids, source_parts] = -np.inf
+            # Gains in the scalar operation order: (towards - internal), then
+            # the migration-cost charge below.
+            connectivity -= internal[:, None]
+        # Unconnected parts are no candidates (matches the scalar scan); a
+        # maintained-external drift can flag a node with zero true foreign
+        # connectivity as boundary, so the guard is load-bearing.
+        connectivity[unconnected] = -np.inf
+        connectivity[row_ids, source_parts] = -np.inf
+        if greedy:
+            # Leaving home charges every foreign target the same penalty
+            # (uniform row shift); a foreign node's home target gets the
+            # refund.
             penalty = cost_model.cost_weight * np.asarray(cost_model.costs)[boundary]
             home = np.asarray(cost_model.home, dtype=np.int64)[boundary]
             leaving = source_parts == home
-            adjusted[leaving] -= penalty[leaving][:, None]
+            connectivity[leaving] -= penalty[leaving][:, None]
             foreign = ~leaving
-            adjusted[row_ids[foreign], home[foreign]] += penalty[foreign]
-            targets = np.argmax(adjusted, axis=1)
-            gains = adjusted[row_ids, targets]
+            connectivity[row_ids[foreign], home[foreign]] += penalty[foreign]
+        targets = np.argmax(connectivity, axis=1)
+        gains = connectivity[row_ids, targets]
+        if greedy:
             # Only net-positive moves are queued in greedy mode.
             queued = gains > _TOL
         else:
-            masked = connectivity.copy()
-            # Unconnected parts are no candidates (matches the scalar scan);
-            # a maintained-external drift can flag a node with zero true
-            # foreign connectivity as boundary, so the guard is load-bearing.
-            masked[masked == 0.0] = -np.inf
-            masked[row_ids, source_parts] = -np.inf
-            targets = np.argmax(masked, axis=1)
-            gains = masked[row_ids, targets] - internal
+            gains -= internal
             queued = gains != -np.inf
         # No connected foreign part: the scalar scan returns (-inf, -1).
         targets[gains == -np.inf] = -1
@@ -763,17 +763,16 @@ def _seed_kway_queue(
 
         best_gain[:] = scatter(gains, -np.inf)
         best_target[:] = scatter(targets, -1)
-        seed_slot[:] = scatter(row_ids, -1)
-        heap.extend(
-            zip(
-                (-gains[queued]).tolist(),
-                boundary[queued].tolist(),
-                targets[queued].tolist(),
-                itertools.repeat(0),
-            )
+        seed_slot = np.full(csr.num_nodes, -1, dtype=np.int64)
+        seed_slot[boundary] = row_ids
+        queued_gains = -gains[queued]
+        queued_nodes = boundary[queued]
+        order = np.lexsort((queued_nodes, queued_gains))
+        stream = zip(
+            *(memoryview(array[order]) for array in (queued_gains, queued_nodes, targets[queued])),
+            itertools.repeat(0),
         )
-        heapq.heapify(heap)
-        return memoryview(flat)
+        return memoryview(seed_slot).toreadonly(), seed_rows, stream
     candidates = range(csr.num_nodes) if reseed_nodes is None else reseed_nodes
     for node in candidates:
         if external[node] <= 0.0:
@@ -785,7 +784,7 @@ def _seed_kway_queue(
             continue
         heap.append((-gain, node, target, 0))
     heapq.heapify(heap)
-    return None
+    return [-1] * csr.num_nodes, None, iter(())
 
 
 def _polish_candidates(csr: CSRGraph, assignment: list[int], num_parts: int) -> list[bool]:
@@ -794,8 +793,10 @@ def _polish_candidates(csr: CSRGraph, assignment: list[int], num_parts: int) -> 
     A node moves only towards a part it gains strictly from, so the
     vectorised form flags exactly the boundary nodes with some
     ``towards - internal > 0`` (the polish's own gain expression over the
-    same order-preserving sums).  The scalar form flags the whole boundary,
-    a superset the polish prunes on first visit — the moves are the same.
+    same order-preserving sums; for finite doubles that is ``towards >
+    internal``, so a row maximum decides it without a gain matrix).  The
+    scalar form flags the whole boundary, a superset the polish prunes on
+    first visit — the moves are the same.
     """
     external = compute_external(csr, assignment)
     if not csr.vectorised:
@@ -807,7 +808,8 @@ def _polish_candidates(csr: CSRGraph, assignment: list[int], num_parts: int) -> 
         len(boundary), num_parts
     )
     internal = connectivity[np.arange(len(boundary)), part[boundary]]
-    attracted = ((connectivity - internal[:, None]) > 0.0).any(axis=1)
+    attracted = connectivity.max(axis=1) > internal
+    del connectivity
     flags = np.zeros(csr.num_nodes, dtype=bool)
     flags[boundary[attracted]] = True
     return flags.tolist()

@@ -26,7 +26,7 @@ from typing import Mapping
 from repro.catalog.schema import Schema
 from repro.catalog.tuples import TupleId
 from repro.core.strategies import (
-    BASE, BROADCAST, EXPLICIT, MECHANISMS, PartitioningStrategy, choose_replica
+    BASE, BROADCAST, EXPLICIT, MECHANISMS, PartitioningStrategy, ReplicaSet, choose_replica
 )
 from repro.graph.assignment import PartitionAssignment
 from repro.obs import get_telemetry, use_telemetry
@@ -217,11 +217,13 @@ class Router:
             if (
                 resolved is None
                 and not writing
+                and isinstance(partitions, ReplicaSet)
                 and partitions == all_partitions
                 and len(partitions) > 1
             ):
                 # The table (or matching rows) is replicated everywhere: a read
-                # only needs one replica.
+                # only needs one replica.  A union of placements that happens
+                # to cover every partition is not a replica set.
                 visited = destinations | context.touched_partitions
                 partitions = {choose_replica(partitions, visited, context.transaction_id)}
             destinations.update(partitions)

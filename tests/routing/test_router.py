@@ -1,16 +1,24 @@
 """Tests for the statement router."""
 
+import pytest
+
 from repro.catalog.tuples import TupleId
 from repro.core.strategies import (
     CompositePartitioning,
     FullReplication,
+    HashPartitioning,
     LookupTablePartitioning,
+    hash_on,
     range_on,
     replicate,
+    stable_hash,
 )
 from repro.graph.assignment import PartitionAssignment
 from repro.routing.router import Router, TransactionRoutingContext
 from repro.sqlparse.ast import InsertStatement, SelectStatement, UpdateStatement, eq, in_list
+from repro.storage import SqliteStorageCluster
+from repro.storage.sql import compile_statement
+from repro.storage.sqlite_store import SqlitePartitionStore
 from repro.workload.trace import Transaction
 
 
@@ -151,3 +159,42 @@ def test_window_empty_extras_are_dropped(bank_schema):
     # An unchanged tuple contributes no entry — the window stays closed.
     assert not router.migration_window
     assert len(router.migration_window) == 0
+
+
+#: hash placements of ``account`` by balance: each answers an ``IN`` list on
+#: ``bal`` with the union of its values' homes, never with a replica set.
+HASH_BY_BALANCE = [
+    HashPartitioning(2, {"account": ("bal",)}),
+    CompositePartitioning(2, {"account": hash_on("bal")}),
+]
+
+
+@pytest.mark.parametrize("strategy", HASH_BY_BALANCE, ids=["hash", "composite"])
+def test_hash_in_list_covering_every_partition_reads_every_partition(bank_schema, strategy):
+    assert {stable_hash((1,)) % 2, stable_hash((2,)) % 2} == {0, 1}  # one home each
+    router = Router(strategy, bank_schema)
+    for transaction_id in range(3):
+        decision = router.route_statement(
+            SelectStatement(("account",), where=in_list("bal", [1, 2])),
+            TransactionRoutingContext(transaction_id=transaction_id),
+        )
+        assert decision.partitions == frozenset({0, 1})
+
+
+@pytest.mark.parametrize("strategy", HASH_BY_BALANCE, ids=["hash", "composite"])
+def test_routed_in_list_read_on_sqlite_matches_the_unpartitioned_answer(
+    tmp_path, bank_database, strategy
+):
+    balances = [80_000, 12_000]  # one home each at k = 2
+    assert {stable_hash((value,)) % 2 for value in balances} == {0, 1}
+    statement = SelectStatement(("account",), where=in_list("bal", balances))
+    cluster = SqliteStorageCluster.from_database(tmp_path / "cluster", bank_database, strategy)
+    decision = Router(strategy, bank_database.schema).route_statement(statement)
+    served = []
+    for partition in sorted(decision.partitions):
+        with SqlitePartitionStore(cluster.paths[partition], bank_database.schema) as store:
+            [rows] = store.execute_read([compile_statement(statement)])
+            served.extend(rows)
+    expected = [tuple(row.values()) for row in bank_database.execute(statement).rows]
+    assert len(expected) == 2
+    assert sorted(served) == sorted(expected)

@@ -133,6 +133,29 @@ def test_a_worker_imports_only_its_store():
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize("first", ["repro.routing", "repro.online.monitor", "repro.core.cost"])
+def test_no_import_cycle_whichever_module_comes_first(first):
+    """The router imports ``repro.core`` and the cost model imports the router.
+
+    ``repro.core`` re-exports lazily, so each of the three imports cleanly as
+    the first ``repro`` import of a fresh interpreter, and every name in
+    ``repro.core.__all__`` resolves afterwards.
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    snippet = (
+        f"import {first}\n"
+        "import repro.core\n"
+        "from repro.core.cost import scoring_router\n"
+        "missing = [n for n in repro.core.__all__ if not hasattr(repro.core, n)]\n"
+        "assert not missing, missing\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", snippet], capture_output=True, text=True, env=env, cwd=str(root)
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_partitioner_options_are_exactly_the_five_knobs():
     assert [field.name for field in fields(PartitionerOptions)] == [
         "imbalance",

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.catalog.tuples import TupleId
-from repro.cli import BENCH_EXPERIMENTS, WORKLOADS, main
+from repro.cli import BENCH_EXPERIMENTS, WORKLOADS, _build_bundle, main
 from repro.pipeline import PartitionPlan
+from repro.routing.router import Router
 
 
 def test_run_writes_a_loadable_plan(tmp_path, capsys):
@@ -48,6 +49,26 @@ def test_diff_fail_on_change_exits_nonzero(tmp_path, capsys):
     ])
     assert code == 1
     assert "tuples moved: 1" in capsys.readouterr().out
+
+
+def test_in_memory_deploy_reports_served_over_the_whole_stream(tmp_path, capsys):
+    """Served counts every streamed transaction, not the monitor's last window.
+
+    A hashing plan on simplecount serves 49.1 % of its 2 000 transactions
+    distributed, but 50.2 % of the last 1 000 (the monitor's window).
+    """
+    plan = PartitionPlan(2, {}, strategy="hashing")
+    plan_path = plan.save(tmp_path / "plan.json")
+    bundle = _build_bundle("simplecount", 1.0, 0)
+    router = Router(plan.deployment_strategy(), bundle.database.schema)
+    participants = router.participants_for_workload(bundle.workload)
+    served = sum(len(parts) > 1 for parts in participants) / len(participants)
+    last_window = participants[-1000:]
+    assert len(participants) > len(last_window)
+    assert f"{served:.1%}" != f"{sum(len(parts) > 1 for parts in last_window) / 1000:.1%}"
+    assert main(["deploy", str(plan_path), "--workload", "simplecount"]) == 0
+    output = capsys.readouterr().out
+    assert f"served {served:.1%};" in output
 
 
 def test_deploy_streams_and_exports(tmp_path, capsys):
