@@ -70,7 +70,7 @@ def run_figure5(
     for name, num_nodes, num_edges in graph_specs:
         graph = synthetic_access_graph(num_nodes, num_edges, seed)
         # Freeze once per graph: every point of the k sweep reuses the CSR
-        # form instead of re-compiling the adjacency dicts.
+        # form instead of compiling the edge log again.
         frozen = graph.freeze()
         for num_partitions in partition_counts:
             options = PartitionerOptions(seed=seed, initial_trials=4, refine_passes=2)

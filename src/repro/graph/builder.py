@@ -207,8 +207,8 @@ def build_tuple_graph(
     # Transaction clique edges among the per-transaction representative nodes.
     # Pair weights are accumulated in one flat Counter (a single hash probe
     # per occurrence) and inserted into the graph in a single batched pass,
-    # instead of hitting two per-node adjacency dicts for every clique pair of
-    # every transaction.
+    # so the graph's edge log gets one entry per distinct pair instead of one
+    # per clique pair of every transaction.
     group_by_tuple: dict[TupleId, _TupleGroup] = {}
     for group in groups:
         for member in group.members:

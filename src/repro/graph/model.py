@@ -3,48 +3,88 @@
 Two representations share this module:
 
 * :class:`Graph` — the *mutable construction API*.  Node ids are dense
-  integers, node weights are floats, and adjacency is a list of
-  ``dict[int, float]`` so that edge weights accumulate when the same pair is
-  connected by many transactions.  ``num_edges`` and ``total_node_weight``
-  are maintained incrementally so repeated size queries are O(1).
+  integers and node weights are a list of floats.  Edges are an append-only
+  *edge log*: every :meth:`Graph.add_edge` call appends its endpoints and
+  weight to three flat ``array`` buffers (24 bytes per call, no per-node
+  objects), and repeated pairs are merged only when the log is
+  *consolidated* — on a query, on :meth:`Graph.freeze`, before a decay or
+  prune, and whenever the unmerged tail outgrows the merged head, so the
+  log stays within twice the number of distinct pairs.
 * :class:`CSRGraph` — the *frozen compute representation*.  ``Graph.freeze()``
-  compiles the adjacency dicts into compressed-sparse-row arrays (``indptr``,
-  ``indices``, ``edge_weights`` plus ``node_weights``) stored in the active
-  array backend (:mod:`repro.graph.backend`): ``float64``/``int64`` numpy
-  arrays when numpy is available, flat Python lists otherwise.  Every hot
-  partitioner phase (matching, region growing, FM refinement) runs on the CSR
-  form: bulk kernels (``subview`` extraction, coarsening scatter-accumulate,
-  gain initialisation, the cut) are vectorised under numpy, while inherently
-  sequential kernels read one node's row at a time through
-  :meth:`CSRGraph.rows` — list slices on the list backend, zero-copy
+  compiles the consolidated log into compressed-sparse-row arrays
+  (``indptr``, ``indices``, ``edge_weights`` plus ``node_weights``) stored in
+  the active array backend (:mod:`repro.graph.backend`): ``float64``/``int64``
+  numpy arrays when numpy is available, flat Python lists otherwise.  Every
+  hot partitioner phase (matching, region growing, FM refinement) runs on the
+  CSR form: bulk kernels (``subview`` extraction, coarsening
+  scatter-accumulate, gain initialisation, the cut) are vectorised under
+  numpy, while inherently sequential kernels read one node's row at a time
+  through :meth:`CSRGraph.rows` — list slices on the list backend, zero-copy
   ``memoryview`` slices over the ndarray buffers on numpy.  A numpy-backed
   graph is never boxed into Python objects wholesale, and it keeps no
   Python-object cache: its memory is its arrays (plus the cached weighted
   degrees, one more float64 array).  Both backends produce bit-identical
   results for a fixed seed.
 
-Lifecycle: build with :class:`Graph`, call :meth:`Graph.freeze` once, then
-hand the :class:`CSRGraph` to the partitioner.  A ``CSRGraph`` is immutable
-by convention — none of its methods mutate it, and the partitioner relies on
+Lifecycle: build with :class:`Graph`, call :meth:`Graph.freeze`, then hand
+the :class:`CSRGraph` to the partitioner.  A ``CSRGraph`` is immutable by
+convention — none of its methods mutate it, and the partitioner relies on
 that to share one frozen graph across recursive-bisection branches and
 repeated ``partition`` calls.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Iterator
 
 from repro.graph import backend
 
+#: the unmerged tail of an edge log may grow to this many entries (or to the
+#: size of the merged head, when larger) before it is consolidated.
+PENDING_LOG_ENTRIES = 1 << 16
+
+
+def _as_log(values, typecode: str) -> array:
+    """``values`` (an ``array`` or a contiguous ndarray) as an edge-log ``array``."""
+    if isinstance(values, array):
+        return values
+    log = array(typecode)
+    log.frombytes(memoryview(values).cast("B"))
+    return log
+
 
 class Graph:
-    """A weighted undirected graph with dense integer node ids."""
+    """A weighted undirected graph with dense integer node ids, kept as an edge log.
+
+    Log entries ``[0, settled)`` are *consolidated pairs*: distinct, stored
+    as ``(min, max)``, in the order each pair was first added, each with the
+    sum of its weights.  Entries ``[settled, end)`` are pending ``add_edge``
+    calls.  Consolidating merges the pending entries into the pairs, summing
+    every pair's weights in log order, so a settled weight ``W`` followed by
+    ``w1`` and ``w2`` becomes ``(W + w1) + w2`` — the additions a per-node
+    ``dict`` accumulator would make, bit for bit.  That first-seen pair
+    order is also the order a node's neighbours had in such a dict, so
+    :meth:`freeze` lays each CSR row out in it, and a pair pruned and then
+    added again moves to the end, as a dict key would.
+
+    Queries (:meth:`degree`, :meth:`neighbors`, :meth:`edge_weight`,
+    :meth:`edges`, :meth:`total_edge_weight`) read a CSR form of the edges
+    that is cached until the next edge mutation; :meth:`freeze` hands out a
+    fresh :class:`CSRGraph` over the same (never mutated) arrays.
+    """
 
     def __init__(self) -> None:
         self.node_weights: list[float] = []
-        self.adjacency: list[dict[int, float]] = []
-        self._num_edges = 0
         self._total_node_weight = 0.0
+        self._tails = array("q")
+        self._heads = array("q")
+        self._weights = array("d")
+        self._settled = 0
+        #: the log length at which the pending tail is consolidated.
+        self._consolidate_at = PENDING_LOG_ENTRIES
+        #: CSR form of the consolidated edges (its node weights go unread).
+        self._csr: CSRGraph | None = None
 
     # -- construction --------------------------------------------------------------
     def add_node(self, weight: float = 1.0) -> int:
@@ -52,8 +92,8 @@ class Graph:
         if weight < 0:
             raise ValueError("node weight must be non-negative")
         self.node_weights.append(weight)
-        self.adjacency.append({})
         self._total_node_weight += weight
+        self._csr = None
         return len(self.node_weights) - 1
 
     def add_nodes(self, count: int, weight: float = 1.0) -> list[int]:
@@ -70,39 +110,43 @@ class Graph:
             return
         if weight < 0:
             raise ValueError("edge weight must be non-negative")
-        self._check_node(u)
-        self._check_node(v)
-        row = self.adjacency[u]
-        if v in row:
-            row[v] += weight
-            self.adjacency[v][u] += weight
-        else:
-            row[v] = weight
-            self.adjacency[v][u] = weight
-            self._num_edges += 1
+        size = len(self.node_weights)
+        if not (0 <= u < size and 0 <= v < size):
+            self._check_node(u)
+            self._check_node(v)
+        self._tails.append(u)
+        self._heads.append(v)
+        self._weights.append(weight)
+        self._csr = None
+        if len(self._weights) >= self._consolidate_at:
+            self._consolidate()
 
     def add_weighted_edges(self, edges: Iterable[tuple[tuple[int, int], float]]) -> None:
         """Bulk-accumulate pre-deduplicated ``((u, v), weight)`` pairs.
 
         The batched counterpart of :meth:`add_edge` used by the trace->graph
-        builder: callers accumulate duplicate pairs externally (one flat dict
-        instead of two per-node dict probes per occurrence) and insert each
-        surviving edge here exactly once.
+        builder and the online maintainer: callers accumulate duplicate
+        pairs externally (one flat ``Counter`` probe per occurrence), so the
+        log grows by one entry per distinct pair of the batch rather than by
+        one per co-access.
         """
-        adjacency = self.adjacency
+        size = len(self.node_weights)
+        append_tail, append_head = self._tails.append, self._heads.append
+        append_weight = self._weights.append
+        self._csr = None
         for (u, v), weight in edges:
             if u == v:
                 continue
             if weight < 0:
                 raise ValueError("edge weight must be non-negative")
-            row = adjacency[u]
-            if v in row:
-                row[v] += weight
-                adjacency[v][u] += weight
-            else:
-                row[v] = weight
-                adjacency[v][u] = weight
-                self._num_edges += 1
+            if not (0 <= u < size and 0 <= v < size):
+                self._check_node(u)
+                self._check_node(v)
+            append_tail(u)
+            append_head(v)
+            append_weight(weight)
+        if len(self._weights) >= self._consolidate_at:
+            self._consolidate()
 
     def set_node_weight(self, node: int, weight: float) -> None:
         """Overwrite the weight of ``node``."""
@@ -122,7 +166,8 @@ class Graph:
 
         This is the exponential-decay primitive of the online graph
         maintainer: one call per ingest epoch ages the whole access history
-        without rebuilding the graph.
+        without rebuilding the graph.  Pairs are consolidated first, so each
+        pair's *sum* is scaled, exactly as a stored weight would be.
         """
         if factor < 0:
             raise ValueError("scale factor must be non-negative")
@@ -130,9 +175,15 @@ class Graph:
         for node in range(len(node_weights)):
             node_weights[node] *= factor
         self._total_node_weight *= factor
-        for row in self.adjacency:
-            for neighbor in row:
-                row[neighbor] *= factor
+        self._consolidate()
+        weights = self._weights
+        if self._vectorised():
+            scaled = backend.numpy.asarray(weights)
+            scaled *= factor
+        else:
+            for pair in range(len(weights)):
+                weights[pair] *= factor
+        self._csr = None
 
     def prune_edges(self, min_weight: float) -> int:
         """Remove edges lighter than ``min_weight``; return how many were dropped.
@@ -142,16 +193,152 @@ class Graph:
         as near-zero-weight edges.  Nodes are never removed (ids stay dense
         and stable); an isolated node simply keeps decaying.
         """
-        removed = 0
-        adjacency = self.adjacency
-        for u, row in enumerate(adjacency):
-            dead = [v for v, weight in row.items() if weight < min_weight and v > u]
-            for v in dead:
-                del row[v]
-                del adjacency[v][u]
-            removed += len(dead)
-        self._num_edges -= removed
+        self._consolidate()
+        logs = (self._tails, self._heads, self._weights)
+        if self._vectorised():
+            np = backend.numpy
+            kept = np.flatnonzero(~(np.asarray(self._weights) < min_weight))
+            survivors = [np.asarray(log)[kept] for log in logs]
+        else:
+            kept = [pair for pair, weight in enumerate(self._weights) if not weight < min_weight]
+            survivors = [array(log.typecode, [log[pair] for pair in kept]) for log in logs]
+        removed = self._settled - len(kept)
+        if removed:
+            self._store(*survivors)
+            self._csr = None
         return removed
+
+    # -- the edge log -----------------------------------------------------------------
+    def _vectorised(self) -> bool:
+        """True when log-sized work should take its numpy path."""
+        return backend.use_numpy() and len(self._weights) >= VECTORISE_MIN_ENTRIES
+
+    def _store(self, tails, heads, weights) -> None:
+        """Replace the log by consolidated pairs (``array``\\ s or ndarrays)."""
+        self._tails = _as_log(tails, "q")
+        self._heads = _as_log(heads, "q")
+        self._weights = _as_log(weights, "d")
+        self._settled = len(weights)
+        self._consolidate_at = self._settled + max(self._settled, PENDING_LOG_ENTRIES)
+
+    def _consolidate(self) -> None:
+        """Merge the pending log entries into the consolidated pairs."""
+        if len(self._weights) == self._settled:
+            return
+        if self._vectorised():
+            self._consolidate_numpy()
+            return
+        size = len(self.node_weights)
+        slot_of: dict[int, int] = {}
+        tails, heads, weights = array("q"), array("q"), array("d")
+        for u, v, weight in zip(self._tails, self._heads, self._weights):
+            if u > v:
+                u, v = v, u
+            key = u * size + v
+            slot = slot_of.get(key)
+            if slot is None:
+                slot_of[key] = len(weights)
+                tails.append(u)
+                heads.append(v)
+                weights.append(weight)
+            else:
+                weights[slot] += weight
+        self._store(tails, heads, weights)
+
+    def _consolidate_numpy(self) -> None:
+        """Vectorised :meth:`_consolidate`: sort by pair, sum in log order.
+
+        Sorting the canonical keys groups each pair's entries; the smallest
+        log position in a group is the pair's first sighting, and ranking
+        those positions (a scatter, no second sort) numbers the pairs in
+        first-seen order.  ``bincount`` then adds every entry's weight into
+        its pair in log order — one addition at a time, as the scalar loop.
+        """
+        np = backend.numpy
+        size = len(self.node_weights)
+        tails, heads = np.asarray(self._tails), np.asarray(self._heads)
+        entries = len(tails)
+        low = np.minimum(tails, heads)
+        high = np.maximum(tails, heads)
+        del tails, heads
+        key = low * size
+        key += high
+        order = np.argsort(key)
+        key = key[order]
+        run_starts = np.empty(entries, dtype=bool)
+        run_starts[0] = True
+        np.not_equal(key[1:], key[:-1], out=run_starts[1:])
+        del key
+        group = np.cumsum(run_starts)
+        group -= 1
+        first = np.minimum.reduceat(order, np.flatnonzero(run_starts))
+        del run_starts
+        is_first = np.zeros(entries, dtype=bool)
+        is_first[first] = True
+        rank = np.cumsum(is_first)
+        rank -= 1
+        pair_of = np.empty(entries, dtype=np.int64)
+        pair_of[order] = rank[first][group]
+        del order, group, first, rank
+        weights = np.bincount(pair_of, weights=np.asarray(self._weights))
+        del pair_of
+        kept = np.flatnonzero(is_first)
+        self._store(low[kept], high[kept], weights)
+
+    def _edge_csr(self) -> "CSRGraph":
+        """The consolidated edges as CSR arrays in the active backend (cached).
+
+        Each row lists its neighbours in first-seen pair order: both
+        directions of every pair are interleaved in pair order and grouped
+        by row without reordering within a row.
+        """
+        cached = self._csr
+        if cached is not None and cached.is_numpy == backend.use_numpy():
+            return cached
+        self._consolidate()
+        num_nodes = len(self.node_weights)
+        pairs = len(self._weights)
+        if self._vectorised():
+            np = backend.numpy
+            low, high = np.asarray(self._tails), np.asarray(self._heads)
+            ends = np.empty(2 * pairs, dtype=np.int64)
+            ends[0::2] = low
+            ends[1::2] = high
+            indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(ends, minlength=num_nodes), out=indptr[1:])
+            # Row-major order of the entries, ties by entry position: the
+            # sort key (row, position) is unique, so any sort is stable.
+            order = ends * (2 * pairs)
+            order += np.arange(2 * pairs, dtype=np.int64)
+            order.sort()
+            order %= 2 * pairs
+            ends[0::2] = high
+            ends[1::2] = low
+            indices = ends[order]
+            del ends
+            order >>= 1
+            edge_weights = np.asarray(self._weights)[order]
+        else:
+            indptr = [0] * (num_nodes + 1)
+            for u, v in zip(self._tails, self._heads):
+                indptr[u + 1] += 1
+                indptr[v + 1] += 1
+            for node in range(num_nodes):
+                indptr[node + 1] += indptr[node]
+            cursor = indptr[:-1]
+            indices = [0] * (2 * pairs)
+            edge_weights = [0.0] * (2 * pairs)
+            for u, v, weight in zip(self._tails, self._heads, self._weights):
+                at = cursor[u]
+                indices[at] = v
+                edge_weights[at] = weight
+                cursor[u] = at + 1
+                at = cursor[v]
+                indices[at] = u
+                edge_weights[at] = weight
+                cursor[v] = at + 1
+        cached = self._csr = CSRGraph(indptr, indices, edge_weights, self.node_weights)
+        return cached
 
     # -- queries --------------------------------------------------------------------
     @property
@@ -161,35 +348,33 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        """Number of distinct undirected edges (O(1), maintained incrementally)."""
-        return self._num_edges
+        """Number of distinct undirected edges."""
+        self._consolidate()
+        return self._settled
 
     def neighbors(self, node: int) -> dict[int, float]:
-        """Mapping of neighbour id -> edge weight (live dict; do not mutate)."""
-        return self.adjacency[node]
+        """Mapping of neighbour id -> edge weight (a fresh dict)."""
+        return self._edge_csr().neighbors(node)
 
     def edge_weight(self, u: int, v: int) -> float:
-        """Weight of the edge ``{u, v}`` (0 when absent)."""
-        return self.adjacency[u].get(v, 0.0)
+        """Weight of the edge ``{u, v}`` (0 when absent; linear in degree(u))."""
+        return self._edge_csr().edge_weight(u, v)
 
     def degree(self, node: int) -> int:
         """Number of neighbours of ``node``."""
-        return len(self.adjacency[node])
+        return self._edge_csr().degree(node)
 
     def total_node_weight(self) -> float:
         """Sum of all node weights (O(1), maintained incrementally)."""
         return self._total_node_weight
 
     def total_edge_weight(self) -> float:
-        """Sum of all edge weights."""
-        return sum(sum(neighbors.values()) for neighbors in self.adjacency) / 2.0
+        """Sum of all edge weights: each row summed in order, then the rows."""
+        return sum(self._edge_csr().weighted_degrees()) / 2.0
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Iterate over edges as ``(u, v, weight)`` with ``u < v``."""
-        for u, neighbors in enumerate(self.adjacency):
-            for v, weight in neighbors.items():
-                if u < v:
-                    yield u, v, weight
+        return self._edge_csr().edges()
 
     def nodes(self) -> range:
         """Iterable of node ids."""
@@ -199,19 +384,16 @@ class Graph:
     def freeze(self) -> "CSRGraph":
         """Compile the graph into an immutable :class:`CSRGraph`.
 
-        Neighbour order in the CSR arrays preserves the adjacency-dict
-        insertion order, so freezing is a pure representation change: every
-        deterministic algorithm visits neighbours in the same order on either
-        form.
+        Each row lists its neighbours in the order their pair was first
+        added, so freezing is a pure representation change: every
+        deterministic algorithm visits neighbours in the same order on
+        either form.  The edge arrays are shared with the cached CSR form,
+        which is never mutated; the node weights are copied.
         """
-        indptr = [0] * (self.num_nodes + 1)
-        indices: list[int] = []
-        edge_weights: list[float] = []
-        for node, neighbors in enumerate(self.adjacency):
-            indices.extend(neighbors.keys())
-            edge_weights.extend(neighbors.values())
-            indptr[node + 1] = len(indices)
-        return CSRGraph(indptr, indices, edge_weights, list(self.node_weights))
+        edges = self._edge_csr()
+        return CSRGraph(
+            edges.indptr, edges.indices, edges.edge_weights, list(self.node_weights)
+        )
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges})"

@@ -228,8 +228,8 @@ class IncrementalGraphMaintainer:
         """Fold one chunk of transactions, batching edge accumulation, then age.
 
         Mirrors the offline builder's batched clique accumulation: duplicate
-        pairs within the batch hit one flat Counter instead of two adjacency
-        dicts per occurrence.
+        pairs within the batch hit one flat Counter, and the graph's edge log
+        gets one entry per distinct pair of the batch.
         """
         graph = self.graph
         increment = self._increment

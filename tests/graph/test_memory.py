@@ -8,6 +8,10 @@ coarsening chain included).  Each bound is about 1.5x the value measured
 when the layer stopped holding entry-sized temporaries and per-node Python
 rows; the values before that are in the comments.  The figures are per
 backend because the list backend's graph is Python objects to begin with.
+
+The mutable graph's build is bounded too: what ``synthetic_access_graph``
+leaves live, in bytes per ``add_edge`` call (its edge log), and the
+transient peak of ``Graph.freeze()`` above that, in bytes per CSR entry.
 """
 
 import tracemalloc
@@ -27,6 +31,19 @@ BOUNDS = {
         "coarsen_once": 50.0,  # 33.5; 35.5 before
         "kway_fm_refine": 60.0,  # 39.4; 50.8 before
         "partition_graph": 160.0,  # 105.3; 116.0 before
+    },
+}
+
+
+#: backend -> bound in bytes (measured; measured before the edge log).
+BUILD_BOUNDS = {
+    "numpy": {
+        "graph_per_call": 38.0,  # 24.9; 142.4 with dict-of-dicts adjacency
+        "freeze_per_entry": 56.0,  # 37.1; 36.4 before
+    },
+    "list": {
+        "graph_per_call": 38.0,  # 24.5; 142.4 before
+        "freeze_per_entry": 98.0,  # 64.9; 19.3 before (the CSR lists shared the dicts' objects)
     },
 }
 
@@ -75,3 +92,27 @@ def test_graph_layer_working_set_per_entry(monkeypatch):
     }
     assert not over, over
 
+
+
+def test_graph_build_and_freeze_bytes():
+    calls = 160_000
+    tracemalloc.start()
+    try:
+        graph = synthetic_access_graph(20_000, calls, 0)
+        built = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        frozen = graph.freeze()
+        freeze_peak = tracemalloc.get_traced_memory()[1] - built
+    finally:
+        tracemalloc.stop()
+    measured = {
+        "graph_per_call": built / calls,
+        "freeze_per_entry": freeze_peak / len(frozen.indices),
+    }
+    bounds = BUILD_BOUNDS[backend.array_backend()]
+    over = {
+        name: f"{measured[name]:.1f} B > {bound}"
+        for name, bound in bounds.items()
+        if measured[name] > bound
+    }
+    assert not over, over
