@@ -10,8 +10,9 @@ interchangeable backends:
 * ``list`` — flat Python lists, the dependency-free fallback.  Every kernel
   has a pure-Python implementation that produces **bit-identical** results:
   each vectorised kernel is written so its floating-point additions happen in
-  exactly the same order as the scalar loop (order-preserving ``bincount`` /
-  stable-sort + ``reduceat`` formulations), so a fixed seed yields the same
+  exactly the same order as the scalar loop (order-preserving ``bincount``
+  formulations, after a stable sort where runs must group), so a fixed seed
+  yields the same
   assignment on either backend.  ``tests/graph/test_backend_parity.py``
   enforces this.
 

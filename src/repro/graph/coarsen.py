@@ -14,11 +14,10 @@ max-scan, usually after one probe.  The contraction — building the coarse
 CSR — has two implementations: a scalar
 scatter-accumulate (one dense ``accumulator``/``marker`` pair reused across
 coarse nodes) and a vectorised numpy path (gather entries in member-visit
-order, stable-sort by (row, column), ``reduceat`` the duplicate runs).  Both
+order, stable-sort by (row, column), ``bincount`` the duplicate runs).  Both
 emit coarse rows in **sorted column order** and accumulate parallel fine
-edges in member-visit order, so the two backends produce bit-identical
-coarse graphs for integer edge weights (see :func:`_contract_numpy` for the
-last-ulp exception).
+edges in member-visit order, left to right, so the two backends produce
+bit-identical coarse graphs.
 """
 
 from __future__ import annotations
@@ -186,12 +185,11 @@ def _contract_numpy(
     Entries are gathered in the scalar path's visit order (coarse id, then
     member, then CSR row order) straight into one sort key, ``coarse row *
     num_coarse + coarse column``, filtered once (contracted edges vanish);
-    the stable sort groups duplicates in that order and ``reduceat`` sums
-    each run.  It adds a run as ``a0 + (a1 + a2 + ...)`` where the scalar
-    accumulator goes left to right: the same for integer weights and for
-    runs of at most two, the last ulp apart otherwise.  The coarse rows and
-    columns are the sorted unique keys' quotient and remainder by
-    ``num_coarse``; each entry-sized temporary is released once used.
+    the stable sort groups duplicates in that order and ``bincount`` sums
+    each run left to right, one addition at a time, as the scalar
+    accumulator does.  The coarse rows and columns are the sorted unique
+    keys' quotient and remainder by ``num_coarse``; each entry-sized
+    temporary is released once used.
     """
     np = backend.numpy
     num_coarse = len(coarse_weights)
@@ -223,10 +221,12 @@ def _contract_numpy(
     run_flags = np.empty(len(key), dtype=bool)
     run_flags[0] = True
     np.not_equal(key[1:], key[:-1], out=run_flags[1:])
-    run_starts = np.flatnonzero(run_flags)
-    key = key[run_starts]
-    summed = np.add.reduceat(weights, run_starts)
-    del weights, run_starts
+    key = key[run_flags]
+    run_of = np.cumsum(run_flags)
+    run_of -= 1
+    del run_flags
+    summed = np.bincount(run_of, weights=weights)
+    del weights, run_of
     unique_cols = key % num_coarse
     key //= num_coarse  # the coarse row of each unique entry
     np.cumsum(np.bincount(key, minlength=num_coarse), out=coarse_indptr[1:])

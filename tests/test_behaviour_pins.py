@@ -43,8 +43,11 @@ The float-weight pins (``FLOAT_PARTITION_PINS``) were recorded at the parent
 commit of the change that bounded the graph layer's working set (no held
 entry-sized temporaries, sparse gain rows, a streamed seed queue), on both
 array backends.  The unit-weight pins cannot see a change in the order
-floating-point weights are summed in; these can.  The backends disagree on
-one of them (``LIST_FLOAT_PARTITION_PINS`` says why), so each is pinned.
+floating-point weights are summed in; these can.  Both backends must meet
+every one: ``(0, 32)`` was re-recorded when the numpy contraction stopped
+summing parallel-edge runs with ``reduceat`` (``a0 + (a1 + a2)``) and began
+adding them left to right like the scalar one; the new digest is the one
+the list backend already gave.
 
 The route pins (``ROUTE_PINS``) were recorded at the parent commit of the
 change that analyses each statement shape once, on both array backends.
@@ -60,7 +63,6 @@ import json
 import pytest
 
 from repro.experiments.figure5 import synthetic_access_graph
-from repro.graph.backend import array_backend
 from repro.graph.model import Graph
 from repro.graph.partitioner import PartitionerOptions, cut_weight, partition_graph
 from repro.pipeline import PartitionPlan, Pipeline, SchismOptions
@@ -92,17 +94,10 @@ PARTITION_PINS = {
 FLOAT_PARTITION_PINS = {
     (0, 2): "6f4dea80386d5c9b0f5352d326cc18124c65a7dc379a90ce053c554f04b0332f",
     (0, 5): "32e8f9ca663c18d2578d0cddd2946d8c7be4f67d3e9f5b7984bbc49b21faa9e5",
-    (0, 32): "f2732aed4b87f9d5a85446cf92fb7f5c1c82a0e0c41e6284a8ea996d2f0a10a7",
+    (0, 32): "6c44d6ffe387c4943b966bbd67add132a7803d19d3e2dc695fcf322789096d27",
     (1, 2): "cac5f1752eed4cad45f6102bfb56a24e1c394e7806d583028abbfce960f99f3d",
     (1, 5): "5ba552e0ef1575a7eb44f65c327c46cca2cde20dc84fb00cbde54559a39d5aa2",
     (1, 32): "a4c5ef2657d525add9502f46cfbfaf4199fc3646e407d83c714aadccc5c528cb",
-}
-#: where the list backend's assignment differs (same cut, 2881.690542136147):
-#: the numpy contraction's ``reduceat`` adds a run of three or more parallel
-#: edges as ``a0 + (a1 + a2)``, the scalar one left to right, so coarse edge
-#: weights differ in the last ulp.
-LIST_FLOAT_PARTITION_PINS = {
-    (0, 32): "6c44d6ffe387c4943b966bbd67add132a7803d19d3e2dc695fcf322789096d27",
 }
 #: seed -> (assignment sha256, cut) of ``synthetic_access_graph(4_000, 32_000, seed)`` at k = 8.
 SCALE_PINS = {
@@ -154,10 +149,7 @@ def test_float_weighted_partition_assignments_are_pinned(seed):
     for k in (2, 5, 32):
         assignment = partition_graph(frozen, k, PartitionerOptions(seed=seed))
         digest = hashlib.sha256(json.dumps(assignment).encode()).hexdigest()
-        expected = FLOAT_PARTITION_PINS[seed, k]
-        if array_backend() == "list":
-            expected = LIST_FLOAT_PARTITION_PINS.get((seed, k), expected)
-        assert digest == expected, f"seed={seed} k={k}"
+        assert digest == FLOAT_PARTITION_PINS[seed, k], f"seed={seed} k={k}"
 
 
 @pytest.mark.parametrize("seed", sorted(SCALE_PINS))
