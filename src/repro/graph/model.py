@@ -300,10 +300,8 @@ class Graph:
         pairs = len(self._weights)
         if self._vectorised():
             np = backend.numpy
-            low, high = np.asarray(self._tails), np.asarray(self._heads)
-            ends = np.empty(2 * pairs, dtype=np.int64)
-            ends[0::2] = low
-            ends[1::2] = high
+            # Entry 2p is pair p seen from its low end, 2p + 1 from its high end.
+            ends = np.stack((np.asarray(self._tails), np.asarray(self._heads)), axis=1).ravel()
             indptr = np.zeros(num_nodes + 1, dtype=np.int64)
             np.cumsum(np.bincount(ends, minlength=num_nodes), out=indptr[1:])
             # Row-major order of the entries, ties by entry position: the
@@ -312,9 +310,7 @@ class Graph:
             order += np.arange(2 * pairs, dtype=np.int64)
             order.sort()
             order %= 2 * pairs
-            ends[0::2] = high
-            ends[1::2] = low
-            indices = ends[order]
+            indices = ends[order ^ 1]
             del ends
             order >>= 1
             edge_weights = np.asarray(self._weights)[order]
