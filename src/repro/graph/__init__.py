@@ -4,8 +4,9 @@ This package implements the heart of Schism:
 
 * :mod:`repro.graph.model` — a weighted undirected graph tuned for the
   partitioner's access patterns: a mutable construction ``Graph`` (an
-  append-only edge log, float node/edge weights) plus the frozen ``CSRGraph`` compute
-  representation every optimisation loop runs on (``Graph.freeze()``);
+  append-only edge log, float node/edge weights) plus the frozen
+  ``CSRGraph`` compute representation every optimisation loop runs on
+  (``Graph.freeze()``);
 * :mod:`repro.graph.builder` — turning an access trace into the paper's graph
   (transaction clique edges, star-shaped replication nodes, data-size or
   workload node weights), including the tuple-coalescing heuristic;

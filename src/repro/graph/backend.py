@@ -12,9 +12,8 @@ interchangeable backends:
   each vectorised kernel is written so its floating-point additions happen in
   exactly the same order as the scalar loop (order-preserving ``bincount``
   formulations, after a stable sort where runs must group), so a fixed seed
-  yields the same
-  assignment on either backend.  ``tests/graph/test_backend_parity.py``
-  enforces this.
+  yields the same assignment on either backend.
+  ``tests/graph/test_backend_parity.py`` enforces this.
 
 Selection happens once at import from the ``REPRO_ARRAY_BACKEND`` environment
 variable (``auto`` — the default — picks numpy when importable, ``numpy``

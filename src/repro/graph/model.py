@@ -70,8 +70,9 @@ class Graph:
 
     Queries (:meth:`degree`, :meth:`neighbors`, :meth:`edge_weight`,
     :meth:`edges`, :meth:`total_edge_weight`) read a CSR form of the edges
-    that is cached until the next edge mutation; :meth:`freeze` hands out a
-    fresh :class:`CSRGraph` over the same (never mutated) arrays.
+    that is cached until the graph next gains a node or changes an edge;
+    :meth:`freeze` hands out a fresh :class:`CSRGraph` over the same (never
+    mutated) arrays.
     """
 
     def __init__(self) -> None:
