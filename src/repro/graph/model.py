@@ -7,9 +7,8 @@ Two representations share this module:
   *edge log*: every :meth:`Graph.add_edge` call appends its endpoints and
   weight to three flat ``array`` buffers (24 bytes per call, no per-node
   objects), and repeated pairs are merged only when the log is
-  *consolidated* — on a query, on :meth:`Graph.freeze`, before a decay or
-  prune, and whenever the unmerged tail outgrows the merged head, so the
-  log stays within twice the number of distinct pairs.
+  *consolidated* — on a query, on :meth:`Graph.freeze` and before a decay
+  or prune.
 * :class:`CSRGraph` — the *frozen compute representation*.  ``Graph.freeze()``
   compiles the consolidated log into compressed-sparse-row arrays
   (``indptr``, ``indices``, ``edge_weights`` plus ``node_weights``) stored in
@@ -39,11 +38,6 @@ from array import array
 from typing import Iterable, Iterator
 
 from repro.graph import backend
-
-#: the unmerged tail of an edge log may grow to this many entries (or to the
-#: size of the merged head, when larger) before it is consolidated.
-PENDING_LOG_ENTRIES = 1 << 16
-
 
 def _as_log(values, typecode: str) -> array:
     """``values`` (an ``array`` or a contiguous ndarray) as an edge-log ``array``."""
@@ -82,8 +76,6 @@ class Graph:
         self._heads = array("q")
         self._weights = array("d")
         self._settled = 0
-        #: the log length at which the pending tail is consolidated.
-        self._consolidate_at = PENDING_LOG_ENTRIES
         #: CSR form of the consolidated edges (its node weights go unread).
         self._csr: CSRGraph | None = None
 
@@ -119,8 +111,6 @@ class Graph:
         self._heads.append(v)
         self._weights.append(weight)
         self._csr = None
-        if len(self._weights) >= self._consolidate_at:
-            self._consolidate()
 
     def add_weighted_edges(self, edges: Iterable[tuple[tuple[int, int], float]]) -> None:
         """Bulk-accumulate pre-deduplicated ``((u, v), weight)`` pairs.
@@ -146,8 +136,6 @@ class Graph:
             append_tail(u)
             append_head(v)
             append_weight(weight)
-        if len(self._weights) >= self._consolidate_at:
-            self._consolidate()
 
     def set_node_weight(self, node: int, weight: float) -> None:
         """Overwrite the weight of ``node``."""
@@ -220,7 +208,6 @@ class Graph:
         self._heads = _as_log(heads, "q")
         self._weights = _as_log(weights, "d")
         self._settled = len(weights)
-        self._consolidate_at = self._settled + max(self._settled, PENDING_LOG_ENTRIES)
 
     def _consolidate(self) -> None:
         """Merge the pending log entries into the consolidated pairs."""
@@ -230,21 +217,19 @@ class Graph:
             self._consolidate_numpy()
             return
         size = len(self.node_weights)
-        slot_of: dict[int, int] = {}
-        tails, heads, weights = array("q"), array("q"), array("d")
+        # Pair key -> weight sum; a dict keeps its keys in first-seen order.
+        sums: dict[int, float] = {}
         for u, v, weight in zip(self._tails, self._heads, self._weights):
-            if u > v:
-                u, v = v, u
-            key = u * size + v
-            slot = slot_of.get(key)
-            if slot is None:
-                slot_of[key] = len(weights)
-                tails.append(u)
-                heads.append(v)
-                weights.append(weight)
+            key = u * size + v if u < v else v * size + u
+            if key in sums:
+                sums[key] += weight
             else:
-                weights[slot] += weight
-        self._store(tails, heads, weights)
+                sums[key] = weight
+        self._store(
+            array("q", (key // size for key in sums)),
+            array("q", (key % size for key in sums)),
+            array("d", sums.values()),
+        )
 
     def _consolidate_numpy(self) -> None:
         """Vectorised :meth:`_consolidate`: sort by pair, sum in log order.
@@ -259,11 +244,9 @@ class Graph:
         size = len(self.node_weights)
         tails, heads = np.asarray(self._tails), np.asarray(self._heads)
         entries = len(tails)
-        low = np.minimum(tails, heads)
-        high = np.maximum(tails, heads)
-        del tails, heads
-        key = low * size
-        key += high
+        key = np.minimum(tails, heads)
+        key *= size
+        key += np.maximum(tails, heads)
         order = np.argsort(key)
         key = key[order]
         run_starts = np.empty(entries, dtype=bool)
@@ -276,15 +259,20 @@ class Graph:
         del run_starts
         is_first = np.zeros(entries, dtype=bool)
         is_first[first] = True
-        rank = np.cumsum(is_first)
+        # Each group's pair number in first-seen order, then each sorted entry's.
+        rank = np.cumsum(is_first)[first]
         rank -= 1
+        del first
+        np.take(rank, group, out=group)
+        del rank
         pair_of = np.empty(entries, dtype=np.int64)
-        pair_of[order] = rank[first][group]
-        del order, group, first, rank
+        pair_of[order] = group
+        del order, group
         weights = np.bincount(pair_of, weights=np.asarray(self._weights))
         del pair_of
         kept = np.flatnonzero(is_first)
-        self._store(low[kept], high[kept], weights)
+        tails, heads = tails[kept], heads[kept]
+        self._store(np.minimum(tails, heads), np.maximum(tails, heads), weights)
 
     def _edge_csr(self) -> "CSRGraph":
         """The consolidated edges as CSR arrays in the active backend (cached).
@@ -323,9 +311,12 @@ class Graph:
             for node in range(num_nodes):
                 indptr[node + 1] += indptr[node]
             cursor = indptr[:-1]
+            # One int object per node id, shared by every entry naming it.
+            ids = list(range(num_nodes))
             indices = [0] * (2 * pairs)
             edge_weights = [0.0] * (2 * pairs)
             for u, v, weight in zip(self._tails, self._heads, self._weights):
+                u, v = ids[u], ids[v]
                 at = cursor[u]
                 indices[at] = v
                 edge_weights[at] = weight
@@ -367,7 +358,11 @@ class Graph:
 
     def total_edge_weight(self) -> float:
         """Sum of all edge weights: each row summed in order, then the rows."""
-        return sum(self._edge_csr().weighted_degrees()) / 2.0
+        indptr, _, edge_weights, _ = self._edge_csr().rows()
+        return (
+            sum(sum(edge_weights[indptr[node] : indptr[node + 1]]) for node in self.nodes())
+            / 2.0
+        )
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Iterate over edges as ``(u, v, weight)`` with ``u < v``."""
@@ -586,6 +581,8 @@ class CSRGraph:
         ndarray on numpy.  Under numpy the per-row sums come from an
         order-preserving ``bincount`` (sequential accumulation in entry
         order), which is bit-identical to the scalar left-to-right sums.
+        The scalar path adds with ``+=``, not builtin ``sum``, which
+        compensates float sums from Python 3.12 on.
         """
         cached = self._weighted_degrees
         if cached is None:
@@ -596,10 +593,12 @@ class CSRGraph:
                 )
             else:
                 indptr, _, edge_weights, _ = self.rows()
-                cached = [
-                    sum(edge_weights[indptr[node] : indptr[node + 1]])
-                    for node in range(num_nodes)
-                ]
+                cached = [0.0] * num_nodes
+                for node in range(num_nodes):
+                    total = 0.0
+                    for weight in edge_weights[indptr[node] : indptr[node + 1]]:
+                        total += weight
+                    cached[node] = total
             self._weighted_degrees = cached
         return cached if isinstance(cached, list) else memoryview(cached).toreadonly()
 

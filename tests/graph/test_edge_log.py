@@ -6,8 +6,7 @@ updated together.  Its neighbour order (dict insertion order) and its weight
 sums (``row[v] += w`` in call order) are what every query and the frozen CSR
 arrays must reproduce exactly, on both array backends and on both sides of
 ``VECTORISE_MIN_ENTRIES`` (where the log's consolidation switches between
-its scalar and numpy paths).  A small ``PENDING_LOG_ENTRIES`` makes the log
-consolidate itself in the middle of the sequences too.
+its scalar and numpy paths).
 """
 
 from __future__ import annotations
@@ -185,18 +184,15 @@ def _backends() -> list[str]:
 
 @pytest.mark.parametrize("name", _backends())
 @pytest.mark.parametrize("seed", range(4))
-def test_small_graph_matches_the_dict_model(name, seed, monkeypatch):
-    monkeypatch.setattr(model, "PENDING_LOG_ENTRIES", 64)
+def test_small_graph_matches_the_dict_model(name, seed):
     with backend.backend_context(name):
         _run_sequence(seed, operations=400, nodes=12, pool=30)
 
 
 @pytest.mark.parametrize("name", _backends())
 @pytest.mark.parametrize("seed", range(3))
-def test_large_graph_matches_the_dict_model(name, seed, monkeypatch):
-    # Well past VECTORISE_MIN_ENTRIES: the log consolidates on the numpy path
-    # there, and self-consolidates every few thousand entries.
-    monkeypatch.setattr(model, "PENDING_LOG_ENTRIES", 3000)
+def test_large_graph_matches_the_dict_model(name, seed):
+    # Well past VECTORISE_MIN_ENTRIES: the log consolidates on the numpy path.
     with backend.backend_context(name):
         _run_sequence(seed, operations=12_000, nodes=400, pool=2500)
     assert 12_000 * 0.55 > 2 * model.VECTORISE_MIN_ENTRIES
@@ -211,16 +207,6 @@ def test_a_pair_pruned_and_added_again_moves_to_the_end():
     graph.add_edge(1, 0, 2.0)
     assert list(graph.neighbors(0).items()) == [(2, 5.0), (1, 2.0)]
     assert graph.freeze().lists()[1] == [2, 1, 0, 0]
-
-
-def test_the_log_stays_within_twice_its_pairs(monkeypatch):
-    monkeypatch.setattr(model, "PENDING_LOG_ENTRIES", 100)
-    graph = Graph()
-    graph.add_nodes(10)
-    for call in range(10_000):
-        graph.add_edge(call % 10, (call + 1) % 10, 1.0)
-    assert graph.num_edges == 10
-    assert len(graph._weights) <= 2 * 10 + 100
 
 
 def test_bulk_edges_name_unknown_nodes():

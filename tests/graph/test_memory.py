@@ -93,7 +93,6 @@ def test_graph_layer_working_set_per_entry(monkeypatch):
     assert not over, over
 
 
-
 def test_graph_build_and_freeze_bytes():
     calls = 160_000
     tracemalloc.start()
