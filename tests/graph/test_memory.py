@@ -38,12 +38,14 @@ BOUNDS = {
 #: backend -> bound in bytes (measured; measured before the edge log).
 BUILD_BOUNDS = {
     "numpy": {
-        "graph_per_call": 38.0,  # 24.9; 142.4 with dict-of-dicts adjacency
-        "freeze_per_entry": 56.0,  # 37.1; 36.4 before
+        "graph_per_call": 39.0,  # 26.0; 142.4 with dict-of-dicts adjacency
+        "freeze_per_entry": 48.0,  # 32.0; 36.4 before
     },
     "list": {
-        "graph_per_call": 38.0,  # 24.5; 142.4 before
-        "freeze_per_entry": 98.0,  # 64.9; 19.3 before (the CSR lists shared the dicts' objects)
+        "graph_per_call": 39.0,  # 26.0; 142.4 before
+        # 58.0, mostly the pair-key dict that consolidates the log; 19.3
+        # before, when the dicts had merged repeated pairs as they came.
+        "freeze_per_entry": 87.0,
     },
 }
 
